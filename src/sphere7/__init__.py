@@ -7,7 +7,8 @@ Layers, bottom up:
     u2h          the ten-dimensional Lie algebra with exact structure constants
     weyl         normal-ordered oscillator algebra, formal square roots,
                  the ten formal generators and their bracket reports
-    classical    the commutative Poisson mirror of the weyl layer
+    classical    the commutative Poisson ring; the weyl construction and its
+                 bracket report run on it give the classical mirror
     fock         truncated Fock representations, exact and partial-sum
     connection   flat connections, parallel transport, Born probabilities
     cli          batch verification / simulation driver
@@ -25,17 +26,15 @@ from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    commutant_dimension, dim, exponentiate, filtration_check,
                    k_spectrum, matrix_of_laurent, matrix_of_weyl,
                    partial_sum_distance, verify_brackets, verify_reality)
-from .quaternions import (PatchError, QMatrix2, Quaternion, qconj, qinv,
-                          qmul, qnormsq, section_n, section_s,
-                          transition_tau)
+from .quaternions import (PatchError, QMatrix2, Quaternion, section_n,
+                          section_s, transition_tau)
 from .u2h import (LieElement, SPINOR_GENERATORS, VECTOR_GENERATORS, bracket,
                   bracket_gens, basis_change, contraction_constants,
                   contraction_limit, grading_decomposition, reality,
                   verify_jacobi)
 from .weyl import (LaurentElement, Polymeromorphic, PolyNM, WeylElement,
                    embedded_generators, passage, sqrt_partial_sum,
-                   verify_embedding, weyl_comm, weyl_dagger, weyl_mul)
-from .classical import (PoissonElement, classical_generators,
-                        poisson_bracket, verify_classical)
+                   verify_embedding)
+from .classical import PoissonElement, verify_classical
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Commutative oracle: the Poisson-algebra version of the formal embedding.
+"""Commutative oracle: the Poisson ring under the formal embedding.
 
 Variables are complex coordinates mirroring the oscillator slots,
 
@@ -9,12 +9,13 @@ with fundamental brackets {z, zbar} = -i, {z^+_+., z^-_-.} = i,
 functions are n = 2 zbar z and N = z^+_-. z^-_+. - z^+_+. z^-_-. (no ordering
 constant).  Because the slot layout matches the quantum module, the naive
 replacement map classical -> quantum is the identity on exponent tuples.
+
+Only the product and the bracket are classical: the generator recipe and the
+45-pair report are those of the weyl module, run on this ring.
 """
 
-from itertools import combinations
-
-from .rational import CRat, crat
-from .weyl import LaurentElement, sqrt_coefficient_poly
+from .rational import CRat
+from .weyl import SlotPolynomial, verify_embedding
 
 _I = CRat(0, 1)
 
@@ -26,59 +27,14 @@ _FUNDAMENTAL = (
 )
 
 
-class PoissonElement:
+class PoissonElement(SlotPolynomial):
     """Polynomial in the six commuting coordinates."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = crat(c)
-                if c:
-                    self.terms[k] = c
-
-    @classmethod
-    def unit(cls, c=1):
-        return cls({(0, 0, 0, 0, 0, 0): c})
-
-    @classmethod
-    def gen(cls, slot):
-        key = [0] * 6
-        key[slot] = 1
-        return cls({tuple(key): 1})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = PoissonElement.__new__(PoissonElement)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = crat(c)
-        if not c:
-            return PoissonElement.zero()
-        res = PoissonElement.__new__(PoissonElement)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
-
-    def __neg__(self):
-        return self.scale(-1)
+    __slots__ = ()
+    NAMES = ("zb", "zmm", "zpm", "z", "zpp", "zmp")
+    # Poisson relations carry no explicit i: the classical targets are the
+    # quantum structure constants divided by i
+    BRACKET_NORM = CRat(0, -1)
 
     def __mul__(self, other):
         out = {}
@@ -92,9 +48,7 @@ class PoissonElement:
                     out[key] = s
                 else:
                     del out[key]
-        res = PoissonElement.__new__(PoissonElement)
-        res.terms = out
-        return res
+        return self._wrap(out)
 
     def deriv(self, slot):
         out = {}
@@ -105,153 +59,32 @@ class PoissonElement:
                 out[key] = out.get(key, CRat()) + c * e
         return PoissonElement({k: c for k, c in out.items() if c})
 
-    def dagger(self):
-        """Complex conjugation: zbar <-> z and the signed dotted swaps."""
-        out = {}
-        for (d1, d2, d3, e1, e2, e3), c in self.terms.items():
-            cc = c.conj()
-            if (d2 + e2) % 2:
-                cc = -cc
-            out[(e1, e2, e3, d1, d2, d3)] = cc
-        return PoissonElement(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = ("zb", "zmm", "zpm", "z", "zpp", "zmp")
-        bits = []
-        for key in sorted(self.terms):
-            word = "".join(f"{names[i]}^{e} " if e > 1 else
-                           (f"{names[i]} " if e == 1 else "")
-                           for i, e in enumerate(key))
-            bits.append(f"({self.terms[key]})*{word.strip() or '1'}")
-        return " + ".join(bits)
-
-
-def poisson_bracket(f, g):
-    """Biderivation extension of the fundamental brackets."""
-    out = PoissonElement.zero()
-    for i, j, c in _FUNDAMENTAL:
-        df = f.deriv(i)
-        if df.is_zero():
-            continue
-        dg = g.deriv(j)
-        if dg.is_zero():
-            continue
-        out = out + (df * dg).scale(c)
-    return out
-
-
-def laurent_poisson_bracket(x, y):
-    """Gradewise Poisson bracket of Laurent series with Poisson coefficients."""
-    cap = x.cap if y.cap is None else (y.cap if x.cap is None
-                                       else min(x.cap, y.cap))
-    dropped = x.dropped or y.dropped
-    out = {}
-    for g1, w1 in x.grades.items():
-        for g2, w2 in y.grades.items():
-            g = g1 + g2
-            if cap is not None and g > cap:
-                dropped = True
+    def comm(self, other):
+        """Poisson bracket: the biderivation extending _FUNDAMENTAL."""
+        out = PoissonElement.zero()
+        for i, j, c in _FUNDAMENTAL:
+            df = self.deriv(i)
+            if df.is_zero():
                 continue
-            p = poisson_bracket(w1, w2)
-            s = out.get(g)
-            out[g] = p if s is None else s + p
-    out = {g: w for g, w in out.items() if not w.is_zero()}
-    return LaurentElement(out, cap=cap, dropped=dropped)
+            dg = other.deriv(j)
+            if dg.is_zero():
+                continue
+            out = out + (df * dg).scale(c)
+        return out
 
+    @classmethod
+    def number_op(cls):
+        return cls({(1, 0, 0, 1, 0, 0): 2})
 
-def classical_n():
-    return PoissonElement({(1, 0, 0, 1, 0, 0): 2})
-
-
-def classical_N():
-    return PoissonElement({(0, 0, 1, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): -1})
-
-
-def _poly_nm_to_poisson(p):
-    n_c = classical_n()
-    N_c = classical_N()
-    cache_n = {0: PoissonElement.unit()}
-    cache_N = {0: PoissonElement.unit()}
-
-    def pw(cache, base, k):
-        if k not in cache:
-            cache[k] = pw(cache, base, k - 1) * base
-        return cache[k]
-
-    out = PoissonElement.zero()
-    for (i, j), c in p.terms.items():
-        out = out + (pw(cache_n, n_c, i) * pw(cache_N, N_c, j)).scale(c)
-    return out
-
-
-def classical_sqrt_partial_sum(ell, cap=None):
-    """The commutative partial sum S_ell(n, N, h) as a Laurent element."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    grades = {2 * k - 1: _poly_nm_to_poisson(sqrt_coefficient_poly(k))
-              for k in range(ell + 1)}
-    return LaurentElement(grades, cap=cap)
-
-
-def classical_generators(ell, cap=None):
-    """The phase-free member of the classical solution family, truncated.
-
-    Same keys as the quantum embedded_generators; the square root is expanded
-    as the commutative partial-sum series.
-    """
-    s = classical_sqrt_partial_sum(ell, cap=cap)
-    g = PoissonElement.gen
-    lw = lambda w, grade=0: LaurentElement.from_weyl(w, grade, cap=cap)
-    jpp = (g(2) * g(4)).scale(-2 * _I)
-    jpm = (g(4) * g(1) + g(5) * g(2)).scale(-_I)
-    jmm = (g(5) * g(1)).scale(-2 * _I)
-    n_plus_N = classical_n() + classical_N()
-    return {
-        "J++": lw(jpp),
-        "J+-": lw(jpm),
-        "J--": lw(jmm),
-        "K++": (s * lw(g(3))).scale(-2 * _I),
-        "K+-": lw(PoissonElement.unit(_I), -2) + lw(n_plus_N.scale(-_I)),
-        "K--": (lw(g(0)) * s).scale(2 * _I),
-        "P++": lw((g(2) * g(3)).scale(-1)) + s * lw(g(4)),
-        "P--": lw(g(0) * g(5)) + lw(g(1)) * s,
-        "P+-": lw(g(0) * g(4)) + lw(g(2)) * s,
-        "P-+": lw((g(1) * g(3)).scale(-1)) + s * lw(g(5)),
-    }
+    @classmethod
+    def total_number_op(cls):
+        return cls({(0, 0, 1, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): -1})
 
 
 def verify_classical(ell, gradecap=None):
     """Residual-grade report for the classical bracket relations.
 
-    The classical targets are the quantum structure constants divided by i
-    (Poisson relations carry no explicit i).  Same report shape as the
-    quantum verify_embedding, so the two tables can be compared directly.
+    The quantum verify_embedding run on the Poisson ring: same report shape,
+    so the two tables can be compared directly.
     """
-    from .u2h import SPINOR_GENERATORS, bracket_table
-    if gradecap is None:
-        gradecap = 2 * ell + 4
-    gens = classical_generators(ell, cap=gradecap)
-    table = bracket_table("spinor")
-    minus_i = CRat(0, -1)
-    report = {}
-    for x, y in combinations(SPINOR_GENERATORS, 2):
-        pb = laurent_poisson_bracket(gens[x], gens[y])
-        target = LaurentElement(cap=gradecap)
-        for g, c in table[(x, y)].items():
-            target = target + gens[g].scale(minus_i * c)
-        res = pb - target
-        report[f"{x}|{y}"] = {
-            "pair": [x, y],
-            "residual_min_grade": res.min_grade(),
-            "exact": res.is_zero() and not res.dropped,
-            "cap": gradecap,
-        }
-    return report
+    return verify_embedding(ell, gradecap, ring=PoissonElement)

@@ -143,15 +143,15 @@ def _write_report(cfg, name, payload):
 def _rep_checks(m, tau):
     rep = fock.build_rho(m)
     br, pair = fock.verify_brackets(rep)
+    real = fock.verify_reality(rep)
+    trace = fock.verify_traceless(rep)
     rows = [
         {"check": "rep-bracket", "detail": f"m={m} worst={pair}",
          "value": br, "threshold": tau, "passed": br < tau},
         {"check": "rep-reality", "detail": f"m={m}",
-         "value": fock.verify_reality(rep), "threshold": tau,
-         "passed": fock.verify_reality(rep) < tau},
+         "value": real, "threshold": tau, "passed": real < tau},
         {"check": "rep-trace", "detail": f"m={m}",
-         "value": fock.verify_traceless(rep), "threshold": tau,
-         "passed": fock.verify_traceless(rep) < tau},
+         "value": trace, "threshold": tau, "passed": trace < tau},
     ]
     spec_err = float(np.max(np.abs(fock.k_spectrum(rep)
                                    - fock.expected_k_spectrum(m))))
@@ -363,6 +363,10 @@ def cmd_transport(cfg, path_file):
         spec = json.loads(Path(path_file).read_text())
         m = int(spec.get("m", cfg.m_range[0]))
         steps = int(spec.get("steps", cfg.steps))
+        if m < 1:
+            raise ConfigError(f"m must be >= 1, got {m}")
+        if steps < 2:
+            raise ConfigError(f"steps must be >= 2, got {steps}")
         path = _path_from_spec(spec, steps)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

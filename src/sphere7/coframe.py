@@ -187,40 +187,35 @@ class CoframeSample:
                 "--": -(k1 + 1j * k2) / 4}
 
 
+def _pullback(a, b, da, db, patch):
+    """Coframe over the chart where a is invertible: (a, b) = (x, y) on the
+    s patch and (y, x) on the n patch; kappa is the same on both."""
+    ab = a.conj()
+    kappa = (ab * da + b.conj() * db) * 2.0
+    ainv = a.inv()
+    nu = (a * db - a * b * ainv * da) * 2.0
+    dab = da.conj()
+    abinv = ab.inv()
+    d_abinv = -(abinv * dab * abinv)
+    mu = ((a * dab + a * b * db.conj() * ab) * (2.0 / a.normsq())
+          + (a * b * ainv * d_abinv * b.conj() * ab) * 2.0)
+    return CoframeSample(mu, nu, kappa, patch)
+
+
 def pullback_s(u):
     """Coframe over the x != 0 patch evaluated on u."""
     p = u.base
-    x, y, dx, dy = p.x, p.y, u.dx, u.dy
     if not p.in_patch_s():
         raise PatchError("patch violation: |x| ~ 0 in pullback_s")
-    xb = x.conj()
-    kappa = (xb * dx + y.conj() * dy) * 2.0
-    xinv = x.inv()
-    nu = (x * dy - x * y * xinv * dx) * 2.0
-    dxb = dx.conj()
-    xbinv = xb.inv()
-    d_xbinv = -(xbinv * dxb * xbinv)
-    mu = ((x * dxb + x * y * dy.conj() * xb) * (2.0 / x.normsq())
-          + (x * y * xinv * d_xbinv * y.conj() * xb) * 2.0)
-    return CoframeSample(mu, nu, kappa, "s")
+    return _pullback(p.x, p.y, u.dx, u.dy, "s")
 
 
 def pullback_n(u):
-    """Coframe over the y != 0 patch; kappa agrees with the s patch."""
+    """Coframe over the y != 0 patch evaluated on u."""
     p = u.base
-    x, y, dx, dy = p.x, p.y, u.dx, u.dy
     if not p.in_patch_n():
         raise PatchError("patch violation: |y| ~ 0 in pullback_n")
-    yb = y.conj()
-    kappa = (x.conj() * dx + yb * dy) * 2.0
-    yinv = y.inv()
-    nu = (y * dx - y * x * yinv * dy) * 2.0
-    dyb = dy.conj()
-    ybinv = yb.inv()
-    d_ybinv = -(ybinv * dyb * ybinv)
-    mu = ((y * dyb + y * x * dx.conj() * yb) * (2.0 / y.normsq())
-          + (y * x * yinv * d_ybinv * x.conj() * yb) * 2.0)
-    return CoframeSample(mu, nu, kappa, "n")
+    return _pullback(p.y, p.x, u.dy, u.dx, "n")
 
 
 def pullback(u, patch="auto"):

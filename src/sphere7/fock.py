@@ -57,35 +57,39 @@ def _sq(v):
     return math.sqrt(v)
 
 
-def _exact_actions(m):
-    """state -> [(out_state, amplitude)] for the ten closed-form generators."""
+def _ladder_actions(m, radial):
+    """state -> [(out_state, amplitude)] for the ten generators.
+
+    radial(t) is the square-root factor at total occupation t: sqrt(m - t)
+    for the exact representation, the S_ell partial sum for the truncated
+    one.  The J rows and K+- carry no square root.
+    """
 
     def k_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3),
-                 -2j * _sq(n1) * _sq(m - n1 - n2 - n3))]
+        return [((n1 - 1, n2, n3), -2j * _sq(n1) * radial(n1 + n2 + n3))]
 
     def k_pm(n1, n2, n3):
         return [((n1, n2, n3), 1j * (m - 2 * n1 - n2 - n3 - 1))]
 
     def k_mm(n1, n2, n3):
         return [((n1 + 1, n2, n3),
-                 2j * _sq(n1 + 1) * _sq(m - n1 - n2 - n3 - 1))]
+                 2j * _sq(n1 + 1) * radial(n1 + n2 + n3 + 1))]
 
     def p_pp(n1, n2, n3):
         return [((n1 - 1, n2, n3 + 1), -_sq(n1) * _sq(n3 + 1)),
-                ((n1, n2 - 1, n3), -_sq(n2) * _sq(m - n1 - n2 - n3))]
+                ((n1, n2 - 1, n3), -_sq(n2) * radial(n1 + n2 + n3))]
 
     def p_mm(n1, n2, n3):
         return [((n1 + 1, n2, n3 - 1), _sq(n1 + 1) * _sq(n3)),
-                ((n1, n2 + 1, n3), _sq(n2 + 1) * _sq(m - n1 - n2 - n3 - 1))]
+                ((n1, n2 + 1, n3), _sq(n2 + 1) * radial(n1 + n2 + n3 + 1))]
 
     def p_mp(n1, n2, n3):
         return [((n1 - 1, n2 + 1, n3), -_sq(n1) * _sq(n2 + 1)),
-                ((n1, n2, n3 - 1), _sq(n3) * _sq(m - n1 - n2 - n3))]
+                ((n1, n2, n3 - 1), _sq(n3) * radial(n1 + n2 + n3))]
 
     def p_pm(n1, n2, n3):
         return [((n1 + 1, n2 - 1, n3), -_sq(n1 + 1) * _sq(n2)),
-                ((n1, n2, n3 + 1), _sq(n3 + 1) * _sq(m - n1 - n2 - n3 - 1))]
+                ((n1, n2, n3 + 1), _sq(n3 + 1) * radial(n1 + n2 + n3 + 1))]
 
     def j_pp(n1, n2, n3):
         return [((n1, n2 - 1, n3 + 1), 2j * _sq(n3 + 1) * _sq(n2))]
@@ -124,7 +128,8 @@ def _assemble(actions, dom_basis, cod_index, cod_dim):
 def build_rho(m):
     """The exact level-m representation: ten D x D complex matrices."""
     b = basis(m)
-    return _assemble(_exact_actions(m), b, basis_index(m), dim(m))
+    return _assemble(_ladder_actions(m, lambda t: _sq(m - t)), b,
+                     basis_index(m), dim(m))
 
 
 def sqrt_series_value(ell, x):
@@ -143,40 +148,6 @@ def _partial_svals(m, ell, max_total):
             for t in range(max_total + 2)}
 
 
-def _partial_actions(m, ell, domain_m):
-    sval = _partial_svals(m, ell, domain_m)
-
-    def k_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3), -2j * _sq(n1) * sval[n1 + n2 + n3])]
-
-    def k_pm(n1, n2, n3):
-        return [((n1, n2, n3), 1j * (m - 2 * n1 - n2 - n3 - 1))]
-
-    def k_mm(n1, n2, n3):
-        return [((n1 + 1, n2, n3), 2j * _sq(n1 + 1) * sval[n1 + n2 + n3 + 1])]
-
-    def p_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3 + 1), -_sq(n1) * _sq(n3 + 1)),
-                ((n1, n2 - 1, n3), -_sq(n2) * sval[n1 + n2 + n3])]
-
-    def p_mm(n1, n2, n3):
-        return [((n1 + 1, n2, n3 - 1), _sq(n1 + 1) * _sq(n3)),
-                ((n1, n2 + 1, n3), _sq(n2 + 1) * sval[n1 + n2 + n3 + 1])]
-
-    def p_mp(n1, n2, n3):
-        return [((n1 - 1, n2 + 1, n3), -_sq(n1) * _sq(n2 + 1)),
-                ((n1, n2, n3 - 1), _sq(n3) * sval[n1 + n2 + n3])]
-
-    def p_pm(n1, n2, n3):
-        return [((n1 + 1, n2 - 1, n3), -_sq(n1 + 1) * _sq(n2)),
-                ((n1, n2, n3 + 1), _sq(n3 + 1) * sval[n1 + n2 + n3 + 1])]
-
-    exact = _exact_actions(m)
-    return {"K++": k_pp, "K+-": k_pm, "K--": k_mm,
-            "P++": p_pp, "P--": p_mm, "P-+": p_mp, "P+-": p_pm,
-            "J++": exact["J++"], "J+-": exact["J+-"], "J--": exact["J--"]}
-
-
 def build_rho_partial(m, ell, domain_m=None):
     """Square roots replaced by partial sums; maps level m into level m+1.
 
@@ -185,7 +156,8 @@ def build_rho_partial(m, ell, domain_m=None):
     of the same operator, as needed for curvature compositions).
     """
     dm = m if domain_m is None else domain_m
-    return _assemble(_partial_actions(m, ell, dm), basis(dm),
+    radial = _partial_svals(m, ell, dm).__getitem__
+    return _assemble(_ladder_actions(m, radial), basis(dm),
                      basis_index(dm + 1), dim(dm + 1))
 
 

@@ -115,22 +115,6 @@ QJ = Quaternion(0.0, 0.0, 1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(a, b):
-    return _as_quat(a) * _as_quat(b)
-
-
-def qconj(a):
-    return _as_quat(a).conj()
-
-
-def qnormsq(a):
-    return _as_quat(a).normsq()
-
-
-def qinv(a):
-    return _as_quat(a).inv()
-
-
 def qexp(q):
     """Quaternion exponential exp(q0) (cos|v| + vhat sin|v|)."""
     v = math.sqrt(q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2)

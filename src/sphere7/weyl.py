@@ -18,6 +18,10 @@ elements, where the grade of hbar^(k/2) is k.
 The dagger is the conjugate-linear antiautomorphism fixed by
 
     (a)^dagger = ad,  (app)^dagger = -amm,  (apm)^dagger = amp.
+
+The coefficient ring is a parameter of the Laurent layer, the generator
+recipe and the bracket report: WeylElement here, the commutative
+PoissonElement of the classical module for the classical mirror.
 """
 
 from fractions import Fraction
@@ -31,10 +35,17 @@ SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
 _ZERO_KEY = (0, 0, 0, 0, 0, 0)
 
 
-class WeylElement:
-    """Normal-ordered polynomial in the six oscillator generators."""
+class SlotPolynomial:
+    """Polynomial in the six slot variables with exact complex coefficients.
+
+    The container shared by the two coefficient rings of the Laurent layer.
+    A ring subclass supplies its product, its bracket `comm`, its two number
+    operators and BRACKET_NORM, the factor that turns a structure constant
+    of the Lie algebra into the coefficient of that ring's bracket relation.
+    """
 
     __slots__ = ("terms",)
+    NAMES = SLOT_NAMES
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -58,6 +69,11 @@ class WeylElement:
     def zero(cls):
         return cls()
 
+    def _wrap(self, terms):
+        res = type(self).__new__(type(self))
+        res.terms = terms
+        return res
+
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -67,9 +83,7 @@ class WeylElement:
                 out[k] = s
             else:
                 out.pop(k, None)
-        res = WeylElement.__new__(WeylElement)
-        res.terms = out
-        return res
+        return self._wrap(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -77,13 +91,47 @@ class WeylElement:
     def scale(self, c):
         c = crat(c)
         if not c:
-            return WeylElement.zero()
-        res = WeylElement.__new__(WeylElement)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+            return self.zero()
+        return self._wrap({k: v * c for k, v in self.terms.items()})
 
     def __neg__(self):
         return self.scale(-1)
+
+    def dagger(self):
+        """Swap the creator and annihilator blocks, sign the dotted pair and
+        conjugate coefficients: the dagger of the oscillator ring, complex
+        conjugation of the Poisson ring."""
+        out = {}
+        for (d1, d2, d3, e1, e2, e3), c in self.terms.items():
+            cc = c.conj()
+            if (d2 + e2) % 2:
+                cc = -cc
+            out[(e1, e2, e3, d1, d2, d3)] = cc
+        return self._wrap(out)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for key in sorted(self.terms):
+            word = "".join(f"{self.NAMES[i]}^{e} " if e > 1 else
+                           (f"{self.NAMES[i]} " if e == 1 else "")
+                           for i, e in enumerate(key))
+            bits.append(f"({self.terms[key]})*{word.strip() or '1'}")
+        return " + ".join(bits)
+
+
+class WeylElement(SlotPolynomial):
+    """Normal-ordered polynomial in the six oscillator generators."""
+
+    __slots__ = ()
+    BRACKET_NORM = 1
 
     def __mul__(self, other):
         """Product, re-normal-ordered through the three oscillator pairs."""
@@ -109,68 +157,22 @@ class WeylElement:
                                 out[key] = s
                             else:
                                 del out[key]
-        res = WeylElement.__new__(WeylElement)
-        res.terms = out
-        return res
+        return self._wrap(out)
 
     def comm(self, other):
         return self * other - other * self
 
-    def dagger(self):
-        """Reverse the word, dagger each generator, conjugate coefficients."""
-        out = {}
-        for (d1, d2, d3, e1, e2, e3), c in self.terms.items():
-            cc = c.conj()
-            if (d2 + e2) % 2:
-                cc = -cc
-            out[(e1, e2, e3, d1, d2, d3)] = cc
-        res = WeylElement.__new__(WeylElement)
-        res.terms = out
-        return res
+    @classmethod
+    def number_op(cls):
+        """n = 2 ad a."""
+        return cls({(1, 0, 0, 1, 0, 0): 2})
 
-    def is_zero(self):
-        return not self.terms
-
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            word = "".join(f"{SLOT_NAMES[i]}^{e} " if e > 1 else
-                           (f"{SLOT_NAMES[i]} " if e == 1 else "")
-                           for i, e in enumerate(key))
-            bits.append(f"({self.terms[key]})*{word.strip() or '1'}")
-        return " + ".join(bits)
-
-
-def weyl_mul(x, y):
-    return x * y
-
-
-def weyl_comm(x, y):
-    return x * y - y * x
-
-
-def weyl_dagger(x):
-    return x.dagger()
-
-
-def number_op():
-    """n = 2 ad a."""
-    return WeylElement({(1, 0, 0, 1, 0, 0): 2})
-
-
-def total_number_op():
-    """N = apm amp - app amm, normal ordered: apm amp - amm app + 1."""
-    return WeylElement({(0, 0, 1, 0, 0, 1): 1,
-                        (0, 1, 0, 0, 1, 0): -1,
-                        _ZERO_KEY: 1})
+    @classmethod
+    def total_number_op(cls):
+        """N = apm amp - app amm, normal ordered: apm amp - amm app + 1."""
+        return cls({(0, 0, 1, 0, 0, 1): 1,
+                    (0, 1, 0, 0, 1, 0): -1,
+                    _ZERO_KEY: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ class LaurentElement:
         return LaurentElement({g + dgrade: w for g, w in self.grades.items()},
                               cap=self.cap, dropped=self.dropped)
 
-    def __mul__(self, other):
+    def _gradewise(self, other, op):
         cap = _min_cap(self.cap, other.cap)
         out = {}
         dropped = self.dropped or other.dropped
@@ -238,15 +240,19 @@ class LaurentElement:
                 if cap is not None and g > cap:
                     dropped = True
                     continue
-                p = w1 * w2
+                p = op(w1, w2)
                 s = out.get(g)
                 s = p if s is None else s + p
                 out[g] = s
         out = {g: w for g, w in out.items() if not w.is_zero()}
         return LaurentElement(out, cap=cap, dropped=dropped)
 
+    def __mul__(self, other):
+        return self._gradewise(other, lambda w1, w2: w1 * w2)
+
     def comm(self, other):
-        return self * other - other * self
+        """Bracket grade by grade with the coefficient ring's own comm."""
+        return self._gradewise(other, lambda w1, w2: w1.comm(w2))
 
     def dagger(self):
         # sqrt(hbar) is dagger-fixed
@@ -361,12 +367,11 @@ class PolyNM:
     def is_real(self):
         return all(c.im == 0 for c in self.terms.values())
 
-    def to_weyl(self):
-        n_w = number_op()
-        N_w = total_number_op()
-        powers_n = _power_cache(n_w)
-        powers_N = _power_cache(N_w)
-        out = WeylElement.zero()
+    def to_weyl(self, ring=WeylElement):
+        """Substitute the number operators of the ring for (n, N)."""
+        powers_n = _power_cache(ring.number_op())
+        powers_N = _power_cache(ring.total_number_op())
+        out = ring.zero()
         for (i, j), c in self.terms.items():
             out = out + (powers_n(i) * powers_N(j)).scale(c)
         return out
@@ -386,7 +391,7 @@ class PolyNM:
 
 
 def _power_cache(base):
-    cache = {0: WeylElement.unit()}
+    cache = {0: type(base).unit()}
 
     def power(k):
         if k not in cache:
@@ -435,9 +440,9 @@ class Polymeromorphic:
     def is_real(self):
         return all(p.is_real() for p in self.grades.values())
 
-    def expand(self, cap=None):
-        return LaurentElement({g: p.to_weyl() for g, p in self.grades.items()},
-                              cap=cap)
+    def expand(self, cap=None, ring=WeylElement):
+        return LaurentElement({g: p.to_weyl(ring)
+                               for g, p in self.grades.items()}, cap=cap)
 
     def min_grade(self):
         return min(self.grades) if self.grades else None
@@ -499,41 +504,33 @@ def sqrt_partial_sum(ell):
 # the ten formal generators at truncation ell
 # ---------------------------------------------------------------------------
 
-def _bilinears():
-    g = WeylElement.gen
-    i = CRat(0, 1)
-    jpp = (g(2) * g(4)).scale(-2 * i)            # -2i apm app
-    jpm = (g(4) * g(1) + g(5) * g(2)).scale(-i)  # -i(app amm + amp apm)
-    jmm = (g(5) * g(1)).scale(-2 * i)            # -2i amp amm
-    return jpp, jpm, jmm
-
-
-def embedded_generators(ell, cap=None):
+def embedded_generators(ell, cap=None, ring=WeylElement):
     """Images of the ten Lie algebra generators in the formal oscillator ring.
 
     The square roots are replaced by the partial sums S_ell; the compact
     bilinears and the grade (-2, 0) diagonal element are ell-independent.
-    Keys match the spinor-basis generator names of the u2h module.
+    Keys match the spinor-basis generator names of the u2h module.  On the
+    Poisson ring the same recipe gives the phase-free member of the
+    classical solution family.
     """
-    s = sqrt_partial_sum(ell).expand(cap)
-    g = WeylElement.gen
+    s = sqrt_partial_sum(ell).expand(cap, ring)
+    g = ring.gen
     i = CRat(0, 1)
     lw = lambda w, grade=0: LaurentElement.from_weyl(w, grade, cap=cap)
-    jpp, jpm, jmm = _bilinears()
-    n_plus_N = number_op() + total_number_op()
-    out = {
-        "J++": lw(jpp),
-        "J+-": lw(jpm),
-        "J--": lw(jmm),
+    n_plus_N = ring.number_op() + ring.total_number_op()
+    return {
+        # -2i apm app, -i(app amm + amp apm), -2i amp amm
+        "J++": lw((g(2) * g(4)).scale(-2 * i)),
+        "J+-": lw((g(4) * g(1) + g(5) * g(2)).scale(-i)),
+        "J--": lw((g(5) * g(1)).scale(-2 * i)),
         "K++": (s * lw(g(3))).scale(-2 * i),
-        "K+-": lw(WeylElement.unit(i), -2) + lw(n_plus_N.scale(-i)),
+        "K+-": lw(ring.unit(i), -2) + lw(n_plus_N.scale(-i)),
         "K--": (lw(g(0)) * s).scale(2 * i),
         "P++": lw((g(2) * g(3)).scale(-1)) + s * lw(g(4)),
         "P--": lw(g(0) * g(5)) + lw(g(1)) * s,
         "P+-": lw(g(0) * g(4)) + lw(g(2)) * s,
         "P-+": lw((g(1) * g(3)).scale(-1)) + s * lw(g(5)),
     }
-    return out
 
 
 def generator_pairs():
@@ -541,25 +538,26 @@ def generator_pairs():
     return list(combinations(SPINOR_GENERATORS, 2))
 
 
-def verify_embedding(ell, gradecap=None):
+def verify_embedding(ell, gradecap=None, ring=WeylElement):
     """Bracket report for the 45 unordered generator pairs at truncation ell.
 
-    For each pair the commutator of the truncated images minus the image of
-    the structure-constant target is reduced to its minimal sqrt(h)-grade.
-    Entries: {"pair", "residual_min_grade" (None if no residual below the
-    cap), "exact" (residual identically zero, nothing discarded), "cap"}.
+    For each pair the bracket of the truncated images minus the image of
+    the structure-constant target (scaled by the ring's BRACKET_NORM) is
+    reduced to its minimal sqrt(h)-grade.  Entries: {"pair",
+    "residual_min_grade" (None if no residual below the cap), "exact"
+    (residual identically zero, nothing discarded), "cap"}.
     """
     from .u2h import bracket_table
     if gradecap is None:
         gradecap = 2 * ell + 4
-    gens = embedded_generators(ell, cap=gradecap)
+    gens = embedded_generators(ell, cap=gradecap, ring=ring)
     table = bracket_table("spinor")
     report = {}
     for x, y in generator_pairs():
         comm = gens[x].comm(gens[y])
         target = LaurentElement(cap=gradecap)
         for g, c in table[(x, y)].items():
-            target = target + gens[g].scale(c)
+            target = target + gens[g].scale(ring.BRACKET_NORM * c)
         res = comm - target
         report[f"{x}|{y}"] = {
             "pair": [x, y],

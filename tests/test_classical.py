@@ -1,9 +1,7 @@
-from sphere7.classical import (PoissonElement, classical_generators,
-                               laurent_poisson_bracket, poisson_bracket,
-                               verify_classical)
+from sphere7.classical import PoissonElement, verify_classical
 from sphere7.rational import CRat
 from sphere7.u2h import bracket_table
-from sphere7.weyl import verify_embedding
+from sphere7.weyl import embedded_generators, verify_embedding
 
 I = CRat(0, 1)
 Z_BAR, Z_MM, Z_PM, Z, Z_PP, Z_MP = range(6)
@@ -11,25 +9,25 @@ Z_BAR, Z_MM, Z_PM, Z, Z_PP, Z_MP = range(6)
 
 def test_fundamental_brackets():
     z, zb = PoissonElement.gen(Z), PoissonElement.gen(Z_BAR)
-    assert poisson_bracket(z, zb) == PoissonElement.unit(-I)
-    assert poisson_bracket(PoissonElement.gen(Z_PP),
-                           PoissonElement.gen(Z_MM)) == PoissonElement.unit(I)
-    assert poisson_bracket(PoissonElement.gen(Z_PM),
-                           PoissonElement.gen(Z_MP)) == PoissonElement.unit(I)
-    assert poisson_bracket(z, PoissonElement.gen(Z_PP)).is_zero()
+    assert z.comm(zb) == PoissonElement.unit(-I)
+    assert PoissonElement.gen(Z_PP).comm(
+        PoissonElement.gen(Z_MM)) == PoissonElement.unit(I)
+    assert PoissonElement.gen(Z_PM).comm(
+        PoissonElement.gen(Z_MP)) == PoissonElement.unit(I)
+    assert z.comm(PoissonElement.gen(Z_PP)).is_zero()
 
 
 def test_biderivation():
     z, zb = PoissonElement.gen(Z), PoissonElement.gen(Z_BAR)
     # {z^2, zbar} = 2 z {z, zbar}
-    lhs = poisson_bracket(z * z, zb)
+    lhs = (z * z).comm(zb)
     assert lhs == (z * PoissonElement.unit(-2 * I))
 
 
 def test_jj_bracket_matches_classical_target():
-    gens = classical_generators(0)
+    gens = embedded_generators(0, ring=PoissonElement)
     table = bracket_table("spinor")
-    pb = laurent_poisson_bracket(gens["J++"], gens["J--"])
+    pb = gens["J++"].comm(gens["J--"])
     target_coeffs = table[("J++", "J--")]
     target = None
     for g, c in target_coeffs.items():

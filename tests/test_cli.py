@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from sphere7.cli import main
 from sphere7.fock import build_rho, load_representation
@@ -73,6 +74,20 @@ def test_transport_malformed(tmp_path):
     pfile2 = tmp_path / "unknown.json"
     pfile2.write_text(json.dumps({"type": "warp-drive"}))
     assert run(tmp_path, "transport", str(pfile2)) == 2
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"m": 0}, "m must be >= 1"),
+    ({"steps": 1}, "steps must be >= 2"),
+])
+def test_transport_out_of_range(tmp_path, capsys, override, message):
+    spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+            "m": 2, "steps": 10, **override}
+    pfile = tmp_path / "path.json"
+    pfile.write_text(json.dumps(spec))
+    assert run(tmp_path, "transport", str(pfile)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_table(tmp_path):

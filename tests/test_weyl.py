@@ -5,10 +5,9 @@ import pytest
 
 from sphere7.rational import CRat
 from sphere7.weyl import (LaurentElement, PolyNM, Polymeromorphic,
-                          WeylElement, embedded_generators, number_op,
-                          passage, reality_report, sqrt_coefficient,
-                          sqrt_partial_sum, total_number_op,
-                          verify_embedding, weyl_comm, weyl_dagger, weyl_mul)
+                          WeylElement, embedded_generators, passage,
+                          reality_report, sqrt_coefficient, sqrt_partial_sum,
+                          verify_embedding)
 
 I = CRat(0, 1)
 G = WeylElement.gen
@@ -17,12 +16,12 @@ A_DAG, A_MM, A_PM, A_AN, A_PP, A_MP = range(6)
 
 def test_defining_relations():
     # a a^dagger = a^dagger a + 1
-    assert weyl_mul(G(A_AN), G(A_DAG)) == (
+    assert G(A_AN) * G(A_DAG) == (
         WeylElement({(1, 0, 0, 1, 0, 0): 1}) + WeylElement.unit())
-    assert weyl_comm(G(A_PP), G(A_MM)) == WeylElement.unit(-1)
-    assert weyl_comm(G(A_MP), G(A_PM)) == WeylElement.unit(1)
+    assert G(A_PP).comm(G(A_MM)) == WeylElement.unit(-1)
+    assert G(A_MP).comm(G(A_PM)) == WeylElement.unit(1)
     x = G(A_DAG) * G(A_AN)
-    assert weyl_mul(x, WeylElement.unit()) == x
+    assert x * WeylElement.unit() == x
 
 
 def _random_element(rng, deg=2, nterms=3):
@@ -38,30 +37,31 @@ def test_associativity_random():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         x, y, z = (_random_element(rng) for _ in range(3))
-        assert weyl_mul(weyl_mul(x, y), z) == weyl_mul(x, weyl_mul(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_dagger_rules():
-    assert weyl_dagger(G(A_PM)) == G(A_MP)
-    assert weyl_dagger(G(A_PP)) == G(A_MM).scale(-1)
+    assert G(A_PM).dagger() == G(A_MP)
+    assert G(A_PP).dagger() == G(A_MM).scale(-1)
     nd = G(A_DAG) * G(A_AN)
-    assert weyl_dagger(nd) == nd
+    assert nd.dagger() == nd
     # antiautomorphism: (xy)^dagger = y^dagger x^dagger
     rng = np.random.default_rng(1)
     for _ in range(200):
         x, y = _random_element(rng), _random_element(rng)
-        assert weyl_dagger(x * y) == weyl_dagger(y) * weyl_dagger(x)
+        assert (x * y).dagger() == y.dagger() * x.dagger()
 
 
 def test_dagger_involution_random():
     rng = np.random.default_rng(2)
     for _ in range(1000):
         x = _random_element(rng)
-        assert weyl_dagger(weyl_dagger(x)) == x
+        assert x.dagger().dagger() == x
 
 
 def test_number_operators_commute():
-    assert weyl_comm(number_op(), total_number_op()).is_zero()
+    assert WeylElement.number_op().comm(
+        WeylElement.total_number_op()).is_zero()
 
 
 @pytest.mark.parametrize("slot", range(6))
@@ -114,12 +114,12 @@ def test_sqrt_partial_sum_s0():
 
 def test_square_relation_residual_grade():
     # S_ell^2 - (1/h - N - n/2) has minimal grade >= 2 ell
+    n, N = WeylElement.number_op(), WeylElement.total_number_op()
     for ell in (0, 1, 2, 3):
         s = sqrt_partial_sum(ell).expand()
         target = LaurentElement({
             -2: WeylElement.unit(),
-            0: (total_number_op()
-                + number_op().scale(CRat(Fraction(1, 2)))).scale(-1)})
+            0: (N + n.scale(CRat(Fraction(1, 2)))).scale(-1)})
         res = s * s - target
         if ell == 0:
             assert res.min_grade() == 0
@@ -133,7 +133,8 @@ def test_k_plus_minus_independent_of_ell():
     assert g0 == g5
     # i(1/h - N - n): grade -2 coefficient is i, grade 0 is -i(N + n)
     assert g0.coefficient(-2) == WeylElement.unit(I)
-    assert g0.coefficient(0) == (total_number_op() + number_op()).scale(-I)
+    n, N = WeylElement.number_op(), WeylElement.total_number_op()
+    assert g0.coefficient(0) == (N + n).scale(-I)
 
 
 def test_leading_grades():
