@@ -11,16 +11,13 @@ Subcommands
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error.
 Reports are deterministic for a fixed seed up to the generated_at header.
-SPHERE7_THREADS caps worker parallelism for the per-level sweeps.
 """
 
 import argparse
 import csv
 import datetime
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,15 +65,6 @@ class RunConfig:
         return range(self.ell_range[0], self.ell_range[1] + 1)
 
 
-def worker_count(tasks):
-    cap = os.environ.get("SPHERE7_THREADS")
-    try:
-        cap = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, tasks))
-
-
 def _parse_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -89,10 +77,15 @@ def _config_from_args(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError("config file must hold a JSON object")
         for k, v in raw.items():
             if not hasattr(cfg, k):
                 raise ConfigError(f"unknown config key {k!r}")
             if k in ("m_range", "ell_range"):
+                if not (isinstance(v, list) and len(v) == 2
+                        and all(type(x) is int for x in v)):
+                    raise ConfigError(f"{k} must be two integers, got {v!r}")
                 v = tuple(v)
             elif k == "out":
                 v = Path(v)
@@ -242,10 +235,8 @@ def cmd_verify(cfg):
                        "value": br, "threshold": cfg.tau_rep,
                        "passed": br < cfg.tau_rep})
 
-    ms = list(cfg.ms())
-    with ThreadPoolExecutor(max_workers=worker_count(len(ms))) as pool:
-        for rows in pool.map(lambda m: _rep_checks(m, cfg.tau_rep), ms):
-            checks.extend(rows)
+    for m in cfg.ms():
+        checks.extend(_rep_checks(m, cfg.tau_rep))
 
     m_conv = min(cfg.m_range[1], 4)
     for m in range(max(2, cfg.m_range[0]), m_conv + 1):
@@ -348,19 +339,29 @@ def _path_from_spec(spec, steps):
     raise ConfigError(f"unknown path type {kind!r}")
 
 
-def _state_from_json(obj, d):
-    v = np.zeros(d, dtype=complex)
+def _state_from_json(obj, d, key):
+    """A state of dimension d from numbers or [re, im] rows, zero-padded."""
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 2:
-        v[: arr.shape[0]] = arr[:, 0] + 1j * arr[:, 1]
-    else:
-        v[: arr.shape[0]] = arr
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        arr = arr[:, 0] + 1j * arr[:, 1]
+    elif arr.ndim != 1:
+        raise ConfigError(f"{key} must be a list of numbers or [re, im] rows")
+    if len(arr) > d:
+        raise ConfigError(f"{key} has {len(arr)} entries, dim(m) is {d}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} has a non-finite entry")
+    if not np.any(arr):
+        raise ConfigError(f"{key} has zero norm")
+    v = np.zeros(d, dtype=complex)
+    v[: len(arr)] = arr
     return v
 
 
 def cmd_transport(cfg, path_file):
     try:
         spec = json.loads(Path(path_file).read_text())
+        if not isinstance(spec, dict):
+            raise ConfigError("path spec must be a JSON object")
         m = int(spec.get("m", cfg.m_range[0]))
         steps = int(spec.get("steps", cfg.steps))
         if m < 1:
@@ -368,6 +369,10 @@ def cmd_transport(cfg, path_file):
         if steps < 2:
             raise ConfigError(f"steps must be >= 2, got {steps}")
         path = _path_from_spec(spec, steps)
+        states = None
+        if "psi_i" in spec and "psi_f" in spec:
+            states = [_state_from_json(spec[k], fock.dim(m), k)
+                      for k in ("psi_i", "psi_f")]
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -377,10 +382,8 @@ def cmd_transport(cfg, path_file):
     if spec.get("dump_matrix"):
         payload["matrix"] = [[[float(v.real), float(v.imag)] for v in row]
                              for row in result.matrix]
-    if "psi_i" in spec and "psi_f" in spec:
-        d = fock.dim(m)
-        psi_i = _state_from_json(spec["psi_i"], d)
-        psi_f = _state_from_json(spec["psi_f"], d)
+    if states:
+        psi_i, psi_f = states
         amp = complex(np.vdot(psi_f, result.matrix @ psi_i))
         ni = float(np.vdot(psi_i, psi_i).real)
         nf = float(np.vdot(psi_f, psi_f).real)

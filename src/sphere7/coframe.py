@@ -284,6 +284,13 @@ class Chart:
         base = SpherePoint.from_array8(q / nq)
         return TangentVector.from_array8(base, v)
 
+    def exterior_derivative(self, form, h):
+        """u[w(V)] - v[w(U)] by central differences of step h, where
+        form(i, s) is w on the i-th coordinate field at chart coordinates s."""
+        d_u_wv = (form(1, (h, 0.0)) - form(1, (-h, 0.0))) / (2 * h)
+        d_v_wu = (form(0, (0.0, h)) - form(0, (0.0, -h))) / (2 * h)
+        return d_u_wv - d_v_wu
+
 
 def _coframe10(u, patch):
     return pullback(u, patch).components10()
@@ -304,14 +311,9 @@ def eds_residual(p, u, v, h=1e-4, patch="s", richardson=False):
     def omega(i_field, s):
         return _coframe10(chart.frame_vector(i_field, s), patch)
 
-    def dw_at(step):
-        d_u_wv = (omega(1, (step, 0.0)) - omega(1, (-step, 0.0))) / (2 * step)
-        d_v_wu = (omega(0, (0.0, step)) - omega(0, (0.0, -step))) / (2 * step)
-        return d_u_wv - d_v_wu
-
-    dw = dw_at(h)  # dω(u, v) componentwise
+    dw = chart.exterior_derivative(omega, h)  # dω(u, v) componentwise
     if richardson:
-        dw = (4.0 * dw_at(h / 2) - dw) / 3.0
+        dw = (4.0 * chart.exterior_derivative(omega, h / 2) - dw) / 3.0
 
     cu = _coframe10(TangentVector(p, u.dx, u.dy), patch)
     cv = _coframe10(TangentVector(p, v.dx, v.dy), patch)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .coframe import (SpherePoint, TangentVector, pullback, toric_embed,
                       toric_tangent)
-from .fock import build_rho, build_rho_partial, dim, exponentiate
+from .fock import (_lie_to_matrix, build_rho, build_rho_partial, dim,
+                   exponentiate)
 from .quaternions import qlog
 from .u2h import VECTOR_IN_SPINOR
 
@@ -45,15 +46,8 @@ def _rho_partial(m, ell, domain_m):
 
 @lru_cache(maxsize=None)
 def _rho_j_vector(m):
-    rep = _rho(m)
-    out = {}
-    for g in ("j1", "j2", "j3"):
-        d = dim(m)
-        acc = np.zeros((d, d), dtype=complex)
-        for name, c in VECTOR_IN_SPINOR[g].items():
-            acc += c.to_complex() * rep[name]
-        out[g] = acc
-    return out
+    return {g: _lie_to_matrix(_rho(m), VECTOR_IN_SPINOR[g])
+            for g in ("j1", "j2", "j3")}
 
 
 def generator_coefficients(u, patch="s"):
@@ -122,9 +116,7 @@ def curvature_residual(p, u, v, m, mode="exact", ell=None, h=1e-4, patch="s"):
         a_u = a_of(0, (0.0, 0.0))
         a_v = a_of(1, (0.0, 0.0))
         comm = a_u @ a_v - a_v @ a_u
-        d_uv = (a_of(1, (h, 0.0)) - a_of(1, (-h, 0.0))) / (2 * h)
-        d_vu = (a_of(0, (0.0, h)) - a_of(0, (0.0, -h))) / (2 * h)
-        return float(np.max(np.abs(d_uv - d_vu + comm)))
+        return float(np.max(np.abs(chart.exterior_derivative(a_of, h) + comm)))
 
     if mode != "truncated":
         raise ValueError("mode must be exact or truncated")
@@ -141,10 +133,8 @@ def curvature_residual(p, u, v, m, mode="exact", ell=None, h=1e-4, patch="s"):
     u0 = chart.frame_vector(0, (0.0, 0.0))
     v0 = chart.frame_vector(1, (0.0, 0.0))
     comm = a_up(u0) @ a_dom(1, (0.0, 0.0)) - a_up(v0) @ a_dom(0, (0.0, 0.0))
-    d_uv = (a_dom(1, (h, 0.0)) - a_dom(1, (-h, 0.0))) / (2 * h)
-    d_vu = (a_dom(0, (0.0, h)) - a_dom(0, (0.0, -h))) / (2 * h)
     curv = np.zeros((dim(m + 2), dim(m)), dtype=complex)
-    curv[:dim(m + 1), :] = d_uv - d_vu
+    curv[:dim(m + 1), :] = chart.exterior_derivative(a_dom, h)
     curv += comm
     return float(np.max(np.abs(curv)))
 

@@ -281,29 +281,16 @@ def commutant_dimension(rep, tol=1e-8):
     blocks = {}
     for i, lab in enumerate(label):
         blocks.setdefault(lab, []).append(i)
-    allowed = [(i, j) for ids in blocks.values() for i in ids for j in ids]
-    ncols = len(allowed)
-    gram = np.zeros((ncols, ncols), dtype=complex)
+    # row-major vec: vec([M, X]) = (1 (x) X^T - X (x) 1) vec(M); keep the
+    # columns of M entries inside the blocks
+    cols = [i * d + j for ids in blocks.values() for i in ids for j in ids]
+    eye = scipy.sparse.identity(d, format="csr")
+    gram = np.zeros((len(cols), len(cols)), dtype=complex)
     offdiag = [g for g in GENERATOR_NAMES if g not in ("K+-", "J+-")]
     for name in offdiag:
-        x = rep[name]
-        rows, cols, vals = [], [], []
-        xs = scipy.sparse.csr_matrix(x)
-        xt = xs.T.tocsr()
-        for col_idx, (i0, j0) in enumerate(allowed):
-            # [E_{i0 j0}, X]_{pq} = delta_{p i0} X_{j0 q} - X_{p i0} delta_{q j0}
-            r = xs.getrow(j0)
-            for q, v in zip(r.indices, r.data):
-                rows.append(i0 * d + q)
-                cols.append(col_idx)
-                vals.append(v)
-            r = xt.getrow(i0)
-            for p, v in zip(r.indices, r.data):
-                rows.append(p * d + j0)
-                cols.append(col_idx)
-                vals.append(-v)
-        c = scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                    shape=(d * d, ncols))
+        xs = scipy.sparse.csr_matrix(rep[name])
+        c = (scipy.sparse.kron(eye, xs.T, format="csc")
+             - scipy.sparse.kron(xs, eye, format="csc"))[:, cols]
         gram += (c.getH() @ c).toarray()
     evals = np.linalg.eigvalsh(gram)
     scale = max(1.0, float(evals[-1]) if len(evals) else 1.0)

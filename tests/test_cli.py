@@ -74,11 +74,18 @@ def test_transport_malformed(tmp_path):
     pfile2 = tmp_path / "unknown.json"
     pfile2.write_text(json.dumps({"type": "warp-drive"}))
     assert run(tmp_path, "transport", str(pfile2)) == 2
+    pfile3 = tmp_path / "array.json"
+    pfile3.write_text(json.dumps([1]))
+    assert run(tmp_path, "transport", str(pfile3)) == 2
 
 
 @pytest.mark.parametrize("override, message", [
     ({"m": 0}, "m must be >= 1"),
     ({"steps": 1}, "steps must be >= 2"),
+    ({"psi_i": [float("nan")], "psi_f": [1]}, "psi_i has a non-finite entry"),
+    ({"psi_i": [1, 0, 0, 0, 0], "psi_f": [1]}, "psi_i has 5 entries"),
+    ({"psi_i": [[1, 0]], "psi_f": [[1, 0, 0]]}, "psi_f must be a list"),
+    ({"psi_i": [0], "psi_f": [1]}, "psi_i has zero norm"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
@@ -122,15 +129,14 @@ def test_determinism(tmp_path):
     assert t1 == t2
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPHERE7_THREADS", "1")
-    assert run(tmp_path, "verify", "--m", "1..1", "--ell", "0..0") == 0
-
-
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
     cfile = tmp_path / "config.json"
     cfile.write_text(json.dumps({"m_range": [1, 2], "ell_range": [0, 1],
                                  "seed": 3}))
     assert run(tmp_path, "verify", "--config", str(cfile)) == 0
-    cfile.write_text(json.dumps({"not_a_key": 1}))
-    assert run(tmp_path, "verify", "--config", str(cfile)) == 2
+    for bad in ({"not_a_key": 1}, {"m_range": 5}, [1, 2],
+                {"m_range": ["a", 2]}):
+        capsys.readouterr()
+        cfile.write_text(json.dumps(bad))
+        assert run(tmp_path, "verify", "--config", str(cfile)) == 2
+        assert capsys.readouterr().err.startswith("config error:")

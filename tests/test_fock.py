@@ -79,6 +79,29 @@ def test_commutant_dimension():
         assert commutant_dimension(build_rho(m)) == 1
 
 
+def _dense_commutant_dimension(rep):
+    # nullspace of the stacked row-major vec([M, X]) maps over all ten X
+    d = next(iter(rep.values())).shape[0]
+    eye = np.eye(d)
+    stack = np.vstack([np.kron(eye, x.T) - np.kron(x, eye)
+                       for x in rep.values()])
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return int(np.sum(sv < 1e-8 * max(1.0, sv[0])))
+
+
+@pytest.mark.parametrize("zeroed, expected", [
+    ((), [1, 1, 1, 1]),
+    (("P++", "P--", "P-+", "P+-", "K++", "K--"), [1, 3, 6, 10]),
+    (("P++", "P--", "P-+", "P+-"), [1, 2, 3, 4]),
+])
+def test_commutant_dimension_matches_dense_nullspace(zeroed, expected):
+    for m, want in zip((1, 2, 3, 4), expected):
+        rep = build_rho(m)
+        rep.update({g: np.zeros_like(rep[g]) for g in zeroed})
+        assert _dense_commutant_dimension(rep) == want
+        assert commutant_dimension(rep) == want
+
+
 def test_casimir_scalar():
     assert casimir_deviation(build_rho(1)) == 0
     assert casimir_deviation(build_rho(3)) < 1e-10
