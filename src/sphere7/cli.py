@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, coframe, connection, fock, u2h, weyl
+from .quaternions import PatchError
 from .tolerances import TAU_REP
 
 
@@ -73,6 +74,48 @@ def _parse_range(text):
     return (v, v)
 
 
+def _is_number(v):
+    """A finite int or float; bools do not count, huge ints do not overflow."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# what a JSON value must be to give a value of each RunConfig field type
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Path: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("two integers", lambda v: isinstance(v, list) and len(v) == 2
+            and all(type(x) is int for x in v)),
+}
+
+
+def _typed(key, value, kind):
+    """A value read from JSON, checked against the type it must have."""
+    what, ok = _JSON_TYPES[kind]
+    if not ok(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, n, key):
+    """A list of n finite numbers."""
+    if not (isinstance(value, list) and len(value) == n
+            and all(_is_number(v) for v in value)):
+        raise ConfigError(f"{key} must be a list of {n} finite numbers, "
+                          f"got {value!r}")
+    return value
+
+
+def _point(obj, key):
+    """A sphere point from an object with x and y, four numbers each."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key} must be an object with x and y, "
+                          f"got {obj!r}")
+    return coframe.SpherePoint(*(_numbers(obj.get(c), 4, f"{key}.{c}")
+                                 for c in "xy"))
+
+
 def _config_from_args(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -80,15 +123,11 @@ def _config_from_args(args):
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         for k, v in raw.items():
-            if not hasattr(cfg, k):
+            field = RunConfig.__dataclass_fields__.get(k)
+            if field is None:
                 raise ConfigError(f"unknown config key {k!r}")
-            if k in ("m_range", "ell_range"):
-                if not (isinstance(v, list) and len(v) == 2
-                        and all(type(x) is int for x in v)):
-                    raise ConfigError(f"{k} must be two integers, got {v!r}")
-                v = tuple(v)
-            elif k == "out":
-                v = Path(v)
+            if not (v is None and field.default is None):
+                v = _typed(k, v, field.type)
             setattr(cfg, k, v)
     if getattr(args, "m", None):
         cfg.m_range = _parse_range(args.m)
@@ -320,36 +359,46 @@ def cmd_eds_check(cfg):
 def _path_from_spec(spec, steps):
     kind = spec.get("type")
     if kind == "great_circle":
-        p0 = coframe.SpherePoint(spec["from"]["x"], spec["from"]["y"])
-        p1 = coframe.SpherePoint(spec["to"]["x"], spec["to"]["y"])
-        return connection.PathSpec.great_circle(p0, p1, steps)
+        return connection.PathSpec.great_circle(
+            _point(spec.get("from"), "from"), _point(spec.get("to"), "to"),
+            steps)
     if kind == "great_circle_loop":
-        p0 = coframe.SpherePoint(spec["at"]["x"], spec["at"]["y"])
         return connection.PathSpec.great_circle_loop(
-            p0, np.asarray(spec["direction"], dtype=float), steps)
+            _point(spec.get("at"), "at"),
+            np.array(_numbers(spec.get("direction"), 8, "direction")), steps)
     if kind == "reeb_loop":
-        t0 = coframe.ToricPoint(spec["r"], spec["theta"])
+        t0 = coframe.ToricPoint(_numbers(spec.get("r"), 4, "r"),
+                                _numbers(spec.get("theta"), 4, "theta"))
         return connection.PathSpec.reeb_loop(t0, steps)
     if kind == "piecewise":
-        pts = [coframe.SpherePoint(q["x"], q["y"]) for q in spec["points"]]
-        return connection.PathSpec.piecewise(pts, steps)
+        pts = spec.get("points")
+        if not isinstance(pts, list):
+            raise ConfigError(f"points must be a list, got {pts!r}")
+        return connection.PathSpec.piecewise(
+            [_point(q, f"points[{i}]") for i, q in enumerate(pts)], steps)
     if kind == "constant":
-        p0 = coframe.SpherePoint(spec["at"]["x"], spec["at"]["y"])
-        return connection.PathSpec.constant(p0, steps)
+        return connection.PathSpec.constant(_point(spec.get("at"), "at"),
+                                            steps)
     raise ConfigError(f"unknown path type {kind!r}")
 
 
 def _state_from_json(obj, d, key):
     """A state of dimension d from numbers or [re, im] rows, zero-padded."""
+    shape_error = ConfigError(f"{key} must be a list of numbers or "
+                              "[re, im] rows")
+    rows = obj if isinstance(obj, list) else [None]
+    flat = [x for v in rows for x in (v if isinstance(v, list) else [v])]
+    if not all(type(x) in (int, float) for x in flat):
+        raise shape_error
+    if not all(_is_number(x) for x in flat):
+        raise ConfigError(f"{key} has a non-finite entry")
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 2 and arr.shape[1] == 2:
         arr = arr[:, 0] + 1j * arr[:, 1]
     elif arr.ndim != 1:
-        raise ConfigError(f"{key} must be a list of numbers or [re, im] rows")
+        raise shape_error
     if len(arr) > d:
         raise ConfigError(f"{key} has {len(arr)} entries, dim(m) is {d}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{key} has a non-finite entry")
     if not np.any(arr):
         raise ConfigError(f"{key} has zero norm")
     v = np.zeros(d, dtype=complex)
@@ -362,8 +411,8 @@ def cmd_transport(cfg, path_file):
         spec = json.loads(Path(path_file).read_text())
         if not isinstance(spec, dict):
             raise ConfigError("path spec must be a JSON object")
-        m = int(spec.get("m", cfg.m_range[0]))
-        steps = int(spec.get("steps", cfg.steps))
+        m = _typed("m", spec.get("m", cfg.m_range[0]), int)
+        steps = _typed("steps", spec.get("steps", cfg.steps), int)
         if m < 1:
             raise ConfigError(f"m must be >= 1, got {m}")
         if steps < 2:
@@ -376,7 +425,12 @@ def cmd_transport(cfg, path_file):
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result = connection.parallel_transport(path, m, steps)
+    try:
+        result = connection.parallel_transport(path, m, steps)
+    except PatchError as exc:  # one step's nodes near both x = 0 and y = 0
+        print(f"config error: {steps} steps are too coarse for this path "
+              f"({exc})", file=sys.stderr)
+        return 2
     payload = {"config": cfg.__dict__, "path": path.to_json(), "m": m,
                "result": result.to_json()}
     if spec.get("dump_matrix"):

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .quaternions import (PatchError, QJ, QMatrix2, Quaternion, section_n,
+from .quaternions import (PatchError, QMatrix2, Quaternion, section_n,
                           section_s, transition_tau)
 from .tolerances import TAU_PATCH, TAU_SPHERE
 
@@ -31,35 +31,53 @@ def _eps3(i, j, k):
     return 1 if (j - i) % 3 == 1 else -1
 
 
+def _warn_if_off(viol, constraint, action):
+    if viol > TAU_SPHERE:
+        warnings.warn(f"{constraint} constraint violated by {viol:.3g}; "
+                      f"input {action}")
+
+
+def to_sphere(p8):
+    """Rows of p8 scaled onto the unit sphere, with a warning when a row was
+    off it by more than TAU_SPHERE."""
+    sq = p8 * p8
+    n = np.sqrt(np.sum(sq[:, :4], axis=1) + np.sum(sq[:, 4:], axis=1))
+    if np.any(n == 0.0):
+        raise ValueError("cannot project the origin to the sphere")
+    _warn_if_off(float(np.max(np.abs(n - 1.0))), "sphere", "normalized")
+    return p8 * (1.0 / n)[:, None]
+
+
+def to_tangent(p8, u8):
+    """Rows of u8 projected onto the tangent spaces at the unit rows of p8,
+    with a warning when a row was off by more than TAU_SPHERE."""
+    radial = (p8[:, None, :] @ u8[:, :, None])[:, 0, 0]
+    _warn_if_off(float(np.max(np.abs(radial))), "tangency", "projected")
+    return u8 - radial[:, None] * p8
+
+
+def _as8(x, y):
+    x = x if isinstance(x, Quaternion) else Quaternion.from_seq(x)
+    y = y if isinstance(y, Quaternion) else Quaternion.from_seq(y)
+    return np.concatenate([x.components(), y.components()])[None]
+
+
 class SpherePoint:
     """A point (x, y) of the unit sphere in H^2; inputs are projected."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        x = x if isinstance(x, Quaternion) else Quaternion.from_seq(x)
-        y = y if isinstance(y, Quaternion) else Quaternion.from_seq(y)
-        n = math.sqrt(x.normsq() + y.normsq())
-        if n == 0.0:
-            raise ValueError("cannot project the origin to the sphere")
-        if abs(n - 1.0) > TAU_SPHERE:
-            warnings.warn(f"sphere constraint violated by {abs(n-1.0):.3g}; "
-                          "input normalized")
-        self.x = x * (1.0 / n)
-        self.y = y * (1.0 / n)
+        p8 = to_sphere(_as8(x, y))[0]
+        self.x = Quaternion.from_seq(p8[:4])
+        self.y = Quaternion.from_seq(p8[4:])
 
     @classmethod
     def from_array8(cls, arr):
-        return cls(Quaternion.from_seq(arr[:4]), Quaternion.from_seq(arr[4:]))
+        return cls(arr[:4], arr[4:])
 
     def as_array8(self):
         return np.concatenate([self.x.components(), self.y.components()])
-
-    def in_patch_s(self, tol=TAU_PATCH):
-        return self.x.norm() >= tol
-
-    def in_patch_n(self, tol=TAU_PATCH):
-        return self.y.norm() >= tol
 
     def to_json(self):
         return {"x": list(self.x.components()), "y": list(self.y.components())}
@@ -80,23 +98,14 @@ class TangentVector:
     __slots__ = ("base", "dx", "dy")
 
     def __init__(self, base, dx, dy):
-        dx = dx if isinstance(dx, Quaternion) else Quaternion.from_seq(dx)
-        dy = dy if isinstance(dy, Quaternion) else Quaternion.from_seq(dy)
-        p8 = base.as_array8()
-        u8 = np.concatenate([dx.components(), dy.components()])
-        viol = float(p8 @ u8)
-        if abs(viol) > TAU_SPHERE:
-            warnings.warn(f"tangency constraint violated by {abs(viol):.3g}; "
-                          "input projected")
-        u8 = u8 - viol * p8
+        u8 = to_tangent(base.as_array8()[None], _as8(dx, dy))[0]
         self.base = base
         self.dx = Quaternion.from_seq(u8[:4])
         self.dy = Quaternion.from_seq(u8[4:])
 
     @classmethod
     def from_array8(cls, base, arr):
-        return cls(base, Quaternion.from_seq(arr[:4]),
-                   Quaternion.from_seq(arr[4:]))
+        return cls(base, arr[:4], arr[4:])
 
     def as_array8(self):
         return np.concatenate([self.dx.components(), self.dy.components()])
@@ -149,18 +158,18 @@ class CoframeSample:
     """Values of the ten coframe components on one tangent vector.
 
     mu, kappa hold the imaginary components (index 1..3 of the quaternion);
-    nu holds all four.  The complex double-index coefficients are derived
-    fields; `alpha` is the global contact form -kappa^3/2 = 2 kappa^{+.-.}.
+    nu holds all four.  `alpha` is the global contact form
+    -kappa^3/2 = 2 kappa^{+.-.}.
     """
 
     __slots__ = ("mu", "nu", "kappa", "mu_real", "kappa_real", "patch")
 
-    def __init__(self, mu_q, nu_q, kappa_q, patch):
-        self.mu = mu_q.vec()
-        self.nu = nu_q.components()
-        self.kappa = kappa_q.vec()
-        self.mu_real = mu_q.q0
-        self.kappa_real = kappa_q.q0
+    def __init__(self, mu, nu, kappa, patch):
+        self.mu = mu[1:]
+        self.nu = nu
+        self.kappa = kappa[1:]
+        self.mu_real = float(mu[0])
+        self.kappa_real = float(kappa[0])
         self.patch = patch
 
     def components10(self):
@@ -170,62 +179,92 @@ class CoframeSample:
     def alpha(self):
         return -self.kappa[2] / 2.0
 
-    def mu_dd(self):
-        m1, m2, m3 = self.mu
-        return {"++": (-m1 - 1j * m2) / 4, "+-": -m3 / 4,
-                "--": (m1 - 1j * m2) / 4}
-
-    def nu_dd(self):
-        """Keys 'a adot': first char undotted index, second dotted."""
-        n0, n1, n2, n3 = self.nu
-        return {"++": (-n3 + 1j * n0) / 2, "-+": (n1 - 1j * n2) / 2,
-                "+-": -(n1 + 1j * n2) / 2, "--": -(n3 + 1j * n0) / 2}
-
     def kappa_dd(self):
-        k1, k2, k3 = self.kappa
-        return {"++": (k1 - 1j * k2) / 4, "+-": -k3 / 4,
-                "--": -(k1 + 1j * k2) / 4}
+        """The double-index kappa coefficients; K+- pairs with 2 kappa^{+.-.}."""
+        k = _pair(self.components10())[7:]
+        return {"++": k[0], "+-": k[1] / 2, "--": k[2]}
 
 
-def _pullback(a, b, da, db, patch):
-    """Coframe over the chart where a is invertible: (a, b) = (x, y) on the
+def _pair(c):
+    """The complex double-index coefficients that pair the coframe with the
+    ten generators (SPINOR_GENERATORS order), from components10 rows c;
+    J+- and K+- carry the factor 2 of the symmetric index pair."""
+    m1, m2, m3, n0, n1, n2, n3, k1, k2, k3 = c.T
+    return np.stack([(-m1 - 1j * m2) / 4, -m3 / 2, (m1 - 1j * m2) / 4,
+                     (-n3 + 1j * n0) / 2, -(n1 + 1j * n2) / 2,
+                     (n1 - 1j * n2) / 2, -(n3 + 1j * n0) / 2,
+                     (k1 - 1j * k2) / 4, -k3 / 2, -(k1 + 1j * k2) / 4],
+                    axis=-1)
+
+
+# _QMUL[4 i + j] is the product of the basis quaternions e_i e_j
+_QMUL = np.array([(Quaternion.from_seq(a) * Quaternion.from_seq(b))
+                  .components() for a in np.eye(4) for b in np.eye(4)])
+_QCONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _qmul(a, b):
+    """Row-wise quaternion products of (N, 4) arrays."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), 16) @ _QMUL
+
+
+def _qinv(a):
+    return a * _QCONJ / np.sum(a * a, axis=1)[:, None]
+
+
+def _coframe(p8, u8, patch):
+    """mu, nu, kappa as (N, 4) quaternion rows on the tangents u8 at the
+    points p8, over the chart where a is invertible: (a, b) = (x, y) on the
     s patch and (y, x) on the n patch; kappa is the same on both."""
-    ab = a.conj()
-    kappa = (ab * da + b.conj() * db) * 2.0
-    ainv = a.inv()
-    nu = (a * db - a * b * ainv * da) * 2.0
-    dab = da.conj()
-    abinv = ab.inv()
-    d_abinv = -(abinv * dab * abinv)
-    mu = ((a * dab + a * b * db.conj() * ab) * (2.0 / a.normsq())
-          + (a * b * ainv * d_abinv * b.conj() * ab) * 2.0)
-    return CoframeSample(mu, nu, kappa, patch)
+    a, b, da, db = p8[:, :4], p8[:, 4:], u8[:, :4], u8[:, 4:]
+    if patch == "n":
+        a, b, da, db = b, a, db, da
+    normsq = np.sum(a * a, axis=1)
+    if np.min(np.sqrt(normsq)) < TAU_PATCH:
+        name = "x" if patch == "s" else "y"
+        raise PatchError(f"patch violation: |{name}| ~ 0 in pullback_{patch}")
+    ab = a * _QCONJ
+    kappa = (_qmul(ab, da) + _qmul(b * _QCONJ, db)) * 2.0
+    a_b = _qmul(a, b)
+    a_b_ainv = _qmul(a_b, _qinv(a))
+    nu = (_qmul(a, db) - _qmul(a_b_ainv, da)) * 2.0
+    abinv = _qinv(ab)
+    d_abinv = -_qmul(_qmul(abinv, da * _QCONJ), abinv)
+    mu = ((_qmul(a, da * _QCONJ) + _qmul(_qmul(a_b, db * _QCONJ), ab))
+          * (2.0 / normsq)[:, None]
+          + _qmul(_qmul(_qmul(a_b_ainv, d_abinv), b * _QCONJ), ab) * 2.0)
+    return mu, nu, kappa
+
+
+def _pullback(p8, u8, patch):
+    """(N, 10) complex generator coefficients of the coframe over the patch
+    on the tangents u8 at the points p8, in SPINOR_GENERATORS order."""
+    mu, nu, kappa = _coframe(p8, u8, patch)
+    return _pair(np.concatenate([mu[:, 1:], nu, kappa[:, 1:]], axis=1))
+
+
+def _sample(u, patch):
+    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
+    return CoframeSample(*(r[0] for r in rows), patch)
 
 
 def pullback_s(u):
     """Coframe over the x != 0 patch evaluated on u."""
-    p = u.base
-    if not p.in_patch_s():
-        raise PatchError("patch violation: |x| ~ 0 in pullback_s")
-    return _pullback(p.x, p.y, u.dx, u.dy, "s")
+    return _sample(u, "s")
 
 
 def pullback_n(u):
     """Coframe over the y != 0 patch evaluated on u."""
-    p = u.base
-    if not p.in_patch_n():
-        raise PatchError("patch violation: |y| ~ 0 in pullback_n")
-    return _pullback(p.y, p.x, u.dy, u.dx, "n")
+    return _sample(u, "n")
+
+
+def preferred_patch(p):
+    """The chart with the larger coordinate at p."""
+    return "s" if p.x.norm() >= p.y.norm() else "n"
 
 
 def pullback(u, patch="auto"):
-    if patch == "s":
-        return pullback_s(u)
-    if patch == "n":
-        return pullback_n(u)
-    p = u.base
-    # prefer the chart with the larger coordinate
-    return pullback_s(u) if p.x.norm() >= p.y.norm() else pullback_n(u)
+    return _sample(u, preferred_patch(u.base) if patch == "auto" else patch)
 
 
 def contact_alpha(u):
@@ -400,39 +439,38 @@ class ToricPoint:
         n = float(np.linalg.norm(r))
         if n == 0.0:
             raise ValueError("all radii vanish")
-        if abs(n - 1.0) > TAU_SPHERE:
-            warnings.warn(f"radius constraint violated by {abs(n-1.0):.3g}; "
-                          "input normalized")
+        _warn_if_off(abs(n - 1.0), "radius", "normalized")
         self.r = r / n
         self.theta = theta
 
 
-def _circ(theta):
-    # e^{-k theta}
-    return Quaternion(math.cos(theta), 0.0, 0.0, -math.sin(theta))
+# ambient coordinates of a toric point from z_i = r_i e^{i theta_i}:
+# x = (Re z1, -Im z2, Re z2, -Im z1), y likewise from z3, z4, as columns of
+# [Re z, -Im z]
+_TORIC_COLS = [0, 5, 1, 4, 2, 7, 3, 6]
+
+
+def _toric8(re, im):
+    return np.concatenate([re, -im], axis=1)[:, _TORIC_COLS]
+
+
+def toric_rows(r, theta, dtheta, dr=0.0):
+    """Ambient points and velocities (N, 8), not yet projected, of the toric
+    coordinates with radii r and angle rows theta (N, 4) moving with
+    velocity (dr, dtheta)."""
+    c, s = np.cos(theta), np.sin(theta)
+    rd = r * np.asarray(dtheta)
+    return _toric8(r * c, r * s), _toric8(dr * c - rd * s, dr * s + rd * c)
 
 
 def toric_embed(t):
-    x = _circ(t.theta[0]) * t.r[0] + QJ * _circ(t.theta[1]) * t.r[1]
-    y = _circ(t.theta[2]) * t.r[2] + QJ * _circ(t.theta[3]) * t.r[3]
-    return SpherePoint(x, y)
+    return SpherePoint.from_array8(toric_rows(t.r, t.theta[None], 0.0)[0][0])
 
 
 def toric_tangent(t, dtheta, dr=(0.0, 0.0, 0.0, 0.0)):
     """Pushforward of a toric-coordinate velocity to the ambient tangent."""
-    dtheta = np.asarray(dtheta, dtype=float)
-    dr = np.asarray(dr, dtype=float)
-    mk = Quaternion(0.0, 0.0, 0.0, -1.0)
-    parts = []
-    for idx in range(4):
-        circ = _circ(t.theta[idx])
-        d_ang = mk * circ * (t.r[idx] * dtheta[idx])
-        d_rad = circ * dr[idx]
-        q = d_ang + d_rad
-        parts.append(QJ * q if idx % 2 else q)
-    dx = parts[0] + parts[1]
-    dy = parts[2] + parts[3]
-    return TangentVector(toric_embed(t), dx, dy)
+    p8, u8 = toric_rows(t.r, t.theta[None], dtheta, np.asarray(dr))
+    return TangentVector.from_array8(SpherePoint.from_array8(p8[0]), u8[0])
 
 
 def reeb_flow(t, s):

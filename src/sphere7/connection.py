@@ -19,46 +19,50 @@ gets small; Born probabilities are |<psi_f, U psi_i>|^2 normalized.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .coframe import (SpherePoint, TangentVector, pullback, toric_embed,
-                      toric_tangent)
-from .fock import (_lie_to_matrix, build_rho, build_rho_partial, dim,
-                   exponentiate)
+from .coframe import (SpherePoint, TangentVector, _pullback, preferred_patch,
+                      to_sphere, to_tangent, toric_rows)
+from .fock import (GENERATOR_NAMES, _lie_to_matrix, build_rho,
+                   build_rho_partial, dim, exponentiate)
 from .quaternions import qlog
 from .u2h import VECTOR_IN_SPINOR
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
 PATCH_SWITCH_LEVEL = 0.05
+# steps whose node geometry parallel_transport evaluates at once; it bounds
+# the memory of the geometry independently of the number of steps
+_BLOCK_STEPS = 256
 
 
 @lru_cache(maxsize=None)
-def _rho(m):
-    return build_rho(m)
-
-
-@lru_cache(maxsize=None)
-def _rho_partial(m, ell, domain_m):
-    return build_rho_partial(m, ell, domain_m=domain_m)
+def _rho_stack(m, ell=None, domain_m=None):
+    """The rows*cols matrices of GENERATOR_NAMES as the rows of one array,
+    and their shape: level m exact, or with ell its partial sums on level
+    domain_m."""
+    rep = (build_rho(m) if ell is None
+           else build_rho_partial(m, ell, domain_m=domain_m))
+    return (np.stack([rep[g].ravel() for g in GENERATOR_NAMES]),
+            rep[GENERATOR_NAMES[0]].shape)
 
 
 @lru_cache(maxsize=None)
 def _rho_j_vector(m):
-    return {g: _lie_to_matrix(_rho(m), VECTOR_IN_SPINOR[g])
+    rows, shape = _rho_stack(m)
+    rep = {g: r.reshape(shape) for g, r in zip(GENERATOR_NAMES, rows)}
+    return {g: _lie_to_matrix(rep, VECTOR_IN_SPINOR[g])
             for g in ("j1", "j2", "j3")}
+
+
+def _coefficients(u, patch):
+    return _pullback(u.base.as_array8()[None], u.as_array8()[None], patch)[0]
 
 
 def generator_coefficients(u, patch="s"):
     """Complex pairing coefficients of the ten generators on a tangent."""
-    c = pullback(u, patch)
-    mu, nu, ka = c.mu_dd(), c.nu_dd(), c.kappa_dd()
-    return {
-        "J++": mu["++"], "J+-": 2 * mu["+-"], "J--": mu["--"],
-        "P++": nu["++"], "P+-": nu["+-"], "P-+": nu["-+"], "P--": nu["--"],
-        "K++": ka["++"], "K+-": 2 * ka["+-"], "K--": ka["--"],
-    }
+    return dict(zip(GENERATOR_NAMES, _coefficients(u, patch)))
 
 
 def connection_matrix(u, m, mode="exact", ell=None, patch="s", domain_m=None):
@@ -69,23 +73,16 @@ def connection_matrix(u, m, mode="exact", ell=None, patch="s", domain_m=None):
     a D(domain+1) x D(domain) map into the ambient block (domain defaults
     to m; hbar stays 1/m).
     """
-    coeffs = generator_coefficients(u, patch)
     if mode == "exact":
-        rep = _rho(m)
-        d = dim(m)
-        out = np.zeros((d, d), dtype=complex)
+        rows, shape = _rho_stack(m)
     elif mode == "truncated":
         if ell is None:
             raise ValueError("truncated mode needs ell")
-        dm = m if domain_m is None else domain_m
-        rep = _rho_partial(m, ell + 1, dm)
-        out = np.zeros((dim(dm + 1), dim(dm)), dtype=complex)
+        rows, shape = _rho_stack(m, ell + 1, m if domain_m is None
+                                 else domain_m)
     else:
         raise ValueError("mode must be exact or truncated")
-    for name, c in coeffs.items():
-        if c:
-            out += c * rep[name]
-    return out
+    return (_coefficients(u, patch) @ rows).reshape(shape)
 
 
 def connection_sample(u, m, mode="exact", ell=None, patch="s"):
@@ -143,23 +140,58 @@ def curvature_residual(p, u, v, m, mode="exact", ell=None, h=1e-4, patch="s"):
 # paths
 # ---------------------------------------------------------------------------
 
-class PathSpec:
-    """Parametric curve with analytic tangent, sampled on [t0, t1]."""
+def _arc(a, b, w, t):
+    """cos(w t) a + sin(w t) b and its velocity, one row per time."""
+    c, s = np.cos(w * t)[:, None], np.sin(w * t)[:, None]
+    return c * a + s * b, w * (c * b - s * a)
 
-    def __init__(self, point_fn, tangent_fn, t0=0.0, t1=1.0, steps=1000,
-                 label="path"):
-        self.point_fn = point_fn
-        self.tangent_fn = tangent_fn
+
+def _toric_line(r, theta0, dtheta, t):
+    return toric_rows(r, theta0 + t[:, None] * dtheta, dtheta)
+
+
+def _chordal(knots, t):
+    """Quintic-eased chords through the knot rows, normalized, and their
+    velocity."""
+    nseg = len(knots) - 1
+    s = np.clip(t, 0.0, 1.0) * nseg
+    i = np.minimum(s.astype(int), nseg - 1)
+    x = (s - i)[:, None]
+    lam = x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+    dlam = 30.0 * x * x * (1.0 - x) ** 2
+    c = (1 - lam) * knots[i] + lam * knots[i + 1]
+    dc = (knots[i + 1] - knots[i]) * (dlam * nseg)
+    nc = np.linalg.norm(c, axis=1)[:, None]
+    return c / nc, dc / nc - c * np.sum(c * dc, axis=1)[:, None] / nc ** 3
+
+
+class PathSpec:
+    """Parametric curve with analytic tangent, sampled on [t0, t1].
+
+    curve(t) maps an array of N times to ambient points and velocities, both
+    (N, 8); `arrays` puts them on the sphere and its tangent spaces.
+    """
+
+    def __init__(self, curve, t0=0.0, t1=1.0, steps=1000, label="path"):
+        self.curve = curve
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.steps = int(steps)
         self.label = label
 
+    def arrays(self, t):
+        """Unit points and projected tangents (N, 8) at the times t."""
+        p8, u8 = self.curve(np.atleast_1d(np.asarray(t, dtype=float)))
+        p8 = to_sphere(p8)
+        return p8, to_tangent(p8, u8)
+
     def point(self, t):
-        return self.point_fn(t)
+        return SpherePoint.from_array8(self.arrays(t)[0][0])
 
     def tangent(self, t):
-        return self.tangent_fn(t)
+        p8, u8 = self.arrays(t)
+        return TangentVector.from_array8(SpherePoint.from_array8(p8[0]),
+                                         u8[0])
 
     @classmethod
     def great_circle(cls, p0, p1, steps=1000):
@@ -171,16 +203,7 @@ class PathSpec:
         if w < 1e-12 or math.pi - w < 1e-12:
             raise ValueError("endpoints coincide or are antipodal")
         bp = (b - cosw * a) / math.sin(w)  # unit, orthogonal to a
-
-        def pt(t):
-            return SpherePoint.from_array8(math.cos(w * t) * a
-                                           + math.sin(w * t) * bp)
-
-        def tg(t):
-            vel = w * (-math.sin(w * t) * a + math.cos(w * t) * bp)
-            return TangentVector.from_array8(pt(t), vel)
-
-        return cls(pt, tg, 0.0, 1.0, steps, "great-circle")
+        return cls(partial(_arc, a, bp, w), 0.0, 1.0, steps, "great-circle")
 
     @classmethod
     def great_circle_loop(cls, p0, direction, steps=1000):
@@ -192,35 +215,15 @@ class PathSpec:
         nd = np.linalg.norm(d)
         if nd < 1e-12:
             raise ValueError("direction is radial")
-        d = d / nd
-        tau = 2 * math.pi
-
-        def pt(t):
-            return SpherePoint.from_array8(math.cos(tau * t) * a
-                                           + math.sin(tau * t) * d)
-
-        def tg(t):
-            vel = tau * (-math.sin(tau * t) * a + math.cos(tau * t) * d)
-            return TangentVector.from_array8(pt(t), vel)
-
-        return cls(pt, tg, 0.0, 1.0, steps, "great-circle-loop")
+        return cls(partial(_arc, a, d / nd, 2 * math.pi), 0.0, 1.0, steps,
+                   "great-circle-loop")
 
     @classmethod
     def toric_line(cls, t0, dtheta, steps=1000, label="toric-line"):
         """Fixed radii, angles advancing linearly by dtheta over [0, 1]."""
-        from .coframe import ToricPoint
-        dtheta = np.asarray(dtheta, dtype=float)
-
-        def at(t):
-            return ToricPoint(t0.r, t0.theta + t * dtheta)
-
-        def pt(t):
-            return toric_embed(at(t))
-
-        def tg(t):
-            return toric_tangent(at(t), dtheta)
-
-        return cls(pt, tg, 0.0, 1.0, steps, label)
+        curve = partial(_toric_line, t0.r, t0.theta,
+                        np.asarray(dtheta, dtype=float))
+        return cls(curve, 0.0, 1.0, steps, label)
 
     @classmethod
     def reeb_loop(cls, t0, steps=1000):
@@ -236,43 +239,16 @@ class PathSpec:
         velocity vanishes smoothly at the knots and fixed-step integrators
         keep their order across them.
         """
-        arrs = [p.as_array8() if isinstance(p, SpherePoint)
-                else np.asarray(p, dtype=float) for p in points]
-        nseg = len(arrs) - 1
-        if nseg < 1:
+        knots = np.array([p.as_array8() if isinstance(p, SpherePoint)
+                          else np.asarray(p, dtype=float) for p in points])
+        if len(knots) < 2:
             raise ValueError("need at least two points")
-
-        def chord(t):
-            s = min(max(t, 0.0), 1.0) * nseg
-            i = min(int(s), nseg - 1)
-            x = s - i
-            lam = x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-            dlam = 30.0 * x * x * (1.0 - x) ** 2
-            c = (1 - lam) * arrs[i] + lam * arrs[i + 1]
-            dc = (arrs[i + 1] - arrs[i]) * (dlam * nseg)
-            return c, dc
-
-        def pt(t):
-            c, _ = chord(t)
-            return SpherePoint.from_array8(c / np.linalg.norm(c))
-
-        def tg(t):
-            c, dc = chord(t)
-            nc = np.linalg.norm(c)
-            vel = dc / nc - c * (c @ dc) / nc ** 3
-            return TangentVector.from_array8(pt(t), vel)
-
-        return cls(pt, tg, 0.0, 1.0, steps, "piecewise")
+        return cls(partial(_chordal, knots), 0.0, 1.0, steps, "piecewise")
 
     @classmethod
     def constant(cls, p0, steps=2):
-        def pt(t):
-            return p0
-
-        def tg(t):
-            return TangentVector(p0, [0.0] * 4, [0.0] * 4)
-
-        return cls(pt, tg, 0.0, 1.0, steps, "constant")
+        return cls(partial(_arc, p0.as_array8(), np.zeros(8), 0.0), 0.0, 1.0,
+                   steps, "constant")
 
     def to_json(self):
         return {"label": self.label, "t0": self.t0, "t1": self.t1,
@@ -321,8 +297,31 @@ def gauge_matrix(m, p):
     return exponentiate(gen, 1.0, tol=1e-8)
 
 
-def _preferred_frame(p):
-    return "s" if p.x.norm() >= p.y.norm() else "n"
+def _step_frames(p8, north):
+    """Frame of each step of a block, True for the n patch, and whether it
+    switches at the step's start.  p8 holds the block's nodes t_k, t_k + h/2,
+    ..., t_n; north is the frame the block starts in.  A step switches when
+    the active coordinate drops below PATCH_SWITCH_LEVEL at any of its three
+    RK nodes."""
+    r = np.linalg.norm(p8.reshape(-1, 2, 4), axis=2)     # |x|, |y| per node
+    low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
+    low = (low < PATCH_SWITCH_LEVEL).tolist()             # per step, (s, n)
+    frames, switched = [], []
+    for low_s, low_n in low:
+        flip = low_n if north else low_s
+        north ^= flip
+        frames.append(north)
+        switched.append(flip)
+    return frames, switched
+
+
+def _node_coefficients(p8, u8, north):
+    """-(generator coefficients) at each node, in the frame north[i]."""
+    out = np.empty((len(p8), len(GENERATOR_NAMES)), dtype=complex)
+    for patch, sel in (("s", ~north), ("n", north)):
+        if sel.any():
+            out[sel] = -_pullback(p8[sel], u8[sel], patch)
+    return out
 
 
 def parallel_transport(path, m, steps=None, reproject=False,
@@ -330,59 +329,73 @@ def parallel_transport(path, m, steps=None, reproject=False,
     """Integrate the exact flat connection along a path with fixed-step RK4.
 
     Frames switch between the two trivializing patches when the active
-    coordinate drops below PATCH_SWITCH_LEVEL; each switch conjugates the
-    accumulated operator by the transition unitary and is logged.  Transports
-    compose, U(g2 after g1) = U(g2) U(g1), when computed in matching frames;
-    start_frame pins the trivialization (default: the larger coordinate at
-    the start point).  With reproject=True the operator is polar-reprojected
-    onto the unitary group after every step (off by default; drift is a
-    useful diagnostic).
+    coordinate drops below PATCH_SWITCH_LEVEL at one of a step's RK nodes;
+    the switch happens at the start of that step, conjugates the
+    accumulated operator by the transition unitary and is logged.
+    Transports compose, U(g2 after g1) = U(g2) U(g1), when computed in
+    matching frames; start_frame pins the trivialization (default: the
+    larger coordinate at the start point).  With reproject=True the operator
+    is polar-reprojected onto the unitary group after every step (off by
+    default; drift is a useful diagnostic).
+
+    The node geometry and generator coefficients of up to _BLOCK_STEPS steps
+    are computed at once; RK4 then assembles one D x D matrix per node and
+    shares the end node of a step with the start of the next.
     """
     steps = path.steps if steps is None else int(steps)
     if steps < 2:
         raise ValueError("need at least 2 steps")
     d = dim(m)
+    rows, _ = _rho_stack(m)
     u_op = np.eye(d, dtype=complex)
     t0, t1 = path.t0, path.t1
     h = (t1 - t0) / steps
-    frame = (_preferred_frame(path.point(t0)) if start_frame is None
-             else start_frame)
+    frame = start_frame or preferred_patch(path.point(t0))
     start_frame = frame
     switches = []
+    a1 = None  # -A at the end node of the previous step, in its frame
 
-    def rhs(t, frame):
-        a = connection_matrix(path.tangent(t), m, "exact", patch=frame)
-        return -a
+    def assemble(c):
+        return (c @ rows).reshape(d, d)
 
-    for k in range(steps):
-        t = t0 + k * h
-        p_next = path.point(t + h)
-        a0 = rhs(t, frame)
-        amid = rhs(t + h / 2, frame)
-        a1 = rhs(t + h, frame)
-        k1 = a0 @ u_op
-        k2 = amid @ (u_op + (h / 2) * k1)
-        k3 = amid @ (u_op + (h / 2) * k2)
-        k4 = a1 @ (u_op + h * k3)
-        u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if reproject:
-            w, _, vh = np.linalg.svd(u_op)
-            u_op = w @ vh
-        # patch management at the end of the step
-        coord = p_next.x.norm() if frame == "s" else p_next.y.norm()
-        if coord < PATCH_SWITCH_LEVEL:
-            new_frame = "n" if frame == "s" else "s"
-            g = gauge_matrix(m, p_next)
-            u_op = (g.conj().T @ u_op) if frame == "s" else (g @ u_op)
-            switches.append((t + h, frame, new_frame))
-            frame = new_frame
+    for k0 in range(0, steps, _BLOCK_STEPS):
+        n = min(_BLOCK_STEPS, steps - k0)
+        nodes = t0 + np.arange(2 * k0, 2 * (k0 + n) + 1) * (h / 2)
+        p8, u8 = path.arrays(nodes)
+        north, switched = _step_frames(p8, frame == "n")
+        # nodes 2k and 2k+1 in the frame of step k, node 2n in that of step
+        # n-1; so node 2k+2 is in the frame of step k unless step k+1
+        # switches, and is then evaluated again
+        coeff = _node_coefficients(p8, u8,
+                                   np.repeat(north + north[-1:], 2)[:-1])
+        for k in range(n):
+            if switched[k]:
+                new_frame = "n" if north[k] else "s"
+                g = gauge_matrix(m, SpherePoint.from_array8(p8[2 * k]))
+                u_op = (g.conj().T @ u_op) if frame == "s" else (g @ u_op)
+                switches.append((float(nodes[2 * k]), frame, new_frame))
+                frame = new_frame
+                a1 = None
+            a0 = assemble(coeff[2 * k]) if a1 is None else a1
+            amid = assemble(coeff[2 * k + 1])
+            j = 2 * k + 2
+            a1 = assemble(coeff[j] if k + 1 == n or not switched[k + 1] else
+                          _node_coefficients(p8[j:j + 1], u8[j:j + 1],
+                                             np.array(north[k:k + 1]))[0])
+            k1 = a0 @ u_op
+            k2 = amid @ (u_op + (h / 2) * k1)
+            k3 = amid @ (u_op + (h / 2) * k2)
+            k4 = a1 @ (u_op + h * k3)
+            u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if reproject:
+                w, _, vh = np.linalg.svd(u_op)
+                u_op = w @ vh
 
     end_frame = frame
     if end_frame != start_frame:
         # express the result in the frame the path started in (the endpoint
         # must lie in the overlap for this to be meaningful)
-        p_end = path.point(t1)
-        g = gauge_matrix(m, p_end)
+        g = gauge_matrix(m, path.point(t1))
         u_op = (g @ u_op) if end_frame == "n" else (g.conj().T @ u_op)
         end_frame = start_frame
     res = float(np.max(np.abs(u_op.conj().T @ u_op - np.eye(d))))

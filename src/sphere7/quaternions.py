@@ -35,10 +35,6 @@ class Quaternion:
     def components(self):
         return np.array([self.q0, self.q1, self.q2, self.q3])
 
-    def vec(self):
-        """Imaginary components (q1, q2, q3)."""
-        return np.array([self.q1, self.q2, self.q3])
-
     def __add__(self, other):
         other = _as_quat(other)
         return Quaternion(self.q0 + other.q0, self.q1 + other.q1,

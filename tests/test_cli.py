@@ -65,7 +65,7 @@ def test_transport_constant(tmp_path):
     assert report["result"]["holonomy_distance"] == 0
 
 
-def test_transport_malformed(tmp_path):
+def test_transport_malformed(tmp_path, capsys):
     pfile = tmp_path / "bad.json"
     pfile.write_text("{not json")
     assert run(tmp_path, "transport", str(pfile)) == 2
@@ -77,6 +77,16 @@ def test_transport_malformed(tmp_path):
     pfile3 = tmp_path / "array.json"
     pfile3.write_text(json.dumps([1]))
     assert run(tmp_path, "transport", str(pfile3)) == 2
+    pole = {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]}
+    for spec in ({"type": "great_circle", "from": pole, "to": 3},
+                 {"type": "great_circle_loop", "at": pole, "direction": [1]},
+                 {"type": "reeb_loop", "r": 3, "theta": [0, 0, 0, 0]},
+                 {"type": "piecewise", "points": [pole, [1, 0]]},
+                 {"type": "piecewise", "points": 3}):
+        capsys.readouterr()
+        pfile3.write_text(json.dumps(spec))
+        assert run(tmp_path, "transport", str(pfile3)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize("override, message", [
@@ -86,6 +96,19 @@ def test_transport_malformed(tmp_path):
     ({"psi_i": [1, 0, 0, 0, 0], "psi_f": [1]}, "psi_i has 5 entries"),
     ({"psi_i": [[1, 0]], "psi_f": [[1, 0, 0]]}, "psi_f must be a list"),
     ({"psi_i": [0], "psi_f": [1]}, "psi_i has zero norm"),
+    ({"m": [1]}, "m must be an integer"),
+    ({"m": 1.5}, "m must be an integer"),
+    ({"m": True}, "m must be an integer"),
+    ({"steps": "10"}, "steps must be an integer"),
+    ({"at": 3}, "at must be an object with x and y"),
+    ({"at": {"x": [1, 0, 0], "y": [0, 0, 0, 0]}}, "at.x must be a list of 4"),
+    ({"at": {"x": [1, 0, 0, 0], "y": [0, float("inf"), 0, 0]}},
+     "at.y must be a list of 4 finite numbers"),
+    ({"psi_i": {"re": 1}, "psi_f": [1]}, "psi_i must be a list"),
+    ({"type": "great_circle_loop", "at": {"x": [0.6, 0.8, 0, 0],
+                                          "y": [0, 0, 0, 0]},
+      "direction": [0, 0, 0, 0, 1, 0, 0, 0], "steps": 4},
+     "4 steps are too coarse"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
@@ -95,6 +118,18 @@ def test_transport_out_of_range(tmp_path, capsys, override, message):
     assert run(tmp_path, "transport", str(pfile)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+def test_transport_coarse_loop_through_x_zero(tmp_path):
+    spec = {"type": "great_circle_loop",
+            "at": {"x": [0.6, 0.8, 0, 0], "y": [0, 0, 0, 0]},
+            "direction": [0, 0, 0, 0, 1, 0, 0, 0], "m": 2, "steps": 40}
+    pfile = tmp_path / "path.json"
+    pfile.write_text(json.dumps(spec))
+    assert run(tmp_path, "transport", str(pfile)) == 0
+    report = json.loads((tmp_path / "transport.json").read_text())
+    assert len(report["result"]["switches"]) == 4
+    assert report["result"]["holonomy_distance"] < 1e-4
 
 
 def test_table(tmp_path):
@@ -135,7 +170,8 @@ def test_config_file(tmp_path, capsys):
                                  "seed": 3}))
     assert run(tmp_path, "verify", "--config", str(cfile)) == 0
     for bad in ({"not_a_key": 1}, {"m_range": 5}, [1, 2],
-                {"m_range": ["a", 2]}):
+                {"m_range": ["a", 2]}, {"steps": "a"}, {"seed": 1.5},
+                {"h": True}, {"out": 5}, {"samples": [1]}):
         capsys.readouterr()
         cfile.write_text(json.dumps(bad))
         assert run(tmp_path, "verify", "--config", str(cfile)) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
-                             contact_alpha, eds_residual,
+                             _pullback, contact_alpha, eds_residual,
                              gauge_overlap_check, maurer_cartan_matrix,
                              pullback_n, pullback_s, random_point,
                              random_tangent, random_unit_tangent, reeb_flow,
@@ -62,6 +62,33 @@ def test_closed_form_matches_section_derivative():
             a = maurer_cartan_matrix(u, patch)
             b = section_pullback_fd(u, patch, h=1e-6)
             assert (a - b).max_norm() < 1e-8
+
+
+def _pairing_from_maurer_cartan(g):
+    """The ten generator coefficients from (1/2)[[mu, nu], [-nubar, kappa]]:
+    J from mu, P from nu, K from kappa, with the double-index factors."""
+    m1, m2, m3 = 2 * g.w.components()[1:]
+    n0, n1, n2, n3 = 2 * g.x.components()
+    k1, k2, k3 = 2 * g.y.components()[1:]
+    return [(-m1 - 1j * m2) / 4, -m3 / 2, (m1 - 1j * m2) / 4,
+            (-n3 + 1j * n0) / 2, -(n1 + 1j * n2) / 2, (n1 - 1j * n2) / 2,
+            -(n3 + 1j * n0) / 2,
+            (k1 - 1j * k2) / 4, -k3 / 2, -(k1 + 1j * k2) / 4]
+
+
+@pytest.mark.parametrize("patch", ["s", "n"])
+def test_batched_pullback_matches_section_derivative(patch):
+    rng = np.random.default_rng(14)
+    us = []
+    for _ in range(200):
+        p = random_point(rng, 0.25)
+        us.append(random_tangent(rng, p))
+    got = _pullback(np.array([u.base.as_array8() for u in us]),
+                    np.array([u.as_array8() for u in us]), patch)
+    want = [_pairing_from_maurer_cartan(section_pullback_fd(u, patch))
+            for u in us]
+    assert got.shape == (200, 10)
+    assert np.max(np.abs(got - np.array(want))) < 1e-8
 
 
 def test_kappa_global_and_nu_gauge():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              contact_alpha, random_point, random_tangent,
                              random_unit_tangent)
@@ -250,3 +251,63 @@ def test_transport_step_validation():
     p = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     with pytest.raises(ValueError):
         parallel_transport(PathSpec.constant(p), 2, steps=1)
+
+
+@pytest.mark.parametrize("steps", [10, 12, 20, 40, 100])
+def test_coarse_loop_through_x_zero(steps):
+    # each step's frame is chosen from all three RK nodes, so a node that
+    # lands on x = 0 or y = 0 never reaches the wrong chart
+    p0 = SpherePoint([0.6, 0.8, 0, 0], [0, 0, 0, 0])
+    path = PathSpec.great_circle_loop(p0, [0, 0, 0, 0, 1., 0, 0, 0])
+    res = parallel_transport(path, 2, steps)
+    assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
+                                               ("s", "n"), ("n", "s")]
+    assert res.holonomy_distance() < 1e-2
+
+
+def _reference_transport(path, m, steps, frame="s"):
+    """Fixed-step RK4 with the connection assembled node by node through
+    the scalar API, for paths that stay in one frame."""
+    u_op = np.eye(dim(m), dtype=complex)
+    h = (path.t1 - path.t0) / steps
+
+    def a(t):
+        return -connection_matrix(path.tangent(t), m, patch=frame)
+
+    for k in range(steps):
+        t = path.t0 + k * h
+        a0, amid, a1 = a(t), a(t + h / 2), a(t + h)
+        k1 = a0 @ u_op
+        k2 = amid @ (u_op + (h / 2) * k1)
+        k3 = amid @ (u_op + (h / 2) * k2)
+        k4 = a1 @ (u_op + h * k3)
+        u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u_op
+
+
+def _unit(*coords):
+    return SpherePoint.from_array8(np.array(coords) / np.linalg.norm(coords))
+
+
+_TORUS = ToricPoint([0.5, 0.5, 0.5, 0.5], [0.3, 1.0, 2.0, 5.0])
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("make_path, m", [
+    (lambda: PathSpec.reeb_loop(_TORUS), 2),
+    (lambda: PathSpec.reeb_loop(_TORUS), 3),
+    (lambda: PathSpec.toric_line(_TORUS, (2 * math.pi, 0.0, 0.0, 1.0)), 2),
+    (lambda: PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
+                                   _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0, 0.2)),
+     3),
+], ids=["reeb-m2", "reeb-m3", "toric-line", "great-circle"])
+def test_batched_transport_matches_per_node_reference(monkeypatch, block,
+                                                      make_path, m):
+    if block is not None:
+        monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
+    path = make_path()
+    steps = 150
+    res = parallel_transport(path, m, steps)
+    assert res.switches == [] and res.start_frame == "s"
+    ref = _reference_transport(path, m, steps)
+    assert np.max(np.abs(res.matrix - ref)) < 1e-12
