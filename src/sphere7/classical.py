@@ -14,7 +14,7 @@ Only the product and the bracket are classical: the generator recipe and the
 45-pair report are those of the weyl module, run on this ring.
 """
 
-from .rational import CRat
+from .rational import CRat, monomial_product
 from .weyl import SlotPolynomial, verify_embedding
 
 _I = CRat(0, 1)
@@ -35,29 +35,12 @@ class PoissonElement(SlotPolynomial):
     # Poisson relations carry no explicit i: the classical targets are the
     # quantum structure constants divided by i
     BRACKET_NORM = CRat(0, -1)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                p = c1 * c2
-                s = out.get(key)
-                s = p if s is None else s + p
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return self._wrap(out)
+    __mul__ = monomial_product
 
     def deriv(self, slot):
-        out = {}
-        for k, c in self.terms.items():
-            e = k[slot]
-            if e:
-                key = k[:slot] + (e - 1,) + k[slot + 1:]
-                out[key] = out.get(key, CRat()) + c * e
-        return PoissonElement({k: c for k, c in out.items() if c})
+        # lowering one exponent is injective on the monomials it keeps
+        return self._wrap({k[:slot] + (k[slot] - 1,) + k[slot + 1:]: c * k[slot]
+                           for k, c in self.terms.items() if k[slot]})
 
     def comm(self, other):
         """Poisson bracket: the biderivation extending _FUNDAMENTAL."""

@@ -23,11 +23,11 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .coframe import (SpherePoint, TangentVector, _pullback, preferred_patch,
-                      to_sphere, to_tangent, toric_rows)
+from .coframe import (Chart, SpherePoint, TangentVector, _pullback,
+                      preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _lie_to_matrix, build_rho,
                    build_rho_partial, dim, exponentiate)
-from .quaternions import qlog
+from .quaternions import qlog, transition_tau
 from .u2h import VECTOR_IN_SPINOR
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
@@ -58,11 +58,6 @@ def _rho_j_vector(m):
 
 def _coefficients(u, patch):
     return _pullback(u.base.as_array8()[None], u.as_array8()[None], patch)[0]
-
-
-def generator_coefficients(u, patch="s"):
-    """Complex pairing coefficients of the ten generators on a tangent."""
-    return dict(zip(GENERATOR_NAMES, _coefficients(u, patch)))
 
 
 def connection_matrix(u, m, mode="exact", ell=None, patch="s", domain_m=None):
@@ -103,7 +98,6 @@ def curvature_residual(p, u, v, m, mode="exact", ell=None, h=1e-4, patch="s"):
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    from .coframe import Chart
     chart = Chart(p, [u, v])
 
     if mode == "exact":
@@ -289,7 +283,6 @@ def gauge_matrix(m, p):
     diag(log tau, 0) = 2 sum_i (log tau)_i j_i, exponentiated through the
     compact-subalgebra matrices.
     """
-    from .quaternions import transition_tau
     tau = transition_tau(p)
     q = qlog(tau)
     rho_j = _rho_j_vector(m)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .tolerances import TAU_PATCH, TAU_UNIT
+from .tolerances import TAU_PATCH
 
 
 class PatchError(ValueError):
@@ -46,9 +46,6 @@ class Quaternion:
         other = _as_quat(other)
         return Quaternion(self.q0 - other.q0, self.q1 - other.q1,
                           self.q2 - other.q2, self.q3 - other.q3)
-
-    def __rsub__(self, other):
-        return _as_quat(other) - self
 
     def __neg__(self):
         return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
@@ -85,12 +82,6 @@ class Quaternion:
         if n == 0.0:
             raise ZeroDivisionError("zero quaternion")
         return Quaternion(self.q0 / n, -self.q1 / n, -self.q2 / n, -self.q3 / n)
-
-    def is_zero(self, tol=0.0):
-        return self.norm() <= tol
-
-    def dist(self, other):
-        return (self - other).norm()
 
     def __repr__(self):
         return (f"Quaternion({self.q0:.6g}, {self.q1:.6g}, "
@@ -180,16 +171,9 @@ class QMatrix2:
         return QMatrix2(self.w.conj(), self.z.conj(),
                         self.x.conj(), self.y.conj())
 
-    def inv_unitary(self):
-        # for group elements g^-1 = g^dagger; avoids quaternionic elimination
-        return self.dagger()
-
     def unitarity_defect(self):
         d = self.dagger() * self - QMatrix2.identity()
         return max(d.w.norm(), d.x.norm(), d.z.norm(), d.y.norm())
-
-    def is_unitary(self, tol=TAU_UNIT):
-        return self.unitarity_defect() <= tol
 
     def entries(self):
         return (self.w, self.x, self.z, self.y)

@@ -1,10 +1,16 @@
-"""Exact complex-rational scalars and small exact linear algebra.
+"""Exact complex-rational scalars, their sparse sums and small exact linear
+algebra.
 
 All structure constants and symbolic oscillator-algebra coefficients in this
 package are elements of Q(i).  Floating point enters only when a symbolic
 object is evaluated on a concrete Hilbert space or at a concrete point of the
-sphere.  gmpy2 rationals are used when available (the symbolic bracket sweeps
-are ~7x faster); plain fractions.Fraction is a drop-in fallback.
+sphere.  gmpy2 rationals are used when available; plain fractions.Fraction is
+a drop-in fallback.
+
+Combination, a finitely supported map from keys to nonzero CRat, is the one
+container of the exact layer: Lie algebra elements, slot polynomials and the
+polynomials in the number operators are its subclasses, and add_into is the
+one zero-dropping accumulate step.
 """
 
 from fractions import Fraction
@@ -129,6 +135,73 @@ def crat(x):
 ZERO = CRat(0)
 ONE = CRat(1)
 I = CRat(0, 1)
+
+
+def add_into(out, items):
+    """Add the (key, coefficient) pairs into the dict out, dropping every
+    key whose sum is zero; returns out."""
+    for k, c in items:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+class Combination:
+    """Exact linear combination: a map from keys to nonzero CRat.
+
+    Subclasses add their products and keep any extra slots in `_wrap`.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for k, c in terms.items():
+                c = crat(c)
+                if c:
+                    self.terms[k] = c
+
+    def _wrap(self, terms):
+        res = type(self).__new__(type(self))
+        res.terms = terms
+        return res
+
+    def __add__(self, other):
+        return self._wrap(add_into(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = crat(c)
+        if not c:
+            return self._wrap({})
+        return self._wrap({k: v * c for k, v in self.terms.items()})
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def conj(self):
+        """Conjugate every coefficient."""
+        return self._wrap({k: c.conj() for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def monomial_product(x, y):
+    """Product of two commutative combinations keyed by exponent tuples."""
+    return x._wrap(add_into({}, (
+        (tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
+        for k1, c1 in x.terms.items() for k2, c2 in y.terms.items())))
 
 
 def frac_mat_inverse(rows):

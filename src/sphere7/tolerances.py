@@ -1,12 +1,10 @@
 """Package-wide numerical tolerances.
 
-TAU_UNIT   unitarity acceptance for quaternionic matrices
 TAU_PATCH  below this modulus a chart coordinate counts as zero
 TAU_SPHERE acceptance for the sphere / tangency constraints
 TAU_REP    acceptance for representation-level matrix identities
 """
 
-TAU_UNIT = 1e-10
 TAU_PATCH = 1e-8
 TAU_SPHERE = 1e-10
 TAU_REP = 1e-10

@@ -19,9 +19,10 @@ complex rationals; every identity checked here is checked exactly.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .rational import CRat, crat, frac_mat_inverse
+from .rational import CRat, Combination, add_into, crat, frac_mat_inverse
 
 SPINOR_GENERATORS = ("J++", "J+-", "J--",
                      "P++", "P+-", "P-+", "P--",
@@ -52,19 +53,19 @@ def _pkey(a, adot):
     return "P" + a + adot
 
 
-class LieElement:
+class LieElement(Combination):
     """Finitely supported exact-coefficient combination of basis generators."""
 
-    __slots__ = ("coeffs", "basis")
+    __slots__ = ("basis",)
 
     def __init__(self, coeffs=None, basis="spinor"):
+        super().__init__(coeffs)
         self.basis = basis
-        self.coeffs = {}
-        if coeffs:
-            for g, c in coeffs.items():
-                c = crat(c)
-                if c:
-                    self.coeffs[g] = c
+
+    def _wrap(self, terms):
+        res = super()._wrap(terms)
+        res.basis = self.basis
+        return res
 
     @classmethod
     def gen(cls, name, basis=None):
@@ -74,38 +75,18 @@ class LieElement:
 
     def __add__(self, other):
         assert self.basis == other.basis
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            s = out.get(g, CRat()) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return LieElement(out, self.basis)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = crat(c)
-        return LieElement({g: v * c for g, v in self.coeffs.items()}, self.basis)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def is_zero(self):
-        return not self.coeffs
+        return super().__add__(other)
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=Fraction(0))
+        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
     def __eq__(self, other):
-        return (self.basis == other.basis and self.coeffs == other.coeffs)
+        return self.basis == other.basis and super().__eq__(other)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        return " + ".join(f"({c})*{g}" for g, c in sorted(self.coeffs.items()))
+        return " + ".join(f"({c})*{g}" for g, c in sorted(self.terms.items()))
 
 
 def _build_spinor_table():
@@ -113,81 +94,57 @@ def _build_spinor_table():
     table = {}
     signs = ("+", "-")
 
-    def put(g1, g2, result):
-        acc = table.setdefault((g1, g2), {})
-        for g, c in result.items():
-            s = acc.get(g, CRat()) + c
-            if s:
-                acc[g] = s
-            else:
-                acc.pop(g, None)
+    def put(g1, g2, contractions):
+        # [g1, g2] = sum of i * coe * key over the (coe, key) contractions
+        add_into(table.setdefault((g1, g2), {}),
+                 ((key, _I * coe) for coe, key in contractions if coe))
 
     jpairs = [("+", "+"), ("+", "-"), ("-", "-")]
     # J-J
     for a, b in jpairs:
         for c, d in jpairs:
-            res = {}
-            for coe, key in ((EPS_UP[a, c], _jkey(b, d)),
-                             (EPS_UP[a, d], _jkey(b, c)),
-                             (EPS_UP[b, c], _jkey(a, d)),
-                             (EPS_UP[b, d], _jkey(a, c))):
-                if coe:
-                    res[key] = res.get(key, CRat()) + _I * coe
-            put(_jkey(a, b), _jkey(c, d), res)
+            put(_jkey(a, b), _jkey(c, d),
+                ((EPS_UP[a, c], _jkey(b, d)), (EPS_UP[a, d], _jkey(b, c)),
+                 (EPS_UP[b, c], _jkey(a, d)), (EPS_UP[b, d], _jkey(a, c))))
     # J-P
     for a, b in jpairs:
         for c in signs:
             for cd in signs:
-                res = {}
-                for coe, key in ((EPS_UP[a, c], _pkey(b, cd)),
-                                 (EPS_UP[b, c], _pkey(a, cd))):
-                    if coe:
-                        res[key] = res.get(key, CRat()) + _I * coe
-                put(_jkey(a, b), _pkey(c, cd), res)
+                put(_jkey(a, b), _pkey(c, cd),
+                    ((EPS_UP[a, c], _pkey(b, cd)),
+                     (EPS_UP[b, c], _pkey(a, cd))))
     # P-P
     for a in signs:
         for ad in signs:
             for b in signs:
                 for bd in signs:
-                    res = {}
-                    if EPS_DN[ad, bd]:
-                        k = _jkey(a, b)
-                        res[k] = res.get(k, CRat()) + _I * EPS_DN[ad, bd]
-                    if EPS_UP[a, b]:
-                        k = _kkey(ad, bd)
-                        res[k] = res.get(k, CRat()) + _I * EPS_UP[a, b]
-                    put(_pkey(a, ad), _pkey(b, bd), res)
+                    put(_pkey(a, ad), _pkey(b, bd),
+                        ((EPS_DN[ad, bd], _jkey(a, b)),
+                         (EPS_UP[a, b], _kkey(ad, bd))))
     # K-P
     kpairs = jpairs
     for ad, bd in kpairs:
         for c in signs:
             for cd in signs:
-                res = {}
-                for coe, key in ((EPS_DN[ad, cd], _pkey(c, bd)),
-                                 (EPS_DN[bd, cd], _pkey(c, ad))):
-                    if coe:
-                        res[key] = res.get(key, CRat()) + _I * coe
-                put(_kkey(ad, bd), _pkey(c, cd), res)
+                put(_kkey(ad, bd), _pkey(c, cd),
+                    ((EPS_DN[ad, cd], _pkey(c, bd)),
+                     (EPS_DN[bd, cd], _pkey(c, ad))))
     # K-K
     for ad, bd in kpairs:
         for cd, dd in kpairs:
-            res = {}
-            for coe, key in ((EPS_DN[ad, cd], _kkey(bd, dd)),
-                             (EPS_DN[ad, dd], _kkey(bd, cd)),
-                             (EPS_DN[bd, cd], _kkey(ad, dd)),
-                             (EPS_DN[bd, dd], _kkey(ad, cd))):
-                if coe:
-                    res[key] = res.get(key, CRat()) + _I * coe
-            put(_kkey(ad, bd), _kkey(cd, dd), res)
-    # fill antisymmetric partners and J-K zeros, drop zero entries
+            put(_kkey(ad, bd), _kkey(cd, dd),
+                ((EPS_DN[ad, cd], _kkey(bd, dd)),
+                 (EPS_DN[ad, dd], _kkey(bd, cd)),
+                 (EPS_DN[bd, cd], _kkey(ad, dd)),
+                 (EPS_DN[bd, dd], _kkey(ad, cd))))
+    # fill antisymmetric partners and the J-K zeros
     full = {}
     for g1 in SPINOR_GENERATORS:
         for g2 in SPINOR_GENERATORS:
             res = table.get((g1, g2))
             if res is None:
-                rev = table.get((g2, g1), {})
-                res = {g: -c for g, c in rev.items()}
-            full[(g1, g2)] = {g: c for g, c in res.items() if c}
+                res = {g: -c for g, c in table.get((g2, g1), {}).items()}
+            full[(g1, g2)] = res
     return full
 
 
@@ -325,15 +282,10 @@ def bracket(x, y, table=None):
     if table is None:
         table = bracket_table(x.basis)
     out = {}
-    for g1, c1 in x.coeffs.items():
-        for g2, c2 in y.coeffs.items():
+    for g1, c1 in x.terms.items():
+        for g2, c2 in y.terms.items():
             c12 = c1 * c2
-            for g, c in table[(g1, g2)].items():
-                s = out.get(g, CRat()) + c12 * c
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
+            add_into(out, ((g, c12 * c) for g, c in table[(g1, g2)].items()))
     return LieElement(out, x.basis)
 
 
@@ -370,33 +322,23 @@ def reality(x):
     """
     if isinstance(x, str):
         x = LieElement.gen(x)
-    out = {}
-    for g, c in x.coeffs.items():
-        cc = c.conj()
-        img = REALITY_SPINOR[g] if x.basis == "spinor" else {g: -1}
-        for g2, s in img.items():
-            v = out.get(g2, CRat()) + cc * crat(s)
-            if v:
-                out[g2] = v
-            else:
-                out.pop(g2, None)
-    return LieElement(out, x.basis)
+    if x.basis == "spinor":
+        return _linear_image(x.conj(), REALITY_SPINOR, "spinor")
+    return x.conj().scale(-1)
+
+
+def _linear_image(x, images, basis):
+    """The LieElement sum of c * images[g] over the terms c * g of x."""
+    return LieElement(add_into({}, ((g2, c * s) for g, c in x.terms.items()
+                                    for g2, s in images[g].items())), basis)
 
 
 def basis_change(x, to):
     """Map a LieElement to the other basis; round trips are exact."""
     if x.basis == to:
         return x
-    table = SPINOR_IN_VECTOR if to == "vector" else VECTOR_IN_SPINOR
-    out = {}
-    for g, c in x.coeffs.items():
-        for g2, s in table[g].items():
-            v = out.get(g2, CRat()) + c * crat(s)
-            if v:
-                out[g2] = v
-            else:
-                out.pop(g2, None)
-    return LieElement(out, to)
+    return _linear_image(x, SPINOR_IN_VECTOR if to == "vector"
+                         else VECTOR_IN_SPINOR, to)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +392,7 @@ def contraction_constants(lam):
             acc = {}
             for e, res in _contraction_bracket_laurent(g1, g2).items():
                 w = crat(Fraction(1) / lam ** e)
-                for g, c in res.items():
-                    v = acc.get(g, CRat()) + c * w
-                    if v:
-                        acc[g] = v
-                    else:
-                        acc.pop(g, None)
+                add_into(acc, ((g, c * w) for g, c in res.items()))
             table[(g1, g2)] = acc
     return table
 
@@ -485,8 +422,8 @@ def grading_decomposition(d):
         res = bracket(d, LieElement.gen(g, d.basis))
         if res.is_zero():
             ev = CRat()
-        elif set(res.coeffs) == {g}:
-            ev = res.coeffs[g]
+        elif set(res.terms) == {g}:
+            ev = res.terms[g]
         else:
             raise ValueError(f"not a grading element: ad on {g} is not diagonal")
         key = (ev.re, ev.im)
@@ -526,15 +463,13 @@ def killing_form():
     return b
 
 
+@cache
 def casimir_pairs():
     """Dual-basis pairs (g_a, g_b, coeff) with C2 = sum coeff * g_a g_b."""
     binv = frac_mat_inverse(killing_form())
-    pairs = []
-    for a, ga in enumerate(VECTOR_GENERATORS):
-        for b, gb in enumerate(VECTOR_GENERATORS):
-            if binv[a][b] != 0:
-                pairs.append((ga, gb, binv[a][b]))
-    return pairs
+    return tuple((ga, gb, binv[a][b])
+                 for a, ga in enumerate(VECTOR_GENERATORS)
+                 for b, gb in enumerate(VECTOR_GENERATORS) if binv[a][b] != 0)
 
 
 def cross_basis_residual():

@@ -10,7 +10,7 @@ with the only nonvanishing commutators
     [a, ad] = 1        [app, amm] = -1       [amp, apm] = +1.
 
 A monomial is an exponent 6-tuple (creators then annihilators); elements are
-finitely supported maps from monomials to exact complex rationals, kept in
+rational.Combination maps from monomials to exact complex rationals, kept in
 canonical normal order (creators to the left).  Formal Laurent series in the
 square root of the deformation parameter are maps from integer grades to such
 elements, where the grade of hbar^(k/2) is k.
@@ -28,14 +28,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .rational import CRat, crat
+from .rational import CRat, Combination, crat, monomial_product
+from .u2h import REALITY_SPINOR, SPINOR_GENERATORS, bracket_table
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
 
 _ZERO_KEY = (0, 0, 0, 0, 0, 0)
 
 
-class SlotPolynomial:
+class SlotPolynomial(Combination):
     """Polynomial in the six slot variables with exact complex coefficients.
 
     The container shared by the two coefficient rings of the Laurent layer.
@@ -44,16 +45,8 @@ class SlotPolynomial:
     of the Lie algebra into the coefficient of that ring's bracket relation.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     NAMES = SLOT_NAMES
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = crat(c)
-                if c:
-                    self.terms[k] = c
 
     @classmethod
     def unit(cls, c=1):
@@ -69,34 +62,6 @@ class SlotPolynomial:
     def zero(cls):
         return cls()
 
-    def _wrap(self, terms):
-        res = type(self).__new__(type(self))
-        res.terms = terms
-        return res
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._wrap(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = crat(c)
-        if not c:
-            return self.zero()
-        return self._wrap({k: v * c for k, v in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def dagger(self):
         """Swap the creator and annihilator blocks, sign the dotted pair and
         conjugate coefficients: the dagger of the oscillator ring, complex
@@ -108,12 +73,6 @@ class SlotPolynomial:
                 cc = -cc
             out[(e1, e2, e3, d1, d2, d3)] = cc
         return self._wrap(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -215,20 +174,20 @@ class LaurentElement:
                 out.pop(g, None)
             else:
                 out[g] = s
-        return LaurentElement(out, cap=cap,
-                              dropped=self.dropped or other.dropped)
+        return type(self)(out, cap=cap, dropped=self.dropped or other.dropped)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
+    def _map(self, grades):
+        return type(self)(grades, cap=self.cap, dropped=self.dropped)
+
     def scale(self, c):
-        return LaurentElement({g: w.scale(c) for g, w in self.grades.items()},
-                              cap=self.cap, dropped=self.dropped)
+        return self._map({g: w.scale(c) for g, w in self.grades.items()})
 
     def shift(self, dgrade):
         """Multiply by sqrt(hbar)^dgrade."""
-        return LaurentElement({g + dgrade: w for g, w in self.grades.items()},
-                              cap=self.cap, dropped=self.dropped)
+        return self._map({g + dgrade: w for g, w in self.grades.items()})
 
     def _gradewise(self, other, op):
         cap = _min_cap(self.cap, other.cap)
@@ -245,7 +204,7 @@ class LaurentElement:
                 s = p if s is None else s + p
                 out[g] = s
         out = {g: w for g, w in out.items() if not w.is_zero()}
-        return LaurentElement(out, cap=cap, dropped=dropped)
+        return type(self)(out, cap=cap, dropped=dropped)
 
     def __mul__(self, other):
         return self._gradewise(other, lambda w1, w2: w1 * w2)
@@ -256,8 +215,7 @@ class LaurentElement:
 
     def dagger(self):
         # sqrt(hbar) is dagger-fixed
-        return LaurentElement({g: w.dagger() for g, w in self.grades.items()},
-                              cap=self.cap, dropped=self.dropped)
+        return self._map({g: w.dagger() for g, w in self.grades.items()})
 
     def is_zero(self):
         return not self.grades
@@ -290,18 +248,13 @@ def _min_cap(c1, c2):
 # polymeromorphic elements: Laurent series with polynomial coefficients in n, N
 # ---------------------------------------------------------------------------
 
-class PolyNM:
+class PolyNM(Combination):
     """Polynomial in the two commuting number operators, exponents (n, N)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = crat(c)
-                if c:
-                    self.terms[k] = c
+    __slots__ = ()
+    __mul__ = monomial_product
+    # n and N are self-adjoint, so the dagger only conjugates coefficients
+    dagger = Combination.conj
 
     @classmethod
     def const(cls, c):
@@ -314,35 +267,6 @@ class PolyNM:
     @classmethod
     def var_N(cls):
         return cls({(0, 1): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, CRat()) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PolyNM(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = crat(c)
-        return PolyNM({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, CRat()) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return PolyNM(out)
 
     def shift(self, dn, dN):
         """Substitute n -> n + dn, N -> N + dN (argument shift)."""
@@ -357,12 +281,6 @@ class PolyNM:
                 poly = poly * binom_N
             out = out + poly
         return out
-
-    def conj(self):
-        return PolyNM({k: c.conj() for k, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def is_real(self):
         return all(c.im == 0 for c in self.terms.values())
@@ -401,41 +319,13 @@ def _power_cache(base):
     return power
 
 
-class Polymeromorphic:
+class Polymeromorphic(LaurentElement):
     """Laurent series in sqrt(hbar) whose coefficients are PolyNM polynomials."""
 
-    __slots__ = ("grades",)
-
-    def __init__(self, grades=None):
-        self.grades = {g: p for g, p in (grades or {}).items() if not p.is_zero()}
-
-    def __add__(self, other):
-        out = dict(self.grades)
-        for g, p in other.grades.items():
-            s = out.get(g, PolyNM()) + p
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return Polymeromorphic(out)
-
-    def scale(self, c):
-        return Polymeromorphic({g: p.scale(c) for g, p in self.grades.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for g1, p1 in self.grades.items():
-            for g2, p2 in other.grades.items():
-                g = g1 + g2
-                out[g] = out.get(g, PolyNM()) + p1 * p2
-        return Polymeromorphic(out)
+    __slots__ = ()
 
     def shift_args(self, dn, dN):
-        return Polymeromorphic({g: p.shift(dn, dN)
-                                for g, p in self.grades.items()})
-
-    def dagger(self):
-        return Polymeromorphic({g: p.conj() for g, p in self.grades.items()})
+        return self._map({g: p.shift(dn, dN) for g, p in self.grades.items()})
 
     def is_real(self):
         return all(p.is_real() for p in self.grades.values())
@@ -443,13 +333,6 @@ class Polymeromorphic:
     def expand(self, cap=None, ring=WeylElement):
         return LaurentElement({g: p.to_weyl(ring)
                                for g, p in self.grades.items()}, cap=cap)
-
-    def min_grade(self):
-        return min(self.grades) if self.grades else None
-
-    def __repr__(self):
-        return " + ".join(f"h^({g}/2)*[{p!r}]"
-                          for g, p in sorted(self.grades.items())) or "0"
 
 
 # argument shifts of the passage rules: slot -> (dn, dN) such that
@@ -534,7 +417,6 @@ def embedded_generators(ell, cap=None, ring=WeylElement):
 
 
 def generator_pairs():
-    from .u2h import SPINOR_GENERATORS
     return list(combinations(SPINOR_GENERATORS, 2))
 
 
@@ -547,7 +429,6 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
     "residual_min_grade" (None if no residual below the cap), "exact"
     (residual identically zero, nothing discarded), "cap"}.
     """
-    from .u2h import bracket_table
     if gradecap is None:
         gradecap = 2 * ell + 4
     gens = embedded_generators(ell, cap=gradecap, ring=ring)
@@ -570,7 +451,6 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
 
 def reality_report(ell, cap=None):
     """Exact check that daggering each image lands on the image of X^dagger."""
-    from .u2h import REALITY_SPINOR
     gens = embedded_generators(ell, cap=cap)
     out = {}
     for name, lau in gens.items():

@@ -1,0 +1,128 @@
+"""Property tests of the exact layer's scalars and its one container.
+
+CRat is checked against the same arithmetic written out on pairs of
+Fractions; the Combination laws are checked on each of its element types.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sphere7.rational import CRat, Combination
+from sphere7.u2h import SPINOR_GENERATORS, LieElement
+from sphere7.weyl import PolyNM, WeylElement
+
+SETTINGS = settings(deadline=None, max_examples=60)
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+pairs = st.tuples(fractions, fractions)
+nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+
+
+def _pair(z):
+    return (z.re, z.im)
+
+
+@SETTINGS
+@given(pairs, pairs)
+def test_crat_ops_match_fraction_pairs(p, q):
+    (a, b), (c, d) = p, q
+    x, y = CRat(a, b), CRat(c, d)
+    assert _pair(x + y) == (a + c, b + d)
+    assert _pair(x - y) == (a - c, b - d)
+    assert _pair(x * y) == (a * c - b * d, a * d + b * c)
+    assert _pair(-x) == (-a, -b)
+    assert _pair(x.conj()) == (a, -b)
+    assert (x == y) == (p == q)
+    assert bool(x) == (p != (0, 0))
+    if q != (0, 0):
+        n = c * c + d * d
+        assert _pair(x / y) == ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+@SETTINGS
+@given(pairs, pairs, pairs)
+def test_crat_field_laws(p, q, r):
+    x, y, z = CRat(*p), CRat(*q), CRat(*r)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + CRat() == x and x * CRat(1) == x
+    assert not x - x and x + (-x) == CRat()
+    assert (x * y).conj() == x.conj() * y.conj()
+
+
+@SETTINGS
+@given(nonzero_pairs, pairs)
+def test_crat_inverse(p, q):
+    x, y = CRat(*p), CRat(*q)
+    assert x * (CRat(1) / x) == CRat(1)
+    assert (y / x) * x == y
+
+
+@SETTINGS
+@given(pairs, st.integers(-5, 5))
+def test_crat_coercion(p, k):
+    x = CRat(*p)
+    assert x + k == x + CRat(k) and k + x == x + CRat(k)
+    assert x * k == x * CRat(k) == k * x
+    assert x * Fraction(1, 3) == x * CRat(Fraction(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Combination laws on the three element types
+# ---------------------------------------------------------------------------
+
+small = st.integers(-3, 3)
+coefficients = st.tuples(small, small).map(lambda t: CRat(*t))
+
+
+def _elements(keys, build):
+    # zero coefficients are allowed in the input: the constructor drops them
+    return st.dictionaries(keys, coefficients, max_size=5).map(build)
+
+
+weyl = _elements(st.tuples(*[st.integers(0, 2)] * 6), WeylElement)
+polys = _elements(st.tuples(st.integers(0, 3), st.integers(0, 3)), PolyNM)
+lie = _elements(st.sampled_from(SPINOR_GENERATORS), LieElement)
+KINDS = (weyl, polys, lie)
+ELEMENTS = st.one_of(*KINDS)
+TRIPLES = st.one_of(*(st.tuples(kind, kind, kind) for kind in KINDS))
+
+
+def _clean(x, like):
+    assert type(x) is type(like)
+    assert all(x.terms.values()), f"stored zero coefficient in {x!r}"
+    if isinstance(like, LieElement):
+        assert x.basis == like.basis
+    return x
+
+
+@SETTINGS
+@given(TRIPLES)
+def test_combination_addition(xyz):
+    x, y, z = xyz
+    assert isinstance(x, Combination)
+    assert _clean(x + y, x) == y + x
+    assert _clean((x + y) + z, x) == x + (y + z)
+
+
+@SETTINGS
+@given(TRIPLES, coefficients, coefficients)
+def test_combination_scale_distributes(xyz, a, b):
+    x, y, _ = xyz
+    assert _clean((x + y).scale(a), x) == x.scale(a) + y.scale(a)
+    assert _clean(x.scale(a + b), x) == x.scale(a) + x.scale(b)
+    assert x.scale(a).scale(b) == x.scale(a * b)
+    assert -x == x.scale(-1) and x.conj().conj() == x
+
+
+@SETTINGS
+@given(ELEMENTS)
+def test_combination_self_difference_is_empty(x):
+    d = _clean(x - x, x)
+    assert d.is_zero() and d.terms == {}
+    assert (x + (-x)).terms == {} and x.scale(0).terms == {}
