@@ -8,10 +8,13 @@ The unit sphere in H^2 carries, over the patch x != 0, the coframe
             + 2 x y x^-1 d(xbar^-1) ybar xbar      (purely imaginary)
 
 with d(xbar^-1) = -xbar^-1 dxbar xbar^-1, and mirror formulas with x and y
-exchanged over the patch y != 0.  Components are repackaged into the complex
-double-index coefficients used to couple the coframe to Lie algebra
-generators.  Finite differences along normalized-chart lines verify the ten
-first-order identities the coframe satisfies.
+exchanged over the patch y != 0.  The coframe is the pulled-back
+Maurer-Cartan form of a section, a u(2,H)-valued form whose components10 are
+its coefficients on the vector generators of u2h.  The vector->spinor basis
+change of u2h turns them into the complex double-index coefficients that
+couple the coframe to the spinor generators, and its ten first-order
+identities are the structure equations dw + [w, w]/2 = 0 with the u2h
+bracket, verified by finite differences along normalized-chart lines.
 """
 
 import json
@@ -22,13 +25,19 @@ import numpy as np
 
 from .quaternions import (PatchError, QMatrix2, Quaternion, section_n,
                           section_s, transition_tau)
+from .rational import ZERO
 from .tolerances import TAU_PATCH, TAU_SPHERE
+from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
+                  bracket_table)
 
-
-def _eps3(i, j, k):
-    if {i, j, k} != {0, 1, 2}:
-        return 0
-    return 1 if (j - i) % 3 == 1 else -1
+# _SPINOR[a, g]: coefficient of spinor generator g in vector generator a, so
+# components10 rows c pair with the spinor generators as c @ _SPINOR
+_SPINOR = np.array([[VECTOR_IN_SPINOR[a].get(g, ZERO).to_complex()
+                     for g in SPINOR_GENERATORS] for a in VECTOR_GENERATORS])
+# _BRACKET[a, b, c]: coefficient of vector generator a in [b, c] (all real)
+_BRACKET = np.array([[[float(bracket_table("vector")[b, c].get(a, ZERO).re)
+                       for c in VECTOR_GENERATORS]
+                      for b in VECTOR_GENERATORS] for a in VECTOR_GENERATORS])
 
 
 def _warn_if_off(viol, constraint, action):
@@ -173,7 +182,8 @@ class CoframeSample:
         self.patch = patch
 
     def components10(self):
-        """(mu1..3, nu0..3, kappa1..3) as a flat real vector."""
+        """(mu1..3, nu0..3, kappa1..3), the coefficients on the vector
+        generators (j1..3, p0..3, k1..3), as a flat real vector."""
         return np.concatenate([self.mu, self.nu, self.kappa])
 
     def alpha(self):
@@ -181,20 +191,8 @@ class CoframeSample:
 
     def kappa_dd(self):
         """The double-index kappa coefficients; K+- pairs with 2 kappa^{+.-.}."""
-        k = _pair(self.components10())[7:]
+        k = (self.components10() @ _SPINOR)[7:]
         return {"++": k[0], "+-": k[1] / 2, "--": k[2]}
-
-
-def _pair(c):
-    """The complex double-index coefficients that pair the coframe with the
-    ten generators (SPINOR_GENERATORS order), from components10 rows c;
-    J+- and K+- carry the factor 2 of the symmetric index pair."""
-    m1, m2, m3, n0, n1, n2, n3, k1, k2, k3 = c.T
-    return np.stack([(-m1 - 1j * m2) / 4, -m3 / 2, (m1 - 1j * m2) / 4,
-                     (-n3 + 1j * n0) / 2, -(n1 + 1j * n2) / 2,
-                     (n1 - 1j * n2) / 2, -(n3 + 1j * n0) / 2,
-                     (k1 - 1j * k2) / 4, -k3 / 2, -(k1 + 1j * k2) / 4],
-                    axis=-1)
 
 
 # _QMUL[4 i + j] is the product of the basis quaternions e_i e_j
@@ -238,9 +236,10 @@ def _coframe(p8, u8, patch):
 
 def _pullback(p8, u8, patch):
     """(N, 10) complex generator coefficients of the coframe over the patch
-    on the tangents u8 at the points p8, in SPINOR_GENERATORS order."""
+    on the tangents u8 at the points p8, in SPINOR_GENERATORS order; J+- and
+    K+- carry the factor 2 of the symmetric index pair."""
     mu, nu, kappa = _coframe(p8, u8, patch)
-    return _pair(np.concatenate([mu[:, 1:], nu, kappa[:, 1:]], axis=1))
+    return np.concatenate([mu[:, 1:], nu, kappa[:, 1:]], axis=1) @ _SPINOR
 
 
 def _sample(u, patch):
@@ -336,12 +335,12 @@ def _coframe10(u, patch):
 
 
 def eds_residual(p, u, v, h=1e-4, patch="s", richardson=False):
-    """Absolute residuals of the ten exterior-system identities at (p; u, v).
+    """Absolute residuals of the structure equations dw + [w, w]/2 = 0 of
+    the coframe w at (p; u, v), in components10 order.
 
     The exterior derivative is evaluated as u[w(V)] - v[w(U)] for the
     commuting chart extensions of u and v, by central differences of step h
-    (optionally Richardson-extrapolated with the half step).  Returns a
-    length-10 array ordered (mu^i, nu^i, nu^0, kappa^i).
+    (optionally Richardson-extrapolated with the half step).
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -356,48 +355,8 @@ def eds_residual(p, u, v, h=1e-4, patch="s", richardson=False):
 
     cu = _coframe10(TangentVector(p, u.dx, u.dy), patch)
     cv = _coframe10(TangentVector(p, v.dx, v.dy), patch)
-
-    def wedge(a, b):
-        # (w_a ^ w_b)(u, v) for component indices a, b of the 10-vector
-        return cu[a] * cv[b] - cv[a] * cu[b]
-
-    MU, NU0, NU, KAP = 0, 3, 4, 7  # offsets into the 10-vector
-    res = np.zeros(10)
-    for i in range(3):
-        acc = dw[MU + i]
-        for j in range(3):
-            for k in range(3):
-                e = _eps3(i, j, k)
-                if e:
-                    acc += 0.5 * e * (wedge(MU + j, MU + k)
-                                      + wedge(NU + j, NU + k))
-        acc += wedge(NU0, NU + i)
-        res[i] = acc
-    for i in range(3):
-        acc = dw[NU + i]
-        for j in range(3):
-            for k in range(3):
-                e = _eps3(i, j, k)
-                if e:
-                    acc += 0.5 * e * (wedge(MU + j, NU + k)
-                                      + wedge(KAP + j, NU + k))
-        acc -= 0.5 * (wedge(NU0, MU + i) - wedge(NU0, KAP + i))
-        res[3 + i] = acc
-    acc = dw[NU0]
-    for i in range(3):
-        acc += 0.5 * (wedge(NU + i, MU + i) - wedge(NU + i, KAP + i))
-    res[6] = acc
-    for i in range(3):
-        acc = dw[KAP + i]
-        for j in range(3):
-            for k in range(3):
-                e = _eps3(i, j, k)
-                if e:
-                    acc += 0.5 * e * (wedge(KAP + j, KAP + k)
-                                      + wedge(NU + j, NU + k))
-        acc -= wedge(NU0, NU + i)
-        res[7 + i] = acc
-    return np.abs(res)
+    # [w, w](u, v)/2 = [w(u), w(v)], componentwise B[a, b, c] cu[b] cv[c]
+    return np.abs(dw + _BRACKET @ cv @ cu)
 
 
 def gauge_overlap_check(p, u, h=1e-5):

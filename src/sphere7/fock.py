@@ -57,60 +57,66 @@ def _sq(v):
     return math.sqrt(v)
 
 
-def _ladder_actions(m, radial):
-    """state -> [(out_state, amplitude)] for the ten generators.
+def _ladder_actions(m):
+    """name -> (state -> [(out_state, amplitude, radial_at)]) for the ten
+    generators.
 
-    radial(t) is the square-root factor at total occupation t: sqrt(m - t)
-    for the exact representation, the S_ell partial sum for the truncated
-    one.  The J rows and K+- carry no square root.
+    A term with radial_at = t is multiplied by the square-root factor at
+    total occupation t: sqrt(m - t) for the exact representation, the S_ell
+    partial sum for the truncated one.  The J rows, K+- and the P terms that
+    move an occupation between two slots carry none (radial_at is None).
     """
 
     def k_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3), -2j * _sq(n1) * radial(n1 + n2 + n3))]
+        return [((n1 - 1, n2, n3), -2j * _sq(n1), n1 + n2 + n3)]
 
     def k_pm(n1, n2, n3):
-        return [((n1, n2, n3), 1j * (m - 2 * n1 - n2 - n3 - 1))]
+        return [((n1, n2, n3), 1j * (m - 2 * n1 - n2 - n3 - 1), None)]
 
     def k_mm(n1, n2, n3):
-        return [((n1 + 1, n2, n3),
-                 2j * _sq(n1 + 1) * radial(n1 + n2 + n3 + 1))]
+        return [((n1 + 1, n2, n3), 2j * _sq(n1 + 1), n1 + n2 + n3 + 1)]
 
     def p_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3 + 1), -_sq(n1) * _sq(n3 + 1)),
-                ((n1, n2 - 1, n3), -_sq(n2) * radial(n1 + n2 + n3))]
+        return [((n1 - 1, n2, n3 + 1), -_sq(n1) * _sq(n3 + 1), None),
+                ((n1, n2 - 1, n3), -_sq(n2), n1 + n2 + n3)]
 
     def p_mm(n1, n2, n3):
-        return [((n1 + 1, n2, n3 - 1), _sq(n1 + 1) * _sq(n3)),
-                ((n1, n2 + 1, n3), _sq(n2 + 1) * radial(n1 + n2 + n3 + 1))]
+        return [((n1 + 1, n2, n3 - 1), _sq(n1 + 1) * _sq(n3), None),
+                ((n1, n2 + 1, n3), _sq(n2 + 1), n1 + n2 + n3 + 1)]
 
     def p_mp(n1, n2, n3):
-        return [((n1 - 1, n2 + 1, n3), -_sq(n1) * _sq(n2 + 1)),
-                ((n1, n2, n3 - 1), _sq(n3) * radial(n1 + n2 + n3))]
+        return [((n1 - 1, n2 + 1, n3), -_sq(n1) * _sq(n2 + 1), None),
+                ((n1, n2, n3 - 1), _sq(n3), n1 + n2 + n3)]
 
     def p_pm(n1, n2, n3):
-        return [((n1 + 1, n2 - 1, n3), -_sq(n1 + 1) * _sq(n2)),
-                ((n1, n2, n3 + 1), _sq(n3 + 1) * radial(n1 + n2 + n3 + 1))]
+        return [((n1 + 1, n2 - 1, n3), -_sq(n1 + 1) * _sq(n2), None),
+                ((n1, n2, n3 + 1), _sq(n3 + 1), n1 + n2 + n3 + 1)]
 
     def j_pp(n1, n2, n3):
-        return [((n1, n2 - 1, n3 + 1), 2j * _sq(n3 + 1) * _sq(n2))]
+        return [((n1, n2 - 1, n3 + 1), 2j * _sq(n3 + 1) * _sq(n2), None)]
 
     def j_pm(n1, n2, n3):
-        return [((n1, n2, n3), -1j * (n3 - n2))]
+        return [((n1, n2, n3), -1j * (n3 - n2), None)]
 
     def j_mm(n1, n2, n3):
-        return [((n1, n2 + 1, n3 - 1), -2j * _sq(n2 + 1) * _sq(n3))]
+        return [((n1, n2 + 1, n3 - 1), -2j * _sq(n2 + 1) * _sq(n3), None)]
 
     return {"K++": k_pp, "K+-": k_pm, "K--": k_mm,
             "P++": p_pp, "P--": p_mm, "P-+": p_mp, "P+-": p_pm,
             "J++": j_pp, "J+-": j_pm, "J--": j_mm}
 
 
-def _assemble(actions, dom_basis, cod_index, cod_dim):
+def _assemble(m, radial, dom_m, cod_m):
+    """The ladder table of level m with the square-root factor radial(t),
+    as D(cod_m) x D(dom_m) matrices."""
+    dom_basis, cod_index = basis(dom_m), basis_index(cod_m)
     mats = {}
-    for name, act in actions.items():
-        mat = np.zeros((cod_dim, len(dom_basis)), dtype=complex)
+    for name, act in _ladder_actions(m).items():
+        mat = np.zeros((len(cod_index), len(dom_basis)), dtype=complex)
         for col, st in enumerate(dom_basis):
-            for out, amp in act(*st):
+            for out, amp, at in act(*st):
+                if at is not None:
+                    amp = amp * radial(at)
                 if amp == 0:
                     continue
                 if min(out) < 0:
@@ -127,9 +133,7 @@ def _assemble(actions, dom_basis, cod_index, cod_dim):
 
 def build_rho(m):
     """The exact level-m representation: ten D x D complex matrices."""
-    b = basis(m)
-    return _assemble(_ladder_actions(m, lambda t: _sq(m - t)), b,
-                     basis_index(m), dim(m))
+    return _assemble(m, lambda t: _sq(m - t), m, m)
 
 
 def sqrt_series_value(ell, x):
@@ -156,20 +160,13 @@ def build_rho_partial(m, ell, domain_m=None):
     of the same operator, as needed for curvature compositions).
     """
     dm = m if domain_m is None else domain_m
-    radial = _partial_svals(m, ell, dm).__getitem__
-    return _assemble(_ladder_actions(m, radial), basis(dm),
-                     basis_index(dm + 1), dim(dm + 1))
+    return _assemble(m, _partial_svals(m, ell, dm).__getitem__, dm, dm + 1)
 
 
 def embed_exact_in_ambient(m):
-    """build_rho(m) zero-padded to the D(m+1) x D(m) ambient shape."""
-    d, d1 = dim(m), dim(m + 1)
-    out = {}
-    for name, mat in build_rho(m).items():
-        big = np.zeros((d1, d), dtype=complex)
-        big[:d, :] = mat
-        out[name] = big
-    return out
+    """build_rho(m) in the D(m+1) x D(m) ambient shape: the exact radial
+    assembled into the level-(m+1) codomain, whose extra rows stay zero."""
+    return _assemble(m, lambda t: _sq(m - t), m, m + 1)
 
 
 def matrix_of_weyl(w, m_domain, m_codomain):
@@ -354,28 +351,22 @@ def filtration_check(m_max):
 def partial_sum_distance(m, ell, block="all"):
     """Sup-entry distance between the truncated and exact level-m operators.
 
-    Computed from the closed form: every differing entry is a fixed ladder
-    factor times the square-root series tail at x = tau/m.  block="interior"
-    restricts to columns whose states have total < m-1 (where x < 1 and the
-    tail is geometric); boundary columns decay only like 1/sqrt(ell).
+    Computed from the closed form: every differing entry is a ladder term
+    that takes the square-root factor, its amplitude times the series tail
+    at x = tau/m.  block="interior" restricts to columns whose states have
+    total < m-1 (where x < 1 and the tail is geometric); boundary columns
+    decay only like 1/sqrt(ell).
     """
     err = {t: abs(math.sqrt(m) * (sqrt_series_value(ell, t / m)
                                   - _sq(1.0 - t / m)))
            for t in range(m + 1)}
+    actions = _ladder_actions(m).values()
     worst = 0.0
-    for (n1, n2, n3) in basis(m):
-        t = n1 + n2 + n3
-        if block == "interior" and t >= m - 1:
+    for st in basis(m):
+        if block == "interior" and sum(st) >= m - 1:
             continue
-        worst = max(
-            worst,
-            2 * _sq(n1) * err[t],            # K++ column entry
-            2 * _sq(n1 + 1) * err[t + 1],    # K--
-            _sq(n2) * err[t],                # P++
-            _sq(n3) * err[t],                # P-+
-            _sq(n2 + 1) * err[t + 1],        # P--
-            _sq(n3 + 1) * err[t + 1],        # P+-
-        )
+        worst = max(worst, *(abs(amp) * err[at] for act in actions
+                             for _, amp, at in act(*st) if at is not None))
     return worst
 
 

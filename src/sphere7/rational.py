@@ -4,8 +4,7 @@ algebra.
 All structure constants and symbolic oscillator-algebra coefficients in this
 package are elements of Q(i).  Floating point enters only when a symbolic
 object is evaluated on a concrete Hilbert space or at a concrete point of the
-sphere.  gmpy2 rationals are used when available; plain fractions.Fraction is
-a drop-in fallback.
+sphere.  Rationals are fractions.Fraction, also exported as Q.
 
 Combination, a finitely supported map from keys to nonzero CRat, is the one
 container of the exact layer: Lie algebra elements, slot polynomials and the
@@ -15,19 +14,13 @@ one zero-dropping accumulate step.
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-
+Q = Fraction
 _Q0 = Q(0)
 
 
 def _frac(x):
-    if isinstance(x, (int, Fraction)) or type(x) is type(_Q0):
+    if isinstance(x, (int, Fraction, str)):
         return Q(x)
-    if isinstance(x, str):
-        return Q(Fraction(x))
     if isinstance(x, float):
         if x != int(x):
             raise TypeError(f"refusing inexact float {x!r} as an exact rational")

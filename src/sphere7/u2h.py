@@ -259,19 +259,21 @@ REALITY_SPINOR = {k: {g: crat(c) for g, c in v.items()}
 def bracket_table(basis="spinor", mutate=None):
     """Structure constants as {(g1, g2): {gen: CRat}}.
 
-    mutate="k-bracket" deliberately corrupts one K-K constant; it exists so
-    that failure paths of the verification drivers can be exercised.
+    mutate="k-bracket" deliberately corrupts one K-K constant, in the
+    (K++, K+-) orientation the checks read, and negates it into its partner so
+    the table stays antisymmetric; it exists so that failure paths of the
+    verification drivers can be exercised.
     """
     table = _SPINOR_TABLE if basis == "spinor" else _VECTOR_TABLE
     if mutate is None:
         return table
     if mutate == "k-bracket":
         bad = {k: dict(v) for k, v in table.items()}
-        key = ("K+-", "K++") if basis == "spinor" else ("k1", "k2")
-        tgt = dict(bad[key])
+        key = ("K++", "K+-") if basis == "spinor" else ("k1", "k2")
+        tgt = bad[key]
         first = next(iter(tgt))
         tgt[first] = tgt[first] + 1
-        bad[key] = tgt
+        bad[key[::-1]] = {g: -c for g, c in tgt.items()}
         return bad
     raise ValueError(f"unknown mutation {mutate!r}")
 

@@ -224,7 +224,11 @@ class LaurentElement:
         return min(self.grades) if self.grades else None
 
     def coefficient(self, grade):
-        return self.grades.get(grade, WeylElement.zero())
+        """The grade's coefficient; an absent grade gives the zero of the
+        grades' ring (WeylElement when there are none)."""
+        if grade in self.grades:
+            return self.grades[grade]
+        return type(next(iter(self.grades.values()), WeylElement()))()
 
     def __eq__(self, other):
         return self.grades == other.grades
@@ -293,13 +297,6 @@ class PolyNM(Combination):
         for (i, j), c in self.terms.items():
             out = out + (powers_n(i) * powers_N(j)).scale(c)
         return out
-
-    def eval_at(self, n_val, N_val):
-        """Exact value on a joint eigenvector of (n, N)."""
-        tot = CRat()
-        for (i, j), c in self.terms.items():
-            tot = tot + c * (Fraction(n_val) ** i) * (Fraction(N_val) ** j)
-        return tot
 
     def __repr__(self):
         if not self.terms:

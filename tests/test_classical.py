@@ -24,6 +24,13 @@ def test_biderivation():
     assert lhs == (z * PoissonElement.unit(-2 * I))
 
 
+def test_absent_grade_is_a_poisson_zero():
+    k = embedded_generators(0, ring=PoissonElement)["K+-"]
+    assert 5 not in k.grades
+    zero = k.coefficient(5)
+    assert type(zero) is PoissonElement and zero.is_zero()
+
+
 def test_jj_bracket_matches_classical_target():
     gens = embedded_generators(0, ring=PoissonElement)
     table = bracket_table("spinor")

@@ -35,6 +35,10 @@ def test_verify_mutated_fails_and_names_pair(tmp_path):
     assert failing
     assert any("K+" in c.get("detail", "") or "triple" in c.get("detail", "")
                for c in failing)
+    rep_row, = (c for c in report["checks"]
+                if c["check"] == "rep-bracket-mutated")
+    assert not rep_row["passed"]
+    assert "('K++', 'K+-')" in rep_row["detail"]
 
 
 def test_eds_check(tmp_path):

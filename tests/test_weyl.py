@@ -112,6 +112,14 @@ def test_sqrt_partial_sum_s0():
         sqrt_partial_sum(-1)
 
 
+def test_absent_grade_is_zero_of_the_coefficient_ring():
+    s1 = sqrt_partial_sum(1)
+    assert 4 not in s1.grades
+    zero = s1.coefficient(4)
+    assert type(zero) is PolyNM and zero.is_zero()
+    assert type(LaurentElement().coefficient(0)) is WeylElement
+
+
 def test_square_relation_residual_grade():
     # S_ell^2 - (1/h - N - n/2) has minimal grade >= 2 ell
     n, N = WeylElement.number_op(), WeylElement.total_number_op()
