@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classical, coframe, connection, fock, u2h, weyl
 from .quaternions import PatchError
-from .tolerances import TAU_REP
+from .tolerances import TAU_REP, TAU_UNITARY
 
 
 class ConfigError(ValueError):
@@ -55,8 +55,6 @@ class RunConfig:
             raise ConfigError("tolerances and step must be positive")
         if self.steps < 2:
             raise ConfigError("steps must be >= 2")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown format {self.fmt}")
         return self
 
     def ms(self):
@@ -116,6 +114,10 @@ def _point(obj, key):
                                  for c in "xy"))
 
 
+# report formats of each command that does not write json or csv
+_FORMATS = {"dump-rep": ("json", "binary")}
+
+
 def _config_from_args(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -145,6 +147,10 @@ def _config_from_args(args):
         cfg.fmt = args.format
     if getattr(args, "mutate", None):
         cfg.mutate = args.mutate
+    formats = _FORMATS.get(args.command, ("json", "csv"))
+    if cfg.fmt not in formats:
+        raise ConfigError(f"{args.command} writes {' or '.join(formats)}, "
+                          f"not {cfg.fmt}")
     return cfg.validate()
 
 
@@ -431,6 +437,13 @@ def cmd_transport(cfg, path_file):
         print(f"config error: {steps} steps are too coarse for this path "
               f"({exc})", file=sys.stderr)
         return 2
+    # an RK4 step too coarse for the level blows up; `not <=` catches nan
+    if not result.unitarity_residual <= TAU_UNITARY:
+        print(f"config error: unitarity residual "
+              f"{result.unitarity_residual:.2e} exceeds {TAU_UNITARY:g}; "
+              f"{steps} steps are too coarse for m = {m}, use more steps",
+              file=sys.stderr)
+        return 2
     payload = {"config": cfg.__dict__, "path": path.to_json(), "m": m,
                "result": result.to_json()}
     if spec.get("dump_matrix"):
@@ -504,9 +517,8 @@ def cmd_table(cfg):
 
 
 def cmd_dump_rep(cfg):
-    mode = "json" if cfg.fmt == "json" else "binary"
     for m in cfg.ms():
-        path = fock.dump_representation(m, cfg.out, mode=mode)
+        path = fock.dump_representation(m, cfg.out, mode=cfg.fmt)
         print(f"dumped m={m}: {path}")
     return 0
 
@@ -523,7 +535,8 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, help="RNG seed")
     sp.add_argument("--samples", type=int, help="random sample count")
     sp.add_argument("--out", help="report directory")
-    sp.add_argument("--format", choices=["json", "csv"], help="report format")
+    sp.add_argument("--format", choices=["json", "csv", "binary"],
+                    help="report format: json or csv; dump-rep: json or binary")
     sp.add_argument("--config", help="RunConfig JSON file")
 
 

@@ -378,9 +378,11 @@ def full_convergence_ell(m, threshold=1e-3, ell_max=20_000_000):
     threshold: m=2 -> 5_092_958, m=3 -> 11_459_156, m=4 -> 20_371_833
     (the interior block alone is already below 1e-6 by ell ~ 30).
     """
-    # largest ladder factor hitting the x = 1 tail: K-- gives 2 sqrt(n1+1)
-    # with n1 <= m-1, so 2 sqrt(m); the tail value itself carries sqrt(m)
-    boundary_factor = 2.0 * m
+    # the x = 1 tail carries sqrt(m) times the largest amplitude of a term
+    # that takes its square root at total m
+    boundary_factor = math.sqrt(m) * max(
+        abs(amp) for act in _ladder_actions(m).values() for st in basis(m)
+        for _, amp, at in act(*st) if at == m)
     chunk = 1 << 20
     run_coeff = 1.0  # c_k arriving at each chunk boundary
     run_sum = 1.0    # S_k(1) partial sum

@@ -4,7 +4,13 @@ algebra.
 All structure constants and symbolic oscillator-algebra coefficients in this
 package are elements of Q(i).  Floating point enters only when a symbolic
 object is evaluated on a concrete Hilbert space or at a concrete point of the
-sphere.  Rationals are fractions.Fraction, also exported as Q.
+sphere.
+
+A CRat is a Gaussian-integer numerator over one positive denominator,
+(a + b i) / d, held as three Python ints in lowest terms: d > 0 and
+gcd(a, b, d) = 1, so zero is 0/1 and equality is structural.  Every
+operation does int arithmetic and normalizes once.  The real and imaginary
+parts are read as fractions.Fraction, also exported as Q.
 
 Combination, a finitely supported map from keys to nonzero CRat, is the one
 container of the exact layer: Lie algebra elements, slot polynomials and the
@@ -13,9 +19,9 @@ one zero-dropping accumulate step.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
-_Q0 = Q(0)
 
 
 def _frac(x):
@@ -31,89 +37,123 @@ def _frac(x):
 class CRat:
     """A complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        # over the lcm of two reduced denominators the pair stays reduced
+        re, im = _frac(re), _frac(im)
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    @staticmethod
-    def _raw(re, im):
-        out = CRat.__new__(CRat)
-        out.re = re
-        out.im = im
-        return out
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
         if type(other) is not CRat:
+            if isinstance(other, int):
+                # gcd(a + k d, b, d) = gcd(a, b, d) = 1
+                return _new(self._a + other * self._d, self._b, self._d)
             other = crat(other)
-        return CRat._raw(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _normal(self._a + other._a, self._b + other._b, d1)
+        return _normal(self._a * d2 + other._a * d1,
+                       self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not CRat:
-            other = crat(other)
-        return CRat._raw(self.re - other.re, self.im - other.im)
+        return self + -crat(other)
 
     def __rsub__(self, other):
         return crat(other) - self
 
     def __mul__(self, other):
         if type(other) is CRat:
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if b:
-                if d:
-                    return CRat._raw(a * c - b * d, a * d + b * c)
-                return CRat._raw(a * c, b * c)
-            if d:
-                return CRat._raw(a * c, a * d)
-            return CRat._raw(a * c, _Q0)
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _normal(a * c - b * e, a * e + b * c, self._d * other._d)
         if isinstance(other, int):
-            return CRat._raw(self.re * other, self.im * other)
+            return _normal(self._a * other, self._b * other, self._d)
         return self * crat(other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = crat(other)
-        d = other.re * other.re + other.im * other.im
-        if not d:
+        c, e = other._a, other._b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero complex rational")
-        return CRat._raw(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + b i) / d  *  f / (c + e i)  =  (a + b i)(c - e i) f / (d n)
+        a, b, f = self._a, self._b, other._d
+        return _normal((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __neg__(self):
-        return CRat._raw(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def conj(self):
-        return CRat._raw(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        try:
-            other = crat(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not CRat:
+            try:
+                other = crat(other)
+            except TypeError:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __abs__(self):
         # rational upper bound, good enough for "is it zero / how big" checks
-        return Fraction(abs(self.re) + abs(self.im))
+        return Fraction(abs(self._a) + abs(self._b), self._d)
 
     def to_complex(self):
-        return float(self.re) + 1j * float(self.im)
+        return self._a / self._d + 1j * (self._b / self._d)
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+_alloc = object.__new__
+
+
+def _new(a, b, d):
+    """A CRat from a numerator pair and denominator already in lowest terms."""
+    z = _alloc(CRat)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _normal(a, b, d):
+    """A CRat from any numerator pair over a positive denominator."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _alloc(CRat)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 def crat(x):

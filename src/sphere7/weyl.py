@@ -25,6 +25,7 @@ PoissonElement of the classical module for the classical mirror.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -94,32 +95,13 @@ class WeylElement(SlotPolynomial):
 
     def __mul__(self, other):
         """Product, re-normal-ordered through the three oscillator pairs."""
-        out = {}
-        for k1, c1 in self.terms.items():
-            d1, d2, d3, e1, e2, e3 = k1
-            for k2, c2 in other.terms.items():
-                f1, f2, f3, g1, g2, g3 = k2
-                c12 = c1 * c2
-                # move the annihilator block of k1 past the creator block of k2
-                for j1 in range(min(e1, f1) + 1):
-                    w1 = c12 * (factorial(j1) * comb(e1, j1) * comb(f1, j1))
-                    for j2 in range(min(e2, f2) + 1):
-                        s2 = factorial(j2) * comb(e2, j2) * comb(f2, j2)
-                        w2 = w1 * (s2 if j2 % 2 == 0 else -s2)
-                        for j3 in range(min(e3, f3) + 1):
-                            w3 = w2 * (factorial(j3) * comb(e3, j3) * comb(f3, j3))
-                            key = (d1 + f1 - j1, d2 + f2 - j2, d3 + f3 - j3,
-                                   e1 - j1 + g1, e2 - j2 + g2, e3 - j3 + g3)
-                            s = out.get(key)
-                            s = w3 if s is None else s + w3
-                            if s:
-                                out[key] = s
-                            else:
-                                del out[key]
-        return self._wrap(out)
+        return self._wrap(_normal_order({}, self, other, 1, False))
 
     def comm(self, other):
-        return self * other - other * self
+        """x y - y x from the terms with at least one contraction: the
+        uncontracted terms of the two products are equal and cancel."""
+        out = _normal_order({}, self, other, 1, True)
+        return self._wrap(_normal_order(out, other, self, -1, True))
 
     @classmethod
     def number_op(cls):
@@ -132,6 +114,52 @@ class WeylElement(SlotPolynomial):
         return cls({(0, 0, 1, 0, 0, 1): 1,
                     (0, 1, 0, 0, 1, 0): -1,
                     _ZERO_KEY: 1})
+
+
+@lru_cache(maxsize=None)
+def _contractions(e, f):
+    """Weights j! C(e, j) C(f, j), j = 0..min(e, f): the ways to contract j
+    of e annihilators with j of f creators of one oscillator pair."""
+    return tuple(factorial(j) * comb(e, j) * comb(f, j)
+                 for j in range(min(e, f) + 1))
+
+
+def _normal_order(out, x, y, sign, contracted_only):
+    """Add sign * x y, normal ordered, into the dict out and return it.
+
+    Moving the annihilator block of each monomial of x past the creator
+    block of each monomial of y contracts j1, j2, j3 pairs of the three
+    oscillators; the dotted pair's commutator is -1, so odd j2 flips the
+    sign.  With contracted_only the j = (0, 0, 0) term is left out.
+    """
+    for k1, c1 in x.terms.items():
+        d1, d2, d3, e1, e2, e3 = k1
+        for k2, c2 in y.terms.items():
+            f1, f2, f3, g1, g2, g3 = k2
+            skip = contracted_only
+            if skip and not (e1 and f1 or e2 and f2 or e3 and f3):
+                continue
+            w1s, w2s, w3s = (_contractions(e1, f1), _contractions(e2, f2),
+                             _contractions(e3, f3))
+            c12 = c1 * c2
+            for j1, w1 in enumerate(w1s):
+                w1 *= sign
+                for j2, w2 in enumerate(w2s):
+                    w2 = w1 * (-w2 if j2 % 2 else w2)
+                    for j3, w3 in enumerate(w3s):
+                        if skip:  # the first term is the uncontracted one
+                            skip = False
+                            continue
+                        w = c12 * (w2 * w3)
+                        key = (d1 + f1 - j1, d2 + f2 - j2, d3 + f3 - j3,
+                               e1 - j1 + g1, e2 - j2 + g2, e3 - j3 + g3)
+                        s = out.get(key)
+                        s = w if s is None else s + w
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,12 @@ def test_transport_malformed(tmp_path, capsys):
                                           "y": [0, 0, 0, 0]},
       "direction": [0, 0, 0, 0, 1, 0, 0, 0], "steps": 4},
      "4 steps are too coarse"),
+    # RK4 diverges: residual 5e37, probability 1e32 before the guard
+    ({"type": "great_circle_loop", "at": {"x": [0.6, 0.8, 0, 0],
+                                          "y": [0, 0, 0, 0]},
+      "direction": [0, 0, 0, 0, 0.3, 0.1, 0.5, 0.2], "m": 12, "steps": 12,
+      "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]},
+     "too coarse for m = 12, use more steps"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
@@ -120,8 +126,10 @@ def test_transport_out_of_range(tmp_path, capsys, override, message):
     pfile = tmp_path / "path.json"
     pfile.write_text(json.dumps(spec))
     assert run(tmp_path, "transport", str(pfile)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("config error:") and message in err
+    assert "probability" not in out
+    assert not (tmp_path / "transport.json").exists()
 
 
 def test_transport_coarse_loop_through_x_zero(tmp_path):
@@ -151,6 +159,25 @@ def test_dump_rep_roundtrip(tmp_path):
     orig = build_rho(2)
     for g in orig:
         assert np.allclose(rep[g], orig[g])
+
+
+def test_dump_rep_binary(tmp_path):
+    assert run(tmp_path, "dump-rep", "--m", "2..2", "--format", "binary") == 0
+    header, rep = load_representation(tmp_path / "rho_m2.json")
+    assert header["mode"] == "binary"
+    assert (tmp_path / "rho_m2_Kpp.bin").stat().st_size == 4 * 4 * 16
+    orig = build_rho(2)
+    for g in orig:
+        assert np.array_equal(rep[g], orig[g])
+
+
+@pytest.mark.parametrize("command, fmt", [("dump-rep", "csv"),
+                                          ("verify", "binary")])
+def test_format_the_command_does_not_write(tmp_path, capsys, command, fmt):
+    assert run(tmp_path, command, "--m", "2..2", "--ell", "0..0",
+               "--format", fmt) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not any(tmp_path.iterdir())
 
 
 def _strip_timestamp(text):

@@ -1,10 +1,12 @@
 """Property tests of the exact layer's scalars and its one container.
 
 CRat is checked against the same arithmetic written out on pairs of
-Fractions; the Combination laws are checked on each of its element types.
+Fractions, and its (a + b i) / d storage against its normal form; the
+Combination laws are checked on each of its element types.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,47 @@ def test_crat_ops_match_fraction_pairs(p, q):
     if q != (0, 0):
         n = c * c + d * d
         assert _pair(x / y) == ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+@SETTINGS
+@given(pairs, nonzero_pairs, st.integers(-6, 6))
+def test_crat_normal_form(p, q, k):
+    x, y = CRat(*p), CRat(*q)
+    for z in (x, y, x + y, x - y, x * y, x / y, -x, x.conj(), x + k, k - x,
+              x * k, x * Fraction(1, 6), x - x):
+        a, b, d = z._a, z._b, z._d
+        assert all(type(v) is int for v in (a, b, d))
+        assert d > 0 and gcd(a, b, d) == 1, (a, b, d)
+        assert (z.re, z.im) == (Fraction(a, d), Fraction(b, d))
+        if not z:
+            assert (a, b, d) == (0, 0, 1)
+
+
+def _render(re, im):
+    """How a Fraction pair prints as a complex rational."""
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+@SETTINGS
+@given(pairs)
+def test_crat_readouts_match_fraction_pair(p):
+    a, b = p
+    x = CRat(a, b)
+    assert repr(x) == _render(a, b)
+    assert abs(x) == abs(a) + abs(b)
+    assert x.to_complex() == float(a) + 1j * float(b)
+
+
+def test_crat_repr_examples():
+    assert repr(CRat(Fraction(1, 2))) == "1/2"
+    assert repr(CRat(0, -3)) == "-3*i"
+    assert repr(CRat(Fraction(1, 2), Fraction(-3, 4))) == "(1/2-3/4*i)"
+    assert repr(CRat(Fraction(2, 4), Fraction(6, 4))) == "(1/2+3/2*i)"
+    assert repr(CRat()) == "0" and repr(CRat(0, 1)) == "1*i"
 
 
 @SETTINGS

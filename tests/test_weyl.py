@@ -1,8 +1,13 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphere7.classical import PoissonElement
 from sphere7.rational import CRat
 from sphere7.weyl import (LaurentElement, PolyNM, Polymeromorphic,
                           WeylElement, embedded_generators, passage,
@@ -38,6 +43,40 @@ def test_associativity_random():
     for _ in range(1000):
         x, y, z = (_random_element(rng) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_weyl = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 6),
+    st.tuples(_fractions, _fractions).map(lambda t: CRat(*t)),
+    max_size=6).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_weyl, _weyl)
+def test_comm_matches_full_products(x, y):
+    # comm keeps only the contraction terms; the full products are the oracle
+    c = x.comm(y)
+    assert c == x * y - y * x
+    assert all(c.terms.values())
+
+
+# the 45-pair (residual_min_grade, exact) tables of both rings at cap 16,
+# recorded before the integer-backed CRat and the contraction-only comm
+RECORDED = json.loads(
+    Path(__file__).with_name("embedding_cap16.json").read_text())
+
+
+@pytest.mark.parametrize("ell", range(4))
+@pytest.mark.parametrize("ring", [WeylElement, PoissonElement],
+                         ids=lambda r: r.__name__)
+def test_embedding_tables_match_recorded(ring, ell):
+    want = RECORDED[ring.__name__][str(ell)]
+    got = {k: [v["residual_min_grade"], v["exact"]]
+           for k, v in verify_embedding(ell, 16, ring=ring).items()}
+    assert got.keys() == want.keys()
+    wrong = {k: (got[k], w) for k, w in want.items() if got[k] != w}
+    assert not wrong, f"{ring.__name__} ell={ell}, (got, recorded): {wrong}"
 
 
 def test_dagger_rules():
