@@ -49,12 +49,19 @@ class RunConfig:
     def validate(self):
         if self.m_range[0] < 1 or self.m_range[1] < self.m_range[0]:
             raise ConfigError(f"invalid m range {self.m_range}")
+        if self.m_range[1] > fock.M_MAX:
+            raise ConfigError(f"m = {self.m_range[1]} is above the largest "
+                              f"supported level m = {fock.M_MAX}")
         if self.ell_range[0] < 0 or self.ell_range[1] < self.ell_range[0]:
             raise ConfigError(f"invalid ell range {self.ell_range}")
         if self.h <= 0 or self.tau_rep <= 0 or self.tau_sphere <= 0:
             raise ConfigError("tolerances and step must be positive")
         if self.steps < 2:
             raise ConfigError("steps must be >= 2")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def ms(self):
@@ -115,7 +122,7 @@ def _point(obj, key):
 
 
 # report formats of each command that does not write json or csv
-_FORMATS = {"dump-rep": ("json", "binary")}
+_FORMATS = {"dump-rep": ("json", "binary"), "transport": ("json",)}
 
 
 def _config_from_args(args):
@@ -421,6 +428,9 @@ def cmd_transport(cfg, path_file):
         steps = _typed("steps", spec.get("steps", cfg.steps), int)
         if m < 1:
             raise ConfigError(f"m must be >= 1, got {m}")
+        if m > fock.M_MAX:
+            raise ConfigError(f"m = {m} is above the largest supported "
+                              f"level m = {fock.M_MAX}")
         if steps < 2:
             raise ConfigError(f"steps must be >= 2, got {steps}")
         path = _path_from_spec(spec, steps)
@@ -536,7 +546,8 @@ def _add_common(sp):
     sp.add_argument("--samples", type=int, help="random sample count")
     sp.add_argument("--out", help="report directory")
     sp.add_argument("--format", choices=["json", "csv", "binary"],
-                    help="report format: json or csv; dump-rep: json or binary")
+                    help="report format: json or csv; dump-rep: json or "
+                    "binary; transport: json")
     sp.add_argument("--config", help="RunConfig JSON file")
 
 

@@ -314,9 +314,6 @@ class PolyNM(Combination):
             out = out + poly
         return out
 
-    def is_real(self):
-        return all(c.im == 0 for c in self.terms.values())
-
     def to_weyl(self, ring=WeylElement):
         """Substitute the number operators of the ring for (n, N)."""
         powers_n = _power_cache(ring.number_op())
@@ -351,9 +348,6 @@ class Polymeromorphic(LaurentElement):
 
     def shift_args(self, dn, dN):
         return self._map({g: p.shift(dn, dN) for g, p in self.grades.items()})
-
-    def is_real(self):
-        return all(p.is_real() for p in self.grades.values())
 
     def expand(self, cap=None, ring=WeylElement):
         return LaurentElement({g: p.to_weyl(ring)

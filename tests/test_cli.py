@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sphere7.cli import main
-from sphere7.fock import build_rho, load_representation
+from sphere7.fock import M_MAX, build_rho, load_representation
 
 
 def run(tmp_path, *args):
@@ -24,6 +24,19 @@ def test_verify_small(tmp_path):
 
 def test_verify_invalid_m(tmp_path):
     assert run(tmp_path, "verify", "--m", "0") == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (("verify", "--m", f"1..{M_MAX + 1}"), f"level m = {M_MAX}"),
+    (("eds-check", "--samples", "0"), "samples must be >= 1"),
+    (("eds-check", "--samples", "-3"), "samples must be >= 1"),
+    (("eds-check", "--seed", "-1"), "seed must be >= 0"),
+])
+def test_config_out_of_range(tmp_path, capsys, args, message):
+    assert run(tmp_path, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_mutated_fails_and_names_pair(tmp_path):
@@ -119,6 +132,7 @@ def test_transport_malformed(tmp_path, capsys):
       "direction": [0, 0, 0, 0, 0.3, 0.1, 0.5, 0.2], "m": 12, "steps": 12,
       "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]},
      "too coarse for m = 12, use more steps"),
+    ({"m": M_MAX + 1}, f"level m = {M_MAX}"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
@@ -178,6 +192,17 @@ def test_format_the_command_does_not_write(tmp_path, capsys, command, fmt):
                "--format", fmt) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(tmp_path.iterdir())
+
+
+def test_transport_writes_json_only(tmp_path, capsys):
+    spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+            "m": 2, "steps": 10}
+    pfile = tmp_path / "path.json"
+    pfile.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run(out, "transport", str(pfile), "--format", "csv") == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def _strip_timestamp(text):

@@ -144,7 +144,7 @@ def test_partial_distance_interior_geometric():
 def test_full_convergence_ell_small_threshold():
     # the boundary tail makes the sup-distance cross 0.5 only after
     # hundreds of terms
-    ell = full_convergence_ell(2, threshold=0.5, ell_max=10_000)
+    ell = full_convergence_ell(2, threshold=0.5)
     assert ell is not None
     assert partial_sum_distance(2, ell) < 0.5
     assert ell > 10
@@ -152,8 +152,33 @@ def test_full_convergence_ell_small_threshold():
 
 def test_full_convergence_ell_recorded_value():
     # the boundary-inclusive distance at m=2 first dips below 1e-3 past
-    # five million terms; this pins the measured crossing
+    # five million terms; this pins the measured crossings
     assert full_convergence_ell(2, threshold=1e-3) == 5_092_958
+    assert full_convergence_ell(3) == 11_459_156
+    assert full_convergence_ell(4) == 20_371_833
+
+
+def _sqrt_series_reference(ell, x):
+    # every term summed, as the series defines it
+    acc, c = 0.0, 1.0
+    for k in range(ell + 1):
+        acc += c * x ** k
+        c *= (2 * k - 1) / (2 * k + 2)
+    return acc
+
+
+def test_sqrt_series_value_matches_reference():
+    # t / m up to t = m + 2, as build_rho_partial evaluates, skipping x = 1
+    xs = [i / 64 for i in range(64)] + [t / m for m in (3, 7, 20)
+                                        for t in range(m + 3) if t != m]
+    for x in xs:
+        for ell in range(201):
+            assert sqrt_series_value(ell, x) == _sqrt_series_reference(ell, x)
+    for ell in range(512):
+        assert sqrt_series_value(ell, 1.0) == _sqrt_series_reference(ell, 1.0)
+    for ell in (512, 513, 1000, 4096):
+        exact = math.comb(2 * ell, ell) / 4 ** ell
+        assert abs(sqrt_series_value(ell, 1.0) / exact - 1) < 1e-15
 
 
 def test_matrix_of_weyl_is_algebra_map():
