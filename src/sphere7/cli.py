@@ -310,7 +310,8 @@ def cmd_verify(cfg):
             part = fock.build_rho_partial(m, ell)
             for name, lau in gens.items():
                 mat = fock.matrix_of_laurent(lau, m, m, m + 1)
-                worst = max(worst, float(np.max(np.abs(mat - part[name]))))
+                worst = max(worst, float(np.max(np.abs(
+                    mat - part[name].toarray()))))
         checks.append({"check": "commuting-diagram", "detail": f"m={m}",
                        "value": worst, "threshold": 1e-12,
                        "passed": worst < 1e-12})

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coframe import (Chart, SpherePoint, TangentVector, _pullback,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
-from .fock import (GENERATOR_NAMES, _lie_to_matrix, build_rho,
+from .fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
                    build_rho_partial, dim, exponentiate)
 from .quaternions import qlog, transition_tau
 from .u2h import VECTOR_IN_SPINOR
@@ -44,16 +44,16 @@ def _rho_stack(m, ell=None, domain_m=None):
     domain_m."""
     rep = (build_rho(m) if ell is None
            else build_rho_partial(m, ell, domain_m=domain_m))
-    return (np.stack([rep[g].ravel() for g in GENERATOR_NAMES]),
+    return (np.stack([rep[g].toarray().ravel() for g in GENERATOR_NAMES]),
             rep[GENERATOR_NAMES[0]].shape)
 
 
 @lru_cache(maxsize=None)
 def _rho_j_vector(m):
     rows, shape = _rho_stack(m)
-    rep = {g: r.reshape(shape) for g, r in zip(GENERATOR_NAMES, rows)}
-    return {g: _lie_to_matrix(rep, VECTOR_IN_SPINOR[g])
-            for g in ("j1", "j2", "j3")}
+    names = ("j1", "j2", "j3")
+    return {g: r.reshape(shape) for g, r in
+            zip(names, _coefficient_rows(VECTOR_IN_SPINOR, names) @ rows)}
 
 
 def _coefficients(u, patch):

@@ -7,20 +7,24 @@ n1 + n2 + n3 <= m - 1, dimension binom(m+2, 3), ordered graded-lex by
 Two constructions are provided: build_rho transcribes the closed-form matrix
 elements of the exact representation (deformation parameter 1/m), and
 build_rho_partial substitutes the finite square-root partial sums, producing
-operators that map level m into the ambient level m+1 block.  The symbolic
-Laurent generators of the weyl module can be evaluated to the same matrices,
-which closes the algebra <-> operator consistency loop.
+operators that map level m into the ambient level m+1 block.  Both return
+scipy.sparse CSR arrays: every generator is a ladder operator with at most
+two nonzeros per column.  The checks read them through stacked sparse
+products and accept dense matrices too.  The symbolic Laurent generators
+of the weyl module can be evaluated to the same matrices, which closes the
+algebra <-> operator consistency loop.
 """
 
 import json
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .rational import CRat
+from .rational import CRat, add_into
 from .tolerances import TAU_REP
 from .u2h import (REALITY_SPINOR, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
                   bracket_table, casimir_pairs)
@@ -28,8 +32,9 @@ from .u2h import (REALITY_SPINOR, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
 GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
-# 2 vCPUs measured 124 MiB / 3.2 s at M = 12, 530 MiB / 18 s at M = 16 and
-# 2.5 GiB / 191 s at M = 20 (ten dense D x D complex matrices).
+# 2 vCPUs measured 90 MiB / 1.0 s at M = 12 and 263 MiB / 4.6 s at M = 16;
+# the cost is the dense Gram of commutant_dimension, of side 3504 at M = 16
+# and 8140 at M = 20 (0.5 GiB in float64).
 M_MAX = 20
 
 
@@ -113,11 +118,12 @@ def _ladder_actions(m):
 
 def _assemble(m, radial, dom_m, cod_m):
     """The ladder table of level m with the square-root factor radial(t),
-    as D(cod_m) x D(dom_m) matrices."""
+    as sparse D(cod_m) x D(dom_m) CSR arrays."""
     dom_basis, cod_index = basis(dom_m), basis_index(cod_m)
+    shape = (len(cod_index), len(dom_basis))
     mats = {}
     for name, act in _ladder_actions(m).items():
-        mat = np.zeros((len(cod_index), len(dom_basis)), dtype=complex)
+        rows, cols, amps = [], [], []
         for col, st in enumerate(dom_basis):
             for out, amp, at in act(*st):
                 if at is not None:
@@ -131,13 +137,18 @@ def _assemble(m, radial, dom_m, cod_m):
                 row = cod_index.get(out)
                 if row is None:
                     raise ValueError(f"state {out} escapes the codomain block")
-                mat[row, col] = amp
-        mats[name] = mat
+                rows.append(row)
+                cols.append(col)
+                amps.append(amp)
+        mats[name] = scipy.sparse.csr_array(
+            (np.array(amps, dtype=complex),
+             (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
+            shape=shape)
     return mats
 
 
 def build_rho(m):
-    """The exact level-m representation: ten D x D complex matrices."""
+    """The exact level-m representation: ten sparse D x D complex matrices."""
     return _assemble(m, lambda t: _sq(m - t), m, m)
 
 
@@ -231,45 +242,126 @@ def matrix_of_laurent(lau, m, m_domain=None, m_codomain=None):
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _lie_to_matrix(rep, coeffs):
-    d = next(iter(rep.values())).shape
-    out = np.zeros(d, dtype=complex)
-    for g, c in coeffs.items():
-        cc = c.to_complex() if isinstance(c, CRat) else complex(c)
-        out += cc * rep[g]
+_INDEX = {g: k for k, g in enumerate(GENERATOR_NAMES)}
+_PAIRS = tuple(combinations(GENERATOR_NAMES, 2))
+# _PAIR_INDEX[x, y]: the position in _PAIRS of the pair {x, y}; the upper
+# triangle in row-major order is the combinations order
+_PAIR_INDEX = np.zeros((len(GENERATOR_NAMES),) * 2, dtype=np.intp)
+_PAIR_INDEX[np.triu_indices(len(GENERATOR_NAMES), 1)] = range(len(_PAIRS))
+_PAIR_INDEX += _PAIR_INDEX.T
+
+
+def _coefficient_rows(table, keys):
+    """The Lie elements table[key] as the rows of a sparse
+    (len(keys), 10) array over GENERATOR_NAMES."""
+    out = np.zeros((len(keys), len(GENERATOR_NAMES)), dtype=complex)
+    for r, key in enumerate(keys):
+        for g, c in table[key].items():
+            out[r, _INDEX[g]] = (c.to_complex() if isinstance(c, CRat)
+                                 else complex(c))
+    return scipy.sparse.csr_array(out)
+
+
+@lru_cache(maxsize=None)
+def _bracket_coefficients():
+    return _coefficient_rows(bracket_table("spinor"), _PAIRS)
+
+
+@lru_cache(maxsize=None)
+def _reality_coefficients():
+    return _coefficient_rows(REALITY_SPINOR, GENERATOR_NAMES)
+
+
+@lru_cache(maxsize=None)
+def _casimir_weights():
+    """W with C2 = sum over x, y of W[x, y] rho_x rho_y: the Casimir pairs
+    of the vector basis written through the spinor generators, exactly."""
+    w = {}
+    for ga, gb, coeff in casimir_pairs():
+        add_into(w, (((_INDEX[x], _INDEX[y]), cx * cy * coeff)
+                     for x, cx in VECTOR_IN_SPINOR[ga].items()
+                     for y, cy in VECTOR_IN_SPINOR[gb].items()))
+    out = np.zeros((len(GENERATOR_NAMES),) * 2, dtype=complex)
+    for xy, c in w.items():
+        out[xy] = c.to_complex()
     return out
 
 
+def _entries(rep):
+    """The stored entries of the ten square matrices of rep as arrays
+    (g, i, j, value), g the position in GENERATOR_NAMES, and their size d.
+    Dense input, such as a loaded dump, is accepted."""
+    mats = [scipy.sparse.csr_array(rep[g]) for g in GENERATOR_NAMES]
+    d = mats[0].shape[0]
+    g = np.repeat(np.arange(len(mats)), [x.nnz for x in mats])
+    i = np.concatenate([np.repeat(np.arange(d), np.diff(x.indptr))
+                        for x in mats])
+    j = np.concatenate([x.indices for x in mats])
+    return (g, i, j, np.concatenate([x.data for x in mats])), d
+
+
+def _flat(g, i, j, v, d):
+    """The matrices flattened row-major, as the rows of one sparse array."""
+    return scipy.sparse.csr_array((v, (g, i * d + j)),
+                                  shape=(len(GENERATOR_NAMES), d * d))
+
+
+def _stacks(g, i, j, v, d):
+    """vstack(rho) and hstack(rho): the matrices one below the other and
+    side by side."""
+    n = len(GENERATOR_NAMES)
+    return (scipy.sparse.csr_array((v, (g * d + i, j)), shape=(n * d, d)),
+            scipy.sparse.csr_array((v, (i, g * d + j)), shape=(d, n * d)))
+
+
+def _products(g, i, j, v, d):
+    """Every product rho_x rho_y from one vstack(rho) @ hstack(rho), whose
+    block (x, y) it is, as COO coordinates (x, y, i, j, value)."""
+    vstack, hstack = _stacks(g, i, j, v, d)
+    prod = (vstack @ hstack).tocoo()
+    x, i = np.divmod(prod.row, d)
+    y, j = np.divmod(prod.col, d)
+    return x, y, i, j, prod.data
+
+
 def verify_brackets(rep, table=None):
-    """(max residual, worst pair) of [rho X, rho Y] = rho([X, Y])."""
-    if table is None:
-        table = bracket_table("spinor")
-    worst, worst_pair = 0.0, None
-    for x, y in combinations(GENERATOR_NAMES, 2):
-        lhs = rep[x] @ rep[y] - rep[y] @ rep[x]
-        rhs = _lie_to_matrix(rep, table[(x, y)])
-        r = float(np.max(np.abs(lhs - rhs)))
-        if r > worst:
-            worst, worst_pair = r, (x, y)
-    return worst, worst_pair
+    """(max residual, worst pair) of [rho X, rho Y] = rho([X, Y]).
+
+    The worst pair is the first in combinations order with the maximal
+    residual, None when every residual is zero.
+    """
+    entries, d = _entries(rep)
+    coeffs = (_bracket_coefficients() if table is None
+              else _coefficient_rows(table, _PAIRS))
+    x, y, i, j, v = _products(*entries, d)
+    off = x != y
+    x, y, i, j, v = x[off], y[off], i[off], j[off], v[off]
+    # block (x, y) enters the commutator of its pair with sign +1 when x
+    # comes first in GENERATOR_NAMES, -1 otherwise
+    lhs = scipy.sparse.csr_array(
+        (np.where(x < y, v, -v), (_PAIR_INDEX[x, y], i * d + j)),
+        shape=(len(_PAIRS), d * d))
+    res = abs(lhs - coeffs @ _flat(*entries, d)).max(axis=1).toarray()
+    k = int(np.argmax(res))
+    return (float(res[k]), _PAIRS[k]) if res[k] > 0 else (0.0, None)
 
 
 def verify_reality(rep):
     """Max residual of (rho X)^dagger = rho(X^dagger)."""
-    worst = 0.0
-    for x in GENERATOR_NAMES:
-        rhs = _lie_to_matrix(rep, REALITY_SPINOR[x])
-        worst = max(worst, float(np.max(np.abs(rep[x].conj().T - rhs))))
-    return worst
+    (g, i, j, v), d = _entries(rep)
+    adjoints = _flat(g, j, i, v.conj(), d)
+    return float(abs(adjoints - _reality_coefficients() @ _flat(g, i, j, v, d))
+                 .max())
 
 
 def verify_traceless(rep):
-    return max(abs(complex(np.trace(rep[x]))) for x in GENERATOR_NAMES)
+    return max(abs(complex(rep[x].trace())) for x in GENERATOR_NAMES)
 
 
 def k_spectrum(rep):
     """Sorted eigenvalues of -i rho(K_+.-.), exactly integer in theory."""
-    herm = -1j * rep["K+-"]
+    k = rep["K+-"]
+    herm = -1j * (k.toarray() if scipy.sparse.issparse(k) else k)
     return np.sort(np.linalg.eigvalsh(herm))
 
 
@@ -286,27 +378,48 @@ def commutant_dimension(rep, tol=1e-8):
     then the remaining commutation constraints are solved by a dense
     eigenvalue count on the small Gram matrix.
     """
-    d = next(iter(rep.values())).shape[0]
+    entries, d = _entries(rep)
     m = next((mm for mm in range(1, 4096) if dim(mm) == d), None)
     if m is None:
         raise ValueError(f"matrix dimension {d} is not a truncation level")
-    states = basis(m)
-    label = [(2 * n1 + n2 + n3, n2 - n3) for (n1, n2, n3) in states]
     blocks = {}
-    for i, lab in enumerate(label):
-        blocks.setdefault(lab, []).append(i)
-    # row-major vec: vec([M, X]) = (1 (x) X^T - X (x) 1) vec(M); keep the
-    # columns of M entries inside the blocks
-    cols = [i * d + j for ids in blocks.values() for i in ids for j in ids]
-    eye = scipy.sparse.identity(d, format="csr")
-    gram = np.zeros((len(cols), len(cols)), dtype=complex)
-    offdiag = [g for g in GENERATOR_NAMES if g not in ("K+-", "J+-")]
-    for name in offdiag:
-        xs = scipy.sparse.csr_matrix(rep[name])
-        c = (scipy.sparse.kron(eye, xs.T, format="csc")
-             - scipy.sparse.kron(xs, eye, format="csc"))[:, cols]
-        gram += (c.getH() @ c).toarray()
-    evals = np.linalg.eigvalsh(gram)
+    for k, (n1, n2, n3) in enumerate(basis(m)):
+        blocks.setdefault((2 * n1 + n2 + n3, n2 - n3), []).append(k)
+    # the unknowns: the entries (mi[c], mj[c]) of M inside the blocks, with
+    # which the diagonal generators commute
+    mi, mj = np.array([(a, b) for ids in blocks.values()
+                       for a in ids for b in ids], dtype=np.intp).T
+    n = len(mi)
+    off = ~np.isin(entries[0], (_INDEX["K+-"], _INDEX["J+-"]))
+    vstack, hstack = _stacks(*(e[off] for e in entries), d)
+
+    def select(idx):
+        # the n x d matrix that picks the rows idx
+        return scipy.sparse.csr_array((np.ones(n), (np.arange(n), idx)),
+                                      shape=(n, d))
+
+    # [M, X] = MX - XM: entry (i, j) of M meets X[j, l] at (i, l) and
+    # -X[k, i] at (k, j).  right[c, (x, l)] = X_x[mj[c], l] and
+    # left[c, (x, k)] = X_x[k, mi[c]] gather them for every generator x.
+    right = (select(mj) @ hstack).tocoo()
+    left = (select(mi) @ vstack.T).tocoo()
+    xr, lr = np.divmod(right.col, d)
+    xl, kl = np.divmod(left.col, d)
+    # constraint (x, a, b) is entry (a, b) of [M, X_x]; renumbering the ones
+    # that occur drops the empty rows without changing the Gram
+    _, rows = np.unique(np.concatenate([(xr * d + mi[right.row]) * d + lr,
+                                        (xl * d + kl) * d + mj[left.row]]),
+                        return_inverse=True)
+    c = scipy.sparse.csr_array(
+        (np.concatenate([right.data, -left.data]),
+         (rows, np.concatenate([right.row, left.row]))),
+        shape=(len(rows), n))
+    gram = c.conj().T @ c
+    # entries of one generator share a phase, so the Gram is real for every
+    # level matrix; the real solver is several times faster
+    if not gram.data.imag.any():
+        gram = gram.real
+    evals = np.linalg.eigvalsh(gram.toarray())
     scale = max(1.0, float(evals[-1]) if len(evals) else 1.0)
     return int(np.sum(evals < tol * scale))
 
@@ -315,16 +428,15 @@ def casimir_deviation(rep):
     """Distance of the quadratic Casimir from a scalar matrix.
 
     The Casimir is built from the exact inverse Killing form on the vector
-    basis, with the vector generators expressed through the spinor matrices.
+    basis, with the vector generators expressed through the spinor
+    matrices: C2 = sum W[x, y] rho_x rho_y, read off one stacked product.
     """
-    d = next(iter(rep.values())).shape[0]
-    rho_vec = {g: _lie_to_matrix(rep, VECTOR_IN_SPINOR[g])
-               for g in VECTOR_IN_SPINOR}
-    c2 = np.zeros((d, d), dtype=complex)
-    for ga, gb, coeff in casimir_pairs():
-        c2 += float(coeff) * (rho_vec[ga] @ rho_vec[gb])
-    scalar = np.trace(c2) / d
-    return float(np.max(np.abs(c2 - scalar * np.eye(d))))
+    entries, d = _entries(rep)
+    x, y, i, j, v = _products(*entries, d)
+    c2 = scipy.sparse.csr_array((_casimir_weights()[x, y] * v, (i, j)),
+                                shape=(d, d))
+    scalar = c2.trace() / d
+    return float(abs(c2 - scalar * scipy.sparse.eye_array(d)).max())
 
 
 def exponentiate(x, t=1.0, tol=TAU_REP):
@@ -354,7 +466,8 @@ def filtration_check(m_max):
             report["prefix_ok"] = False
         rep = build_rho(m + 1)
         d = dim(m)
-        off = max(float(np.max(np.abs(rep[g][d:, :d]))) for g in rep)
+        off = max(float(np.max(np.abs(rep[g].toarray()[d:, :d])))
+                  for g in rep)
         report["off_block_norm"][m + 1] = off
     report["is_subrepresentation"] = all(
         v < 1e-14 for v in report["off_block_norm"].values())
@@ -395,11 +508,20 @@ def full_convergence_ell(m, threshold=1e-3):
     bisection finds it.  The boundary tail decays like 1/sqrt(ell), so this
     can be millions.  Measured at the default threshold: m=2 -> 5_092_958,
     m=3 -> 11_459_156, m=4 -> 20_371_833 (the interior block alone is
-    already below 1e-6 by ell ~ 30).
+    already below 1e-6 by ell ~ 30).  A threshold that is not positive, or
+    whose crossing lies past ell = 2**53, where consecutive orders are no
+    longer distinct floats, raises ValueError.
     """
+    if not threshold > 0:
+        raise ValueError(f"threshold {threshold!r} is not positive")
+    limit = 2 ** 53
     lo, hi = -1, 0  # the distance at lo (or before 0) is >= threshold
     while partial_sum_distance(m, hi) >= threshold:
-        lo, hi = hi, 2 * hi + 1
+        if hi == limit:
+            raise ValueError(
+                f"threshold {threshold!r} is not reached by ell = 2**53 "
+                f"in float arithmetic (m = {m})")
+        lo, hi = hi, min(2 * hi + 1, limit)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if partial_sum_distance(m, mid) < threshold:
@@ -429,7 +551,11 @@ def dump_representation(m, outdir, mode="binary"):
               "generators": list(GENERATOR_NAMES), "mode": mode}
     files = {}
     for name in GENERATOR_NAMES:
-        mat = rep[name]
+        # stored values placed as they are: toarray adds them to zeros,
+        # which turns a -0.0 part into +0.0 and changes the dump
+        coo = rep[name].tocoo()
+        mat = np.zeros(coo.shape, dtype=complex)
+        mat[coo.row, coo.col] = coo.data
         safe = name.replace("+", "p").replace("-", "m")
         if mode == "binary":
             pairs = np.stack([mat.real, mat.imag], axis=-1).astype("<f8")

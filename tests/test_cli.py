@@ -172,7 +172,7 @@ def test_dump_rep_roundtrip(tmp_path):
     header, rep = load_representation(tmp_path / "rho_m2.json")
     orig = build_rho(2)
     for g in orig:
-        assert np.allclose(rep[g], orig[g])
+        assert np.allclose(rep[g], orig[g].toarray())
 
 
 def test_dump_rep_binary(tmp_path):
@@ -182,7 +182,7 @@ def test_dump_rep_binary(tmp_path):
     assert (tmp_path / "rho_m2_Kpp.bin").stat().st_size == 4 * 4 * 16
     orig = build_rho(2)
     for g in orig:
-        assert np.array_equal(rep[g], orig[g])
+        assert np.array_equal(rep[g], orig[g].toarray())
 
 
 @pytest.mark.parametrize("command, fmt", [("dump-rep", "csv"),

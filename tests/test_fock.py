@@ -36,7 +36,7 @@ def test_m1_trivial():
     rep = build_rho(1)
     for mat in rep.values():
         assert mat.shape == (1, 1)
-        assert np.all(mat == 0)
+        assert np.all(mat.toarray() == 0)
 
 
 def test_m2_examples():
@@ -48,7 +48,7 @@ def test_m2_examples():
     expect = np.zeros(4, dtype=complex)
     expect[idx[(0, 0, 1)]] = 1.0  # sqrt(1) * sqrt(2 - 1)
     assert np.allclose(out, expect)
-    spec = np.sort_complex(np.diag(rep["K+-"]))
+    spec = np.sort_complex(np.diag(rep["K+-"].toarray()))
     assert np.allclose(spec, np.sort_complex(np.array([1j, -1j, 0, 0])))
 
 
@@ -96,7 +96,7 @@ def _dense_commutant_dimension(rep):
 ])
 def test_commutant_dimension_matches_dense_nullspace(zeroed, expected):
     for m, want in zip((1, 2, 3, 4), expected):
-        rep = build_rho(m)
+        rep = {g: x.toarray() for g, x in build_rho(m).items()}
         rep.update({g: np.zeros_like(rep[g]) for g in zeroed})
         assert _dense_commutant_dimension(rep) == want
         assert commutant_dimension(rep) == want
@@ -158,6 +158,16 @@ def test_full_convergence_ell_recorded_value():
     assert full_convergence_ell(4) == 20_371_833
 
 
+@pytest.mark.parametrize("threshold, message", [
+    (0, "threshold 0 is not positive"),
+    (1e-16, "threshold 1e-16 is not reached by ell = 2[*][*]53"),
+])
+def test_full_convergence_ell_rejects_unreachable_thresholds(threshold,
+                                                             message):
+    with pytest.raises(ValueError, match=message):
+        full_convergence_ell(2, threshold)
+
+
 def _sqrt_series_reference(ell, x):
     # every term summed, as the series defines it
     acc, c = 0.0, 1.0
@@ -214,7 +224,7 @@ def test_filtration_check():
 
 
 def test_exponentiate():
-    rep = build_rho(2)
+    rep = {g: x.toarray() for g, x in build_rho(2).items()}
     assert np.allclose(exponentiate(np.zeros((3, 3), dtype=complex)),
                        np.eye(3))
     u = exponentiate(rep["K+-"], 2 * math.pi)
@@ -236,4 +246,4 @@ def test_dump_load_roundtrip(tmp_path):
         assert header["basis_order"][0] == [0, 0, 0]
         orig = build_rho(2)
         for g in orig:
-            assert np.allclose(rep[g], orig[g])
+            assert np.allclose(rep[g], orig[g].toarray())

@@ -1,0 +1,175 @@
+"""The sparse level matrices and the checks that read them, against dense
+references: a dense assembly of the ladder table and the dense forms of the
+bracket, reality, Casimir and commutant checks."""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+from sphere7.fock import (GENERATOR_NAMES, _ladder_actions, basis,
+                          basis_index, build_rho, build_rho_partial,
+                          casimir_deviation, commutant_dimension, dim,
+                          dump_representation, embed_exact_in_ambient,
+                          sqrt_series_value, verify_brackets, verify_reality)
+from sphere7.rational import CRat
+from sphere7.u2h import (REALITY_SPINOR, VECTOR_IN_SPINOR, bracket_table,
+                         casimir_pairs)
+
+
+# ---------------------------------------------------------------------------
+# dense references
+# ---------------------------------------------------------------------------
+
+def _dense_assemble(m, radial, dom_m, cod_m):
+    dom_basis, cod_index = basis(dom_m), basis_index(cod_m)
+    mats = {}
+    for name, act in _ladder_actions(m).items():
+        mat = np.zeros((len(cod_index), len(dom_basis)), dtype=complex)
+        for col, st in enumerate(dom_basis):
+            for out, amp, at in act(*st):
+                if at is not None:
+                    amp = amp * radial(at)
+                if amp != 0 and min(out) >= 0:
+                    mat[cod_index[out], col] = amp
+        mats[name] = mat
+    return mats
+
+
+def _lie_to_matrix(rep, coeffs):
+    out = np.zeros(next(iter(rep.values())).shape, dtype=complex)
+    for g, c in coeffs.items():
+        cc = c.to_complex() if isinstance(c, CRat) else complex(c)
+        out += cc * rep[g]
+    return out
+
+
+def _dense_verify_brackets(rep, table=None):
+    if table is None:
+        table = bracket_table("spinor")
+    worst, worst_pair = 0.0, None
+    for x, y in combinations(GENERATOR_NAMES, 2):
+        lhs = rep[x] @ rep[y] - rep[y] @ rep[x]
+        r = float(np.max(np.abs(lhs - _lie_to_matrix(rep, table[(x, y)]))))
+        if r > worst:
+            worst, worst_pair = r, (x, y)
+    return worst, worst_pair
+
+
+def _dense_verify_reality(rep):
+    return max(float(np.max(np.abs(
+        rep[x].conj().T - _lie_to_matrix(rep, REALITY_SPINOR[x]))))
+        for x in GENERATOR_NAMES)
+
+
+def _dense_casimir_deviation(rep):
+    d = next(iter(rep.values())).shape[0]
+    rho_vec = {g: _lie_to_matrix(rep, VECTOR_IN_SPINOR[g])
+               for g in VECTOR_IN_SPINOR}
+    c2 = np.zeros((d, d), dtype=complex)
+    for ga, gb, coeff in casimir_pairs():
+        c2 += float(coeff) * (rho_vec[ga] @ rho_vec[gb])
+    return float(np.max(np.abs(c2 - np.trace(c2) / d * np.eye(d))))
+
+
+def _dense_commutant_dimension(rep, tol=1e-8):
+    d = next(iter(rep.values())).shape[0]
+    m = next(mm for mm in range(1, 64) if dim(mm) == d)
+    blocks = {}
+    for i, (n1, n2, n3) in enumerate(basis(m)):
+        blocks.setdefault((2 * n1 + n2 + n3, n2 - n3), []).append(i)
+    cols = [i * d + j for ids in blocks.values() for i in ids for j in ids]
+    eye = scipy.sparse.identity(d, format="csr")
+    gram = np.zeros((len(cols), len(cols)), dtype=complex)
+    for name in GENERATOR_NAMES:
+        if name in ("K+-", "J+-"):
+            continue
+        xs = scipy.sparse.csr_matrix(rep[name])
+        c = (scipy.sparse.kron(eye, xs.T, format="csc")
+             - scipy.sparse.kron(xs, eye, format="csc"))[:, cols]
+        gram += (c.getH() @ c).toarray()
+    evals = np.linalg.eigvalsh(gram)
+    return int(np.sum(evals < tol * max(1.0, float(evals[-1]))))
+
+
+def _dense(rep):
+    return {g: x.toarray() for g, x in rep.items()}
+
+
+# ---------------------------------------------------------------------------
+# assembly
+# ---------------------------------------------------------------------------
+
+def _assert_same(sparse_rep, dense_rep):
+    assert sparse_rep.keys() == dense_rep.keys()
+    for g, x in sparse_rep.items():
+        assert scipy.sparse.issparse(x)
+        want = dense_rep[g]
+        assert np.array_equal(x.toarray(), want)
+        # one stored entry per nonzero, each with the dense value's bits
+        # (a sum of two terms on one entry would differ from the overwrite)
+        coo = x.tocoo()
+        assert coo.nnz == np.count_nonzero(want)
+        assert np.array_equal(coo.data.view(np.uint64),
+                              want[coo.row, coo.col].view(np.uint64))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_assembly_matches_the_dense_ladder_table(m):
+    exact = lambda t: math.sqrt(m - t)  # noqa: E731
+    _assert_same(build_rho(m), _dense_assemble(m, exact, m, m))
+    _assert_same(embed_exact_in_ambient(m),
+                 _dense_assemble(m, exact, m, m + 1))
+    for ell in range(5):
+        def partial(t):
+            return math.sqrt(m) * sqrt_series_value(ell, t / m)
+        _assert_same(build_rho_partial(m, ell),
+                     _dense_assemble(m, partial, m, m + 1))
+
+
+def test_binary_dump_keeps_the_stored_bits(tmp_path):
+    # toarray adds the stored values to zeros, which would turn the -0.0
+    # real parts of the K+- diagonal into +0.0
+    path = dump_representation(3, tmp_path)
+    want = _dense_assemble(3, lambda t: math.sqrt(3 - t), 3, 3)
+    for g in GENERATOR_NAMES:
+        safe = g.replace("+", "p").replace("-", "m")
+        pairs = np.stack([want[g].real, want[g].imag], axis=-1)
+        assert ((path.parent / f"rho_m3_{safe}.bin").read_bytes()
+                == pairs.astype("<f8").tobytes())
+
+
+# ---------------------------------------------------------------------------
+# checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_checks_match_the_dense_oracle(m):
+    rep = build_rho(m)
+    dense = _dense(rep)
+    res, pair = verify_brackets(rep)
+    want_res, want_pair = _dense_verify_brackets(dense)
+    assert pair == want_pair
+    assert abs(res - want_res) < 1e-14
+    assert abs(verify_reality(rep) - _dense_verify_reality(dense)) < 1e-14
+    assert abs(casimir_deviation(rep)
+               - _dense_casimir_deviation(dense)) < 1e-14
+    assert commutant_dimension(rep) == _dense_commutant_dimension(dense) == 1
+    # dense input, as a loaded dump gives, reads the same
+    assert verify_brackets(dense) == (res, pair)
+    assert commutant_dimension(dense) == 1
+
+
+def test_corrupted_ladder_amplitude_fails_the_bracket_check():
+    rep = build_rho(4)
+    bad = rep["P++"].copy()
+    bad.data[3] *= 1.25
+    rep["P++"] = bad
+    res, pair = verify_brackets(rep)
+    want_res, want_pair = _dense_verify_brackets(_dense(rep))
+    assert res > 0.1
+    assert "P++" in pair
+    assert pair == want_pair
+    assert abs(res - want_res) < 1e-14
