@@ -16,6 +16,11 @@ offered for the exact mode only.  Parallel transport integrates
 
 with fixed-step RK4, switching trivialization when the s-patch coordinate
 gets small; Born probabilities are |<psi_f, U psi_i>|^2 normalized.
+
+The ten level matrices are kept on the union of their nonzero patterns
+(flat indices plus one value row per generator), so a connection matrix is
+a 10-term combination of short rows scattered into zeros.  The transition
+unitaries come from a Hermitian eigendecomposition (fock.exponentiate).
 """
 
 import math
@@ -39,21 +44,36 @@ _BLOCK_STEPS = 256
 
 @lru_cache(maxsize=None)
 def _rho_stack(m, ell=None, domain_m=None):
-    """The rows*cols matrices of GENERATOR_NAMES as the rows of one array,
-    and their shape: level m exact, or with ell its partial sums on level
-    domain_m."""
+    """The matrices of GENERATOR_NAMES on the union of their nonzero
+    patterns: the row-major flat indices of the pattern, the (10, nnz)
+    values on it, and the matrices' shape.  Level m exact, or with ell its
+    partial sums on level domain_m."""
     rep = (build_rho(m) if ell is None
            else build_rho_partial(m, ell, domain_m=domain_m))
-    return (np.stack([rep[g].toarray().ravel() for g in GENERATOR_NAMES]),
-            rep[GENERATOR_NAMES[0]].shape)
+    mats = [rep[g].tocoo() for g in GENERATOR_NAMES]
+    shape = mats[0].shape
+    for x in mats:
+        x.sum_duplicates()
+    keys = [x.row.astype(np.int64) * shape[1] + x.col for x in mats]
+    flat = np.unique(np.concatenate(keys))
+    vals = np.zeros((len(mats), len(flat)), dtype=complex)
+    for row, key, x in zip(vals, keys, mats):
+        row[np.searchsorted(flat, key)] = x.data
+    return flat, vals, shape
+
+
+def _scatter(flat, values, shape):
+    out = np.zeros(shape, dtype=complex)
+    out.reshape(-1)[flat] = values
+    return out
 
 
 @lru_cache(maxsize=None)
 def _rho_j_vector(m):
-    rows, shape = _rho_stack(m)
+    flat, vals, shape = _rho_stack(m)
     names = ("j1", "j2", "j3")
-    return {g: r.reshape(shape) for g, r in
-            zip(names, _coefficient_rows(VECTOR_IN_SPINOR, names) @ rows)}
+    return {g: _scatter(flat, r, shape) for g, r in
+            zip(names, _coefficient_rows(VECTOR_IN_SPINOR, names) @ vals)}
 
 
 def _coefficients(u, patch):
@@ -69,15 +89,15 @@ def connection_matrix(u, m, mode="exact", ell=None, patch="s", domain_m=None):
     to m; hbar stays 1/m).
     """
     if mode == "exact":
-        rows, shape = _rho_stack(m)
+        flat, vals, shape = _rho_stack(m)
     elif mode == "truncated":
         if ell is None:
             raise ValueError("truncated mode needs ell")
-        rows, shape = _rho_stack(m, ell + 1, m if domain_m is None
-                                 else domain_m)
+        flat, vals, shape = _rho_stack(m, ell + 1, m if domain_m is None
+                                       else domain_m)
     else:
         raise ValueError("mode must be exact or truncated")
-    return (_coefficients(u, patch) @ rows).reshape(shape)
+    return _scatter(flat, _coefficients(u, patch) @ vals, shape)
 
 
 def connection_sample(u, m, mode="exact", ell=None, patch="s"):
@@ -332,24 +352,29 @@ def parallel_transport(path, m, steps=None, reproject=False,
     default; drift is a useful diagnostic).
 
     The node geometry and generator coefficients of up to _BLOCK_STEPS steps
-    are computed at once; RK4 then assembles one D x D matrix per node and
-    shares the end node of a step with the start of the next.
+    are computed at once.  Each node's (h/2)(-A) is scattered onto the
+    connection's nonzero pattern in one of three D x D buffers, whose zeros
+    off the pattern are never touched; the end node of a step is the start
+    node of the next.  The RK4 stages run in place on three more buffers.
     """
     steps = path.steps if steps is None else int(steps)
     if steps < 2:
         raise ValueError("need at least 2 steps")
     d = dim(m)
-    rows, _ = _rho_stack(m)
-    u_op = np.eye(d, dtype=complex)
+    flat, vals, _ = _rho_stack(m)
     t0, t1 = path.t0, path.t1
     h = (t1 - t0) / steps
+    vals = (h / 2) * vals          # nodes carry B = (h/2)(-A)
     frame = start_frame or preferred_patch(path.point(t0))
     start_frame = frame
     switches = []
-    a1 = None  # -A at the end node of the previous step, in its frame
+    u_op = np.eye(d, dtype=complex)
+    # b0, bmid, b1: B at a step's three nodes; s, x, k: RK4 stages
+    b0, bmid, b1, s, x, k = np.zeros((6, d, d), dtype=complex)
+    b1_valid = False   # b1 holds B at the previous step's end, in its frame
 
-    def assemble(c):
-        return (c @ rows).reshape(d, d)
+    def assemble(out, c):
+        out.reshape(-1)[flat] = c @ vals
 
     for k0 in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - k0)
@@ -361,25 +386,39 @@ def parallel_transport(path, m, steps=None, reproject=False,
         # switches, and is then evaluated again
         coeff = _node_coefficients(p8, u8,
                                    np.repeat(north + north[-1:], 2)[:-1])
-        for k in range(n):
-            if switched[k]:
-                new_frame = "n" if north[k] else "s"
-                g = gauge_matrix(m, SpherePoint.from_array8(p8[2 * k]))
+        for i in range(n):
+            if switched[i]:
+                new_frame = "n" if north[i] else "s"
+                g = gauge_matrix(m, SpherePoint.from_array8(p8[2 * i]))
                 u_op = (g.conj().T @ u_op) if frame == "s" else (g @ u_op)
-                switches.append((float(nodes[2 * k]), frame, new_frame))
+                switches.append((float(nodes[2 * i]), frame, new_frame))
                 frame = new_frame
-                a1 = None
-            a0 = assemble(coeff[2 * k]) if a1 is None else a1
-            amid = assemble(coeff[2 * k + 1])
-            j = 2 * k + 2
-            a1 = assemble(coeff[j] if k + 1 == n or not switched[k + 1] else
-                          _node_coefficients(p8[j:j + 1], u8[j:j + 1],
-                                             np.array(north[k:k + 1]))[0])
-            k1 = a0 @ u_op
-            k2 = amid @ (u_op + (h / 2) * k1)
-            k3 = amid @ (u_op + (h / 2) * k2)
-            k4 = a1 @ (u_op + h * k3)
-            u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                b1_valid = False
+            if b1_valid:
+                b0, b1 = b1, b0
+            else:
+                assemble(b0, coeff[2 * i])
+            assemble(bmid, coeff[2 * i + 1])
+            j = 2 * i + 2
+            assemble(b1, coeff[j] if i + 1 == n or not switched[i + 1] else
+                     _node_coefficients(p8[j:j + 1], u8[j:j + 1],
+                                        np.array(north[i:i + 1]))[0])
+            b1_valid = True
+            # with kj the RK4 slopes: s = (h/2)(k1 + 2 k2 + 2 k3 + k4)
+            np.matmul(b0, u_op, out=s)
+            np.add(u_op, s, out=x)
+            np.matmul(bmid, x, out=k)
+            np.add(u_op, k, out=x)
+            k *= 2
+            s += k
+            np.matmul(bmid, x, out=k)
+            k *= 2
+            s += k
+            np.add(u_op, k, out=x)
+            np.matmul(b1, x, out=k)
+            s += k
+            s /= 3
+            u_op += s
             if reproject:
                 w, _, vh = np.linalg.svd(u_op)
                 u_op = w @ vh

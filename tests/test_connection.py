@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
@@ -12,8 +13,10 @@ from sphere7.connection import (PathSpec, alpha_coefficient_probe,
                                 connection_sample, curvature_residual,
                                 gauge_matrix, parallel_transport,
                                 reeb_transport)
-from sphere7.fock import dim
-from sphere7.quaternions import Quaternion
+from sphere7.fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
+                          build_rho_partial, dim)
+from sphere7.quaternions import Quaternion, qlog, transition_tau
+from sphere7.u2h import VECTOR_IN_SPINOR
 
 
 def test_trivial_level_connection():
@@ -265,23 +268,44 @@ def test_coarse_loop_through_x_zero(steps):
     assert res.holonomy_distance() < 1e-2
 
 
-def _reference_transport(path, m, steps, frame="s"):
+def _expm_gauge(m, p):
+    """gauge_matrix(m, p) through scipy.linalg.expm on dense generators."""
+    rep = build_rho(m)
+    rows = _coefficient_rows(VECTOR_IN_SPINOR, ("j1", "j2", "j3")).toarray()
+    j1, j2, j3 = [sum(c * rep[g].toarray() for c, g in zip(r, GENERATOR_NAMES))
+                  for r in rows]
+    q = qlog(transition_tau(p))
+    return scipy.linalg.expm(2.0 * (q.q1 * j1 + q.q2 * j2 + q.q3 * j3))
+
+
+def _reference_transport(path, m, steps, frame="s", switches=()):
     """Fixed-step RK4 with the connection assembled node by node through
-    the scalar API, for paths that stay in one frame."""
+    the scalar API.  At the start of each step that `switches` logs, the
+    operator is conjugated into the new frame by an expm-built gauge; a
+    transport that ends in the other frame is converted back to `frame`."""
     u_op = np.eye(dim(m), dtype=complex)
     h = (path.t1 - path.t0) / steps
+    at_step = {round((t - path.t0) / h): (a, b) for t, a, b in switches}
 
     def a(t):
         return -connection_matrix(path.tangent(t), m, patch=frame)
 
+    start = frame
     for k in range(steps):
         t = path.t0 + k * h
+        if k in at_step:
+            old, frame = at_step[k]
+            g = _expm_gauge(m, path.point(t))
+            u_op = (g.conj().T @ u_op) if old == "s" else (g @ u_op)
         a0, amid, a1 = a(t), a(t + h / 2), a(t + h)
         k1 = a0 @ u_op
         k2 = amid @ (u_op + (h / 2) * k1)
         k3 = amid @ (u_op + (h / 2) * k2)
         k4 = a1 @ (u_op + h * k3)
         u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if frame != start:
+        g = _expm_gauge(m, path.point(path.t1))
+        u_op = (g @ u_op) if frame == "n" else (g.conj().T @ u_op)
     return u_op
 
 
@@ -311,3 +335,47 @@ def test_batched_transport_matches_per_node_reference(monkeypatch, block,
     assert res.switches == [] and res.start_frame == "s"
     ref = _reference_transport(path, m, steps)
     assert np.max(np.abs(res.matrix - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_switching_transport_matches_per_node_reference(monkeypatch, block):
+    # a loop through x = 0 switches patch four times; with 7-step blocks the
+    # switches fall inside blocks and on their first steps, so the node
+    # buffers rotate across switches, block ends and re-evaluated end nodes
+    if block is not None:
+        monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
+    p0 = SpherePoint([0.6, 0.8, 0, 0], [0, 0, 0, 0])
+    path = PathSpec.great_circle_loop(p0, [0, 0, 0, 0, 1., 0.5, 0, 0.2])
+    m, steps = 3, 100
+    res = parallel_transport(path, m, steps)
+    assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
+                                               ("s", "n"), ("n", "s")]
+    assert res.start_frame == res.end_frame == "s"
+    ref = _reference_transport(path, m, steps, switches=res.switches)
+    assert np.max(np.abs(res.matrix - ref)) < 1e-12
+    again = parallel_transport(path, m, steps)
+    assert np.array_equal(again.matrix, res.matrix)
+
+
+def _dense_assembly(u, rep, patch="s"):
+    rows = np.stack([rep[g].toarray().ravel() for g in GENERATOR_NAMES])
+    shape = rep[GENERATOR_NAMES[0]].shape
+    return (connection._coefficients(u, patch) @ rows).reshape(shape)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pattern_storage_matches_dense_assembly(m):
+    rng = np.random.default_rng(40 + m)
+    ell = 2
+    for _ in range(3):
+        p = random_point(rng, 0.3)
+        u = random_tangent(rng, p)
+        for patch in ("s", "n"):
+            assert np.max(np.abs(connection_matrix(u, m, patch=patch)
+                                 - _dense_assembly(u, build_rho(m), patch))
+                          ) <= 1e-15
+        for dom in (m, m + 1):
+            got = connection_matrix(u, m, "truncated", ell, domain_m=dom)
+            want = _dense_assembly(u, build_rho_partial(m, ell + 1,
+                                                        domain_m=dom))
+            assert np.max(np.abs(got - want)) <= 1e-15

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sphere7 import connection
+from sphere7.coframe import random_point
 from sphere7.fock import (basis, basis_index, build_rho, build_rho_partial,
                           casimir_deviation, commutant_dimension, dim,
                           dump_representation, embed_exact_in_ambient,
@@ -12,6 +15,7 @@ from sphere7.fock import (basis, basis_index, build_rho, build_rho_partial,
                           matrix_of_weyl, partial_sum_distance,
                           sqrt_series_value, verify_brackets, verify_reality,
                           verify_traceless)
+from sphere7.quaternions import qlog, transition_tau
 from sphere7.rational import CRat
 from sphere7.weyl import WeylElement, embedded_generators
 
@@ -72,6 +76,16 @@ def test_k_spectrum_integer():
     for m in (1, 2, 3, 5, 8):
         assert np.allclose(k_spectrum(build_rho(m)), expected_k_spectrum(m),
                            atol=1e-12)
+
+
+def test_k_spectrum_reads_the_diagonal():
+    rep = build_rho(4)
+    k = rep["K+-"].toarray()
+    assert np.array_equal(k_spectrum(rep), expected_k_spectrum(4))
+    assert np.array_equal(k_spectrum({"K+-": k}), k_spectrum(rep))
+    k[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="off-diagonal"):
+        k_spectrum({"K+-": k})
 
 
 def test_commutant_dimension():
@@ -236,6 +250,36 @@ def test_exponentiate():
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
     with pytest.raises(ValueError):
         exponentiate(np.array([[1.0]]))
+
+
+def _random_antihermitean(rng, d, norm):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = z - z.conj().T
+    return x * (norm / np.linalg.norm(x, 2))
+
+
+def _gauge_generator(m):
+    """The generator gauge_matrix exponentiates, at a seeded overlap point."""
+    p = random_point(np.random.default_rng(5), 0.35)
+    q = qlog(transition_tau(p))
+    j = connection._rho_j_vector(m)
+    return 2.0 * (q.q1 * j["j1"] + q.q2 * j["j2"] + q.q3 * j["j3"])
+
+
+def test_exponentiate_matches_expm():
+    rng = np.random.default_rng(12)
+    cases = [(_random_antihermitean(rng, d, norm), t)
+             for d in (4, 20, 120) for norm in (0.1, 3.0, 14.0, 50.0)
+             for t in (1.0, -0.7)]
+    cases.append((_gauge_generator(8), 1.0))
+    for x, t in cases:
+        u = exponentiate(x, t)
+        assert np.max(np.abs(u - scipy.linalg.expm(t * x))) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(x)))) < 1e-13
+    x = _random_antihermitean(rng, 20, 5.0)
+    x[3, 7] += 1e-3
+    with pytest.raises(ValueError, match="not antihermitean"):
+        exponentiate(x)
 
 
 def test_dump_load_roundtrip(tmp_path):
