@@ -21,6 +21,12 @@ The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
 a 10-term combination of short rows scattered into zeros.  The transition
 unitaries come from a Hermitian eigendecomposition (fock.exponentiate).
+
+Level m carries the antiunitary J of fock.conjugation, which commutes with
+every real multiple of a level matrix, hence with each RK4 step and each
+transition unitary.  Transport therefore integrates only the columns j with
+j <= sigma(j), about half of them, and fills the others from
+U[sigma i, sigma j] = s_i s_j conj(U[i, j]) at the end.
 """
 
 import math
@@ -31,7 +37,7 @@ import numpy as np
 from .coframe import (Chart, SpherePoint, TangentVector, _pullback,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
-                   build_rho_partial, dim, exponentiate)
+                   build_rho_partial, conjugation, dim, exponentiate)
 from .quaternions import qlog, transition_tau
 from .u2h import VECTOR_IN_SPINOR
 
@@ -337,6 +343,18 @@ def _node_coefficients(p8, u8, north):
     return out
 
 
+def _complete(cols, sigma, sign, keep):
+    """The D x D operator U whose columns keep are cols, the others filled
+    from U[a, sigma j] = s_a s_(sigma j) conj(U[sigma a, j]), with sigma and
+    s = sign from fock.conjugation."""
+    out = np.empty((len(sigma), len(sigma)), dtype=complex)
+    out[:, keep] = cols
+    pair = sigma[keep] != keep
+    fill = sigma[keep[pair]]
+    out[:, fill] = np.outer(sign, sign[fill]) * cols[sigma][:, pair].conj()
+    return out
+
+
 def parallel_transport(path, m, steps=None, reproject=False,
                        start_frame=None):
     """Integrate the exact flat connection along a path with fixed-step RK4.
@@ -355,22 +373,32 @@ def parallel_transport(path, m, steps=None, reproject=False,
     are computed at once.  Each node's (h/2)(-A) is scattered onto the
     connection's nonzero pattern in one of three D x D buffers, whose zeros
     off the pattern are never touched; the end node of a step is the start
-    node of the next.  The RK4 stages run in place on three more buffers.
+    node of the next.  The operator is carried as its columns j <= sigma(j)
+    of fock.conjugation, D/2 of them for even m and (D + (m+1)/2)/2 for odd
+    m, in a C-contiguous D x |keep| array; the RK4 stages run in place on
+    three more of that shape, and the gauge switches multiply it from the
+    left.  The other columns are filled from the conjugation before the
+    final frame change and before each polar reprojection.  This is the
+    full-column integrator exactly, since every step commutes with J.
     """
     steps = path.steps if steps is None else int(steps)
     if steps < 2:
         raise ValueError("need at least 2 steps")
     d = dim(m)
     flat, vals, _ = _rho_stack(m)
+    sigma, sign = conjugation(m)
+    keep = np.flatnonzero(np.arange(d) <= sigma)
     t0, t1 = path.t0, path.t1
     h = (t1 - t0) / steps
     vals = (h / 2) * vals          # nodes carry B = (h/2)(-A)
     frame = start_frame or preferred_patch(path.point(t0))
     start_frame = frame
     switches = []
-    u_op = np.eye(d, dtype=complex)
+    u_op = np.zeros((d, len(keep)), dtype=complex)     # the columns keep of U
+    u_op[keep, np.arange(len(keep))] = 1.0
     # b0, bmid, b1: B at a step's three nodes; s, x, k: RK4 stages
-    b0, bmid, b1, s, x, k = np.zeros((6, d, d), dtype=complex)
+    b0, bmid, b1 = np.zeros((3, d, d), dtype=complex)
+    s, x, k = np.zeros((3, d, len(keep)), dtype=complex)
     b1_valid = False   # b1 holds B at the previous step's end, in its frame
 
     def assemble(out, c):
@@ -420,9 +448,10 @@ def parallel_transport(path, m, steps=None, reproject=False,
             s /= 3
             u_op += s
             if reproject:
-                w, _, vh = np.linalg.svd(u_op)
-                u_op = w @ vh
+                w, _, vh = np.linalg.svd(_complete(u_op, sigma, sign, keep))
+                u_op = w @ vh[:, keep]
 
+    u_op = _complete(u_op, sigma, sign, keep)
     end_frame = frame
     if end_frame != start_frame:
         # express the result in the frame the path started in (the endpoint

@@ -57,6 +57,26 @@ def basis_index(m):
     return {state: i for i, state in enumerate(basis(m))}
 
 
+def conjugation(m):
+    """The antiunitary J that commutes with the level-m representation, as
+    the signed permutation J|i> = s_i |sigma(i)> on the basis(m) indices.
+
+    sigma(n1, n2, n3) = (m-1-n1-n2-n3, n3, n2) swaps n1 with the vacuum slot
+    and n2 with n3, and s = (-1)^(n1+n2).  J^2 = (-1)^(m-1): level m is
+    Sym^(m-1) of the quaternionic C^4 = H^2 of U(2,H), quaternionic for even
+    m and real for odd m (Frobenius-Schur).  A unitary generated by real
+    multiples of the level matrices satisfies
+    U[sigma i, sigma j] = s_i s_j conj(U[i, j]).  Returns (sigma, s) as an
+    integer and a float array.
+    """
+    states = basis(m)
+    index = basis_index(m)
+    sigma = np.array([index[(m - 1 - n1 - n2 - n3, n3, n2)]
+                      for n1, n2, n3 in states], dtype=np.intp)
+    sign = np.array([(-1.0) ** (n1 + n2) for n1, n2, _ in states])
+    return sigma, sign
+
+
 def _sq(v):
     # radicands that are analytically >= 0 may float slightly negative
     if v < 0:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
@@ -14,7 +16,7 @@ from sphere7.connection import (PathSpec, alpha_coefficient_probe,
                                 gauge_matrix, parallel_transport,
                                 reeb_transport)
 from sphere7.fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
-                          build_rho_partial, dim)
+                          build_rho_partial, conjugation, dim)
 from sphere7.quaternions import Quaternion, qlog, transition_tau
 from sphere7.u2h import VECTOR_IN_SPINOR
 
@@ -84,9 +86,10 @@ def test_exact_flatness_n_patch():
 def test_transport_with_reprojection():
     p0 = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     path = PathSpec.great_circle_loop(p0, np.array([0, 1., 0, 0, 0, 0, 0, 0]))
-    res = parallel_transport(path, 2, steps=500, reproject=True)
-    assert res.unitarity_residual < 1e-13
-    assert res.holonomy_distance() < 1e-6
+    for m in (2, 3, 4):
+        res = parallel_transport(path, m, steps=500, reproject=True)
+        assert res.unitarity_residual < 1e-13
+        assert res.holonomy_distance() < 1e-6
 
 
 def test_toric_line_transport():
@@ -309,6 +312,13 @@ def _reference_transport(path, m, steps, frame="s", switches=()):
     return u_op
 
 
+def _conjugation_defect(u, m):
+    """max |U[sigma i, sigma j] - s_i s_j conj(U[i, j])| (fock.conjugation)."""
+    sigma, sign = conjugation(m)
+    return float(np.max(np.abs(u[np.ix_(sigma, sigma)]
+                               - np.outer(sign, sign) * u.conj())))
+
+
 def _unit(*coords):
     return SpherePoint.from_array8(np.array(coords) / np.linalg.norm(coords))
 
@@ -320,11 +330,17 @@ _TORUS = ToricPoint([0.5, 0.5, 0.5, 0.5], [0.3, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("make_path, m", [
     (lambda: PathSpec.reeb_loop(_TORUS), 2),
     (lambda: PathSpec.reeb_loop(_TORUS), 3),
+    (lambda: PathSpec.reeb_loop(_TORUS), 4),
+    (lambda: PathSpec.toric_line(_TORUS, (0.0, 1.0, 2 * math.pi, 0.0)), 5),
     (lambda: PathSpec.toric_line(_TORUS, (2 * math.pi, 0.0, 0.0, 1.0)), 2),
     (lambda: PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
                                    _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0, 0.2)),
      3),
-], ids=["reeb-m2", "reeb-m3", "toric-line", "great-circle"])
+    (lambda: PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
+                                   _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0, 0.2)),
+     5),
+], ids=["reeb-m2", "reeb-m3", "reeb-m4", "toric-line-m5", "toric-line",
+        "great-circle", "great-circle-m5"])
 def test_batched_transport_matches_per_node_reference(monkeypatch, block,
                                                       make_path, m):
     if block is not None:
@@ -335,26 +351,67 @@ def test_batched_transport_matches_per_node_reference(monkeypatch, block,
     assert res.switches == [] and res.start_frame == "s"
     ref = _reference_transport(path, m, steps)
     assert np.max(np.abs(res.matrix - ref)) < 1e-12
+    assert _conjugation_defect(res.matrix, m) < 1e-13
 
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_switching_transport_matches_per_node_reference(monkeypatch, block):
     # a loop through x = 0 switches patch four times; with 7-step blocks the
     # switches fall inside blocks and on their first steps, so the node
-    # buffers rotate across switches, block ends and re-evaluated end nodes
+    # buffers rotate across switches, block ends and re-evaluated end nodes;
+    # even m are of quaternionic type, odd m of real type
     if block is not None:
         monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
     p0 = SpherePoint([0.6, 0.8, 0, 0], [0, 0, 0, 0])
     path = PathSpec.great_circle_loop(p0, [0, 0, 0, 0, 1., 0.5, 0, 0.2])
-    m, steps = 3, 100
+    steps = 100
+    for m in (2, 3, 4, 5):
+        res = parallel_transport(path, m, steps)
+        assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
+                                                   ("s", "n"), ("n", "s")]
+        assert res.start_frame == res.end_frame == "s"
+        ref = _reference_transport(path, m, steps, switches=res.switches)
+        assert np.max(np.abs(res.matrix - ref)) < 1e-12
+        assert _conjugation_defect(res.matrix, m) < 1e-13
+        for t, _, _ in res.switches:
+            gauge = gauge_matrix(m, path.point(t))
+            assert _conjugation_defect(gauge, m) < 1e-13
+        again = parallel_transport(path, m, steps)
+        assert np.array_equal(again.matrix, res.matrix)
+
+
+_COORDS = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8,
+                   max_size=8)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_COORDS, _COORDS, st.floats(0.0, 1.0), st.sampled_from([0, 4]),
+       st.sampled_from([2, 3, 4, 5]))
+def test_random_arc_transport_matches_per_node_reference(a, c, squeeze, part,
+                                                         m):
+    # the arc from a to its mirror b through c passes c at its midpoint;
+    # c's x (part 0) or y (part 4) is scaled by `squeeze`, so small values
+    # take the arc below PATCH_SWITCH_LEVEL and the transport switches
+    a, c = np.array(a), np.array(c)
+    c[part:part + 4] *= squeeze
+    assume(min(np.linalg.norm(a), np.linalg.norm(c)) > 0.1)
+    a, c = a / np.linalg.norm(a), c / np.linalg.norm(c)
+    c *= np.sign(a @ c)
+    assume(0.1 < a @ c < 0.99)
+    b = 2 * (a @ c) * c - a
+    assume(min(np.linalg.norm(v[i:i + 4]) for v in (a, b) for i in (0, 4))
+           > 0.05)
+    path = PathSpec.great_circle(SpherePoint.from_array8(a),
+                                 SpherePoint.from_array8(b))
+    steps = 40
     res = parallel_transport(path, m, steps)
-    assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
-                                               ("s", "n"), ("n", "s")]
-    assert res.start_frame == res.end_frame == "s"
-    ref = _reference_transport(path, m, steps, switches=res.switches)
-    assert np.max(np.abs(res.matrix - ref)) < 1e-12
-    again = parallel_transport(path, m, steps)
-    assert np.array_equal(again.matrix, res.matrix)
+    ref = _reference_transport(path, m, steps, frame=res.start_frame,
+                               switches=res.switches)
+    # 40 steps can leave RK4's stability region on a fast arc at m = 4, 5,
+    # and the operator then grows; the bounds hold relative to its size
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(res.matrix - ref)) < 1e-12 * scale
+    assert _conjugation_defect(res.matrix, m) < 1e-13 * scale
 
 
 def _dense_assembly(u, rep, patch="s"):

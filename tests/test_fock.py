@@ -6,8 +6,9 @@ import scipy.linalg
 
 from sphere7 import connection
 from sphere7.coframe import random_point
-from sphere7.fock import (basis, basis_index, build_rho, build_rho_partial,
-                          casimir_deviation, commutant_dimension, dim,
+from sphere7.fock import (GENERATOR_NAMES, basis, basis_index, build_rho,
+                          build_rho_partial, casimir_deviation,
+                          commutant_dimension, conjugation, dim,
                           dump_representation, embed_exact_in_ambient,
                           expected_k_spectrum, exponentiate, filtration_check,
                           full_convergence_ell, k_spectrum,
@@ -54,6 +55,46 @@ def test_m2_examples():
     assert np.allclose(out, expect)
     spec = np.sort_complex(np.diag(rep["K+-"].toarray()))
     assert np.allclose(spec, np.sort_complex(np.array([1j, -1j, 0, 0])))
+
+
+def _conjugation_matrix(m):
+    """C with C[sigma(i), i] = s_i, so that J = C conj(.)."""
+    sigma, sign = conjugation(m)
+    c = np.zeros((dim(m), dim(m)))
+    c[sigma, np.arange(dim(m))] = sign
+    return c
+
+
+def _conjugation_defect(c, rep):
+    """Largest entry of C conj(X) - X C over the real span's antihermitean
+    basis rho_g - rho_g^H, i (rho_g + rho_g^H)."""
+    worst = 0.0
+    for g in GENERATOR_NAMES:
+        r = rep[g].toarray()
+        for x in (r - r.conj().T, 1j * (r + r.conj().T)):
+            worst = max(worst, float(np.max(np.abs(c @ x.conj() - x @ c))))
+    return worst
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_conjugation_commutes_with_rho(m):
+    sigma, _ = conjugation(m)
+    c = _conjugation_matrix(m)
+    assert _conjugation_defect(c, build_rho(m)) == 0.0
+    # quaternionic type for even m, real type for odd m
+    assert np.array_equal(c @ c.conj(), (-1) ** (m - 1) * np.eye(dim(m)))
+    assert np.array_equal(sigma[sigma], np.arange(dim(m)))
+    fixed = int(np.sum(sigma == np.arange(dim(m))))
+    assert fixed == ((m + 1) // 2 if m % 2 else 0)
+
+
+@pytest.mark.parametrize("m", [2, 4, 5])
+def test_conjugation_detects_a_flipped_amplitude(m):
+    rep = dict(build_rho(m))
+    bad = rep["P++"].copy()
+    bad.data[0] = -bad.data[0]
+    rep["P++"] = bad
+    assert _conjugation_defect(_conjugation_matrix(m), rep) > 0.1
 
 
 def test_bracket_and_reality_residuals():
