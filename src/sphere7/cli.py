@@ -158,6 +158,10 @@ def _config_from_args(args):
     if cfg.fmt not in formats:
         raise ConfigError(f"{args.command} writes {' or '.join(formats)}, "
                           f"not {cfg.fmt}")
+    if (args.command == "dump-rep" and cfg.fmt == "json"
+            and cfg.m_range[1] > fock.JSON_DUMP_M_MAX):
+        raise ConfigError(f"json dumps stop at m = {fock.JSON_DUMP_M_MAX}; "
+                          f"use --format binary for m = {cfg.m_range[1]}")
     return cfg.validate()
 
 

@@ -23,8 +23,8 @@ import warnings
 
 import numpy as np
 
-from .quaternions import (PatchError, QMatrix2, Quaternion, section_n,
-                          section_s, transition_tau)
+from .quaternions import (QMUL, PatchError, QMatrix2, Quaternion,
+                          section_n, section_s, transition_tau)
 from .rational import ZERO
 from .tolerances import TAU_PATCH, TAU_SPHERE
 from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
@@ -195,15 +195,12 @@ class CoframeSample:
         return {"++": k[0], "+-": k[1] / 2, "--": k[2]}
 
 
-# _QMUL[4 i + j] is the product of the basis quaternions e_i e_j
-_QMUL = np.array([(Quaternion.from_seq(a) * Quaternion.from_seq(b))
-                  .components() for a in np.eye(4) for b in np.eye(4)])
 _QCONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _qmul(a, b):
     """Row-wise quaternion products of (N, 4) arrays."""
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), 16) @ _QMUL
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), 16) @ QMUL
 
 
 def _qinv(a):

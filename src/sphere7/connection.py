@@ -34,12 +34,11 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .coframe import (Chart, SpherePoint, TangentVector, _pullback,
+from .coframe import (_SPINOR, Chart, SpherePoint, TangentVector, _pullback,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
-from .fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
-                   build_rho_partial, conjugation, dim, exponentiate)
+from .fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
+                   conjugation, dim, exponentiate)
 from .quaternions import qlog, transition_tau
-from .u2h import VECTOR_IN_SPINOR
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
 PATCH_SWITCH_LEVEL = 0.05
@@ -72,14 +71,6 @@ def _scatter(flat, values, shape):
     out = np.zeros(shape, dtype=complex)
     out.reshape(-1)[flat] = values
     return out
-
-
-@lru_cache(maxsize=None)
-def _rho_j_vector(m):
-    flat, vals, shape = _rho_stack(m)
-    names = ("j1", "j2", "j3")
-    return {g: _scatter(flat, r, shape) for g, r in
-            zip(names, _coefficient_rows(VECTOR_IN_SPINOR, names) @ vals)}
 
 
 def _coefficients(u, patch):
@@ -257,12 +248,19 @@ class PathSpec:
 
         Each segment is traversed with a quintic easing, so the composite
         velocity vanishes smoothly at the knots and fixed-step integrators
-        keep their order across them.
+        keep their order across them.  Consecutive knots must not be
+        antipodal.
         """
         knots = np.array([p.as_array8() if isinstance(p, SpherePoint)
                           else np.asarray(p, dtype=float) for p in points])
         if len(knots) < 2:
             raise ValueError("need at least two points")
+        unit = knots / np.linalg.norm(knots, axis=1)[:, None]
+        cos = np.sum(unit[:-1] * unit[1:], axis=1)
+        if np.any(cos + 1.0 < 1e-12):
+            i = int(np.argmin(cos))
+            raise ValueError(f"knots {i} and {i + 1} are antipodal: the chord "
+                             "between them passes through the origin")
         return cls(partial(_chordal, knots), 0.0, 1.0, steps, "piecewise")
 
     @classmethod
@@ -303,17 +301,20 @@ class TransportResult:
                 "end_frame": self.end_frame}
 
 
-def gauge_matrix(m, p):
-    """Unitary representing the transition element diag(tau, 1) at level m.
+def _gauge_generator(m, p):
+    """The level-m image of diag(log tau, 0) = 2 sum_i (log tau)_i j_i,
+    scattered from its spinor coefficients onto the level matrices'
+    pattern as in connection_matrix."""
+    q = qlog(transition_tau(p))
+    flat, vals, shape = _rho_stack(m)
+    coeffs = 2.0 * np.array([q.q1, q.q2, q.q3]) @ _SPINOR[:3]
+    return _scatter(flat, coeffs @ vals, shape)
 
-    diag(log tau, 0) = 2 sum_i (log tau)_i j_i, exponentiated through the
-    compact-subalgebra matrices.
-    """
-    tau = transition_tau(p)
-    q = qlog(tau)
-    rho_j = _rho_j_vector(m)
-    gen = 2.0 * (q.q1 * rho_j["j1"] + q.q2 * rho_j["j2"] + q.q3 * rho_j["j3"])
-    return exponentiate(gen, 1.0, tol=1e-8)
+
+def gauge_matrix(m, p):
+    """Unitary representing the transition element diag(tau, 1) at level m,
+    the exponential of _gauge_generator."""
+    return exponentiate(_gauge_generator(m, p), 1.0, tol=1e-8)
 
 
 def _step_frames(p8, north):

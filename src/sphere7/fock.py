@@ -36,6 +36,12 @@ GENERATOR_NAMES = SPINOR_GENERATORS
 # and 8140 at M = 20 (0.5 GiB in float64).
 M_MAX = 20
 
+# Largest level `dump-rep --format json` writes.  The JSON dump holds every
+# generator's dense nested lists at once: on 2 vCPUs it peaked at 109 / 246
+# / 584 MiB RSS and took 0.8 / 3.0 / 8.5 s at m = 8 / 10 / 12, growing as
+# dim(m)^2; binary dumps stream one generator at a time.
+JSON_DUMP_M_MAX = 12
+
 
 def dim(m):
     if m < 1:

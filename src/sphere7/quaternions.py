@@ -101,6 +101,12 @@ QI = Quaternion(0.0, 1.0)
 QJ = Quaternion(0.0, 0.0, 1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
+# QMUL[4 i + j]: the integer components of the product e_i e_j of the basis
+# quaternions (e_0, e_1, e_2, e_3) = (1, i, j, k)
+QMUL = np.array([(Quaternion.from_seq(a) * Quaternion.from_seq(b))
+                 .components() for a in np.eye(4) for b in np.eye(4)],
+                dtype=int)
+
 
 def qexp(q):
     """Quaternion exponential exp(q0) (cos|v| + vhat sin|v|)."""

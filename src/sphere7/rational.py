@@ -95,6 +95,9 @@ class CRat:
         a, b, f = self._a, self._b, other._d
         return _normal((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
+    def __rtruediv__(self, other):
+        return crat(other) / self
+
     def __neg__(self):
         return _new(-self._a, -self._b, self._d)
 
@@ -238,16 +241,16 @@ def monomial_product(x, y):
 
 
 def frac_mat_inverse(rows):
-    """Invert a square matrix of Fractions by Gauss-Jordan elimination."""
+    """Invert a square matrix of Fractions or CRats by Gauss-Jordan
+    elimination; the inverse has entries of the same type."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
+        inv = Fraction(1) / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:

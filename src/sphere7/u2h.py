@@ -2,8 +2,9 @@
 
 Two bases are carried in parallel:
 
-* the vector basis (j1, j2, j3, p0, p1, p2, p3, k1, k2, k3) coming from the
-  antihermitean quaternionic 2x2 matrices, with real structure constants;
+* the vector basis (j1, j2, j3, p0, p1, p2, p3, k1, k2, k3) of the
+  antihermitean quaternionic 2x2 matrices X, each written once as the exact
+  integer matrix 2X = [[mu, nu], [-nubar, kappa]] with one unit component;
 * the spinor basis (J^{ab}, P^a_{adot}, K_{adot bdot}) obtained from the
   complex linear change of basis
 
@@ -11,6 +12,13 @@ Two bases are carried in parallel:
       P^+_+. = -p3 - i p0        P^+_-. = -p1 + i p2
       P^-_+. =  p1 + i p2        P^-_-. = -p3 + i p0
       K_+.+. = 2 k1 + 2i k2      K_+.-. = -2 k3      K_-.-. = -2 k1 + 2i k2
+
+Data: the spinor brackets (the paper's epsilon contractions) and the change
+of basis above, SPINOR_IN_VECTOR.  Derived: the vector brackets, from the
+commutators of the integer matrices; VECTOR_IN_SPINOR, the exact inverse of
+SPINOR_IN_VECTOR; and REALITY_SPINOR, from X^dagger = -X on the vector
+basis.  cross_basis_residual therefore compares the paper's spinor brackets
+with the matrix algebra itself.
 
 Spinor generator names use two sign characters: "J++", "J+-", "J--" (the
 undotted symmetric pair), "P++" .. "P--" (first sign undotted, second dotted),
@@ -22,7 +30,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .rational import CRat, Combination, add_into, crat, frac_mat_inverse
+import numpy as np
+
+from .quaternions import QMUL
+from .rational import ZERO, CRat, Combination, add_into, crat, frac_mat_inverse
 
 SPINOR_GENERATORS = ("J++", "J+-", "J--",
                      "P++", "P+-", "P-+", "P--",
@@ -148,112 +159,56 @@ def _build_spinor_table():
     return full
 
 
-def _build_vector_table():
-    """The real-form bracket list in the (j, p0, p, k) basis."""
-    eps = {}
-    for i in range(3):
-        for jj in range(3):
-            for k in range(3):
-                if {i, jj, k} == {0, 1, 2}:
-                    # parity of the permutation (i, jj, k)
-                    eps[(i, jj, k)] = 1 if (jj - i) % 3 == 1 else -1
-    half = Fraction(1, 2)
-    t = {}
+# flat (2, 2, 4) positions of mu1..3, nu0..3 and kappa1..3: the entry of an
+# antihermitean matrix at _SLOTS[a] is its coefficient on the a-th matrix
+_SLOTS = (1, 2, 3, 4, 5, 6, 7, 13, 14, 15)
 
-    def put(a, b, res):
-        t[(a, b)] = {g: crat(c) for g, c in res.items() if c}
-        t[(b, a)] = {g: -crat(c) for g, c in res.items() if c}
 
-    for i in range(3):
-        for jj in range(3):
-            if i == jj:
-                continue
-            res_jj = {}
-            res_kk = {}
-            res_pp = {}
-            for k in range(3):
-                e = eps.get((i, jj, k), 0)
-                if e:
-                    res_jj[f"j{k+1}"] = e
-                    res_kk[f"k{k+1}"] = e
-                    res_pp[f"j{k+1}"] = e
-                    res_pp[f"k{k+1}"] = e
-            if i < jj:
-                put(f"j{i+1}", f"j{jj+1}", res_jj)
-                put(f"k{i+1}", f"k{jj+1}", res_kk)
-                put(f"p{i+1}", f"p{jj+1}", res_pp)
-    for i in range(3):
-        for jj in range(3):
-            res_pj = {}
-            res_pk = {}
-            for k in range(3):
-                e = eps.get((i, jj, k), 0)
-                if e:
-                    res_pj[f"p{k+1}"] = half * e
-                    res_pk[f"p{k+1}"] = half * e
-            if i == jj:
-                res_pj["p0"] = half
-                res_pk["p0"] = -half
-            put(f"p{i+1}", f"j{jj+1}", res_pj)
-            put(f"p{i+1}", f"k{jj+1}", res_pk)
-    for i in range(3):
-        put("p0", f"j{i+1}", {f"p{i+1}": -half})
-        put("p0", f"k{i+1}", {f"p{i+1}": half})
-        put("p0", f"p{i+1}", {f"j{i+1}": 1, f"k{i+1}": -1})
-    full = {}
-    for g1 in VECTOR_GENERATORS:
-        for g2 in VECTOR_GENERATORS:
-            full[(g1, g2)] = t.get((g1, g2), {})
-    return full
+def _vector_matrices():
+    """2X for the vector generators X as (10, 2, 2, 4) integer quaternion
+    components: [[mu, nu], [-nubar, kappa]] with one unit component, the
+    layout coframe.maurer_cartan_matrix assembles."""
+    out = np.zeros((10, 16), dtype=int)
+    out[range(10), _SLOTS] = 1
+    out[3:7, 8:12] = np.diag([-1, 1, 1, 1])     # -nubar for nu = 1, i, j, k
+    return out.reshape(10, 2, 2, 4)
+
+
+def _vector_table(mats):
+    """Brackets [X, Y] = (AB - BA)/4 of the matrices A = 2X, B = 2Y in
+    mats, in integer arithmetic, as {(g1, g2): {gen: CRat}}."""
+    ab = np.einsum("arki,bkcj,ijl->abrcl", mats, mats, QMUL.reshape(4, 4, 4))
+    # AB - BA = 2 sum_c f_c (2 X_c) for [X, Y] = sum_c f_c X_c
+    twice = (ab - ab.swapaxes(0, 1)).reshape(10, 10, 16)[..., _SLOTS]
+    return {(g1, g2): {g: crat(Fraction(int(f), 2))
+                       for g, f in zip(VECTOR_GENERATORS, twice[a, b]) if f}
+            for a, g1 in enumerate(VECTOR_GENERATORS)
+            for b, g2 in enumerate(VECTOR_GENERATORS)}
 
 
 _SPINOR_TABLE = _build_spinor_table()
-_VECTOR_TABLE = _build_vector_table()
+_VECTOR_TABLE = _vector_table(_vector_matrices())
 
-# spinor generators written in the vector basis
-SPINOR_IN_VECTOR = {
-    "J++": {"j1": -2, "j2": CRat(0, 2)},
+# spinor generators written in the vector basis, (re, im) coefficients
+SPINOR_IN_VECTOR = {k: {g: crat(c) for g, c in v.items()} for k, v in {
+    "J++": {"j1": -2, "j2": (0, 2)},
     "J+-": {"j3": -2},
-    "J--": {"j1": 2, "j2": CRat(0, 2)},
-    "P++": {"p3": -1, "p0": CRat(0, -1)},
-    "P+-": {"p1": -1, "p2": CRat(0, 1)},
-    "P-+": {"p1": 1, "p2": CRat(0, 1)},
-    "P--": {"p3": -1, "p0": CRat(0, 1)},
-    "K++": {"k1": 2, "k2": CRat(0, 2)},
+    "J--": {"j1": 2, "j2": (0, 2)},
+    "P++": {"p3": -1, "p0": (0, -1)},
+    "P+-": {"p1": -1, "p2": (0, 1)},
+    "P-+": {"p1": 1, "p2": (0, 1)},
+    "P--": {"p3": -1, "p0": (0, 1)},
+    "K++": {"k1": 2, "k2": (0, 2)},
     "K+-": {"k3": -2},
-    "K--": {"k1": -2, "k2": CRat(0, 2)},
-}
+    "K--": {"k1": -2, "k2": (0, 2)},
+}.items()}
 
-_q = Fraction(1, 4)
-_h = Fraction(1, 2)
-# vector generators written in the spinor basis (the inverse map)
+# vector generators written in the spinor basis: the exact inverse map
 VECTOR_IN_SPINOR = {
-    "j1": {"J--": _q, "J++": -_q},
-    "j2": {"J++": CRat(0, -_q), "J--": CRat(0, -_q)},
-    "j3": {"J+-": -_h},
-    "p0": {"P++": CRat(0, _h), "P--": CRat(0, -_h)},
-    "p1": {"P-+": _h, "P+-": -_h},
-    "p2": {"P-+": CRat(0, -_h), "P+-": CRat(0, -_h)},
-    "p3": {"P++": -_h, "P--": -_h},
-    "k1": {"K++": _q, "K--": -_q},
-    "k2": {"K++": CRat(0, -_q), "K--": CRat(0, -_q)},
-    "k3": {"K+-": -_h},
-}
-
-SPINOR_IN_VECTOR = {k: {g: crat(c) for g, c in v.items()}
-                    for k, v in SPINOR_IN_VECTOR.items()}
-VECTOR_IN_SPINOR = {k: {g: crat(c) for g, c in v.items()}
-                    for k, v in VECTOR_IN_SPINOR.items()}
-
-# the conjugate-linear involution X -> X^dagger on generators
-REALITY_SPINOR = {
-    "J++": {"J--": 1}, "J--": {"J++": 1}, "J+-": {"J+-": -1},
-    "P++": {"P--": -1}, "P--": {"P++": -1},
-    "P+-": {"P-+": 1}, "P-+": {"P+-": 1},
-    "K++": {"K--": 1}, "K--": {"K++": 1}, "K+-": {"K+-": -1},
-}
-REALITY_SPINOR = {k: {g: crat(c) for g, c in v.items()}
-                  for k, v in REALITY_SPINOR.items()}
+    v: {s: c for s, c in zip(SPINOR_GENERATORS, row) if c}
+    for v, row in zip(VECTOR_GENERATORS, frac_mat_inverse(
+        [[SPINOR_IN_VECTOR[s].get(v, ZERO) for v in VECTOR_GENERATORS]
+         for s in SPINOR_GENERATORS]))}
 
 
 def bracket_table(basis="spinor", mutate=None):
@@ -319,8 +274,8 @@ def verify_jacobi(basis="spinor", mutate=None):
 def reality(x):
     """Conjugate-linear involution X -> X^dagger extended to elements.
 
-    On the spinor generators it is the table above; every vector-basis
-    generator is antihermitean, X^dagger = -X.
+    Every vector-basis generator is antihermitean, X^dagger = -X; on the
+    spinor generators it is REALITY_SPINOR, which is derived from that.
     """
     if isinstance(x, str):
         x = LieElement.gen(x)
@@ -341,6 +296,12 @@ def basis_change(x, to):
         return x
     return _linear_image(x, SPINOR_IN_VECTOR if to == "vector"
                          else VECTOR_IN_SPINOR, to)
+
+
+# the conjugate-linear involution X -> X^dagger on the spinor generators,
+# carried over from X^dagger = -X on the vector basis
+REALITY_SPINOR = {g: basis_change(reality(basis_change(
+    LieElement.gen(g), "vector")), "spinor").terms for g in SPINOR_GENERATORS}
 
 
 # ---------------------------------------------------------------------------
@@ -440,29 +401,13 @@ GRADING_ELEMENT = LieElement({"K+-": CRat(0, -1)})  # -i K_{+.-.}
 # Killing form and quadratic Casimir data
 # ---------------------------------------------------------------------------
 
-def _ad_matrix_vector(g):
-    n = len(VECTOR_GENERATORS)
-    idx = {name: i for i, name in enumerate(VECTOR_GENERATORS)}
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for jcol, h in enumerate(VECTOR_GENERATORS):
-        for out, c in _VECTOR_TABLE[(g, h)].items():
-            assert c.im == 0
-            m[idx[out]][jcol] += c.re
-    return m
-
-
 def killing_form():
     """B(X,Y) = tr(ad X ad Y) on the vector basis, exact Fractions."""
-    n = len(VECTOR_GENERATORS)
-    ads = [_ad_matrix_vector(g) for g in VECTOR_GENERATORS]
-    b = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for bb in range(a, n):
-            tr = sum(ads[a][i][j] * ads[bb][j][i]
-                     for i in range(n) for j in range(n))
-            b[a][bb] = tr
-            b[bb][a] = tr
-    return b
+    # ad[a][c][b]: coefficient of generator c in [a, b], all real
+    ad = [[[_VECTOR_TABLE[g, h].get(c, ZERO).re for h in VECTOR_GENERATORS]
+           for c in VECTOR_GENERATORS] for g in VECTOR_GENERATORS]
+    return [[sum(x[i][j] * y[j][i] for i in range(10) for j in range(10))
+             for y in ad] for x in ad]
 
 
 @cache

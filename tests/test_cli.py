@@ -31,6 +31,8 @@ def test_verify_invalid_m(tmp_path):
     (("eds-check", "--samples", "0"), "samples must be >= 1"),
     (("eds-check", "--samples", "-3"), "samples must be >= 1"),
     (("eds-check", "--seed", "-1"), "seed must be >= 0"),
+    (("dump-rep", "--m", "13"), "use --format binary for m = 13"),
+    (("dump-rep", "--m", "13", "--format", "json"), "--format binary"),
 ])
 def test_config_out_of_range(tmp_path, capsys, args, message):
     assert run(tmp_path, *args) == 2
@@ -133,6 +135,17 @@ def test_transport_malformed(tmp_path, capsys):
       "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]},
      "too coarse for m = 12, use more steps"),
     ({"m": M_MAX + 1}, f"level m = {M_MAX}"),
+    # a chord through the origin: nan at a node for even steps, a jump
+    # across the sphere for odd steps
+    ({"type": "piecewise", "steps": 100,
+      "points": [{"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+                 {"x": [-1, 0, 0, 0], "y": [0, 0, 0, 0]}]},
+     "knots 0 and 1 are antipodal"),
+    ({"type": "piecewise", "steps": 101,
+      "points": [{"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+                 {"x": [0.6, 0, 0, 0], "y": [0.8, 0, 0, 0]},
+                 {"x": [-0.6, 0, 0, 0], "y": [-0.8, 0, 0, 0]}]},
+     "knots 1 and 2 are antipodal"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},

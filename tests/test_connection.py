@@ -120,6 +120,38 @@ def test_gauge_relation_at_rep_level():
         assert np.max(np.abs(resid)) < 1e-8
 
 
+_COORDS = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8,
+                   max_size=8)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_COORDS, _COORDS, st.sampled_from([2, 3, 4]))
+def test_gauge_relation_property(p_coords, u_coords, m):
+    # the s -> n transition unitary at random overlap points: unitary,
+    # commuting with fock.conjugation's J, and a_n = g^dagger a_s g +
+    # g^dagger dg on a random unit tangent
+    p8 = np.array(p_coords)
+    assume(np.linalg.norm(p8) > 0.1)
+    p8 /= np.linalg.norm(p8)
+    assume(min(np.linalg.norm(p8[:4]), np.linalg.norm(p8[4:])) >= 0.35)
+    u8 = np.array(u_coords)
+    u8 -= (p8 @ u8) * p8
+    assume(np.linalg.norm(u8) > 0.1)
+    p = SpherePoint.from_array8(p8)
+    u = TangentVector.from_array8(p, u8 / np.linalg.norm(u8))
+    g = gauge_matrix(m, p)
+    assert np.max(np.abs(g.conj().T @ g - np.eye(dim(m)))) < 1e-12
+    assert _conjugation_defect(g, m) < 1e-13
+    a_s = connection_matrix(u, m, patch="s")
+    a_n = connection_matrix(u, m, patch="n")
+    chart = Chart(p, [u])
+    h = 1e-6
+    dg = (gauge_matrix(m, chart.point((h,)))
+          - gauge_matrix(m, chart.point((-h,)))) / (2 * h)
+    resid = a_n - (g.conj().T @ a_s @ g + g.conj().T @ dg)
+    assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(a_s))
+
+
 def test_alpha_coefficient_probe():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -253,6 +285,19 @@ def test_born_rejects_zero_states():
         born_probability(np.zeros(4), np.ones(4), path, 2, steps=10)
 
 
+def test_piecewise_rejects_antipodal_knots():
+    a = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
+    b = SpherePoint([-1, 0, 0, 0], [0, 0, 0, 0])
+    with pytest.raises(ValueError, match="knots 0 and 1 are antipodal"):
+        PathSpec.piecewise([a, b])
+    c = SpherePoint([0.6, 0, 0, 0], [0.8, 0, 0, 0])
+    d = SpherePoint([-0.6, 0, 0, 0], [-0.8, 0, 0, 0])
+    with pytest.raises(ValueError, match="knots 1 and 2 are antipodal"):
+        PathSpec.piecewise([a, c, d], steps=101)
+    # antipodal but not consecutive is a valid path
+    assert PathSpec.piecewise([a, c, b]).label == "piecewise"
+
+
 def test_transport_step_validation():
     p = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     with pytest.raises(ValueError):
@@ -378,10 +423,6 @@ def test_switching_transport_matches_per_node_reference(monkeypatch, block):
             assert _conjugation_defect(gauge, m) < 1e-13
         again = parallel_transport(path, m, steps)
         assert np.array_equal(again.matrix, res.matrix)
-
-
-_COORDS = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8,
-                   max_size=8)
 
 
 @settings(deadline=None, max_examples=25)

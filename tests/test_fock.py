@@ -16,7 +16,6 @@ from sphere7.fock import (GENERATOR_NAMES, basis, basis_index, build_rho,
                           matrix_of_weyl, partial_sum_distance,
                           sqrt_series_value, verify_brackets, verify_reality,
                           verify_traceless)
-from sphere7.quaternions import qlog, transition_tau
 from sphere7.rational import CRat
 from sphere7.weyl import WeylElement, embedded_generators
 
@@ -301,10 +300,8 @@ def _random_antihermitean(rng, d, norm):
 
 def _gauge_generator(m):
     """The generator gauge_matrix exponentiates, at a seeded overlap point."""
-    p = random_point(np.random.default_rng(5), 0.35)
-    q = qlog(transition_tau(p))
-    j = connection._rho_j_vector(m)
-    return 2.0 * (q.q1 * j["j1"] + q.q2 * j["j2"] + q.q3 * j["j3"])
+    return connection._gauge_generator(
+        m, random_point(np.random.default_rng(5), 0.35))
 
 
 def test_exponentiate_matches_expm():

@@ -11,7 +11,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere7.rational import CRat, Combination
+from sphere7.rational import CRat, Combination, frac_mat_inverse
 from sphere7.u2h import SPINOR_GENERATORS, LieElement
 from sphere7.weyl import PolyNM, WeylElement
 
@@ -169,3 +169,18 @@ def test_combination_self_difference_is_empty(x):
     d = _clean(x - x, x)
     assert d.is_zero() and d.terms == {}
     assert (x + (-x)).terms == {} and x.scale(0).terms == {}
+
+
+@SETTINGS
+@given(pairs, pairs, pairs, pairs)
+def test_frac_mat_inverse_keeps_crat_entries(w, x, z, y):
+    a = [[CRat(*w), CRat(*x)], [CRat(*z), CRat(*y)]]
+    try:
+        inv = frac_mat_inverse(a)
+    except ValueError:
+        return
+    assert all(type(x) is CRat for row in inv for x in row)
+    for i in range(2):
+        for j in range(2):
+            assert a[i][0] * inv[0][j] + a[i][1] * inv[1][j] == int(i == j)
+    assert 1 / CRat(0, 2) == CRat(0, Fraction(-1, 2))

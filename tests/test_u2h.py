@@ -1,9 +1,14 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sphere7 import u2h
 from sphere7.rational import CRat
-from sphere7.u2h import (GRADING_ELEMENT, LieElement, SPINOR_GENERATORS,
+from sphere7.u2h import (GRADING_ELEMENT, REALITY_SPINOR, VECTOR_IN_SPINOR,
+                         LieElement, SPINOR_GENERATORS,
                          VECTOR_GENERATORS, basis_change, bracket,
                          bracket_gens, bracket_table, casimir_pairs,
                          contraction_constants, contraction_limit,
@@ -175,3 +180,44 @@ def test_structure_constants_json():
     assert all({"X", "Y", "result"} <= set(r) for r in recs)
     some = next(r for r in recs if r["X"] == "K+-" and r["Y"] == "K++")
     assert some["result"] == [{"gen": "K++", "re": "0", "im": "2"}]
+
+
+def _recorded(table):
+    return {k: {g: CRat(Fraction(re), Fraction(im)) for g, (re, im)
+                in v.items()} for k, v in table.items()}
+
+
+def test_derived_tables_match_recorded_values():
+    # the vector brackets, the inverse basis change, the reality table and
+    # the Casimir pairs as the hand-entered tables gave them
+    rec = json.loads(Path(__file__).with_name("u2h_tables.json").read_text())
+    table = bracket_table("vector")
+    assert {f"{a}|{b}": table[a, b] for a in VECTOR_GENERATORS
+            for b in VECTOR_GENERATORS if table[a, b]} == _recorded(
+                rec["vector_brackets"])
+    assert len(table) == 100
+    assert VECTOR_IN_SPINOR == _recorded(rec["vector_in_spinor"])
+    assert REALITY_SPINOR == _recorded(rec["reality_spinor"])
+    pairs = casimir_pairs()
+    assert all(type(c) is Fraction for _, _, c in pairs)
+    assert [[a, b, str(c)] for a, b, c in pairs] == rec["casimir_pairs"]
+
+
+def test_vector_matrices_are_antihermitean_units():
+    mats = u2h._vector_matrices()
+    conj = np.array([1, -1, -1, -1])
+    dagger = mats.swapaxes(1, 2) * conj
+    assert np.array_equal(dagger, -mats)
+    # one unit component, mirrored into the lower left for nu
+    assert np.array_equal(np.abs(mats).sum(axis=(1, 2, 3)),
+                          [1, 1, 1, 2, 2, 2, 2, 1, 1, 1])
+
+
+def test_corrupted_basis_matrix_is_caught(monkeypatch):
+    # p0's lower-left entry with the wrong sign: the matrices no longer
+    # close into the paper's algebra and both exact checks see it
+    mats = u2h._vector_matrices()
+    mats[3, 1, 0] *= -1
+    monkeypatch.setattr(u2h, "_VECTOR_TABLE", u2h._vector_table(mats))
+    assert cross_basis_residual() == 2
+    assert verify_jacobi("vector")[0] == Fraction(1, 2)
