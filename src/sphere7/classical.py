@@ -5,13 +5,14 @@ Variables are complex coordinates mirroring the oscillator slots,
     0 = zbar   1 = z^-_-.   2 = z^+_-.   3 = z   4 = z^+_+.   5 = z^-_+.
 
 with fundamental brackets {z, zbar} = -i, {z^+_+., z^-_-.} = i,
-{z^+_-., z^-_+.} = i and all other pairs vanishing.  The classical number
-functions are n = 2 zbar z and N = z^+_-. z^-_+. - z^+_+. z^-_-. (no ordering
-constant).  Because the slot layout matches the quantum module, the naive
-replacement map classical -> quantum is the identity on exponent tuples.
+{z^+_-., z^-_+.} = i and all other pairs vanishing.  Because the slot layout
+matches the quantum module, the naive replacement map classical -> quantum
+is the identity on exponent tuples.
 
-Only the product and the bracket are classical: the generator recipe and the
-45-pair report are those of the weyl module, run on this ring.
+Only the product and the bracket are classical: the generator recipe, the
+number functions n = 2 zbar z and N = z^+_-. z^-_+. - z^+_+. z^-_-. and the
+45-pair report are those of the weyl module, run on this ring.  The
+commutative product orders nothing, so N carries no ordering constant.
 """
 
 from .rational import CRat, monomial_product
@@ -54,14 +55,6 @@ class PoissonElement(SlotPolynomial):
                 continue
             out = out + (df * dg).scale(c)
         return out
-
-    @classmethod
-    def number_op(cls):
-        return cls({(1, 0, 0, 1, 0, 0): 2})
-
-    @classmethod
-    def total_number_op(cls):
-        return cls({(0, 0, 1, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): -1})
 
 
 def verify_classical(ell, gradecap=None):

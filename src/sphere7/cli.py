@@ -86,6 +86,7 @@ def _is_number(v):
 
 # what a JSON value must be to give a value of each RunConfig field type
 _JSON_TYPES = {
+    bool: ("true or false", lambda v: type(v) is bool),
     int: ("an integer", lambda v: type(v) is int),
     float: ("a finite number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
@@ -259,12 +260,8 @@ def cmd_verify(cfg):
                        "passed": not bad_exact})
         grades = {k: v["residual_min_grade"] for k, v in rep.items()
                   if k not in required}
-        mono_ok = True
-        for k, g in grades.items():
-            gprev = prev_grades.get(k)
-            if gprev is not None and g is not None and gprev is not None:
-                if g < gprev:
-                    mono_ok = False
+        mono_ok = not any(g is not None and prev_grades.get(k) is not None
+                          and g < prev_grades[k] for k, g in grades.items())
         checks.append({"check": "embedding-monotone",
                        "detail": f"ell={ell}",
                        "value": "nondecreasing" if mono_ok else "decreased",
@@ -439,10 +436,12 @@ def cmd_transport(cfg, path_file):
         if steps < 2:
             raise ConfigError(f"steps must be >= 2, got {steps}")
         path = _path_from_spec(spec, steps)
-        states = None
-        if "psi_i" in spec and "psi_f" in spec:
-            states = [_state_from_json(spec[k], fock.dim(m), k)
-                      for k in ("psi_i", "psi_f")]
+        dump_matrix = _typed("dump_matrix", spec.get("dump_matrix", False),
+                             bool)
+        given = [k for k in ("psi_i", "psi_f") if k in spec]
+        if len(given) == 1:
+            raise ConfigError(f"{given[0]} given without the other state")
+        states = [_state_from_json(spec[k], fock.dim(m), k) for k in given]
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -461,7 +460,7 @@ def cmd_transport(cfg, path_file):
         return 2
     payload = {"config": cfg.__dict__, "path": path.to_json(), "m": m,
                "result": result.to_json()}
-    if spec.get("dump_matrix"):
+    if dump_matrix:
         payload["matrix"] = [[[float(v.real), float(v.imag)] for v in row]
                              for row in result.matrix]
     if states:

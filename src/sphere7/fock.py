@@ -4,15 +4,15 @@ The space at level m is spanned by occupation states |n1, n2, n3> with
 n1 + n2 + n3 <= m - 1, dimension binom(m+2, 3), ordered graded-lex by
 (total, n1, n2) ascending, so each level is the prefix of the next.
 
-Two constructions are provided: build_rho transcribes the closed-form matrix
-elements of the exact representation (deformation parameter 1/m), and
-build_rho_partial substitutes the finite square-root partial sums, producing
-operators that map level m into the ambient level m+1 block.  Both return
-scipy.sparse CSR arrays: every generator is a ladder operator with at most
-two nonzeros per column.  The checks read them through stacked sparse
-products and accept dense matrices too.  The symbolic Laurent generators
-of the weyl module can be evaluated to the same matrices, which closes the
-algebra <-> operator consistency loop.
+One evaluator applies slot words to the occupation states.  build_rho runs
+it on the words of weyl.GENERATOR_TERMS with the exact operator square root
+S (deformation parameter 1/m), build_rho_partial with its finite partial
+sums, producing operators that map level m into the ambient level m+1
+block.  Both return scipy.sparse CSR arrays: every generator is a ladder
+operator with at most two nonzeros per column.  The checks read them
+through stacked sparse products and accept dense matrices too.
+matrix_of_laurent runs the same evaluator on the monomials of the symbolic
+Laurent generators, which closes the algebra <-> operator loop.
 """
 
 import json
@@ -27,6 +27,7 @@ from .rational import CRat, add_into
 from .tolerances import TAU_REP
 from .u2h import (REALITY_SPINOR, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
                   bracket_table, casimir_pairs)
+from .weyl import GENERATOR_TERMS, LaurentElement
 
 GENERATOR_NAMES = SPINOR_GENERATORS
 
@@ -83,98 +84,82 @@ def conjugation(m):
     return sigma, sign
 
 
-def _sq(v):
-    # radicands that are analytically >= 0 may float slightly negative
-    if v < 0:
-        if v < -1e-12:
-            raise ValueError(f"negative radicand {v}")
-        return 0.0
-    return math.sqrt(v)
+def _apply_words(words, occ, cod_m, sides=(), s=None):
+    """Slot words on the occupation columns occ (3, D): the word, the row in
+    level cod_m, the column and the real amplitude of every nonzero entry,
+    word by word.
 
-
-def _ladder_actions(m):
-    """name -> (state -> [(out_state, amplitude, radial_at)]) for the ten
-    generators.
-
-    A term with radial_at = t is multiplied by the square-root factor at
-    total occupation t: sqrt(m - t) for the exact representation, the S_ell
-    partial sum for the truncated one.  The J rows, K+- and the P terms that
-    move an occupation between two slots carry none (radial_at is None).
+    A word acts right to left.  Each oscillator gives one square root, of
+    the product of its integer ladder radicands, and each app a sign.  S,
+    on the side that sides names, is s[tau] at tau = total occupation + 1:
+    of the output left of the word, of the input right of it.  Lowering an
+    empty mode gives radicand 0, so every nonzero entry lands on an
+    occupation state; one outside level cod_m raises ValueError.
     """
-
-    def k_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3), -2j * _sq(n1), n1 + n2 + n3)]
-
-    def k_pm(n1, n2, n3):
-        return [((n1, n2, n3), 1j * (m - 2 * n1 - n2 - n3 - 1), None)]
-
-    def k_mm(n1, n2, n3):
-        return [((n1 + 1, n2, n3), 2j * _sq(n1 + 1), n1 + n2 + n3 + 1)]
-
-    def p_pp(n1, n2, n3):
-        return [((n1 - 1, n2, n3 + 1), -_sq(n1) * _sq(n3 + 1), None),
-                ((n1, n2 - 1, n3), -_sq(n2), n1 + n2 + n3)]
-
-    def p_mm(n1, n2, n3):
-        return [((n1 + 1, n2, n3 - 1), _sq(n1 + 1) * _sq(n3), None),
-                ((n1, n2 + 1, n3), _sq(n2 + 1), n1 + n2 + n3 + 1)]
-
-    def p_mp(n1, n2, n3):
-        return [((n1 - 1, n2 + 1, n3), -_sq(n1) * _sq(n2 + 1), None),
-                ((n1, n2, n3 - 1), _sq(n3), n1 + n2 + n3)]
-
-    def p_pm(n1, n2, n3):
-        return [((n1 + 1, n2 - 1, n3), -_sq(n1 + 1) * _sq(n2), None),
-                ((n1, n2, n3 + 1), _sq(n3 + 1), n1 + n2 + n3 + 1)]
-
-    def j_pp(n1, n2, n3):
-        return [((n1, n2 - 1, n3 + 1), 2j * _sq(n3 + 1) * _sq(n2), None)]
-
-    def j_pm(n1, n2, n3):
-        return [((n1, n2, n3), -1j * (n3 - n2), None)]
-
-    def j_mm(n1, n2, n3):
-        return [((n1, n2 + 1, n3 - 1), -2j * _sq(n2 + 1) * _sq(n3), None)]
-
-    return {"K++": k_pp, "K+-": k_pm, "K--": k_mm,
-            "P++": p_pp, "P--": p_mm, "P-+": p_mp, "P+-": p_pm,
-            "J++": j_pp, "J+-": j_pm, "J--": j_mm}
+    # each slot multiplies the radicand of its mode by n + offset, n the
+    # mode's input occupation; shift is the word's net change of n
+    slots, shift, sign = [], [], []
+    for w, word in enumerate(words):
+        net = [0, 0, 0]
+        for slot in reversed(word):
+            k = slot % 3
+            net[k] += slot < 3
+            slots += (w, k, net[k])
+            net[k] -= slot >= 3
+        shift += net
+        sign.append((-1.0) ** word.count(4))
+    owner, mode, off = np.array(slots, dtype=np.int64).reshape(-1, 3).T
+    rad = np.ones((len(words), *occ.shape), dtype=np.int64)
+    np.multiply.at(rad, (owner, mode), occ[mode] + off[:, None])
+    amp = np.array(sign)[:, None] * np.sqrt(rad).prod(axis=1)
+    out = occ + np.array(shift, dtype=np.int64).reshape(-1, 3, 1)
+    if s is not None:
+        with_s = [w for w, side in enumerate(sides) if side is not None]
+        left = np.array([sides[w] == "left" for w in with_s])
+        amp[with_s] *= s[np.where(left[:, None], out[with_s].sum(axis=1),
+                                  occ.sum(axis=0)) + 1]
+    word, col = np.nonzero(amp)
+    out = out[word, :, col]
+    t = out.sum(axis=1)
+    if t.size and t.max() >= cod_m:
+        raise ValueError(f"state {tuple(out[np.argmax(t)].tolist())} "
+                         "escapes the codomain block")
+    # the graded-lex position of (n1, n2, n3) in basis(): dim(t) states
+    # lie below total t, n1 (t + 1) - n1 (n1 - 1)/2 below n1 within it
+    n1 = out[:, 0]
+    row = (t * (t + 1) * (t + 2) // 6 + n1 * (t + 1) - n1 * (n1 - 1) // 2
+           + out[:, 1])
+    return word, row, col, amp[word, col]
 
 
-def _assemble(m, radial, dom_m, cod_m):
-    """The ladder table of level m with the square-root factor radial(t),
-    as sparse D(cod_m) x D(dom_m) CSR arrays."""
-    dom_basis, cod_index = basis(dom_m), basis_index(cod_m)
-    shape = (len(cod_index), len(dom_basis))
-    mats = {}
-    for name, act in _ladder_actions(m).items():
-        rows, cols, amps = [], [], []
-        for col, st in enumerate(dom_basis):
-            for out, amp, at in act(*st):
-                if at is not None:
-                    amp = amp * radial(at)
-                if amp == 0:
-                    continue
-                if min(out) < 0:
-                    if abs(amp) > 1e-12:
-                        raise ValueError("nonzero amplitude out of the lattice")
-                    continue
-                row = cod_index.get(out)
-                if row is None:
-                    raise ValueError(f"state {out} escapes the codomain block")
-                rows.append(row)
-                cols.append(col)
-                amps.append(amp)
-        mats[name] = scipy.sparse.csr_array(
-            (np.array(amps, dtype=complex),
-             (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
-            shape=shape)
-    return mats
+# the terms of GENERATOR_TERMS, each with the position of its generator
+_GEN, _COEFF, _GRADE, _WORDS, _SIDES = zip(*(
+    (g, *term) for g, terms in enumerate(GENERATOR_TERMS.values())
+    for term in terms))
+
+
+def _assemble(m, s, dom_m, cod_m):
+    """GENERATOR_TERMS at hbar = 1/m with S = s[tau], as sparse
+    D(cod_m) x D(dom_m) CSR arrays."""
+    occ = np.array(basis(dom_m)).T
+    word, row, col, amp = _apply_words(_WORDS, occ, cod_m, _SIDES, s)
+    coeff = np.array([c.to_complex() * float(m) ** (-grade / 2)
+                      for c, grade in zip(_COEFF, _GRADE)])
+    # the generators one below the other; their entries on one position sum
+    d = dim(cod_m)
+    index = np.array([np.array(_GEN)[word] * d + row, col], dtype=np.int32)
+    stack = scipy.sparse.csr_array((coeff[word] * amp, tuple(index)),
+                                   shape=(len(GENERATOR_TERMS) * d,
+                                          occ.shape[1]))
+    # the diagonal terms of K+- and J+- cancel on some states
+    stack.eliminate_zeros()
+    return {name: stack[g * d:(g + 1) * d]
+            for g, name in enumerate(GENERATOR_TERMS)}
 
 
 def build_rho(m):
     """The exact level-m representation: ten sparse D x D complex matrices."""
-    return _assemble(m, lambda t: _sq(m - t), m, m)
+    return _assemble(m, np.sqrt(m - np.arange(m + 1.0)), m, m)
 
 
 def sqrt_series_value(ell, x):
@@ -198,68 +183,50 @@ def sqrt_series_value(ell, x):
     return acc
 
 
-def _partial_svals(m, ell, max_total):
-    # diagonal values of the truncated square-root operator: argument tau is
-    # the (total+1) eigenvalue, hbar = 1/m
-    return {t: math.sqrt(m) * sqrt_series_value(ell, t / m)
-            for t in range(max_total + 2)}
-
-
 def build_rho_partial(m, ell, domain_m=None):
     """Square roots replaced by partial sums; maps level m into level m+1.
 
     Matrices are D(domain_m + 1) x D(domain_m) with hbar fixed at 1/m
     (domain_m defaults to m; passing domain_m = m + 1 gives the next block
-    of the same operator, as needed for curvature compositions).
+    of the same operator, as needed for curvature compositions).  S at tau
+    is sqrt(m) times the series at tau/m.
     """
     dm = m if domain_m is None else domain_m
-    return _assemble(m, _partial_svals(m, ell, dm).__getitem__, dm, dm + 1)
+    s = math.sqrt(m) * np.array([sqrt_series_value(ell, t / m)
+                                 for t in range(dm + 1)])
+    return _assemble(m, s, dm, dm + 1)
 
 
 def embed_exact_in_ambient(m):
-    """build_rho(m) in the D(m+1) x D(m) ambient shape: the exact radial
+    """build_rho(m) in the D(m+1) x D(m) ambient shape: the exact S
     assembled into the level-(m+1) codomain, whose extra rows stay zero."""
-    return _assemble(m, lambda t: _sq(m - t), m, m + 1)
+    return _assemble(m, np.sqrt(m - np.arange(m + 1.0)), m, m + 1)
 
 
 def matrix_of_weyl(w, m_domain, m_codomain):
-    """Evaluate a normal-ordered symbolic element on occupation states.
-
-    Monomial amplitudes are products of ladder factors (the a^+_+. slot
-    carries the sign of its Fock action); no intermediate truncation occurs.
-    """
-    dom = basis(m_domain)
-    cod = basis_index(m_codomain)
-    mat = np.zeros((dim(m_codomain), len(dom)), dtype=complex)
-    for key, coeff in w.terms.items():
-        d1, d2, d3, e1, e2, e3 = key
-        c = coeff.to_complex()
-        for col, (n1, n2, n3) in enumerate(dom):
-            if e1 > n1 or e2 > n2 or e3 > n3:
-                continue
-            amp = 1.0
-            for base, down, up in ((n1, e1, d1), (n2, e2, d2), (n3, e3, d3)):
-                for t in range(down):
-                    amp *= math.sqrt(base - t)
-                for t in range(up):
-                    amp *= math.sqrt(base - down + 1 + t)
-            if e2 % 2:
-                amp = -amp
-            out = (n1 - e1 + d1, n2 - e2 + d2, n3 - e3 + d3)
-            row = cod.get(out)
-            if row is None:
-                raise ValueError(f"state {out} escapes the codomain block")
-            mat[row, col] += c * amp
-    return mat
+    """Evaluate a normal-ordered symbolic element on occupation states, each
+    monomial as the slot word of its creators left of its annihilators."""
+    return matrix_of_laurent(LaurentElement.from_weyl(w), 1, m_domain,
+                             m_codomain)
 
 
 def matrix_of_laurent(lau, m, m_domain=None, m_codomain=None):
     """Evaluate a Laurent element at hbar = 1/m, grade g -> m^(-g/2)."""
     md = m if m_domain is None else m_domain
     mc = md + 1 if m_codomain is None else m_codomain
+    terms = [(k, sum(((slot,) * e for slot, e in enumerate(key)), ()), c)
+             for k, w in enumerate(lau.grades.values())
+             for key, c in w.terms.items()]
+    k, words, coeff = zip(*terms) if terms else ((), (), ())
+    word, row, col, amp = _apply_words(words, np.array(basis(md)).T, mc)
+    # each grade's matrix is summed before it is scaled, which fixes the
+    # rounding the commuting-diagram residuals are reported with
+    mats = np.zeros((len(lau.grades), dim(mc), dim(md)), dtype=complex)
+    np.add.at(mats, (np.array(k, dtype=np.intp)[word], row, col),
+              np.array([c.to_complex() for c in coeff])[word] * amp)
     total = np.zeros((dim(mc), dim(md)), dtype=complex)
-    for g, w in lau.grades.items():
-        total += float(m) ** (-g / 2.0) * matrix_of_weyl(w, md, mc)
+    for g, mat in zip(lau.grades, mats):
+        total += float(m) ** (-g / 2.0) * mat
     return total
 
 
@@ -517,23 +484,22 @@ def filtration_check(m_max):
 def partial_sum_distance(m, ell, block="all"):
     """Sup-entry distance between the truncated and exact level-m operators.
 
-    Computed from the closed form: every differing entry is a ladder term
-    that takes the square-root factor, its amplitude times the series tail
-    at x = tau/m.  block="interior" restricts to columns whose states have
+    Computed from the closed form: every differing entry is a term of
+    GENERATOR_TERMS that takes S, its amplitude times the series tail at
+    x = tau/m.  block="interior" restricts to columns whose states have
     total < m-1 (where x < 1 and the tail is geometric); boundary columns
     decay only like 1/sqrt(ell).
     """
-    err = {t: abs(math.sqrt(m) * (sqrt_series_value(ell, t / m)
-                                  - _sq(1.0 - t / m)))
-           for t in range(m + 1)}
-    actions = _ladder_actions(m).values()
-    worst = 0.0
-    for st in basis(m):
-        if block == "interior" and sum(st) >= m - 1:
-            continue
-        worst = max(worst, *(abs(amp) * err[at] for act in actions
-                             for _, amp, at in act(*st) if at is not None))
-    return worst
+    err = np.array([abs(math.sqrt(m) * (sqrt_series_value(ell, t / m)
+                                        - math.sqrt(1.0 - t / m)))
+                    for t in range(m + 1)])
+    occ = np.array(basis(m)).T
+    if block == "interior":
+        occ = occ[:, occ.sum(axis=0) < m - 1]
+    word, _, _, amp = _apply_words(_WORDS, occ, m + 1, _SIDES, err)
+    scale = np.array([abs(c.to_complex()) if side else 0.0
+                      for c, side in zip(_COEFF, _SIDES)])
+    return float(np.max(scale[word] * np.abs(amp), initial=0.0))
 
 
 def full_convergence_ell(m, threshold=1e-3):

@@ -20,16 +20,18 @@ The dagger is the conjugate-linear antiautomorphism fixed by
     (a)^dagger = ad,  (app)^dagger = -amm,  (apm)^dagger = amp.
 
 The coefficient ring is a parameter of the Laurent layer, the generator
-recipe and the bracket report: WeylElement here, the commutative
-PoissonElement of the classical module for the classical mirror.
+recipe GENERATOR_TERMS and the bracket report: WeylElement here, the
+commutative PoissonElement of the classical module for the classical mirror.
+The number operators n = 2 ad a and N = apm amp - app amm are products in
+the ring, so N has the ordering constant +1 here and none classically.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .rational import CRat, Combination, crat, monomial_product
+from .rational import Combination, crat, monomial_product
 from .u2h import REALITY_SPINOR, SPINOR_GENERATORS, bracket_table
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
@@ -41,9 +43,9 @@ class SlotPolynomial(Combination):
     """Polynomial in the six slot variables with exact complex coefficients.
 
     The container shared by the two coefficient rings of the Laurent layer.
-    A ring subclass supplies its product, its bracket `comm`, its two number
-    operators and BRACKET_NORM, the factor that turns a structure constant
-    of the Lie algebra into the coefficient of that ring's bracket relation.
+    A ring subclass supplies its product, its bracket `comm` and
+    BRACKET_NORM, the factor that turns a structure constant of the Lie
+    algebra into the coefficient of that ring's bracket relation.
     """
 
     __slots__ = ()
@@ -62,6 +64,18 @@ class SlotPolynomial(Combination):
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def number_op(cls):
+        """n = 2 ad a."""
+        return (cls.gen(0) * cls.gen(3)).scale(2)
+
+    @classmethod
+    def total_number_op(cls):
+        """N = apm amp - app amm; the ring's product orders app amm, so the
+        oscillator ring gains the constant +1 and the Poisson ring none."""
+        g = cls.gen
+        return g(2) * g(5) - g(4) * g(1)
 
     def dagger(self):
         """Swap the creator and annihilator blocks, sign the dotted pair and
@@ -102,18 +116,6 @@ class WeylElement(SlotPolynomial):
         uncontracted terms of the two products are equal and cancel."""
         out = _normal_order({}, self, other, 1, True)
         return self._wrap(_normal_order(out, other, self, -1, True))
-
-    @classmethod
-    def number_op(cls):
-        """n = 2 ad a."""
-        return cls({(1, 0, 0, 1, 0, 0): 2})
-
-    @classmethod
-    def total_number_op(cls):
-        """N = apm amp - app amm, normal ordered: apm amp - amm app + 1."""
-        return cls({(0, 0, 1, 0, 0, 1): 1,
-                    (0, 1, 0, 0, 1, 0): -1,
-                    _ZERO_KEY: 1})
 
 
 @lru_cache(maxsize=None)
@@ -314,15 +316,6 @@ class PolyNM(Combination):
             out = out + poly
         return out
 
-    def to_weyl(self, ring=WeylElement):
-        """Substitute the number operators of the ring for (n, N)."""
-        powers_n = _power_cache(ring.number_op())
-        powers_N = _power_cache(ring.total_number_op())
-        out = ring.zero()
-        for (i, j), c in self.terms.items():
-            out = out + (powers_n(i) * powers_N(j)).scale(c)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -350,8 +343,13 @@ class Polymeromorphic(LaurentElement):
         return self._map({g: p.shift(dn, dN) for g, p in self.grades.items()})
 
     def expand(self, cap=None, ring=WeylElement):
-        return LaurentElement({g: p.to_weyl(ring)
-                               for g, p in self.grades.items()}, cap=cap)
+        """Substitute the number operators of the ring for (n, N)."""
+        power_n = _power_cache(ring.number_op())
+        power_N = _power_cache(ring.total_number_op())
+        return LaurentElement(
+            {g: sum(((power_n(i) * power_N(j)).scale(c)
+                     for (i, j), c in p.terms.items()), ring.zero())
+             for g, p in self.grades.items()}, cap=cap)
 
 
 # argument shifts of the passage rules: slot -> (dn, dN) such that
@@ -406,33 +404,48 @@ def sqrt_partial_sum(ell):
 # the ten formal generators at truncation ell
 # ---------------------------------------------------------------------------
 
+# The ten generators, keyed by their u2h spinor names, as sums of terms
+# (coefficient (re, im), sqrt(hbar) grade, slot word, side of S).  A word is
+# a product of slots, acting right to left on a state; S = sqrt(1/hbar - N -
+# n/2) multiplies it on the left or the right, or not at all (None).
+GENERATOR_TERMS = {
+    name: tuple((crat(c), grade, tuple(map(SLOT_NAMES.index, word.split())),
+                 side) for c, grade, word, side in terms)
+    for name, terms in {
+        "J++": [((0, -2), 0, "apm app", None)],
+        "J+-": [((0, -1), 0, "app amm", None), ((0, -1), 0, "amp apm", None)],
+        "J--": [((0, -2), 0, "amp amm", None)],
+        "K++": [((0, -2), 0, "a", "left")],
+        # i/hbar - i(n + N)
+        "K+-": [((0, 1), -2, "", None), ((0, -2), 0, "ad a", None),
+                ((0, -1), 0, "apm amp", None), ((0, 1), 0, "app amm", None)],
+        "K--": [((0, 2), 0, "ad", "right")],
+        "P++": [(-1, 0, "apm a", None), (1, 0, "app", "left")],
+        "P--": [(1, 0, "ad amp", None), (1, 0, "amm", "right")],
+        "P+-": [(1, 0, "ad app", None), (1, 0, "apm", "right")],
+        "P-+": [(-1, 0, "amm a", None), (1, 0, "amp", "left")],
+    }.items()}
+
+
 def embedded_generators(ell, cap=None, ring=WeylElement):
     """Images of the ten Lie algebra generators in the formal oscillator ring.
 
-    The square roots are replaced by the partial sums S_ell; the compact
-    bilinears and the grade (-2, 0) diagonal element are ell-independent.
-    Keys match the spinor-basis generator names of the u2h module.  On the
-    Poisson ring the same recipe gives the phase-free member of the
-    classical solution family.
+    GENERATOR_TERMS with S replaced by the partial sum S_ell; the compact
+    bilinears and K+- are ell-independent.  On the Poisson ring the same
+    recipe gives the phase-free member of the classical solution family.
     """
     s = sqrt_partial_sum(ell).expand(cap, ring)
-    g = ring.gen
-    i = CRat(0, 1)
-    lw = lambda w, grade=0: LaurentElement.from_weyl(w, grade, cap=cap)
-    n_plus_N = ring.number_op() + ring.total_number_op()
-    return {
-        # -2i apm app, -i(app amm + amp apm), -2i amp amm
-        "J++": lw((g(2) * g(4)).scale(-2 * i)),
-        "J+-": lw((g(4) * g(1) + g(5) * g(2)).scale(-i)),
-        "J--": lw((g(5) * g(1)).scale(-2 * i)),
-        "K++": (s * lw(g(3))).scale(-2 * i),
-        "K+-": lw(ring.unit(i), -2) + lw(n_plus_N.scale(-i)),
-        "K--": (lw(g(0)) * s).scale(2 * i),
-        "P++": lw((g(2) * g(3)).scale(-1)) + s * lw(g(4)),
-        "P--": lw(g(0) * g(5)) + lw(g(1)) * s,
-        "P+-": lw(g(0) * g(4)) + lw(g(2)) * s,
-        "P-+": lw((g(1) * g(3)).scale(-1)) + s * lw(g(5)),
-    }
+    gens = {}
+    for name, terms in GENERATOR_TERMS.items():
+        parts = []
+        for c, grade, word, side in terms:
+            w = (prod(map(ring.gen, word[1:]), start=ring.gen(word[0]))
+                 if word else ring.unit())
+            lau = LaurentElement.from_weyl(w.scale(c), grade, cap=cap)
+            parts.append(s * lau if side == "left" else
+                         lau * s if side == "right" else lau)
+        gens[name] = sum(parts[1:], parts[0])
+    return gens
 
 
 def generator_pairs():

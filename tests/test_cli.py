@@ -76,12 +76,14 @@ def test_transport_reeb(tmp_path):
 
 def test_transport_constant(tmp_path):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
-            "m": 2, "steps": 10}
+            "m": 2, "steps": 10, "dump_matrix": True}
     pfile = tmp_path / "path.json"
     pfile.write_text(json.dumps(spec))
     assert run(tmp_path, "transport", str(pfile)) == 0
     report = json.loads((tmp_path / "transport.json").read_text())
     assert report["result"]["holonomy_distance"] == 0
+    assert report["matrix"] == [[[float(i == j), 0.0] for j in range(4)]
+                                for i in range(4)]
 
 
 def test_transport_malformed(tmp_path, capsys):
@@ -146,6 +148,10 @@ def test_transport_malformed(tmp_path, capsys):
                  {"x": [0.6, 0, 0, 0], "y": [0.8, 0, 0, 0]},
                  {"x": [-0.6, 0, 0, 0], "y": [-0.8, 0, 0, 0]}]},
      "knots 1 and 2 are antipodal"),
+    ({"dump_matrix": "false"}, "dump_matrix must be true or false"),
+    ({"dump_matrix": 1}, "dump_matrix must be true or false"),
+    ({"psi_i": [1, 0, 0, 0]}, "psi_i given without the other state"),
+    ({"psi_f": [1, 0, 0, 0]}, "psi_f given without the other state"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},

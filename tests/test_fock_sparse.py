@@ -1,6 +1,6 @@
 """The sparse level matrices and the checks that read them, against dense
-references: a dense assembly of the ladder table and the dense forms of the
-bracket, reality, Casimir and commutant checks."""
+references: a dense assembly of hand-derived ladder closures and the dense
+forms of the bracket, reality, Casimir and commutant checks."""
 
 import math
 from itertools import combinations
@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from sphere7.fock import (GENERATOR_NAMES, _ladder_actions, basis,
-                          basis_index, build_rho, build_rho_partial,
-                          casimir_deviation, commutant_dimension, dim,
-                          dump_representation, embed_exact_in_ambient,
-                          sqrt_series_value, verify_brackets, verify_reality)
+from sphere7.fock import (GENERATOR_NAMES, basis, basis_index, build_rho,
+                          build_rho_partial, casimir_deviation,
+                          commutant_dimension, dim, dump_representation,
+                          embed_exact_in_ambient, sqrt_series_value,
+                          verify_brackets, verify_reality)
 from sphere7.rational import CRat
 from sphere7.u2h import (REALITY_SPINOR, VECTOR_IN_SPINOR, bracket_table,
                          casimir_pairs)
@@ -22,6 +22,64 @@ from sphere7.u2h import (REALITY_SPINOR, VECTOR_IN_SPINOR, bracket_table,
 # ---------------------------------------------------------------------------
 # dense references
 # ---------------------------------------------------------------------------
+
+def _sq(v):
+    # radicands that are analytically >= 0 may float slightly negative
+    if v < 0:
+        if v < -1e-12:
+            raise ValueError(f"negative radicand {v}")
+        return 0.0
+    return math.sqrt(v)
+
+
+def _ladder_actions(m):
+    """name -> (state -> [(out_state, amplitude, radial_at)]) for the ten
+    generators, derived by hand from the oscillator recipe.
+
+    A term with radial_at = t is multiplied by the square-root factor at
+    total occupation t: sqrt(m - t) for the exact representation, the S_ell
+    partial sum for the truncated one.  The J rows, K+- and the P terms that
+    move an occupation between two slots carry none (radial_at is None).
+    """
+
+    def k_pp(n1, n2, n3):
+        return [((n1 - 1, n2, n3), -2j * _sq(n1), n1 + n2 + n3)]
+
+    def k_pm(n1, n2, n3):
+        return [((n1, n2, n3), 1j * (m - 2 * n1 - n2 - n3 - 1), None)]
+
+    def k_mm(n1, n2, n3):
+        return [((n1 + 1, n2, n3), 2j * _sq(n1 + 1), n1 + n2 + n3 + 1)]
+
+    def p_pp(n1, n2, n3):
+        return [((n1 - 1, n2, n3 + 1), -_sq(n1) * _sq(n3 + 1), None),
+                ((n1, n2 - 1, n3), -_sq(n2), n1 + n2 + n3)]
+
+    def p_mm(n1, n2, n3):
+        return [((n1 + 1, n2, n3 - 1), _sq(n1 + 1) * _sq(n3), None),
+                ((n1, n2 + 1, n3), _sq(n2 + 1), n1 + n2 + n3 + 1)]
+
+    def p_mp(n1, n2, n3):
+        return [((n1 - 1, n2 + 1, n3), -_sq(n1) * _sq(n2 + 1), None),
+                ((n1, n2, n3 - 1), _sq(n3), n1 + n2 + n3)]
+
+    def p_pm(n1, n2, n3):
+        return [((n1 + 1, n2 - 1, n3), -_sq(n1 + 1) * _sq(n2), None),
+                ((n1, n2, n3 + 1), _sq(n3 + 1), n1 + n2 + n3 + 1)]
+
+    def j_pp(n1, n2, n3):
+        return [((n1, n2 - 1, n3 + 1), 2j * _sq(n3 + 1) * _sq(n2), None)]
+
+    def j_pm(n1, n2, n3):
+        return [((n1, n2, n3), -1j * (n3 - n2), None)]
+
+    def j_mm(n1, n2, n3):
+        return [((n1, n2 + 1, n3 - 1), -2j * _sq(n2 + 1) * _sq(n3), None)]
+
+    return {"K++": k_pp, "K+-": k_pm, "K--": k_mm,
+            "P++": p_pp, "P--": p_mm, "P-+": p_mp, "P+-": p_pm,
+            "J++": j_pp, "J+-": j_pm, "J--": j_mm}
+
 
 def _dense_assemble(m, radial, dom_m, cod_m):
     dom_basis, cod_index = basis(dom_m), basis_index(cod_m)
@@ -108,12 +166,13 @@ def _assert_same(sparse_rep, dense_rep):
         assert scipy.sparse.issparse(x)
         want = dense_rep[g]
         assert np.array_equal(x.toarray(), want)
-        # one stored entry per nonzero, each with the dense value's bits
-        # (a sum of two terms on one entry would differ from the overwrite)
+        # one stored entry per nonzero, each with the dense value's bits;
+        # + 0.0 clears only the sign of a zero part, which differs where
+        # the reference stores 1j * (negative int) and the assembly a sum
         coo = x.tocoo()
         assert coo.nnz == np.count_nonzero(want)
-        assert np.array_equal(coo.data.view(np.uint64),
-                              want[coo.row, coo.col].view(np.uint64))
+        assert np.array_equal((coo.data + 0.0).view(np.uint64),
+                              (want[coo.row, coo.col] + 0.0).view(np.uint64))
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -130,14 +189,16 @@ def test_assembly_matches_the_dense_ladder_table(m):
 
 
 def test_binary_dump_keeps_the_stored_bits(tmp_path):
-    # toarray adds the stored values to zeros, which would turn the -0.0
-    # real parts of the K+- diagonal into +0.0
+    # + 0.0 clears only the sign of a zero part: the reference's K+-
+    # diagonal, 1j * (negative int), has -0.0 real parts where the
+    # assembly's sums store +0.0
     path = dump_representation(3, tmp_path)
     want = _dense_assemble(3, lambda t: math.sqrt(3 - t), 3, 3)
     for g in GENERATOR_NAMES:
         safe = g.replace("+", "p").replace("-", "m")
-        pairs = np.stack([want[g].real, want[g].imag], axis=-1)
-        assert ((path.parent / f"rho_m3_{safe}.bin").read_bytes()
+        pairs = np.stack([want[g].real, want[g].imag], axis=-1) + 0.0
+        got = np.fromfile(path.parent / f"rho_m3_{safe}.bin", dtype="<f8")
+        assert ((got + 0.0).astype("<f8").tobytes()
                 == pairs.astype("<f8").tobytes())
 
 

@@ -103,6 +103,63 @@ def test_number_operators_commute():
         WeylElement.total_number_op()).is_zero()
 
 
+def _number_op_literals(ring):
+    """n = 2 ad a and N = apm amp - app amm as literals: normal ordered,
+    the oscillator ring's N carries the ordering constant +1."""
+    total = {(0, 0, 1, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): -1}
+    if ring is WeylElement:
+        total[(0, 0, 0, 0, 0, 0)] = 1
+    return ring({(1, 0, 0, 1, 0, 0): 2}), ring(total)
+
+
+@pytest.mark.parametrize("ring", [WeylElement, PoissonElement],
+                         ids=lambda r: r.__name__)
+def test_number_operators_match_literals(ring):
+    n, total = _number_op_literals(ring)
+    assert type(ring.number_op()) is ring
+    assert ring.number_op() == n
+    assert ring.total_number_op() == total
+
+
+def _recipe_generators(ell, cap, ring):
+    """The ten generators written out by hand, one expression each."""
+    s = sqrt_partial_sum(ell).expand(cap, ring)
+    g = ring.gen
+    i = CRat(0, 1)
+    n, total = _number_op_literals(ring)
+
+    def lw(w, grade=0):
+        return LaurentElement.from_weyl(w, grade, cap=cap)
+
+    return {
+        "J++": lw((g(2) * g(4)).scale(-2 * i)),
+        "J+-": lw((g(4) * g(1) + g(5) * g(2)).scale(-i)),
+        "J--": lw((g(5) * g(1)).scale(-2 * i)),
+        "K++": (s * lw(g(3))).scale(-2 * i),
+        "K+-": lw(ring.unit(i), -2) + lw((n + total).scale(-i)),
+        "K--": (lw(g(0)) * s).scale(2 * i),
+        "P++": lw((g(2) * g(3)).scale(-1)) + s * lw(g(4)),
+        "P--": lw(g(0) * g(5)) + lw(g(1)) * s,
+        "P+-": lw(g(0) * g(4)) + lw(g(2)) * s,
+        "P-+": lw((g(1) * g(3)).scale(-1)) + s * lw(g(5)),
+    }
+
+
+# cap 1 drops the grades >= 3 of S_ell, ell >= 2
+@pytest.mark.parametrize("cap", ["none", "1", "2ell+4"])
+@pytest.mark.parametrize("ell", range(5))
+@pytest.mark.parametrize("ring", [WeylElement, PoissonElement],
+                         ids=lambda r: r.__name__)
+def test_generator_table_matches_the_hand_written_recipe(ring, ell, cap):
+    cap = {"none": None, "1": 1, "2ell+4": 2 * ell + 4}[cap]
+    got = embedded_generators(ell, cap, ring)
+    want = _recipe_generators(ell, cap, ring)
+    assert list(got) == list(want)
+    for name, lau in want.items():
+        assert got[name] == lau, name
+        assert (got[name].cap, got[name].dropped) == (lau.cap, lau.dropped)
+
+
 @pytest.mark.parametrize("slot", range(6))
 def test_passage_rules_all_slots(slot):
     # verified by direct multiplication for polynomial f up to degree 4
