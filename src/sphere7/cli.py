@@ -208,8 +208,11 @@ def _rep_checks(m, tau):
     rows.append({"check": "rep-spectrum", "detail": f"m={m}",
                  "value": spec_err, "threshold": 1e-12,
                  "passed": spec_err < 1e-12})
-    cd = fock.commutant_dimension(rep)
-    rows.append({"check": "rep-commutant", "detail": f"m={m}",
+    try:
+        cd, reason = fock.commutant_dimension(rep), ""
+    except ValueError as exc:
+        cd, reason = None, f" {exc}"
+    rows.append({"check": "rep-commutant", "detail": f"m={m}{reason}",
                  "value": cd, "threshold": 1, "passed": cd == 1})
     cas = fock.casimir_deviation(rep)
     rows.append({"check": "rep-casimir", "detail": f"m={m}",

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .quaternions import (QMUL, PatchError, QMatrix2, Quaternion,
-                          section_n, section_s, transition_tau)
+                          transition_tau)
 from .rational import ZERO
 from .tolerances import TAU_PATCH, TAU_SPHERE
 from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
@@ -275,21 +275,6 @@ def maurer_cartan_matrix(u, patch="s"):
     nu = Quaternion.from_seq(c.nu)
     kappa = Quaternion(c.kappa_real, *c.kappa)
     return QMatrix2(mu, nu, -nu.conj(), kappa).scale(0.5)
-
-
-def section_pullback_fd(u, patch="s", h=1e-6):
-    """Finite-difference oracle g^dagger (dg/dt) for the coframe formulas."""
-    p8 = u.base.as_array8()
-    u8 = u.as_array8()
-    sec = section_s if patch == "s" else section_n
-
-    def g_at(s):
-        q = p8 + s * u8
-        return sec(SpherePoint.from_array8(q / np.linalg.norm(q)))
-
-    gp, gm = g_at(h), g_at(-h)
-    dg = (gp - gm).scale(1.0 / (2 * h))
-    return sec(u.base).dagger() * dg
 
 
 class Chart:

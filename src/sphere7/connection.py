@@ -464,17 +464,3 @@ def born_probability(psi_i, psi_f, path, m, steps=None):
 def reeb_transport(t0, m, steps=10_000):
     """Transport around one Reeb period; flat + contractible means U ~ Id."""
     return parallel_transport(PathSpec.reeb_loop(t0, steps), m)
-
-
-def alpha_coefficient_probe(u, m1=2, m2=3, ell=0):
-    """Extract the deformation-leading scalar of the truncated connection.
-
-    The diagonal entry at the vacuum state is exactly linear in the level,
-    <0|A|0> = i alpha(u) (m - 1), so a two-point difference recovers the
-    coefficient of the identity block in the hbar^{-1} term; it must equal
-    alpha(u).
-    """
-    a1 = connection_matrix(u, m1, "truncated", ell)
-    a2 = connection_matrix(u, m2, "truncated", ell)
-    val = (a2[0, 0] - a1[0, 0]) / (1j * (m2 - m1))
-    return complex(val)

@@ -32,9 +32,9 @@ from .weyl import GENERATOR_TERMS, LaurentElement
 GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
-# 2 vCPUs measured 90 MiB / 1.0 s at M = 12 and 263 MiB / 4.6 s at M = 16;
-# the cost is the dense Gram of commutant_dimension, of side 3504 at M = 16
-# and 8140 at M = 20 (0.5 GiB in float64).
+# 2 vCPUs measured 63 MiB / 0.6 s at M = 12 and 166 MiB / 1.0 s at M = 20;
+# the bound is transport's, whose RK4 holds dense D x D buffers (D = 1540
+# at M = 20, about a second per step).
 M_MAX = 20
 
 # Largest level `dump-rep --format json` writes.  The JSON dump holds every
@@ -298,18 +298,12 @@ def _flat(g, i, j, v, d):
                                   shape=(len(GENERATOR_NAMES), d * d))
 
 
-def _stacks(g, i, j, v, d):
-    """vstack(rho) and hstack(rho): the matrices one below the other and
-    side by side."""
-    n = len(GENERATOR_NAMES)
-    return (scipy.sparse.csr_array((v, (g * d + i, j)), shape=(n * d, d)),
-            scipy.sparse.csr_array((v, (i, g * d + j)), shape=(d, n * d)))
-
-
 def _products(g, i, j, v, d):
     """Every product rho_x rho_y from one vstack(rho) @ hstack(rho), whose
     block (x, y) it is, as COO coordinates (x, y, i, j, value)."""
-    vstack, hstack = _stacks(g, i, j, v, d)
+    n = len(GENERATOR_NAMES)
+    vstack = scipy.sparse.csr_array((v, (g * d + i, j)), shape=(n * d, d))
+    hstack = scipy.sparse.csr_array((v, (i, g * d + j)), shape=(d, n * d))
     prod = (vstack @ hstack).tocoo()
     x, i = np.divmod(prod.row, d)
     y, j = np.divmod(prod.col, d)
@@ -350,16 +344,22 @@ def verify_traceless(rep):
     return max(abs(complex(rep[x].trace())) for x in GENERATOR_NAMES)
 
 
+def _k_diagonal(rep):
+    """The diagonal of rho(K_+.-.); an off-diagonal nonzero raises
+    ValueError."""
+    k = scipy.sparse.coo_array(rep["K+-"])
+    if np.any((k.row != k.col) & (k.data != 0)):
+        raise ValueError("rho(K+-) has an off-diagonal nonzero")
+    return k.diagonal()
+
+
 def k_spectrum(rep):
     """Sorted eigenvalues of -i rho(K_+.-.), exactly integer in theory.
 
     rho(K_+.-.) is diagonal in the occupation basis, so they are its sorted
     diagonal; an off-diagonal nonzero raises ValueError.
     """
-    k = scipy.sparse.coo_array(rep["K+-"])
-    if np.any((k.row != k.col) & (k.data != 0)):
-        raise ValueError("rho(K+-) has an off-diagonal nonzero")
-    return np.sort((-1j * k.diagonal()).real)
+    return np.sort((-1j * _k_diagonal(rep)).real)
 
 
 def expected_k_spectrum(m):
@@ -367,58 +367,52 @@ def expected_k_spectrum(m):
     return np.sort(np.array(vals, dtype=float))
 
 
-def commutant_dimension(rep, tol=1e-8):
-    """Dimension of {M : [M, rho X] = 0 for all X}; 1 means irreducible.
+def commutant_dimension(rep):
+    """1, the dimension of {M : [M, rho X] = 0 for all X}, by an exact
+    witness on the stored matrices that rho is irreducible:
 
-    M is restricted upfront to the joint eigenspaces of the two diagonal
-    generators (their eigenvalues are exact integers read off the basis),
-    then the remaining commutation constraints are solved by a dense
-    eigenvalue count on the small Gram matrix.
+    (i)   rho(K_+.-.) is diagonal, and the entry of the vacuum, basis
+          state 0, occurs on its diagonal exactly once;
+    (ii)  the walk from the vacuum along every column that holds exactly
+          one nonzero, from column to row, reaches every basis state;
+    (iii) so does the walk along every row with exactly one nonzero, from
+          row to column.
+
+    Proof.  K is diagonal, so an invariant subspace V is the direct sum of
+    its intersections with K's eigenspaces; by (i) V contains the vacuum or
+    lies in the kernel of the vacuum's coordinate functional.  A column
+    with one nonzero maps its state to a multiple of its row's state, so in
+    the first case (ii) puts every state in V.  In the second the
+    annihilator of V is invariant under the transposes and contains that
+    functional, so (iii) makes the annihilator everything and V = 0.
+    Schur's lemma then leaves only the scalars in the commutant.  This is
+    the highest-weight argument (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, 1972).
+
+    The nonzero pattern is read from the matrices as given, so dense input,
+    such as a loaded dump, is checked too.  The witness is sufficient, not
+    necessary: a failed condition raises ValueError naming it.
     """
-    entries, d = _entries(rep)
-    m = next((mm for mm in range(1, 4096) if dim(mm) == d), None)
-    if m is None:
-        raise ValueError(f"matrix dimension {d} is not a truncation level")
-    blocks = {}
-    for k, (n1, n2, n3) in enumerate(basis(m)):
-        blocks.setdefault((2 * n1 + n2 + n3, n2 - n3), []).append(k)
-    # the unknowns: the entries (mi[c], mj[c]) of M inside the blocks, with
-    # which the diagonal generators commute
-    mi, mj = np.array([(a, b) for ids in blocks.values()
-                       for a in ids for b in ids], dtype=np.intp).T
-    n = len(mi)
-    off = ~np.isin(entries[0], (_INDEX["K+-"], _INDEX["J+-"]))
-    vstack, hstack = _stacks(*(e[off] for e in entries), d)
-
-    def select(idx):
-        # the n x d matrix that picks the rows idx
-        return scipy.sparse.csr_array((np.ones(n), (np.arange(n), idx)),
-                                      shape=(n, d))
-
-    # [M, X] = MX - XM: entry (i, j) of M meets X[j, l] at (i, l) and
-    # -X[k, i] at (k, j).  right[c, (x, l)] = X_x[mj[c], l] and
-    # left[c, (x, k)] = X_x[k, mi[c]] gather them for every generator x.
-    right = (select(mj) @ hstack).tocoo()
-    left = (select(mi) @ vstack.T).tocoo()
-    xr, lr = np.divmod(right.col, d)
-    xl, kl = np.divmod(left.col, d)
-    # constraint (x, a, b) is entry (a, b) of [M, X_x]; renumbering the ones
-    # that occur drops the empty rows without changing the Gram
-    _, rows = np.unique(np.concatenate([(xr * d + mi[right.row]) * d + lr,
-                                        (xl * d + kl) * d + mj[left.row]]),
-                        return_inverse=True)
-    c = scipy.sparse.csr_array(
-        (np.concatenate([right.data, -left.data]),
-         (rows, np.concatenate([right.row, left.row]))),
-        shape=(len(rows), n))
-    gram = c.conj().T @ c
-    # entries of one generator share a phase, so the Gram is real for every
-    # level matrix; the real solver is several times faster
-    if not gram.data.imag.any():
-        gram = gram.real
-    evals = np.linalg.eigvalsh(gram.toarray())
-    scale = max(1.0, float(evals[-1]) if len(evals) else 1.0)
-    return int(np.sum(evals < tol * scale))
+    diag = _k_diagonal(rep)
+    if np.count_nonzero(diag == diag[0]) != 1:
+        raise ValueError(f"the vacuum's rho(K+-) entry {diag[0]} is not "
+                         "simple on the diagonal")
+    (g, i, j, v), d = _entries(rep)
+    g, i, j = g[v != 0], i[v != 0], j[v != 0]
+    for src, dst, lines in ((j, i, "columns"), (i, j, "rows")):
+        # the entries alone in their column (row) of their generator
+        alone = np.bincount(g * d + src)[g * d + src] == 1
+        src, dst = src[alone], dst[alone]
+        reached = np.arange(d) == 0
+        while not reached[step := dst[reached[src]]].all():
+            reached[step] = True
+        missing = np.flatnonzero(~reached).tolist()
+        if missing:
+            raise ValueError(
+                f"basis states {missing[:8]}{' ...' * (len(missing) > 8)} "
+                f"({len(missing)} of {d}) are not reached from the vacuum "
+                f"along the {lines} with one nonzero")
+    return 1
 
 
 def casimir_deviation(rep):
@@ -553,11 +547,7 @@ def dump_representation(m, outdir, mode="binary"):
               "generators": list(GENERATOR_NAMES), "mode": mode}
     files = {}
     for name in GENERATOR_NAMES:
-        # stored values placed as they are: toarray adds them to zeros,
-        # which turns a -0.0 part into +0.0 and changes the dump
-        coo = rep[name].tocoo()
-        mat = np.zeros(coo.shape, dtype=complex)
-        mat[coo.row, coo.col] = coo.data
+        mat = rep[name].toarray()
         safe = name.replace("+", "p").replace("-", "m")
         if mode == "binary":
             pairs = np.stack([mat.real, mat.imag], axis=-1).astype("<f8")

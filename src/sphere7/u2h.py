@@ -452,20 +452,3 @@ def reality_bracket_residual():
             rhs = bracket(reality(g1), reality(g2)).scale(-1)
             worst = max(worst, (lhs - rhs).max_abs())
     return worst
-
-
-def structure_constants_json(basis="spinor"):
-    """Exportable structure-constant records."""
-    gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
-    table = bracket_table(basis)
-    records = []
-    for g1 in gens:
-        for g2 in gens:
-            res = table[(g1, g2)]
-            if res:
-                records.append({
-                    "X": g1, "Y": g2,
-                    "result": [{"gen": g, "re": str(c.re), "im": str(c.im)}
-                               for g, c in sorted(res.items())],
-                })
-    return records

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from .rational import Combination, crat, monomial_product
-from .u2h import REALITY_SPINOR, SPINOR_GENERATORS, bracket_table
+from .u2h import SPINOR_GENERATORS, bracket_table
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
 
@@ -479,15 +479,3 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
             "cap": gradecap,
         }
     return report
-
-
-def reality_report(ell, cap=None):
-    """Exact check that daggering each image lands on the image of X^dagger."""
-    gens = embedded_generators(ell, cap=cap)
-    out = {}
-    for name, lau in gens.items():
-        target = LaurentElement(cap=cap)
-        for g, c in REALITY_SPINOR[name].items():
-            target = target + gens[g].scale(c)
-        out[name] = (lau.dagger() - target).is_zero()
-    return out

@@ -56,6 +56,30 @@ def test_verify_mutated_fails_and_names_pair(tmp_path):
     assert "('K++', 'K+-')" in rep_row["detail"]
 
 
+def test_verify_reports_a_failed_irreducibility_witness(tmp_path, capsys,
+                                                        monkeypatch):
+    # level 3 without the P generators leaves the span of the states the
+    # K and J ladders reach from the vacuum invariant
+    def reducible(m):
+        rep = build_rho(m)
+        if m == 3:
+            rep.update({g: rep[g] * 0 for g in ("P++", "P--", "P-+", "P+-")})
+        return rep
+
+    monkeypatch.setattr("sphere7.fock.build_rho", reducible)
+    assert run(tmp_path, "verify", "--m", "2..3", "--ell", "0..0") == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "verify.json").read_text())
+    rows = [c for c in report["checks"] if c["check"] == "rep-commutant"]
+    assert rows[0] == {"check": "rep-commutant", "detail": "m=2",
+                       "value": 1, "threshold": 1, "passed": True}
+    assert rows[1] == {
+        "check": "rep-commutant",
+        "detail": "m=3 basis states [1, 2, 4, 5, 6, 7, 8] (7 of 10) are not "
+                  "reached from the vacuum along the columns with one nonzero",
+        "value": None, "threshold": 1, "passed": False}
+
+
 def test_eds_check(tmp_path):
     assert run(tmp_path, "eds-check", "--samples", "25", "--seed", "5") == 0
     report = json.loads((tmp_path / "eds.json").read_text())

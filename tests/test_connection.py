@@ -10,11 +10,10 @@ from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              contact_alpha, random_point, random_tangent,
                              random_unit_tangent)
-from sphere7.connection import (PathSpec, alpha_coefficient_probe,
-                                born_probability, connection_matrix,
-                                connection_sample, curvature_residual,
-                                gauge_matrix, parallel_transport,
-                                reeb_transport)
+from sphere7.connection import (PathSpec, born_probability,
+                                connection_matrix, connection_sample,
+                                curvature_residual, gauge_matrix,
+                                parallel_transport, reeb_transport)
 from sphere7.fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
                           build_rho_partial, conjugation, dim)
 from sphere7.quaternions import Quaternion, qlog, transition_tau
@@ -152,12 +151,26 @@ def test_gauge_relation_property(p_coords, u_coords, m):
     assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(a_s))
 
 
+def _alpha_coefficient_probe(u, m1=2, m2=3, ell=0):
+    """Extract the deformation-leading scalar of the truncated connection.
+
+    The diagonal entry at the vacuum state is exactly linear in the level,
+    <0|A|0> = i alpha(u) (m - 1), so a two-point difference recovers the
+    coefficient of the identity block in the hbar^{-1} term; it must equal
+    alpha(u).
+    """
+    a1 = connection_matrix(u, m1, "truncated", ell)
+    a2 = connection_matrix(u, m2, "truncated", ell)
+    val = (a2[0, 0] - a1[0, 0]) / (1j * (m2 - m1))
+    return complex(val)
+
+
 def test_alpha_coefficient_probe():
     rng = np.random.default_rng(7)
     for _ in range(10):
         p = random_point(rng, 0.2)
         u = random_tangent(rng, p)
-        val = alpha_coefficient_probe(u)
+        val = _alpha_coefficient_probe(u)
         assert abs(val - contact_alpha(u)) < 1e-10
 
 

