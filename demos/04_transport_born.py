@@ -7,8 +7,8 @@ depend on the path.  Probabilities follow from the transport unitary.
 
 import numpy as np
 
-from sphere7 import (PathSpec, SpherePoint, ToricPoint, born_probability,
-                     curvature_residual, parallel_transport, reeb_transport)
+from sphere7 import (PathSpec, SpherePoint, ToricPoint, curvature_residual,
+                     parallel_transport, reeb_transport)
 from sphere7.coframe import random_point, random_unit_tangent
 
 rng = np.random.default_rng(1)
@@ -20,7 +20,7 @@ for m in (2, 3):
         p = random_point(rng, 0.35)
         u = random_unit_tangent(rng, p, 0.5)
         v = random_unit_tangent(rng, p, 0.5)
-        worst = max(worst, curvature_residual(p, u, v, m, "exact", h=1e-4))
+        worst = max(worst, curvature_residual(p, u, v, m, h=1e-4))
     print(f"m={m}: max curvature residual over 10 samples {worst:.2e}")
 
 print("\n== loops have trivial holonomy ==")
@@ -50,13 +50,8 @@ print("\n== Born probabilities ==")
 m = 2
 d = 4
 psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-path = PathSpec.great_circle(a, b)
-probs = []
-for k in range(d):
-    e = np.zeros(d, dtype=complex)
-    e[k] = 1.0
-    pk, _ = born_probability(psi, e, path, m, steps=2000)
-    probs.append(pk)
+res = parallel_transport(PathSpec.great_circle(a, b), m, steps=2000)
+probs = [res.probability(psi, e) for e in np.eye(d)]
 print("outcome distribution over the occupation basis:",
       np.round(probs, 6))
 print(f"total probability: {sum(probs):.12f}")

@@ -18,10 +18,9 @@ from .coframe import (CoframeSample, SpherePoint, TangentVector, ToricPoint,
                       contact_alpha, eds_residual, gauge_overlap_check,
                       pullback, pullback_n, pullback_s, reeb_flow,
                       reeb_tangent, toric_embed, toric_tangent)
-from .connection import (PathSpec, TransportResult, born_probability,
-                         connection_matrix, connection_sample,
-                         curvature_residual, parallel_transport,
-                         reeb_transport)
+from .connection import (PathSpec, TransportResult, connection_matrix,
+                         connection_sample, curvature_residual,
+                         parallel_transport, reeb_transport)
 from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    commutant_dimension, dim, exponentiate, filtration_check,
                    k_spectrum, matrix_of_laurent, matrix_of_weyl,

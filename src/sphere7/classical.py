@@ -15,16 +15,14 @@ number functions n = 2 zbar z and N = z^+_-. z^-_+. - z^+_+. z^-_-. and the
 commutative product orders nothing, so N carries no ordering constant.
 """
 
-from .rational import CRat, monomial_product
+from .rational import I, add_into, monomial_product
 from .weyl import SlotPolynomial, verify_embedding
-
-_I = CRat(0, 1)
 
 # (slot_i, slot_j, {x_i, x_j}) for all ordered pairs with nonzero bracket
 _FUNDAMENTAL = (
-    (3, 0, -_I), (0, 3, _I),
-    (4, 1, _I), (1, 4, -_I),
-    (2, 5, _I), (5, 2, -_I),
+    (3, 0, -I), (0, 3, I),
+    (4, 1, I), (1, 4, -I),
+    (2, 5, I), (5, 2, -I),
 )
 
 
@@ -35,7 +33,7 @@ class PoissonElement(SlotPolynomial):
     NAMES = ("zb", "zmm", "zpm", "z", "zpp", "zmp")
     # Poisson relations carry no explicit i: the classical targets are the
     # quantum structure constants divided by i
-    BRACKET_NORM = CRat(0, -1)
+    BRACKET_NORM = -I
     __mul__ = monomial_product
 
     def deriv(self, slot):
@@ -45,7 +43,7 @@ class PoissonElement(SlotPolynomial):
 
     def comm(self, other):
         """Poisson bracket: the biderivation extending _FUNDAMENTAL."""
-        out = PoissonElement.zero()
+        out = {}
         for i, j, c in _FUNDAMENTAL:
             df = self.deriv(i)
             if df.is_zero():
@@ -53,8 +51,8 @@ class PoissonElement(SlotPolynomial):
             dg = other.deriv(j)
             if dg.is_zero():
                 continue
-            out = out + (df * dg).scale(c)
-        return out
+            add_into(out, ((k, v * c) for k, v in (df * dg).terms.items()))
+        return self._wrap(out)
 
 
 def verify_classical(ell, gradecap=None):

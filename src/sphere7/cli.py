@@ -190,6 +190,14 @@ def _write_report(cfg, name, payload):
 # verify
 # ---------------------------------------------------------------------------
 
+def _refused(check):
+    """check() and "", or None and the reason when check raises ValueError."""
+    try:
+        return check(), ""
+    except ValueError as exc:
+        return None, f" {exc}"
+
+
 def _rep_checks(m, tau):
     rep = fock.build_rho(m)
     br, pair = fock.verify_brackets(rep)
@@ -203,15 +211,13 @@ def _rep_checks(m, tau):
         {"check": "rep-trace", "detail": f"m={m}",
          "value": trace, "threshold": tau, "passed": trace < tau},
     ]
-    spec_err = float(np.max(np.abs(fock.k_spectrum(rep)
-                                   - fock.expected_k_spectrum(m))))
-    rows.append({"check": "rep-spectrum", "detail": f"m={m}",
+    # a malformed rho(K+-) fails these two rows with the reason, value null
+    spec_err, reason = _refused(lambda: float(np.max(np.abs(
+        fock.k_spectrum(rep) - fock.expected_k_spectrum(m)))))
+    rows.append({"check": "rep-spectrum", "detail": f"m={m}{reason}",
                  "value": spec_err, "threshold": 1e-12,
-                 "passed": spec_err < 1e-12})
-    try:
-        cd, reason = fock.commutant_dimension(rep), ""
-    except ValueError as exc:
-        cd, reason = None, f" {exc}"
+                 "passed": spec_err is not None and spec_err < 1e-12})
+    cd, reason = _refused(lambda: fock.commutant_dimension(rep))
     rows.append({"check": "rep-commutant", "detail": f"m={m}{reason}",
                  "value": cd, "threshold": 1, "passed": cd == 1})
     cas = fock.casimir_deviation(rep)
@@ -223,7 +229,7 @@ def _rep_checks(m, tau):
 # pairs that must close exactly at every truncation order
 def _required_exact_pairs():
     out = []
-    for x, y in weyl.generator_pairs():
+    for x, y in u2h.GENERATOR_PAIRS:
         if x.startswith("J") or y.startswith("J") or "K+-" in (x, y):
             out.append(f"{x}|{y}")
     return out
@@ -271,7 +277,9 @@ def cmd_verify(cfg):
                        "threshold": "nondecreasing", "passed": mono_ok})
         prev_grades = grades
 
-    for ell in range(cfg.ell_range[0], min(cfg.ell_range[1], 4) + 1):
+    # the classical mirror and the commuting diagram stop at ell = 4
+    low_ells = range(cfg.ell_range[0], min(cfg.ell_range[1], 4) + 1)
+    for ell in low_ells:
         cl = classical.verify_classical(ell)
         qt = {k: v["residual_min_grade"] for k, v in embed_reports[ell].items()}
         ct = {k: v["residual_min_grade"] for k, v in cl.items()}
@@ -307,10 +315,13 @@ def cmd_verify(cfg):
                        f"m={m} ell=40", "value": interior,
                        "threshold": 1e-6, "passed": interior < 1e-6})
 
-    for m in range(cfg.m_range[0], min(cfg.m_range[1], 3) + 1):
+    diagram_ms = range(cfg.m_range[0], min(cfg.m_range[1], 3) + 1)
+    # each ell's generators are built once and shared by the levels
+    images = ([weyl.embedded_generators(ell) for ell in low_ells]
+              if diagram_ms else [])
+    for m in diagram_ms:
         worst = 0.0
-        for ell in range(cfg.ell_range[0], min(cfg.ell_range[1], 4) + 1):
-            gens = weyl.embedded_generators(ell)
+        for ell, gens in zip(low_ells, images):
             part = fock.build_rho_partial(m, ell)
             for name, lau in gens.items():
                 mat = fock.matrix_of_laurent(lau, m, m, m + 1)
@@ -467,11 +478,7 @@ def cmd_transport(cfg, path_file):
         payload["matrix"] = [[[float(v.real), float(v.imag)] for v in row]
                              for row in result.matrix]
     if states:
-        psi_i, psi_f = states
-        amp = complex(np.vdot(psi_f, result.matrix @ psi_i))
-        ni = float(np.vdot(psi_i, psi_i).real)
-        nf = float(np.vdot(psi_f, psi_f).real)
-        payload["probability"] = abs(amp) ** 2 / (ni * nf)
+        payload["probability"] = result.probability(*states)
     rpath = _write_report(cfg, "transport", payload)
     print(json.dumps(payload["result"], indent=1, sort_keys=True))
     if "probability" in payload:

@@ -17,27 +17,26 @@ identities are the structure equations dw + [w, w]/2 = 0 with the u2h
 bracket, verified by finite differences along normalized-chart lines.
 """
 
-import json
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 
 from .quaternions import (QMUL, PatchError, QMatrix2, Quaternion,
                           transition_tau)
-from .rational import ZERO
 from .tolerances import TAU_PATCH, TAU_SPHERE
 from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
-                  bracket_table)
+                  bracket_table, complex_array)
 
 # _SPINOR[a, g]: coefficient of spinor generator g in vector generator a, so
 # components10 rows c pair with the spinor generators as c @ _SPINOR
-_SPINOR = np.array([[VECTOR_IN_SPINOR[a].get(g, ZERO).to_complex()
-                     for g in SPINOR_GENERATORS] for a in VECTOR_GENERATORS])
+_SPINOR = complex_array(VECTOR_IN_SPINOR, VECTOR_GENERATORS,
+                        SPINOR_GENERATORS)
 # _BRACKET[a, b, c]: coefficient of vector generator a in [b, c] (all real)
-_BRACKET = np.array([[[float(bracket_table("vector")[b, c].get(a, ZERO).re)
-                       for c in VECTOR_GENERATORS]
-                      for b in VECTOR_GENERATORS] for a in VECTOR_GENERATORS])
+_BRACKET = complex_array(bracket_table("vector"),
+                         list(product(VECTOR_GENERATORS, repeat=2)),
+                         VECTOR_GENERATORS).real.T.reshape(10, 10, 10)
 
 
 def _warn_if_off(viol, constraint, action):
@@ -88,15 +87,6 @@ class SpherePoint:
     def as_array8(self):
         return np.concatenate([self.x.components(), self.y.components()])
 
-    def to_json(self):
-        return {"x": list(self.x.components()), "y": list(self.y.components())}
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["x"], obj["y"])
-
     def __repr__(self):
         return f"SpherePoint(x={self.x}, y={self.y})"
 
@@ -121,18 +111,6 @@ class TangentVector:
 
     def scale(self, c):
         return TangentVector(self.base, self.dx * c, self.dy * c)
-
-    def to_json(self):
-        return {**self.base.to_json(),
-                "dx": list(self.dx.components()),
-                "dy": list(self.dy.components())}
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        base = SpherePoint(obj["x"], obj["y"])
-        return cls(base, obj["dx"], obj["dy"])
 
     def __repr__(self):
         return f"TangentVector(dx={self.dx}, dy={self.dy} at {self.base})"

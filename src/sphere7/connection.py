@@ -10,12 +10,14 @@ is antihermitean, and is flat (the coframe identities are the Maurer-Cartan
 equation).  The truncated variant replaces the square roots by partial sums
 to order ell+1 and maps level m into the ambient level m+1 block; it is flat
 only to the corresponding grade and is not antihermitean, so transport is
-offered for the exact mode only.  Parallel transport integrates
+offered for the exact connection only; ell=None selects it, an integer
+ell the truncation.  Parallel transport integrates
 
     U'(t) = -A(gamma'(t)) U(t),  U(0) = Id
 
 with fixed-step RK4, switching trivialization when the s-patch coordinate
-gets small; Born probabilities are |<psi_f, U psi_i>|^2 normalized.
+gets small.  A TransportResult holds the one unitary U of a path, and every
+Born probability |<psi_f, U psi_i>|^2 (normalized) is read from it.
 
 The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
@@ -36,7 +38,7 @@ import numpy as np
 
 from .coframe import (_SPINOR, Chart, SpherePoint, TangentVector, _pullback,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
-from .fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
+from .fock import (GENERATOR_NAMES, _entries, build_rho, build_rho_partial,
                    conjugation, dim, exponentiate)
 from .quaternions import qlog, transition_tau
 
@@ -55,15 +57,11 @@ def _rho_stack(m, ell=None, domain_m=None):
     partial sums on level domain_m."""
     rep = (build_rho(m) if ell is None
            else build_rho_partial(m, ell, domain_m=domain_m))
-    mats = [rep[g].tocoo() for g in GENERATOR_NAMES]
-    shape = mats[0].shape
-    for x in mats:
-        x.sum_duplicates()
-    keys = [x.row.astype(np.int64) * shape[1] + x.col for x in mats]
-    flat = np.unique(np.concatenate(keys))
-    vals = np.zeros((len(mats), len(flat)), dtype=complex)
-    for row, key, x in zip(vals, keys, mats):
-        row[np.searchsorted(flat, key)] = x.data
+    shape = rep[GENERATOR_NAMES[0]].shape
+    (g, i, j, v), _ = _entries(rep)
+    flat, at = np.unique(i * shape[1] + j, return_inverse=True)
+    vals = np.zeros((len(GENERATOR_NAMES), len(flat)), dtype=complex)
+    vals[g, at] = v
     return flat, vals, shape
 
 
@@ -77,51 +75,45 @@ def _coefficients(u, patch):
     return _pullback(u.base.as_array8()[None], u.as_array8()[None], patch)[0]
 
 
-def connection_matrix(u, m, mode="exact", ell=None, patch="s", domain_m=None):
+def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
     """The connection form evaluated on one tangent vector.
 
-    exact mode: D(m) x D(m), antihermitean.  truncated mode: the square
-    roots are replaced by partial sums through order ell+1 and the result is
-    a D(domain+1) x D(domain) map into the ambient block (domain defaults
-    to m; hbar stays 1/m).
+    ell=None, the exact connection: D(m) x D(m), antihermitean.  Otherwise
+    the truncated one: the square roots are replaced by partial sums
+    through order ell+1 and the result is a D(domain+1) x D(domain) map
+    into the ambient block (domain defaults to m; hbar stays 1/m).
     """
-    if mode == "exact":
-        flat, vals, shape = _rho_stack(m)
-    elif mode == "truncated":
-        if ell is None:
-            raise ValueError("truncated mode needs ell")
-        flat, vals, shape = _rho_stack(m, ell + 1, m if domain_m is None
-                                       else domain_m)
-    else:
-        raise ValueError("mode must be exact or truncated")
+    flat, vals, shape = (_rho_stack(m) if ell is None else _rho_stack(
+        m, ell + 1, m if domain_m is None else domain_m))
     return _scatter(flat, _coefficients(u, patch) @ vals, shape)
 
 
-def connection_sample(u, m, mode="exact", ell=None, patch="s"):
-    """Value plus diagnostics; exact mode reports the antihermiticity defect."""
-    mat = connection_matrix(u, m, mode, ell, patch)
-    info = {"m": m, "mode": mode, "ell": ell, "patch": patch}
-    if mode == "exact":
+def connection_sample(u, m, ell=None, patch="s"):
+    """Value plus diagnostics; the exact connection reports its
+    antihermiticity defect."""
+    mat = connection_matrix(u, m, ell, patch)
+    info = {"m": m, "ell": ell, "patch": patch}
+    if ell is None:
         info["antihermiticity"] = float(np.max(np.abs(mat + mat.conj().T)))
     return mat, info
 
 
-def curvature_residual(p, u, v, m, mode="exact", ell=None, h=1e-4, patch="s"):
+def curvature_residual(p, u, v, m, ell=None, h=1e-4, patch="s"):
     """Sup-entry norm of dA(u,v) + [A(u), A(v)] via chart central differences.
 
     u and v are extended to commuting coordinate fields of the normalized
-    chart; exact mode residual is O(h^2) plus rounding, truncated mode
-    residual decreases with ell at fixed m.  [A(u), A(v)] is read as
+    chart; the exact residual (ell=None) is O(h^2) plus rounding, the
+    truncated one decreases with ell at fixed m.  [A(u), A(v)] is read as
     A_up(u) A(v) - A_up(v) A(u), A_up the domain-(m+1) block of a truncated
-    A (A itself in exact mode), and dA fills its leading rows.
+    A (A itself when exact), and dA fills its leading rows.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     chart = Chart(p, [u, v])
 
     def a_of(i_field, s, domain_m=m):
-        return connection_matrix(chart.frame_vector(i_field, s), m, mode,
-                                 ell, patch, domain_m=domain_m)
+        return connection_matrix(chart.frame_vector(i_field, s), m, ell,
+                                 patch, domain_m=domain_m)
 
     origin = (0.0, 0.0)
     curv = (a_of(0, origin, m + 1) @ a_of(1, origin)
@@ -271,6 +263,18 @@ class TransportResult:
         self.switches = switches
         self.start_frame = start_frame
         self.end_frame = end_frame
+
+    def probability(self, psi_i, psi_f):
+        """The Born probability |<psi_f, U psi_i>|^2 / (|psi_f|^2 |psi_i|^2)
+        of the final state psi_f given the initial state psi_i."""
+        psi_i = np.asarray(psi_i, dtype=complex)
+        psi_f = np.asarray(psi_f, dtype=complex)
+        ni = float(np.vdot(psi_i, psi_i).real)
+        nf = float(np.vdot(psi_f, psi_f).real)
+        if ni == 0.0 or nf == 0.0:
+            raise ValueError("states must be nonzero")
+        amp = complex(np.vdot(psi_f, self.matrix @ psi_i))
+        return abs(amp) ** 2 / (ni * nf)
 
     def holonomy_distance(self):
         d = self.matrix.shape[0]
@@ -446,19 +450,6 @@ def parallel_transport(path, m, steps=None, reproject=False,
         end_frame = start_frame
     res = float(np.max(np.abs(u_op.conj().T @ u_op - np.eye(d))))
     return TransportResult(u_op, res, steps, switches, start_frame, end_frame)
-
-
-def born_probability(psi_i, psi_f, path, m, steps=None):
-    """|<psi_f, U psi_i>|^2 / (|psi_f|^2 |psi_i|^2) for the path transport."""
-    psi_i = np.asarray(psi_i, dtype=complex)
-    psi_f = np.asarray(psi_f, dtype=complex)
-    ni = float(np.vdot(psi_i, psi_i).real)
-    nf = float(np.vdot(psi_f, psi_f).real)
-    if ni == 0.0 or nf == 0.0:
-        raise ValueError("states must be nonzero")
-    result = parallel_transport(path, m, steps)
-    amp = complex(np.vdot(psi_f, result.matrix @ psi_i))
-    return abs(amp) ** 2 / (ni * nf), result
 
 
 def reeb_transport(t0, m, steps=10_000):

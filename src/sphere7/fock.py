@@ -18,15 +18,15 @@ Laurent generators, which closes the algebra <-> operator loop.
 import json
 import math
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse
 
-from .rational import CRat, add_into
+from .rational import add_into
 from .tolerances import TAU_REP
-from .u2h import (REALITY_SPINOR, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
-                  bracket_table, casimir_pairs)
+from .u2h import (GENERATOR_PAIRS, REALITY_SPINOR, SPINOR_GENERATORS,
+                  VECTOR_IN_SPINOR, bracket_table, casimir_pairs,
+                  complex_array)
 from .weyl import GENERATOR_TERMS, LaurentElement
 
 GENERATOR_NAMES = SPINOR_GENERATORS
@@ -234,29 +234,23 @@ def matrix_of_laurent(lau, m, m_domain=None, m_codomain=None):
 # verification suite
 # ---------------------------------------------------------------------------
 
-_INDEX = {g: k for k, g in enumerate(GENERATOR_NAMES)}
-_PAIRS = tuple(combinations(GENERATOR_NAMES, 2))
-# _PAIR_INDEX[x, y]: the position in _PAIRS of the pair {x, y}; the upper
-# triangle in row-major order is the combinations order
+# _PAIR_INDEX[x, y]: the position in GENERATOR_PAIRS of the pair {x, y};
+# the upper triangle in row-major order is the combinations order
 _PAIR_INDEX = np.zeros((len(GENERATOR_NAMES),) * 2, dtype=np.intp)
-_PAIR_INDEX[np.triu_indices(len(GENERATOR_NAMES), 1)] = range(len(_PAIRS))
+_PAIR_INDEX[np.triu_indices(len(GENERATOR_NAMES), 1)] = range(
+    len(GENERATOR_PAIRS))
 _PAIR_INDEX += _PAIR_INDEX.T
 
 
 def _coefficient_rows(table, keys):
     """The Lie elements table[key] as the rows of a sparse
     (len(keys), 10) array over GENERATOR_NAMES."""
-    out = np.zeros((len(keys), len(GENERATOR_NAMES)), dtype=complex)
-    for r, key in enumerate(keys):
-        for g, c in table[key].items():
-            out[r, _INDEX[g]] = (c.to_complex() if isinstance(c, CRat)
-                                 else complex(c))
-    return scipy.sparse.csr_array(out)
+    return scipy.sparse.csr_array(complex_array(table, keys, GENERATOR_NAMES))
 
 
 @lru_cache(maxsize=None)
 def _bracket_coefficients():
-    return _coefficient_rows(bracket_table("spinor"), _PAIRS)
+    return _coefficient_rows(bracket_table("spinor"), GENERATOR_PAIRS)
 
 
 @lru_cache(maxsize=None)
@@ -268,21 +262,18 @@ def _reality_coefficients():
 def _casimir_weights():
     """W with C2 = sum over x, y of W[x, y] rho_x rho_y: the Casimir pairs
     of the vector basis written through the spinor generators, exactly."""
-    w = {}
+    w = {x: {} for x in GENERATOR_NAMES}
     for ga, gb, coeff in casimir_pairs():
-        add_into(w, (((_INDEX[x], _INDEX[y]), cx * cy * coeff)
-                     for x, cx in VECTOR_IN_SPINOR[ga].items()
-                     for y, cy in VECTOR_IN_SPINOR[gb].items()))
-    out = np.zeros((len(GENERATOR_NAMES),) * 2, dtype=complex)
-    for xy, c in w.items():
-        out[xy] = c.to_complex()
-    return out
+        for x, cx in VECTOR_IN_SPINOR[ga].items():
+            add_into(w[x], ((y, cx * cy * coeff)
+                            for y, cy in VECTOR_IN_SPINOR[gb].items()))
+    return complex_array(w, GENERATOR_NAMES, GENERATOR_NAMES)
 
 
 def _entries(rep):
-    """The stored entries of the ten square matrices of rep as arrays
-    (g, i, j, value), g the position in GENERATOR_NAMES, and their size d.
-    Dense input, such as a loaded dump, is accepted."""
+    """The stored entries of the ten matrices of rep as arrays
+    (g, i, j, value), g the position in GENERATOR_NAMES, and their number
+    of rows d.  Dense input, such as a loaded dump, is accepted."""
     mats = [scipy.sparse.csr_array(rep[g]) for g in GENERATOR_NAMES]
     d = mats[0].shape[0]
     g = np.repeat(np.arange(len(mats)), [x.nnz for x in mats])
@@ -318,7 +309,7 @@ def verify_brackets(rep, table=None):
     """
     entries, d = _entries(rep)
     coeffs = (_bracket_coefficients() if table is None
-              else _coefficient_rows(table, _PAIRS))
+              else _coefficient_rows(table, GENERATOR_PAIRS))
     x, y, i, j, v = _products(*entries, d)
     off = x != y
     x, y, i, j, v = x[off], y[off], i[off], j[off], v[off]
@@ -326,10 +317,10 @@ def verify_brackets(rep, table=None):
     # comes first in GENERATOR_NAMES, -1 otherwise
     lhs = scipy.sparse.csr_array(
         (np.where(x < y, v, -v), (_PAIR_INDEX[x, y], i * d + j)),
-        shape=(len(_PAIRS), d * d))
+        shape=(len(GENERATOR_PAIRS), d * d))
     res = abs(lhs - coeffs @ _flat(*entries, d)).max(axis=1).toarray()
     k = int(np.argmax(res))
-    return (float(res[k]), _PAIRS[k]) if res[k] > 0 else (0.0, None)
+    return (float(res[k]), GENERATOR_PAIRS[k]) if res[k] > 0 else (0.0, None)
 
 
 def verify_reality(rep):

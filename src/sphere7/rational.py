@@ -169,7 +169,6 @@ def crat(x):
 
 
 ZERO = CRat(0)
-ONE = CRat(1)
 I = CRat(0, 1)
 
 
@@ -228,6 +227,9 @@ class Combination:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         return self.terms == other.terms

@@ -33,7 +33,8 @@ from itertools import combinations
 import numpy as np
 
 from .quaternions import QMUL
-from .rational import ZERO, CRat, Combination, add_into, crat, frac_mat_inverse
+from .rational import (I, ZERO, CRat, Combination, add_into, crat,
+                       frac_mat_inverse)
 
 SPINOR_GENERATORS = ("J++", "J+-", "J--",
                      "P++", "P+-", "P-+", "P--",
@@ -46,18 +47,13 @@ VECTOR_GENERATORS = ("j1", "j2", "j3", "p0", "p1", "p2", "p3",
 EPS_UP = {("+", "+"): 0, ("+", "-"): 1, ("-", "+"): -1, ("-", "-"): 0}
 # eps_{adot bdot} = [[0,-1],[1,0]]
 EPS_DN = {("+", "+"): 0, ("+", "-"): -1, ("-", "+"): 1, ("-", "-"): 0}
-# eta_{adot bdot} = [[0,1],[1,0]] (its own inverse)
-ETA = {("+", "+"): 0, ("+", "-"): 1, ("-", "+"): 1, ("-", "-"): 0}
-
-_I = CRat(0, 1)
+# the 45 unordered generator pairs, in combinations order
+GENERATOR_PAIRS = tuple(combinations(SPINOR_GENERATORS, 2))
 
 
-def _jkey(a, b):
-    return "J" + "".join(sorted((a, b), key="+-".index))
-
-
-def _kkey(a, b):
-    return "K" + "".join(sorted((a, b), key="+-".index))
+def _sym(letter, a, b):
+    """The J (undotted) or K (dotted) generator of the symmetric pair a, b."""
+    return letter + "".join(sorted((a, b), key="+-".index))
 
 
 def _pkey(a, adot):
@@ -108,20 +104,21 @@ def _build_spinor_table():
     def put(g1, g2, contractions):
         # [g1, g2] = sum of i * coe * key over the (coe, key) contractions
         add_into(table.setdefault((g1, g2), {}),
-                 ((key, _I * coe) for coe, key in contractions if coe))
+                 ((key, I * coe) for coe, key in contractions if coe))
 
-    jpairs = [("+", "+"), ("+", "-"), ("-", "-")]
-    # J-J
-    for a, b in jpairs:
-        for c, d in jpairs:
-            put(_jkey(a, b), _jkey(c, d),
-                ((EPS_UP[a, c], _jkey(b, d)), (EPS_UP[a, d], _jkey(b, c)),
-                 (EPS_UP[b, c], _jkey(a, d)), (EPS_UP[b, d], _jkey(a, c))))
+    pairs = [("+", "+"), ("+", "-"), ("-", "-")]   # symmetric index pairs
+    # J-J and K-K
+    for x, eps in (("J", EPS_UP), ("K", EPS_DN)):
+        for a, b in pairs:
+            for c, d in pairs:
+                put(_sym(x, a, b), _sym(x, c, d),
+                    ((eps[a, c], _sym(x, b, d)), (eps[a, d], _sym(x, b, c)),
+                     (eps[b, c], _sym(x, a, d)), (eps[b, d], _sym(x, a, c))))
     # J-P
-    for a, b in jpairs:
+    for a, b in pairs:
         for c in signs:
             for cd in signs:
-                put(_jkey(a, b), _pkey(c, cd),
+                put(_sym("J", a, b), _pkey(c, cd),
                     ((EPS_UP[a, c], _pkey(b, cd)),
                      (EPS_UP[b, c], _pkey(a, cd))))
     # P-P
@@ -130,24 +127,15 @@ def _build_spinor_table():
             for b in signs:
                 for bd in signs:
                     put(_pkey(a, ad), _pkey(b, bd),
-                        ((EPS_DN[ad, bd], _jkey(a, b)),
-                         (EPS_UP[a, b], _kkey(ad, bd))))
+                        ((EPS_DN[ad, bd], _sym("J", a, b)),
+                         (EPS_UP[a, b], _sym("K", ad, bd))))
     # K-P
-    kpairs = jpairs
-    for ad, bd in kpairs:
+    for ad, bd in pairs:
         for c in signs:
             for cd in signs:
-                put(_kkey(ad, bd), _pkey(c, cd),
+                put(_sym("K", ad, bd), _pkey(c, cd),
                     ((EPS_DN[ad, cd], _pkey(c, bd)),
                      (EPS_DN[bd, cd], _pkey(c, ad))))
-    # K-K
-    for ad, bd in kpairs:
-        for cd, dd in kpairs:
-            put(_kkey(ad, bd), _kkey(cd, dd),
-                ((EPS_DN[ad, cd], _kkey(bd, dd)),
-                 (EPS_DN[ad, dd], _kkey(bd, cd)),
-                 (EPS_DN[bd, cd], _kkey(ad, dd)),
-                 (EPS_DN[bd, dd], _kkey(ad, cd))))
     # fill antisymmetric partners and the J-K zeros
     full = {}
     for g1 in SPINOR_GENERATORS:
@@ -209,6 +197,17 @@ VECTOR_IN_SPINOR = {
     for v, row in zip(VECTOR_GENERATORS, frac_mat_inverse(
         [[SPINOR_IN_VECTOR[s].get(v, ZERO) for v in VECTOR_GENERATORS]
          for s in SPINOR_GENERATORS]))}
+
+
+def complex_array(table, rows, cols):
+    """The exact table {row: {col: CRat}} on the given rows and columns as
+    a complex array; an absent entry is zero."""
+    at = {c: k for k, c in enumerate(cols)}
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, v in table[row].items():
+            out[r, at[c]] = v.to_complex()
+    return out
 
 
 def bracket_table(basis="spinor", mutate=None):

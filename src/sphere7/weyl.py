@@ -28,11 +28,10 @@ the ring, so N has the ordering constant +1 here and none classically.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial, prod
 
-from .rational import Combination, crat, monomial_product
-from .u2h import SPINOR_GENERATORS, bracket_table
+from .rational import Combination, add_into, crat, monomial_product
+from .u2h import GENERATOR_PAIRS, bracket_table
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
 
@@ -195,16 +194,9 @@ class LaurentElement:
         return cls({grade: w}, cap=cap)
 
     def __add__(self, other):
-        cap = _min_cap(self.cap, other.cap)
-        out = dict(self.grades)
-        for g, w in other.grades.items():
-            s = out.get(g)
-            s = w if s is None else s + w
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return type(self)(out, cap=cap, dropped=self.dropped or other.dropped)
+        out = add_into(dict(self.grades), other.grades.items())
+        return type(self)(out, cap=_min_cap(self.cap, other.cap),
+                          dropped=self.dropped or other.dropped)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -214,10 +206,6 @@ class LaurentElement:
 
     def scale(self, c):
         return self._map({g: w.scale(c) for g, w in self.grades.items()})
-
-    def shift(self, dgrade):
-        """Multiply by sqrt(hbar)^dgrade."""
-        return self._map({g + dgrade: w for g, w in self.grades.items()})
 
     def _gradewise(self, other, op):
         cap = _min_cap(self.cap, other.cap)
@@ -448,10 +436,6 @@ def embedded_generators(ell, cap=None, ring=WeylElement):
     return gens
 
 
-def generator_pairs():
-    return list(combinations(SPINOR_GENERATORS, 2))
-
-
 def verify_embedding(ell, gradecap=None, ring=WeylElement):
     """Bracket report for the 45 unordered generator pairs at truncation ell.
 
@@ -466,7 +450,7 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
     gens = embedded_generators(ell, cap=gradecap, ring=ring)
     table = bracket_table("spinor")
     report = {}
-    for x, y in generator_pairs():
+    for x, y in GENERATOR_PAIRS:
         comm = gens[x].comm(gens[y])
         target = LaurentElement(cap=gradecap)
         for g, c in table[(x, y)].items():

@@ -14,9 +14,8 @@ import numpy as np
 
 from sphere7 import classical, coframe, fock, u2h, weyl
 from sphere7.cli import main as cli_main
-from sphere7.connection import (PathSpec, born_probability,
-                                curvature_residual, parallel_transport,
-                                reeb_transport)
+from sphere7.connection import (PathSpec, curvature_residual,
+                                parallel_transport, reeb_transport)
 
 
 def _ok(label, detail=""):
@@ -169,8 +168,7 @@ def test_criterion_8_flatness():
             p = coframe.random_point(rng, min_patch=0.35)
             u = coframe.random_unit_tangent(rng, p, 0.5)
             v = coframe.random_unit_tangent(rng, p, 0.5)
-            worst = max(worst, curvature_residual(p, u, v, m, "exact",
-                                                  h=1e-4))
+            worst = max(worst, curvature_residual(p, u, v, m, h=1e-4))
     assert worst < 1e-5
     means = []
     samples = []
@@ -179,7 +177,7 @@ def test_criterion_8_flatness():
         samples.append((p, coframe.random_unit_tangent(rng, p, 0.5),
                         coframe.random_unit_tangent(rng, p, 0.5)))
     for ell in (0, 2, 4, 8):
-        vals = [curvature_residual(p, u, v, 16, "truncated", ell, h=1e-4)
+        vals = [curvature_residual(p, u, v, 16, ell=ell, h=1e-4)
                 for (p, u, v) in samples]
         means.append(float(np.mean(vals)))
     assert means[0] > means[1] > means[2] > means[3]
@@ -217,13 +215,8 @@ def test_criterion_9_quantum_dynamics():
     assert float(np.max(np.abs(u1 - u2))) < 1e-5
     d = fock.dim(m)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    path = PathSpec.piecewise([a, mid1, b])
-    total = 0.0
-    for k in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[k] = 1.0
-        pk, _ = born_probability(psi, e, path, m, steps=2000)
-        total += pk
+    res = parallel_transport(PathSpec.piecewise([a, mid1, b]), m, 2000)
+    total = sum(res.probability(psi, e) for e in np.eye(d))
     assert abs(total - 1.0) < 1e-8
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -80,6 +80,31 @@ def test_verify_reports_a_failed_irreducibility_witness(tmp_path, capsys,
         "value": None, "threshold": 1, "passed": False}
 
 
+def test_verify_reports_an_off_diagonal_k(tmp_path, capsys, monkeypatch):
+    # an off-diagonal rho(K+-) entry has no spectrum to compare: the
+    # spectrum and witness rows fail with the reason instead of a traceback
+    def skewed(m):
+        rep = build_rho(m)
+        if m == 3:
+            k = rep["K+-"].tolil()
+            k[1, 2] = 1e-3
+            rep["K+-"] = k.tocsr()
+        return rep
+
+    monkeypatch.setattr("sphere7.fock.build_rho", skewed)
+    assert run(tmp_path, "verify", "--m", "2..3", "--ell", "0..0") == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "verify.json").read_text())
+    rows = {(c["check"], c["detail"][:3]): c for c in report["checks"]}
+    assert rows["rep-spectrum", "m=2"]["passed"]
+    for check in ("rep-spectrum", "rep-commutant"):
+        assert rows[check, "m=3"] == {
+            "check": check, "detail": "m=3 rho(K+-) has an off-diagonal "
+            "nonzero", "value": None,
+            "threshold": 1e-12 if check == "rep-spectrum" else 1,
+            "passed": False}
+
+
 def test_eds_check(tmp_path):
     assert run(tmp_path, "eds-check", "--samples", "25", "--seed", "5") == 0
     report = json.loads((tmp_path / "eds.json").read_text())

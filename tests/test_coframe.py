@@ -256,13 +256,3 @@ def test_point_tangent_projection_and_warnings():
         u = TangentVector(p, Quaternion(1.0), Quaternion())
         assert any("tangency" in str(w.message) for w in rec)
     assert abs(p.as_array8() @ u.as_array8()) < 1e-14
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(12)
-    p = random_point(rng, 0.2)
-    u = random_tangent(rng, p)
-    p2 = SpherePoint.from_json(p.to_json())
-    u2 = TangentVector.from_json(u.to_json())
-    assert np.allclose(p.as_array8(), p2.as_array8())
-    assert np.allclose(u.as_array8(), u2.as_array8())

@@ -10,14 +10,14 @@ from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              contact_alpha, random_point, random_tangent,
                              random_unit_tangent)
-from sphere7.connection import (PathSpec, born_probability,
-                                connection_matrix, connection_sample,
-                                curvature_residual, gauge_matrix,
-                                parallel_transport, reeb_transport)
-from sphere7.fock import (GENERATOR_NAMES, _coefficient_rows, build_rho,
-                          build_rho_partial, conjugation, dim)
+from sphere7.connection import (PathSpec, connection_matrix,
+                                connection_sample, curvature_residual,
+                                gauge_matrix, parallel_transport,
+                                reeb_transport)
+from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
+                          conjugation, dim)
 from sphere7.quaternions import Quaternion, qlog, transition_tau
-from sphere7.u2h import VECTOR_IN_SPINOR
+from sphere7.u2h import VECTOR_IN_SPINOR, complex_array
 
 
 def test_trivial_level_connection():
@@ -52,14 +52,14 @@ def test_exact_flatness():
             p = random_point(rng, 0.35)
             u = random_unit_tangent(rng, p, 0.5)
             v = random_unit_tangent(rng, p, 0.5)
-            assert curvature_residual(p, u, v, m, "exact", h=1e-4) < 1e-5
+            assert curvature_residual(p, u, v, m, h=1e-4) < 1e-5
 
 
 def test_flatness_degenerate_pair():
     rng = np.random.default_rng(4)
     p = random_point(rng, 0.3)
     u = random_unit_tangent(rng, p, 0.5)
-    assert curvature_residual(p, u, u, 2, "exact", h=1e-4) < 1e-10
+    assert curvature_residual(p, u, u, 2, h=1e-4) < 1e-10
 
 
 def test_truncated_flatness_improves_with_ell():
@@ -67,7 +67,7 @@ def test_truncated_flatness_improves_with_ell():
     p = random_point(rng, 0.35)
     u = random_unit_tangent(rng, p, 0.5)
     v = random_unit_tangent(rng, p, 0.5)
-    vals = [curvature_residual(p, u, v, 6, "truncated", ell, h=1e-4)
+    vals = [curvature_residual(p, u, v, 6, ell=ell, h=1e-4)
             for ell in (0, 2, 4)]
     assert vals[0] > vals[1] > vals[2]
 
@@ -78,8 +78,7 @@ def test_exact_flatness_n_patch():
         p = random_point(rng, 0.35)
         u = random_unit_tangent(rng, p, 0.5)
         v = random_unit_tangent(rng, p, 0.5)
-        assert curvature_residual(p, u, v, 2, "exact", h=1e-4,
-                                  patch="n") < 1e-5
+        assert curvature_residual(p, u, v, 2, h=1e-4, patch="n") < 1e-5
 
 
 def test_transport_with_reprojection():
@@ -159,8 +158,8 @@ def _alpha_coefficient_probe(u, m1=2, m2=3, ell=0):
     coefficient of the identity block in the hbar^{-1} term; it must equal
     alpha(u).
     """
-    a1 = connection_matrix(u, m1, "truncated", ell)
-    a2 = connection_matrix(u, m2, "truncated", ell)
+    a1 = connection_matrix(u, m1, ell=ell)
+    a2 = connection_matrix(u, m2, ell=ell)
     val = (a2[0, 0] - a1[0, 0]) / (1j * (m2 - m1))
     return complex(val)
 
@@ -274,28 +273,23 @@ def test_born_probability():
     psi_i = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     res = parallel_transport(path, m, 4000)
     u_psi = res.matrix @ psi_i
-    p_same, _ = born_probability(psi_i, u_psi, path, m, steps=4000)
-    assert abs(p_same - 1.0) < 1e-10
+    assert abs(res.probability(psi_i, u_psi) - 1.0) < 1e-10
     # orthogonal final state
     perp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     perp -= (np.vdot(u_psi, perp) / np.vdot(u_psi, u_psi)) * u_psi
-    p_perp, _ = born_probability(psi_i, perp, path, m, steps=4000)
-    assert p_perp < 1e-10
-    # completeness over an orthonormal final basis
-    total = 0.0
-    for k in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[k] = 1.0
-        pk, _ = born_probability(psi_i, e, path, m, steps=1000)
-        total += pk
+    assert res.probability(psi_i, perp) < 1e-10
+    # completeness over an orthonormal final basis, from one transport
+    coarse = parallel_transport(path, m, 1000)
+    total = sum(coarse.probability(psi_i, e) for e in np.eye(d))
     assert abs(total - 1.0) < 1e-8
 
 
 def test_born_rejects_zero_states():
     p = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     path = PathSpec.constant(p)
+    res = parallel_transport(path, 2, steps=10)
     with pytest.raises(ValueError):
-        born_probability(np.zeros(4), np.ones(4), path, 2, steps=10)
+        res.probability(np.zeros(4), np.ones(4))
 
 
 def test_piecewise_rejects_antipodal_knots():
@@ -332,7 +326,7 @@ def test_coarse_loop_through_x_zero(steps):
 def _expm_gauge(m, p):
     """gauge_matrix(m, p) through scipy.linalg.expm on dense generators."""
     rep = build_rho(m)
-    rows = _coefficient_rows(VECTOR_IN_SPINOR, ("j1", "j2", "j3")).toarray()
+    rows = complex_array(VECTOR_IN_SPINOR, ("j1", "j2", "j3"), GENERATOR_NAMES)
     j1, j2, j3 = [sum(c * rep[g].toarray() for c, g in zip(r, GENERATOR_NAMES))
                   for r in rows]
     q = qlog(transition_tau(p))
@@ -486,7 +480,7 @@ def test_pattern_storage_matches_dense_assembly(m):
                                  - _dense_assembly(u, build_rho(m), patch))
                           ) <= 1e-15
         for dom in (m, m + 1):
-            got = connection_matrix(u, m, "truncated", ell, domain_m=dom)
+            got = connection_matrix(u, m, ell, domain_m=dom)
             want = _dense_assembly(u, build_rho_partial(m, ell + 1,
                                                         domain_m=dom))
             assert np.max(np.abs(got - want)) <= 1e-15
