@@ -7,9 +7,9 @@ system by finite differences, and follows a Reeb orbit around its period.
 
 import numpy as np
 
-from sphere7 import (ToricPoint, contact_alpha, eds_residual, pullback_n,
-                     pullback_s, reeb_flow, reeb_tangent, section_n,
-                     section_s, toric_embed, transition_tau)
+from sphere7 import (ToricPoint, contact_alpha, eds_residual, pullback,
+                     reeb_flow, reeb_tangent, section_n, section_s,
+                     toric_embed, transition_tau)
 from sphere7.coframe import random_point, random_unit_tangent
 from sphere7.quaternions import QMatrix2, QONE
 
@@ -28,7 +28,7 @@ print(f"section transition g_n = g_s diag(tau,1): residual {rel:.2e}, "
 
 print("\n== coframe on tangents ==")
 u = random_unit_tangent(rng, p)
-cs, cn = pullback_s(u), pullback_n(u)
+cs, cn = pullback(u, "s"), pullback(u, "n")
 print(f"kappa (global):  s-patch {np.round(cs.kappa, 6)}")
 print(f"                 n-patch {np.round(cn.kappa, 6)}")
 print(f"contact form alpha(u) = {cs.alpha():+.6f} "

@@ -16,11 +16,11 @@ Layers, bottom up:
 
 from .coframe import (CoframeSample, SpherePoint, TangentVector, ToricPoint,
                       contact_alpha, eds_residual, gauge_overlap_check,
-                      pullback, pullback_n, pullback_s, reeb_flow,
-                      reeb_tangent, toric_embed, toric_tangent)
+                      pullback, reeb_flow, reeb_tangent, toric_embed,
+                      toric_tangent)
 from .connection import (PathSpec, TransportResult, connection_matrix,
-                         connection_sample, curvature_residual,
-                         parallel_transport, reeb_transport)
+                         curvature_residual, parallel_transport,
+                         reeb_transport)
 from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    commutant_dimension, dim, exponentiate, filtration_check,
                    k_spectrum, matrix_of_laurent, matrix_of_weyl,
@@ -32,8 +32,7 @@ from .u2h import (LieElement, SPINOR_GENERATORS, VECTOR_GENERATORS, bracket,
                   contraction_limit, grading_decomposition, reality,
                   verify_jacobi)
 from .weyl import (LaurentElement, Polymeromorphic, PolyNM, WeylElement,
-                   embedded_generators, passage, sqrt_partial_sum,
-                   verify_embedding)
+                   embedded_generators, sqrt_partial_sum, verify_embedding)
 from .classical import PoissonElement, verify_classical
 
 __version__ = "0.1.0"

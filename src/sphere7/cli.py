@@ -497,11 +497,11 @@ def cmd_table(cfg):
     for m in cfg.ms():
         rep = fock.build_rho(m)
         br, _ = fock.verify_brackets(rep)
-        spec_vals = fock.expected_k_spectrum(m).astype(int)
-        lo, hi = int(spec_vals.min()), int(spec_vals.max())
+        spec, reason = _refused(lambda: fock.k_spectrum(rep))
         rep_rows.append({
             "m": m, "dim": fock.dim(m),
-            "k_spectrum": f"{lo}..{hi}",
+            "k_spectrum": (reason.strip() if spec is None
+                           else f"{spec[0]:g}..{spec[-1]:g}"),
             "bracket_residual": br,
             "reality_residual": fock.verify_reality(rep),
             "note": "trivial representation" if m == 1 else "",

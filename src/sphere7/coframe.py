@@ -125,9 +125,9 @@ def random_point(rng, min_patch=0.0):
             return p
 
 
-def random_tangent(rng, p, scale=1.0):
+def random_tangent(rng, p):
     p8 = p.as_array8()
-    u8 = rng.standard_normal(8) * scale
+    u8 = rng.standard_normal(8)
     u8 -= (p8 @ u8) * p8
     return TangentVector.from_array8(p, u8)
 
@@ -195,7 +195,7 @@ def _coframe(p8, u8, patch):
     normsq = np.sum(a * a, axis=1)
     if np.min(np.sqrt(normsq)) < TAU_PATCH:
         name = "x" if patch == "s" else "y"
-        raise PatchError(f"patch violation: |{name}| ~ 0 in pullback_{patch}")
+        raise PatchError(f"patch violation: |{name}| ~ 0 on the {patch} patch")
     ab = a * _QCONJ
     kappa = (_qmul(ab, da) + _qmul(b * _QCONJ, db)) * 2.0
     a_b = _qmul(a, b)
@@ -217,28 +217,17 @@ def _pullback(p8, u8, patch):
     return np.concatenate([mu[:, 1:], nu, kappa[:, 1:]], axis=1) @ _SPINOR
 
 
-def _sample(u, patch):
-    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
-    return CoframeSample(*(r[0] for r in rows), patch)
-
-
-def pullback_s(u):
-    """Coframe over the x != 0 patch evaluated on u."""
-    return _sample(u, "s")
-
-
-def pullback_n(u):
-    """Coframe over the y != 0 patch evaluated on u."""
-    return _sample(u, "n")
-
-
 def preferred_patch(p):
     """The chart with the larger coordinate at p."""
     return "s" if p.x.norm() >= p.y.norm() else "n"
 
 
 def pullback(u, patch="auto"):
-    return _sample(u, preferred_patch(u.base) if patch == "auto" else patch)
+    """The coframe on u over the patch: "s" (x != 0), "n" (y != 0), or
+    "auto", the preferred_patch of u's base point."""
+    patch = preferred_patch(u.base) if patch == "auto" else patch
+    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
+    return CoframeSample(*(r[0] for r in rows), patch)
 
 
 def contact_alpha(u):
@@ -294,13 +283,12 @@ def _coframe10(u, patch):
     return pullback(u, patch).components10()
 
 
-def eds_residual(p, u, v, h=1e-4, patch="s", richardson=False):
+def eds_residual(p, u, v, h=1e-4, patch="s"):
     """Absolute residuals of the structure equations dw + [w, w]/2 = 0 of
     the coframe w at (p; u, v), in components10 order.
 
     The exterior derivative is evaluated as u[w(V)] - v[w(U)] for the
-    commuting chart extensions of u and v, by central differences of step h
-    (optionally Richardson-extrapolated with the half step).
+    commuting chart extensions of u and v, by central differences of step h.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -310,9 +298,6 @@ def eds_residual(p, u, v, h=1e-4, patch="s", richardson=False):
         return _coframe10(chart.frame_vector(i_field, s), patch)
 
     dw = chart.exterior_derivative(omega, h)  # dω(u, v) componentwise
-    if richardson:
-        dw = (4.0 * chart.exterior_derivative(omega, h / 2) - dw) / 3.0
-
     cu = _coframe10(TangentVector(p, u.dx, u.dy), patch)
     cv = _coframe10(TangentVector(p, v.dx, v.dy), patch)
     # [w, w](u, v)/2 = [w(u), w(v)], componentwise B[a, b, c] cu[b] cv[c]
@@ -325,8 +310,8 @@ def gauge_overlap_check(p, u, h=1e-5):
     The derivative of the transition quaternion along u is a central
     difference on the normalized chart line through p with velocity u.
     """
-    mu_s = pullback_s(u)
-    mu_n = pullback_n(u)
+    mu_s = pullback(u, "s")
+    mu_n = pullback(u, "n")
     q_mu_s = Quaternion(mu_s.mu_real, *mu_s.mu)
     q_mu_n = Quaternion(mu_n.mu_real, *mu_n.mu)
     tau = transition_tau(p)

@@ -78,24 +78,17 @@ def _coefficients(u, patch):
 def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
     """The connection form evaluated on one tangent vector.
 
-    ell=None, the exact connection: D(m) x D(m), antihermitean.  Otherwise
-    the truncated one: the square roots are replaced by partial sums
-    through order ell+1 and the result is a D(domain+1) x D(domain) map
-    into the ambient block (domain defaults to m; hbar stays 1/m).
+    ell=None, the exact connection: D(m) x D(m), antihermitean; it has no
+    other domain, so a domain_m other than m is refused.  Otherwise the
+    truncated one: the square roots are replaced by partial sums through
+    order ell+1 and the result is a D(domain+1) x D(domain) map into the
+    ambient block (domain defaults to m; hbar stays 1/m).
     """
+    if ell is None and domain_m not in (None, m):
+        raise ValueError("the exact connection acts on level m only")
     flat, vals, shape = (_rho_stack(m) if ell is None else _rho_stack(
         m, ell + 1, m if domain_m is None else domain_m))
     return _scatter(flat, _coefficients(u, patch) @ vals, shape)
-
-
-def connection_sample(u, m, ell=None, patch="s"):
-    """Value plus diagnostics; the exact connection reports its
-    antihermiticity defect."""
-    mat = connection_matrix(u, m, ell, patch)
-    info = {"m": m, "ell": ell, "patch": patch}
-    if ell is None:
-        info["antihermiticity"] = float(np.max(np.abs(mat + mat.conj().T)))
-    return mat, info
 
 
 def curvature_residual(p, u, v, m, ell=None, h=1e-4, patch="s"):
@@ -116,8 +109,9 @@ def curvature_residual(p, u, v, m, ell=None, h=1e-4, patch="s"):
                                  patch, domain_m=domain_m)
 
     origin = (0.0, 0.0)
-    curv = (a_of(0, origin, m + 1) @ a_of(1, origin)
-            - a_of(1, origin, m + 1) @ a_of(0, origin))
+    up = m if ell is None else m + 1
+    curv = (a_of(0, origin, up) @ a_of(1, origin)
+            - a_of(1, origin, up) @ a_of(0, origin))
     da = chart.exterior_derivative(a_of, h)
     curv[:len(da)] += da
     return float(np.max(np.abs(curv)))
@@ -344,8 +338,7 @@ def _complete(cols, sigma, sign, keep):
     return out
 
 
-def parallel_transport(path, m, steps=None, reproject=False,
-                       start_frame=None):
+def parallel_transport(path, m, steps=None, start_frame=None):
     """Integrate the exact flat connection along a path with fixed-step RK4.
 
     Frames switch between the two trivializing patches when the active
@@ -354,9 +347,8 @@ def parallel_transport(path, m, steps=None, reproject=False,
     accumulated operator by the transition unitary and is logged.
     Transports compose, U(g2 after g1) = U(g2) U(g1), when computed in
     matching frames; start_frame pins the trivialization (default: the
-    larger coordinate at the start point).  With reproject=True the operator
-    is polar-reprojected onto the unitary group after every step (off by
-    default; drift is a useful diagnostic).
+    larger coordinate at the start point).  The operator is not reprojected
+    onto the unitary group; its drift is reported as a diagnostic.
 
     The node geometry and generator coefficients of up to _BLOCK_STEPS steps
     are computed at once.  Each node's (h/2)(-A) is scattered onto the
@@ -367,8 +359,8 @@ def parallel_transport(path, m, steps=None, reproject=False,
     m, in a C-contiguous D x |keep| array; the RK4 stages run in place on
     three more of that shape, and the gauge switches multiply it from the
     left.  The other columns are filled from the conjugation before the
-    final frame change and before each polar reprojection.  This is the
-    full-column integrator exactly, since every step commutes with J.
+    final frame change.  This is the full-column integrator exactly, since
+    every step commutes with J.
     """
     steps = path.steps if steps is None else int(steps)
     if steps < 2:
@@ -436,9 +428,6 @@ def parallel_transport(path, m, steps=None, reproject=False,
             s += k
             s /= 3
             u_op += s
-            if reproject:
-                w, _, vh = np.linalg.svd(_complete(u_op, sigma, sign, keep))
-                u_op = w @ vh[:, keep]
 
     u_op = _complete(u_op, sigma, sign, keep)
     end_frame = frame

@@ -278,32 +278,6 @@ class PolyNM(Combination):
     # n and N are self-adjoint, so the dagger only conjugates coefficients
     dagger = Combination.conj
 
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def var_n(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_N(cls):
-        return cls({(0, 1): 1})
-
-    def shift(self, dn, dN):
-        """Substitute n -> n + dn, N -> N + dN (argument shift)."""
-        out = PolyNM()
-        for (i, j), c in self.terms.items():
-            poly = PolyNM({(0, 0): c})
-            binom_n = PolyNM({(1, 0): 1, (0, 0): dn})
-            binom_N = PolyNM({(0, 1): 1, (0, 0): dN})
-            for _ in range(i):
-                poly = poly * binom_n
-            for _ in range(j):
-                poly = poly * binom_N
-            out = out + poly
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -327,9 +301,6 @@ class Polymeromorphic(LaurentElement):
 
     __slots__ = ()
 
-    def shift_args(self, dn, dN):
-        return self._map({g: p.shift(dn, dN) for g, p in self.grades.items()})
-
     def expand(self, cap=None, ring=WeylElement):
         """Substitute the number operators of the ring for (n, N)."""
         power_n = _power_cache(ring.number_op())
@@ -338,24 +309,6 @@ class Polymeromorphic(LaurentElement):
             {g: sum(((power_n(i) * power_N(j)).scale(c)
                      for (i, j), c in p.terms.items()), ring.zero())
              for g, p in self.grades.items()}, cap=cap)
-
-
-# argument shifts of the passage rules: slot -> (dn, dN) such that
-# f(n, N) * gen = gen * f(n + dn, N + dN)
-PASSAGE_SHIFTS = {
-    3: (-2, 0),   # a
-    0: (2, 0),    # ad
-    4: (0, -1),   # app
-    2: (0, 1),    # apm
-    5: (0, -1),   # amp
-    1: (0, 1),    # amm
-}
-
-
-def passage(f, slot):
-    """Return f' with f * gen(slot) = gen(slot) * f'."""
-    dn, dN = PASSAGE_SHIFTS[slot]
-    return f.shift_args(dn, dN)
 
 
 def sqrt_coefficient(k):

@@ -235,6 +235,27 @@ def test_table(tmp_path):
     assert dims == ["1", "4", "10"]
 
 
+def test_table_reports_the_measured_k_spectrum(tmp_path, monkeypatch):
+    # the k_spectrum column reads rho(K+-): a diagonal shifted by 2i moves
+    # the range by 2, and an off-diagonal entry is named, not a traceback
+    def skewed(m):
+        rep = build_rho(m)
+        k = rep["K+-"].tolil()
+        if m == 2:
+            k[0, 1] = 1e-3
+        else:
+            k.setdiag(k.diagonal() + 2j)
+        rep["K+-"] = k.tocsr()
+        return rep
+
+    monkeypatch.setattr("sphere7.fock.build_rho", skewed)
+    assert run(tmp_path, "table", "--m", "2..3", "--ell", "0..0") == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "table.csv").read_text().splitlines()[1:3]]
+    assert [r[2] for r in rows] == [
+        "rho(K+-) has an off-diagonal nonzero", "0..4"]
+
+
 def test_dump_rep_roundtrip(tmp_path):
     assert run(tmp_path, "dump-rep", "--m", "2..2", "--format", "json") == 0
     header, rep = load_representation(tmp_path / "rho_m2.json")

@@ -7,9 +7,9 @@ import pytest
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              _pullback, contact_alpha, eds_residual,
                              gauge_overlap_check, maurer_cartan_matrix,
-                             pullback_n, pullback_s, random_point,
-                             random_tangent, random_unit_tangent, reeb_flow,
-                             reeb_tangent, toric_embed, toric_tangent)
+                             pullback, random_point, random_tangent,
+                             random_unit_tangent, reeb_flow, reeb_tangent,
+                             toric_embed, toric_tangent)
 from sphere7.quaternions import (PatchError, QK, Quaternion, section_n,
                                  section_s, transition_tau)
 
@@ -17,7 +17,7 @@ from sphere7.quaternions import (PatchError, QK, Quaternion, section_n,
 def test_pullback_at_pole():
     p = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     u = TangentVector(p, QK, Quaternion())
-    c = pullback_s(u)
+    c = pullback(u, "s")
     assert np.allclose(c.kappa, [0, 0, 2])
     assert np.allclose(c.mu, [0, 0, -2])
     assert np.allclose(c.nu, 0)
@@ -28,7 +28,7 @@ def test_pullback_linearity_zero():
     rng = np.random.default_rng(0)
     p = random_point(rng, 0.2)
     z = TangentVector(p, Quaternion(), Quaternion())
-    c = pullback_s(z)
+    c = pullback(z, "s")
     assert np.allclose(c.components10(), 0)
 
 
@@ -37,7 +37,7 @@ def test_kappa_mu_imaginary():
     for _ in range(200):
         p = random_point(rng, 0.15)
         u = random_tangent(rng, p)
-        c = pullback_s(u)
+        c = pullback(u, "s")
         assert abs(c.kappa_real) < 1e-12
         assert abs(c.mu_real) < 1e-10
 
@@ -47,7 +47,7 @@ def test_double_index_component_identity():
     for _ in range(50):
         p = random_point(rng, 0.15)
         u = random_tangent(rng, p)
-        c = pullback_s(u)
+        c = pullback(u, "s")
         # 2 kappa^{+.-.} = -kappa^3/2 exactly, same number both ways
         assert 2 * c.kappa_dd()["+-"] == c.alpha()
         assert c.alpha() == -c.kappa[2] / 2
@@ -111,7 +111,7 @@ def test_kappa_global_and_nu_gauge():
     for _ in range(100):
         p = random_point(rng, 0.15)
         u = random_tangent(rng, p)
-        cs, cn = pullback_s(u), pullback_n(u)
+        cs, cn = pullback(u, "s"), pullback(u, "n")
         assert np.max(np.abs(cs.kappa - cn.kappa)) < 1e-12
         tau = transition_tau(p)
         nu_s = Quaternion.from_seq(cs.nu)
@@ -153,7 +153,7 @@ def test_patch_errors():
     p = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     u = TangentVector(p, QK, Quaternion())
     with pytest.raises(PatchError):
-        pullback_n(u)
+        pullback(u, "n")
 
 
 def test_eds_residual_random():
@@ -193,16 +193,6 @@ def test_eds_convergence_order():
     r2 = eds_residual(p, u, v, h=5e-4).max()
     ratio = r1 / r2
     assert 3.5 < ratio < 4.5
-
-
-def test_eds_richardson_flag():
-    rng = np.random.default_rng(13)
-    p = random_point(rng, 0.35)
-    u = random_unit_tangent(rng, p)
-    v = random_unit_tangent(rng, p)
-    base = eds_residual(p, u, v, h=1e-3).max()
-    extrap = eds_residual(p, u, v, h=1e-3, richardson=True).max()
-    assert extrap < base * 1e-2
 
 
 def test_eds_step_validation():

@@ -11,9 +11,8 @@ from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              contact_alpha, random_point, random_tangent,
                              random_unit_tangent)
 from sphere7.connection import (PathSpec, connection_matrix,
-                                connection_sample, curvature_residual,
-                                gauge_matrix, parallel_transport,
-                                reeb_transport)
+                                curvature_residual, gauge_matrix,
+                                parallel_transport, reeb_transport)
 from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
                           conjugation, dim)
 from sphere7.quaternions import Quaternion, qlog, transition_tau
@@ -41,8 +40,18 @@ def test_exact_antihermitean():
         for _ in range(10):
             p = random_point(rng, 0.15)
             u = random_tangent(rng, p)
-            _, info = connection_sample(u, m)
-            assert info["antihermiticity"] < 1e-10
+            a = connection_matrix(u, m)
+            assert np.max(np.abs(a + a.conj().T)) < 1e-10
+
+
+def test_exact_connection_refuses_another_domain():
+    rng = np.random.default_rng(2)
+    p = random_point(rng, 0.15)
+    u = random_tangent(rng, p)
+    assert connection_matrix(u, 2, domain_m=2).shape == (4, 4)
+    assert connection_matrix(u, 2, ell=1, domain_m=5).shape == (56, 35)
+    with pytest.raises(ValueError, match="level m only"):
+        connection_matrix(u, 2, domain_m=5)
 
 
 def test_exact_flatness():
@@ -81,12 +90,11 @@ def test_exact_flatness_n_patch():
         assert curvature_residual(p, u, v, 2, h=1e-4, patch="n") < 1e-5
 
 
-def test_transport_with_reprojection():
+def test_great_circle_loop_closes_without_reprojection():
     p0 = SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
     path = PathSpec.great_circle_loop(p0, np.array([0, 1., 0, 0, 0, 0, 0, 0]))
     for m in (2, 3, 4):
-        res = parallel_transport(path, m, steps=500, reproject=True)
-        assert res.unitarity_residual < 1e-13
+        res = parallel_transport(path, m, steps=500)
         assert res.holonomy_distance() < 1e-6
 
 

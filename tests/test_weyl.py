@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from sphere7.classical import PoissonElement
 from sphere7.rational import CRat
 from sphere7.u2h import REALITY_SPINOR
-from sphere7.weyl import (LaurentElement, PolyNM, Polymeromorphic,
-                          WeylElement, embedded_generators, passage,
-                          sqrt_coefficient, sqrt_partial_sum,
-                          verify_embedding)
+from sphere7.weyl import (LaurentElement, PolyNM, WeylElement,
+                          embedded_generators, sqrt_coefficient,
+                          sqrt_partial_sum, verify_embedding)
 
 I = CRat(0, 1)
 G = WeylElement.gen
@@ -159,40 +158,6 @@ def test_generator_table_matches_the_hand_written_recipe(ring, ell, cap):
     for name, lau in want.items():
         assert got[name] == lau, name
         assert (got[name].cap, got[name].dropped) == (lau.cap, lau.dropped)
-
-
-@pytest.mark.parametrize("slot", range(6))
-def test_passage_rules_all_slots(slot):
-    # verified by direct multiplication for polynomial f up to degree 4
-    rng = np.random.default_rng(3 + slot)
-    for _ in range(10):
-        terms = {}
-        for _ in range(4):
-            key = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            if sum(key) <= 4:
-                terms[key] = CRat(int(rng.integers(-3, 4)))
-        f = Polymeromorphic({0: PolyNM(terms)})
-        fp = passage(f, slot)
-        lhs = f.expand() * LaurentElement.from_weyl(G(slot))
-        rhs = LaurentElement.from_weyl(G(slot)) * fp.expand()
-        assert (lhs - rhs).is_zero()
-
-
-def test_passage_examples():
-    # n a = a (n - 2)
-    f = Polymeromorphic({0: PolyNM.var_n()})
-    assert passage(f, A_AN).grades[0].terms == {(1, 0): CRat(1),
-                                                (0, 0): CRat(-2)}
-    # constant f passes through unchanged
-    c = Polymeromorphic({0: PolyNM.const(CRat(7))})
-    assert passage(c, A_PM).grades[0].terms == {(0, 0): CRat(7)}
-    # N a^+_-. = a^+_-. (N + 1)
-    f = Polymeromorphic({0: PolyNM.var_N()})
-    fp = passage(f, A_PM)
-    assert fp.grades[0].terms == {(0, 1): CRat(1), (0, 0): CRat(1)}
-    lhs = f.expand() * LaurentElement.from_weyl(G(A_PM))
-    rhs = LaurentElement.from_weyl(G(A_PM)) * fp.expand()
-    assert (lhs - rhs).is_zero()
 
 
 def test_sqrt_coefficients():
