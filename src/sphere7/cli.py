@@ -1,14 +1,5 @@
 """Batch driver: every verification and simulation as a subcommand.
 
-Subcommands
-
-    verify      structure constants, formal embedding, classical agreement,
-                representation suite, convergence, commuting diagram
-    eds-check   finite-difference residuals of the coframe identities
-    transport   parallel transport along a JSON path spec, Born probabilities
-    table       CSV/JSON summary tables over m and ell ranges
-    dump-rep    matrix dumps of the level-m representations
-
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error.
 Reports are deterministic for a fixed seed up to the generated_at header.
 """
@@ -18,7 +9,8 @@ import csv
 import datetime
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +39,28 @@ class RunConfig:
     samples: int = 100
 
     def validate(self):
-        if self.m_range[0] < 1 or self.m_range[1] < self.m_range[0]:
+        if self.m_range[0] < 1:
+            raise ConfigError(f"m must be >= 1, got {self.m_range[0]}")
+        if self.m_range[1] < self.m_range[0]:
             raise ConfigError(f"invalid m range {self.m_range}")
         if self.m_range[1] > fock.M_MAX:
             raise ConfigError(f"m = {self.m_range[1]} is above the largest "
                               f"supported level m = {fock.M_MAX}")
         if self.ell_range[0] < 0 or self.ell_range[1] < self.ell_range[0]:
             raise ConfigError(f"invalid ell range {self.ell_range}")
-        if self.h <= 0 or self.tau_rep <= 0 or self.tau_sphere <= 0:
-            raise ConfigError("tolerances and step must be positive")
+        if self.tau_rep <= 0 or self.tau_sphere <= 0:
+            raise ConfigError("tolerances must be positive")
+        # the chart points of a step overflow from about h = 1e155
+        if not 0 < self.h < 1:
+            raise ConfigError(f"h must be in (0, 1), got {self.h}")
         if self.steps < 2:
-            raise ConfigError("steps must be >= 2")
+            raise ConfigError(f"steps must be >= 2, got {self.steps}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.mutate not in (None, "k-bracket"):
+            raise ConfigError(f"mutate must be k-bracket, got {self.mutate!r}")
         return self
 
     def ms(self):
@@ -72,11 +71,8 @@ class RunConfig:
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return (int(lo), int(hi))
-    v = int(text)
-    return (v, v)
+    lo, dots, hi = text.partition("..")
+    return (int(lo), int(hi if dots else lo))
 
 
 def _is_number(v):
@@ -122,14 +118,12 @@ def _point(obj, key):
                                  for c in "xy"))
 
 
-# report formats of each command that does not write json or csv
-_FORMATS = {"dump-rep": ("json", "binary"), "transport": ("json",)}
-
-
-def _config_from_args(args):
+def _config_from_args(command, config, args):
+    """The config file's RunConfig with the given options on top; args maps
+    option dests to values, and loses the ones that are RunConfig fields."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
+    if config is not None:
+        raw = json.loads(Path(config).read_text())
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         for k, v in raw.items():
@@ -139,27 +133,16 @@ def _config_from_args(args):
             if not (v is None and field.default is None):
                 v = _typed(k, v, field.type)
             setattr(cfg, k, v)
-    if getattr(args, "m", None):
-        cfg.m_range = _parse_range(args.m)
-    if getattr(args, "ell", None):
-        cfg.ell_range = _parse_range(args.ell)
-    for name in ("seed", "steps", "samples"):
-        v = getattr(args, name, None)
+    for field in fields(RunConfig):
+        v = args.pop(field.name, None)
         if v is not None:
-            setattr(cfg, name, v)
-    if getattr(args, "h", None) is not None:
-        cfg.h = args.h
-    if getattr(args, "out", None):
-        cfg.out = Path(args.out)
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    if getattr(args, "mutate", None):
-        cfg.mutate = args.mutate
-    formats = _FORMATS.get(args.command, ("json", "csv"))
+            setattr(cfg, field.name, _parse_range(v) if field.type is tuple
+                    else field.type(v))
+    formats = COMMANDS[command].formats
     if cfg.fmt not in formats:
-        raise ConfigError(f"{args.command} writes {' or '.join(formats)}, "
+        raise ConfigError(f"{command} writes {' or '.join(formats)}, "
                           f"not {cfg.fmt}")
-    if (args.command == "dump-rep" and cfg.fmt == "json"
+    if (command == "dump-rep" and cfg.fmt == "json"
             and cfg.m_range[1] > fock.JSON_DUMP_M_MAX):
         raise ConfigError(f"json dumps stop at m = {fock.JSON_DUMP_M_MAX}; "
                           f"use --format binary for m = {cfg.m_range[1]}")
@@ -442,13 +425,7 @@ def cmd_transport(cfg, path_file):
             raise ConfigError("path spec must be a JSON object")
         m = _typed("m", spec.get("m", cfg.m_range[0]), int)
         steps = _typed("steps", spec.get("steps", cfg.steps), int)
-        if m < 1:
-            raise ConfigError(f"m must be >= 1, got {m}")
-        if m > fock.M_MAX:
-            raise ConfigError(f"m = {m} is above the largest supported "
-                              f"level m = {fock.M_MAX}")
-        if steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {steps}")
+        replace(cfg, m_range=(m, m), steps=steps).validate()
         path = _path_from_spec(spec, steps)
         dump_matrix = _typed("dump_matrix", spec.get("dump_matrix", False),
                              bool)
@@ -551,59 +528,66 @@ def cmd_dump_rep(cfg):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--m", help="level range, e.g. 2 or 1..6")
-    sp.add_argument("--ell", help="truncation range, e.g. 0..4")
-    sp.add_argument("--steps", type=int, help="integrator steps")
-    sp.add_argument("--h", type=float, help="finite-difference step")
-    sp.add_argument("--seed", type=int, help="RNG seed")
-    sp.add_argument("--samples", type=int, help="random sample count")
-    sp.add_argument("--out", help="report directory")
-    sp.add_argument("--format", choices=["json", "csv", "binary"],
-                    help="report format: json or csv; dump-rep: json or "
-                    "binary; transport: json")
-    sp.add_argument("--config", help="RunConfig JSON file")
+# the options of the commands; a dest that names a RunConfig field sets it
+_OPTIONS = {
+    "--m": dict(dest="m_range", help="level range, e.g. 2 or 1..6"),
+    "--ell": dict(dest="ell_range", help="truncation range, e.g. 0..4"),
+    "--steps": dict(type=int, help="integrator steps"),
+    "--h": dict(type=float, help="finite-difference step, 0 < h < 1"),
+    "--seed": dict(type=int, help="RNG seed"),
+    "--samples": dict(type=int, help="random sample count"),
+    "--format": dict(dest="fmt", metavar="FORMAT"),  # help: its formats
+    "--mutate": dict(help="k-bracket corrupts one structure constant"),
+    "path_file": dict(help="JSON path specification"),
+    "--out": dict(help="report directory"),
+    "--config": dict(help="RunConfig JSON file"),
+}
+
+# each command takes its options, --out and --config, and writes a report
+# in one of its formats, chosen by --format or by fmt in the config file
+Command = namedtuple("Command", "help handler options formats")
+COMMANDS = {
+    "verify": Command("run the verification suites", cmd_verify,
+                      ("--m", "--ell", "--format", "--mutate"),
+                      ("json", "csv")),
+    "eds-check": Command("coframe identity residuals", cmd_eds_check,
+                         ("--h", "--seed", "--samples", "--format"),
+                         ("json", "csv")),
+    # --m and --steps stand in for a spec without m or steps
+    "transport": Command("parallel transport along a path", cmd_transport,
+                         ("path_file", "--m", "--steps"), ("json",)),
+    "table": Command("summary tables", cmd_table, ("--m", "--ell"),
+                     ("json", "csv")),
+    "dump-rep": Command("dump representation matrices", cmd_dump_rep,
+                        ("--m", "--format"), ("json", "binary")),
+}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="sphere7", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    v = sub.add_parser("verify", help="run the verification suites")
-    _add_common(v)
-    v.add_argument("--mutate", choices=["k-bracket"],
-                   help="corrupt one structure constant (failure-path fixture)")
-    e = sub.add_parser("eds-check", help="coframe identity residuals")
-    _add_common(e)
-    t = sub.add_parser("transport", help="parallel transport along a path")
-    _add_common(t)
-    t.add_argument("path_file", help="JSON path specification")
-    tb = sub.add_parser("table", help="summary tables")
-    _add_common(tb)
-    d = sub.add_parser("dump-rep", help="dump representation matrices")
-    _add_common(d)
+    for name, command in COMMANDS.items():
+        # no prefixes: --h of a command without --h would mean --help
+        sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for option in command.options + ("--out", "--config"):
+            kw = _OPTIONS[option]
+            if option == "--format":
+                kw = dict(kw, help=" or ".join(command.formats))
+            sp.add_argument(option, **kw)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        cfg = _config_from_args(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+        cfg = _config_from_args(command, args.pop("config"), args)
+    except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(cfg)
-    if args.command == "eds-check":
-        return cmd_eds_check(cfg)
-    if args.command == "transport":
-        return cmd_transport(cfg, args.path_file)
-    if args.command == "table":
-        return cmd_table(cfg)
-    if args.command == "dump-rep":
-        return cmd_dump_rep(cfg)
-    return 2
+    # what is left is the positional path_file of transport
+    return COMMANDS[command].handler(cfg, **args)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .weyl import GENERATOR_TERMS, LaurentElement
 GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
-# 2 vCPUs measured 63 MiB / 0.6 s at M = 12 and 166 MiB / 1.0 s at M = 20;
+# 2 vCPUs measured 58 MiB / 0.8 s at M = 12 and 75 MiB / 0.9 s at M = 20;
 # the bound is transport's, whose RK4 holds dense D x D buffers (D = 1540
 # at M = 20, about a second per step).
 M_MAX = 20
@@ -283,22 +283,30 @@ def _entries(rep):
     return (g, i, j, np.concatenate([x.data for x in mats])), d
 
 
-def _flat(g, i, j, v, d):
-    """The matrices flattened row-major, as the rows of one sparse array."""
-    return scipy.sparse.csr_array((v, (g, i * d + j)),
-                                  shape=(len(GENERATOR_NAMES), d * d))
+def _stacked(g, i, j, v, d):
+    """The matrices stacked as the blocks of d rows of one sparse array."""
+    return scipy.sparse.csr_array((v, (g * d + i, j)),
+                                  shape=(len(GENERATOR_NAMES) * d, d))
 
 
 def _products(g, i, j, v, d):
     """Every product rho_x rho_y from one vstack(rho) @ hstack(rho), whose
     block (x, y) it is, as COO coordinates (x, y, i, j, value)."""
-    n = len(GENERATOR_NAMES)
-    vstack = scipy.sparse.csr_array((v, (g * d + i, j)), shape=(n * d, d))
-    hstack = scipy.sparse.csr_array((v, (i, g * d + j)), shape=(d, n * d))
-    prod = (vstack @ hstack).tocoo()
+    hstack = scipy.sparse.csr_array((v, (i, g * d + j)),
+                                    shape=(d, len(GENERATOR_NAMES) * d))
+    prod = (_stacked(g, i, j, v, d) @ hstack).tocoo()
     x, i = np.divmod(prod.row, d)
     y, j = np.divmod(prod.col, d)
     return x, y, i, j, prod.data
+
+
+def _block_residuals(lhs, coeffs, stacked):
+    """Max |lhs - sum_g coeffs[p, g] rho_g| over each block p of d rows;
+    a sparse operation on arrays d^2 wide allocates work arrays that wide."""
+    n, d = coeffs.shape[0], stacked.shape[1]
+    rhs = scipy.sparse.kron(coeffs, scipy.sparse.eye_array(d),
+                            format="csr") @ stacked
+    return abs(lhs - rhs).max(axis=1).toarray().reshape(n, d).max(axis=1)
 
 
 def verify_brackets(rep, table=None):
@@ -316,9 +324,9 @@ def verify_brackets(rep, table=None):
     # block (x, y) enters the commutator of its pair with sign +1 when x
     # comes first in GENERATOR_NAMES, -1 otherwise
     lhs = scipy.sparse.csr_array(
-        (np.where(x < y, v, -v), (_PAIR_INDEX[x, y], i * d + j)),
-        shape=(len(GENERATOR_PAIRS), d * d))
-    res = abs(lhs - coeffs @ _flat(*entries, d)).max(axis=1).toarray()
+        (np.where(x < y, v, -v), (_PAIR_INDEX[x, y] * d + i, j)),
+        shape=(len(GENERATOR_PAIRS) * d, d))
+    res = _block_residuals(lhs, coeffs, _stacked(*entries, d))
     k = int(np.argmax(res))
     return (float(res[k]), GENERATOR_PAIRS[k]) if res[k] > 0 else (0.0, None)
 
@@ -326,9 +334,9 @@ def verify_brackets(rep, table=None):
 def verify_reality(rep):
     """Max residual of (rho X)^dagger = rho(X^dagger)."""
     (g, i, j, v), d = _entries(rep)
-    adjoints = _flat(g, j, i, v.conj(), d)
-    return float(abs(adjoints - _reality_coefficients() @ _flat(g, i, j, v, d))
-                 .max())
+    return float(_block_residuals(_stacked(g, j, i, v.conj(), d),
+                                  _reality_coefficients(),
+                                  _stacked(g, i, j, v, d)).max())
 
 
 def verify_traceless(rep):
@@ -454,8 +462,7 @@ def filtration_check(m_max):
             report["prefix_ok"] = False
         rep = build_rho(m + 1)
         d = dim(m)
-        off = max(float(np.max(np.abs(rep[g].toarray()[d:, :d])))
-                  for g in rep)
+        off = max(float(abs(rep[g][d:, :d]).max()) for g in rep)
         report["off_block_norm"][m + 1] = off
     report["is_subrepresentation"] = all(
         v < 1e-14 for v in report["off_block_norm"].values())

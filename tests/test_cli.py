@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphere7 import cli
 from sphere7.cli import main
 from sphere7.fock import M_MAX, build_rho, load_representation
 
@@ -33,6 +39,12 @@ def test_verify_invalid_m(tmp_path):
     (("eds-check", "--seed", "-1"), "seed must be >= 0"),
     (("dump-rep", "--m", "13"), "use --format binary for m = 13"),
     (("dump-rep", "--m", "13", "--format", "json"), "--format binary"),
+    (("verify", "--m", ""), "invalid literal for int()"),
+    (("eds-check", "--h", "inf"), "h must be in (0, 1), got inf"),
+    (("eds-check", "--h", "nan"), "h must be in (0, 1), got nan"),
+    # the chart points of a step overflow from about h = 1e155
+    (("eds-check", "--h", "1e155"), "h must be in (0, 1), got 1e+155"),
+    (("verify", "--mutate", "xyz"), "mutate must be k-bracket, got 'xyz'"),
 ])
 def test_config_out_of_range(tmp_path, capsys, args, message):
     assert run(tmp_path, *args) == 2
@@ -275,10 +287,10 @@ def test_dump_rep_binary(tmp_path):
 
 
 @pytest.mark.parametrize("command, fmt", [("dump-rep", "csv"),
-                                          ("verify", "binary")])
+                                          ("verify", "binary"),
+                                          ("verify", "xml")])
 def test_format_the_command_does_not_write(tmp_path, capsys, command, fmt):
-    assert run(tmp_path, command, "--m", "2..2", "--ell", "0..0",
-               "--format", fmt) == 2
+    assert run(tmp_path, command, "--m", "2..2", "--format", fmt) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(tmp_path.iterdir())
 
@@ -288,10 +300,67 @@ def test_transport_writes_json_only(tmp_path, capsys):
             "m": 2, "steps": 10}
     pfile = tmp_path / "path.json"
     pfile.write_text(json.dumps(spec))
+    cfile = tmp_path / "config.json"
+    cfile.write_text(json.dumps({"fmt": "csv"}))
     out = tmp_path / "out"
-    assert run(out, "transport", str(pfile), "--format", "csv") == 2
+    assert run(out, "transport", str(pfile), "--config", str(cfile)) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--steps", "10"),
+    ("eds-check", "--m", "2"),
+    ("transport", "path.json", "--format", "json"),
+    ("table", "--format", "csv"),
+    ("dump-rep", "--ell", "0..0"),
+    ("dump-rep", "--h", "1e-3"),  # not a prefix of --help
+    ("eds-check", "--sam", "3"),  # not a prefix of --samples
+])
+def test_command_refuses_an_option_it_does_not_read(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *args)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+_FLAGS = sorted({o for c in cli.COMMANDS.values() for o in c.options
+                     if o.startswith("--")})
+_VALUES = ["", "a", "0", "-1", "3..1", "21", "nan", "inf", "1e155", "1e-3",
+           "1..2", "json", "csv", "binary", "xml"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)),
+       flags=st.lists(st.tuples(st.sampled_from(_FLAGS),
+                                st.sampled_from(_VALUES)), max_size=4))
+def test_fuzzed_argv_exits_0_or_2_with_a_valid_config(command, flags):
+    # the handlers are stubs: what is checked is the argument layer
+    received = []
+
+    def stub(cfg, **rest):
+        received.append(cfg)
+        return 0
+
+    argv = [command, *(["path.json"] if command == "transport" else []),
+            *(x for flag in flags for x in flag), "--out", "unused"]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setitem(cli.COMMANDS, command,
+                   cli.COMMANDS[command]._replace(handler=stub))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("config error:"), argv
+        assert not received
+    else:
+        cfg, = received
+        assert cfg.validate() is cfg
+        assert math.isfinite(cfg.h) and 0 < cfg.h < 1
 
 
 def _strip_timestamp(text):
@@ -316,7 +385,8 @@ def test_config_file(tmp_path, capsys):
     assert run(tmp_path, "verify", "--config", str(cfile)) == 0
     for bad in ({"not_a_key": 1}, {"m_range": 5}, [1, 2],
                 {"m_range": ["a", 2]}, {"steps": "a"}, {"seed": 1.5},
-                {"h": True}, {"out": 5}, {"samples": [1]}):
+                {"h": True}, {"out": 5}, {"samples": [1]},
+                {"h": float("inf")}, {"mutate": "xyz"}):
         capsys.readouterr()
         cfile.write_text(json.dumps(bad))
         assert run(tmp_path, "verify", "--config", str(cfile)) == 2

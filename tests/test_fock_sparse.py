@@ -3,6 +3,10 @@ references: a dense assembly of hand-derived ladder closures and the dense
 forms of the bracket, reality, Casimir and commutant checks."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -234,3 +238,23 @@ def test_corrupted_ladder_amplitude_fails_the_bracket_check():
     assert "P++" in pair
     assert pair == want_pair
     assert abs(res - want_res) < 1e-14
+
+
+def test_level_checks_keep_to_the_stored_entries_at_m_30():
+    # both sides of the bracket and reality checks are laid out as blocks
+    # of D rows; rows D^2 wide took about 1.07 GiB here (D = 4960)
+    code = ("import resource\n"
+            "from sphere7.fock import build_rho, verify_brackets, "
+            "verify_reality\n"
+            "rep = build_rho(30)\n"
+            "print(verify_brackets(rep)[0], verify_reality(rep),\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    brackets, reality, max_rss_kib = proc.stdout.split()
+    assert float(brackets) < 1e-10 and float(reality) < 1e-10
+    assert int(max_rss_kib) < 400 * 1024
