@@ -11,7 +11,7 @@ from sphere7 import (ToricPoint, contact_alpha, eds_residual, pullback,
                      reeb_flow, reeb_tangent, section_n, section_s,
                      toric_embed, transition_tau)
 from sphere7.coframe import random_point, random_unit_tangent
-from sphere7.quaternions import QMatrix2, QONE
+from sphere7.quaternions import qdagger, qmatmul, qnorm
 
 rng = np.random.default_rng(0)
 
@@ -19,12 +19,18 @@ print("== group sections ==")
 p = random_point(rng, min_patch=0.3)
 gs, gn = section_s(p), section_n(p)
 tau = transition_tau(p)
+# quaternions are arrays with the components on the last axis, and the
+# sections are (2, 2, 4) arrays of quaternionic 2x2 matrices
+one = np.eye(2)[:, :, None] * [1.0, 0.0, 0.0, 0.0]
 print(f"point: {p}")
-print(f"unitarity defects: s-patch {gs.unitarity_defect():.2e}, "
-      f"n-patch {gn.unitarity_defect():.2e}")
-rel = (gn - gs * QMatrix2.diag(tau, QONE)).max_norm()
+print(f"unitarity defects: s-patch "
+      f"{np.max(qnorm(qmatmul(qdagger(gs), gs) - one)):.2e}, "
+      f"n-patch {np.max(qnorm(qmatmul(qdagger(gn), gn) - one)):.2e}")
+h = one.copy()
+h[0, 0] = tau
+rel = np.max(qnorm(gn - qmatmul(gs, h)))
 print(f"section transition g_n = g_s diag(tau,1): residual {rel:.2e}, "
-      f"|tau| - 1 = {abs(tau.norm()-1):.2e}")
+      f"|tau| - 1 = {abs(qnorm(tau) - 1):.2e}")
 
 print("\n== coframe on tangents ==")
 u = random_unit_tangent(rng, p)

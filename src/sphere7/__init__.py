@@ -2,7 +2,8 @@
 
 Layers, bottom up:
 
-    quaternions  exact-as-possible quaternion/matrix arithmetic, group sections
+    quaternions  quaternions and 2x2 quaternionic matrices as arrays with one
+                 product table, the group sections
     coframe      sphere points, tangents, the pulled-back coframe, Reeb flow
     u2h          the ten-dimensional Lie algebra with exact structure constants
     weyl         normal-ordered oscillator algebra, formal square roots,
@@ -25,8 +26,7 @@ from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    commutant_dimension, dim, exponentiate, filtration_check,
                    k_spectrum, matrix_of_laurent, matrix_of_weyl,
                    partial_sum_distance, verify_brackets, verify_reality)
-from .quaternions import (PatchError, QMatrix2, Quaternion, section_n,
-                          section_s, transition_tau)
+from .quaternions import PatchError, section_n, section_s, transition_tau
 from .u2h import (LieElement, SPINOR_GENERATORS, VECTOR_GENERATORS, bracket,
                   bracket_gens, basis_change, contraction_constants,
                   contraction_limit, grading_decomposition, reality,

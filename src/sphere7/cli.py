@@ -122,6 +122,7 @@ def _config_from_args(command, config, args):
     """The config file's RunConfig with the given options on top; args maps
     option dests to values, and loses the ones that are RunConfig fields."""
     cfg = RunConfig()
+    given = set()
     if config is not None:
         raw = json.loads(Path(config).read_text())
         if not isinstance(raw, dict):
@@ -133,11 +134,17 @@ def _config_from_args(command, config, args):
             if not (v is None and field.default is None):
                 v = _typed(k, v, field.type)
             setattr(cfg, k, v)
+            given.add(k)
     for field in fields(RunConfig):
         v = args.pop(field.name, None)
         if v is not None:
             setattr(cfg, field.name, _parse_range(v) if field.type is tuple
                     else field.type(v))
+            given.add(field.name)
+    if (command == "transport" and "m_range" in given
+            and cfg.m_range[0] != cfg.m_range[1]):
+        raise ConfigError(f"transport runs one level, got the m range "
+                          f"{cfg.m_range[0]}..{cfg.m_range[1]}")
     formats = COMMANDS[command].formats
     if cfg.fmt not in formats:
         raise ConfigError(f"{command} writes {' or '.join(formats)}, "

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .quaternions import (QMUL, PatchError, QMatrix2, Quaternion,
+from .quaternions import (QCONJ, PatchError, qinv, qmul, qnorm,
                           transition_tau)
 from .tolerances import TAU_PATCH, TAU_SPHERE
 from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
@@ -65,27 +65,33 @@ def to_tangent(p8, u8):
 
 
 def _as8(x, y):
-    x = x if isinstance(x, Quaternion) else Quaternion.from_seq(x)
-    y = y if isinstance(y, Quaternion) else Quaternion.from_seq(y)
-    return np.concatenate([x.components(), y.components()])[None]
+    return np.concatenate([x, y], dtype=float)[None]
+
+
+class _Coordinate(np.ndarray):
+    """A point's coordinate quaternion, a (4,) array whose norm() is its
+    qnorm, for callers that read it as an object with a norm."""
+
+    def norm(self):
+        return float(qnorm(self))
 
 
 class SpherePoint:
-    """A point (x, y) of the unit sphere in H^2; inputs are projected."""
+    """A point (x, y) of the unit sphere in H^2, x and y (4,) quaternion
+    arrays; inputs are projected."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        p8 = to_sphere(_as8(x, y))[0]
-        self.x = Quaternion.from_seq(p8[:4])
-        self.y = Quaternion.from_seq(p8[4:])
+        p8 = to_sphere(_as8(x, y))[0].view(_Coordinate)
+        self.x, self.y = p8[:4], p8[4:]
 
     @classmethod
     def from_array8(cls, arr):
         return cls(arr[:4], arr[4:])
 
     def as_array8(self):
-        return np.concatenate([self.x.components(), self.y.components()])
+        return np.concatenate([self.x, self.y])
 
     def __repr__(self):
         return f"SpherePoint(x={self.x}, y={self.y})"
@@ -99,18 +105,14 @@ class TangentVector:
     def __init__(self, base, dx, dy):
         u8 = to_tangent(base.as_array8()[None], _as8(dx, dy))[0]
         self.base = base
-        self.dx = Quaternion.from_seq(u8[:4])
-        self.dy = Quaternion.from_seq(u8[4:])
+        self.dx, self.dy = u8[:4], u8[4:]
 
     @classmethod
     def from_array8(cls, base, arr):
         return cls(base, arr[:4], arr[4:])
 
     def as_array8(self):
-        return np.concatenate([self.dx.components(), self.dy.components()])
-
-    def scale(self, c):
-        return TangentVector(self.base, self.dx * c, self.dy * c)
+        return np.concatenate([self.dx, self.dy])
 
     def __repr__(self):
         return f"TangentVector(dx={self.dx}, dy={self.dy} at {self.base})"
@@ -121,7 +123,7 @@ def random_point(rng, min_patch=0.0):
         arr = rng.standard_normal(8)
         arr /= np.linalg.norm(arr)
         p = SpherePoint.from_array8(arr)
-        if p.x.norm() > min_patch and p.y.norm() > min_patch:
+        if qnorm(p.x) > min_patch and qnorm(p.y) > min_patch:
             return p
 
 
@@ -173,18 +175,6 @@ class CoframeSample:
         return {"++": k[0], "+-": k[1] / 2, "--": k[2]}
 
 
-_QCONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _qmul(a, b):
-    """Row-wise quaternion products of (N, 4) arrays."""
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), 16) @ QMUL
-
-
-def _qinv(a):
-    return a * _QCONJ / np.sum(a * a, axis=1)[:, None]
-
-
 def _coframe(p8, u8, patch):
     """mu, nu, kappa as (N, 4) quaternion rows on the tangents u8 at the
     points p8, over the chart where a is invertible: (a, b) = (x, y) on the
@@ -196,16 +186,16 @@ def _coframe(p8, u8, patch):
     if np.min(np.sqrt(normsq)) < TAU_PATCH:
         name = "x" if patch == "s" else "y"
         raise PatchError(f"patch violation: |{name}| ~ 0 on the {patch} patch")
-    ab = a * _QCONJ
-    kappa = (_qmul(ab, da) + _qmul(b * _QCONJ, db)) * 2.0
-    a_b = _qmul(a, b)
-    a_b_ainv = _qmul(a_b, _qinv(a))
-    nu = (_qmul(a, db) - _qmul(a_b_ainv, da)) * 2.0
-    abinv = _qinv(ab)
-    d_abinv = -_qmul(_qmul(abinv, da * _QCONJ), abinv)
-    mu = ((_qmul(a, da * _QCONJ) + _qmul(_qmul(a_b, db * _QCONJ), ab))
+    ab = a * QCONJ
+    kappa = (qmul(ab, da) + qmul(b * QCONJ, db)) * 2.0
+    a_b = qmul(a, b)
+    a_b_ainv = qmul(a_b, qinv(a))
+    nu = (qmul(a, db) - qmul(a_b_ainv, da)) * 2.0
+    abinv = qinv(ab)
+    d_abinv = -qmul(qmul(abinv, da * QCONJ), abinv)
+    mu = ((qmul(a, da * QCONJ) + qmul(qmul(a_b, db * QCONJ), ab))
           * (2.0 / normsq)[:, None]
-          + _qmul(_qmul(_qmul(a_b_ainv, d_abinv), b * _QCONJ), ab) * 2.0)
+          + qmul(qmul(qmul(a_b_ainv, d_abinv), b * QCONJ), ab) * 2.0)
     return mu, nu, kappa
 
 
@@ -219,15 +209,20 @@ def _pullback(p8, u8, patch):
 
 def preferred_patch(p):
     """The chart with the larger coordinate at p."""
-    return "s" if p.x.norm() >= p.y.norm() else "n"
+    return "s" if qnorm(p.x) >= qnorm(p.y) else "n"
+
+
+def _coframe_at(u, patch):
+    """mu, nu, kappa on one tangent as (4,) quaternions."""
+    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
+    return [r[0] for r in rows]
 
 
 def pullback(u, patch="auto"):
     """The coframe on u over the patch: "s" (x != 0), "n" (y != 0), or
     "auto", the preferred_patch of u's base point."""
     patch = preferred_patch(u.base) if patch == "auto" else patch
-    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
-    return CoframeSample(*(r[0] for r in rows), patch)
+    return CoframeSample(*_coframe_at(u, patch), patch)
 
 
 def contact_alpha(u):
@@ -236,12 +231,10 @@ def contact_alpha(u):
 
 
 def maurer_cartan_matrix(u, patch="s"):
-    """(1/2)[[mu, nu], [-nubar, kappa]] assembled from the coframe values."""
-    c = pullback(u, patch)
-    mu = Quaternion(c.mu_real, *c.mu)
-    nu = Quaternion.from_seq(c.nu)
-    kappa = Quaternion(c.kappa_real, *c.kappa)
-    return QMatrix2(mu, nu, -nu.conj(), kappa).scale(0.5)
+    """(1/2)[[mu, nu], [-nubar, kappa]] assembled from the coframe values,
+    a (2, 2, 4) array."""
+    mu, nu, kappa = _coframe_at(u, patch)
+    return np.array([[mu, nu], [-nu * QCONJ, kappa]]) * 0.5
 
 
 class Chart:
@@ -310,17 +303,15 @@ def gauge_overlap_check(p, u, h=1e-5):
     The derivative of the transition quaternion along u is a central
     difference on the normalized chart line through p with velocity u.
     """
-    mu_s = pullback(u, "s")
-    mu_n = pullback(u, "n")
-    q_mu_s = Quaternion(mu_s.mu_real, *mu_s.mu)
-    q_mu_n = Quaternion(mu_n.mu_real, *mu_n.mu)
+    mu_s, mu_n = (_coframe_at(u, patch)[0] for patch in "sn")
     tau = transition_tau(p)
     chart = Chart(p, [u])
     tp = transition_tau(chart.point((h,)))
     tm = transition_tau(chart.point((-h,)))
     dtau = (tp - tm) * (1.0 / (2 * h))
-    predicted = tau.conj() * q_mu_s * tau + tau.conj() * dtau * 2.0
-    return (q_mu_n - predicted).norm()
+    taubar = tau * QCONJ
+    predicted = qmul(qmul(taubar, mu_s), tau) + qmul(taubar, dtau) * 2.0
+    return float(qnorm(mu_n - predicted))
 
 
 # ---------------------------------------------------------------------------

@@ -287,9 +287,9 @@ def _gauge_generator(m, p):
     """The level-m image of diag(log tau, 0) = 2 sum_i (log tau)_i j_i,
     scattered from its spinor coefficients onto the level matrices'
     pattern as in connection_matrix."""
-    q = qlog(transition_tau(p))
+    v = qlog(transition_tau(p))[1:]
     flat, vals, shape = _rho_stack(m)
-    coeffs = 2.0 * np.array([q.q1, q.q2, q.q3]) @ _SPINOR[:3]
+    coeffs = 2.0 * v @ _SPINOR[:3]
     return _scatter(flat, coeffs @ vals, shape)
 
 

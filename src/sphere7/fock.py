@@ -302,10 +302,17 @@ def _products(g, i, j, v, d):
 
 def _block_residuals(lhs, coeffs, stacked):
     """Max |lhs - sum_g coeffs[p, g] rho_g| over each block p of d rows;
-    a sparse operation on arrays d^2 wide allocates work arrays that wide."""
-    n, d = coeffs.shape[0], stacked.shape[1]
-    rhs = scipy.sparse.kron(coeffs, scipy.sparse.eye_array(d),
-                            format="csr") @ stacked
+    a sparse operation on arrays d^2 wide allocates work arrays that wide.
+    The sum is kron(coeffs, eye(d)) @ stacked, the expansion built from
+    the entries of coeffs."""
+    (n, g), d = coeffs.shape, stacked.shape[1]
+    c = coeffs.tocoo()
+    r = np.arange(d)
+    expand = scipy.sparse.csr_array(
+        (np.repeat(c.data, d),
+         ((c.row[:, None] * d + r).ravel(), (c.col[:, None] * d + r).ravel())),
+        shape=(n * d, g * d))
+    rhs = expand @ stacked
     return abs(lhs - rhs).max(axis=1).toarray().reshape(n, d).max(axis=1)
 
 

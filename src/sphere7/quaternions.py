@@ -1,13 +1,14 @@
-"""Quaternion scalars, quaternionic 2x2 matrices and the local group sections.
+"""Quaternions and quaternionic 2x2 matrices as arrays; the group sections.
 
-Conventions: q = q0 + q1*i + q2*j + q3*k with i^2 = j^2 = k^2 = ijk = -1,
-conjugation qbar = q0 - q1*i - q2*j - q3*k, |q|^2 = qbar q.  The sphere S^7
-sits in H^2 as |x|^2 + |y|^2 = 1 and carries two sections of the quaternionic
+A quaternion q = q0 + q1*i + q2*j + q3*k is a float array whose last axis
+holds (q0, q1, q2, q3); a quaternionic 2x2 matrix [[w, x], [z, y]] is an
+array of shape (..., 2, 2, 4).  Every product goes through the one table
+QMUL of i^2 = j^2 = k^2 = ijk = -1.  Conjugation is
+qbar = q0 - q1*i - q2*j - q3*k and |q|^2 = qbar q.  The sphere S^7 sits in
+H^2 as |x|^2 + |y|^2 = 1 and carries two sections of the quaternionic
 unitary group, one valid where x != 0 and one where y != 0, related on the
 overlap by right multiplication with diag(tau, 1).
 """
-
-import math
 
 import numpy as np
 
@@ -18,209 +19,89 @@ class PatchError(ValueError):
     """Raised when a chart/section is evaluated where it is not defined."""
 
 
-class Quaternion:
-    __slots__ = ("q0", "q1", "q2", "q3")
-
-    def __init__(self, q0=0.0, q1=0.0, q2=0.0, q3=0.0):
-        self.q0 = float(q0)
-        self.q1 = float(q1)
-        self.q2 = float(q2)
-        self.q3 = float(q3)
-
-    @classmethod
-    def from_seq(cls, seq):
-        q0, q1, q2, q3 = seq
-        return cls(q0, q1, q2, q3)
-
-    def components(self):
-        return np.array([self.q0, self.q1, self.q2, self.q3])
-
-    def __add__(self, other):
-        other = _as_quat(other)
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_quat(other)
-        return Quaternion(self.q0 - other.q0, self.q1 - other.q1,
-                          self.q2 - other.q2, self.q3 - other.q3)
-
-    def __neg__(self):
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.q0 * other, self.q1 * other,
-                              self.q2 * other, self.q3 * other)
-        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
-        b0, b1, b2, b3 = other.q0, other.q1, other.q2, other.q3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return _as_quat(other) * self
-
-    def conj(self):
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
-
-    def normsq(self):
-        return self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
-
-    def norm(self):
-        return math.sqrt(self.normsq())
-
-    def inv(self):
-        n = self.normsq()
-        if n == 0.0:
-            raise ZeroDivisionError("zero quaternion")
-        return Quaternion(self.q0 / n, -self.q1 / n, -self.q2 / n, -self.q3 / n)
-
-    def __repr__(self):
-        return (f"Quaternion({self.q0:.6g}, {self.q1:.6g}, "
-                f"{self.q2:.6g}, {self.q3:.6g})")
-
-
-def _as_quat(x):
-    if isinstance(x, Quaternion):
-        return x
-    if isinstance(x, (int, float)):
-        return Quaternion(x)
-    return Quaternion.from_seq(x)
-
-
-QONE = Quaternion(1.0)
-QI = Quaternion(0.0, 1.0)
-QJ = Quaternion(0.0, 0.0, 1.0)
-QK = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-# QMUL[4 i + j]: the integer components of the product e_i e_j of the basis
+# QMUL[4 a + b]: the components of the product e_a e_b of the basis
 # quaternions (e_0, e_1, e_2, e_3) = (1, i, j, k)
-QMUL = np.array([(Quaternion.from_seq(a) * Quaternion.from_seq(b))
-                 .components() for a in np.eye(4) for b in np.eye(4)],
-                dtype=int)
+QMUL = np.array([
+    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],      # 1 e_b
+    [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0],    # i e_b
+    [0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0],    # j e_b
+    [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0],    # k e_b
+])
+QCONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def qexp(q):
-    """Quaternion exponential exp(q0) (cos|v| + vhat sin|v|)."""
-    v = math.sqrt(q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2)
-    s = math.exp(q.q0)
-    if v < 1e-300:
-        return Quaternion(s * math.cos(v), 0.0, 0.0, 0.0)
-    f = s * math.sin(v) / v
-    return Quaternion(s * math.cos(v), f * q.q1, f * q.q2, f * q.q3)
+def qmul(a, b):
+    """Quaternion products a b, broadcast over the leading axes."""
+    ab = a[..., :, None] * b[..., None, :]
+    return ab.reshape(ab.shape[:-2] + (16,)) @ QMUL
+
+
+def qnorm(q):
+    return np.sqrt(np.sum(q * q, axis=-1))
+
+
+def qinv(q):
+    """qbar / |q|^2; a zero quaternion gives inf or nan, so callers check
+    the patch first."""
+    return q * QCONJ / np.sum(q * q, axis=-1)[..., None]
+
+
+def qmatmul(a, b):
+    """Products of quaternionic 2x2 matrices, broadcast over the leading
+    axes; exact on integer entries."""
+    return np.einsum("...rki,...kcj,ijl->...rcl", a, b,
+                     QMUL.reshape(4, 4, 4))
+
+
+def qdagger(a):
+    """Quaternionic conjugate transpose of 2x2 matrices."""
+    return a.swapaxes(-3, -2) * QCONJ
 
 
 def qlog(q):
-    """Principal logarithm; for unit q this is theta * vhat."""
-    n = q.norm()
-    if n == 0.0:
+    """Principal logarithm log|q| + theta vhat, theta = atan2(|v|, q0), of
+    q = q0 + v.  The direction of log(-|q|) is ambiguous; i is taken."""
+    q = np.asarray(q, dtype=float)
+    n = qnorm(q)
+    if np.any(n == 0.0):
         raise ZeroDivisionError("zero quaternion")
-    v = math.sqrt(q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2)
-    theta = math.atan2(v, q.q0)
-    if v < 1e-300:
-        if q.q0 < 0:
-            # log of -|q|: direction is ambiguous, pick i
-            return Quaternion(math.log(n), math.pi, 0.0, 0.0)
-        return Quaternion(math.log(n), 0.0, 0.0, 0.0)
-    f = theta / v
-    return Quaternion(math.log(n), f * q.q1, f * q.q2, f * q.q3)
-
-
-class QMatrix2:
-    """Row-major 2x2 quaternionic matrix [[w, x], [z, y]]."""
-
-    __slots__ = ("w", "x", "z", "y")
-
-    def __init__(self, w, x, z, y):
-        self.w = _as_quat(w)
-        self.x = _as_quat(x)
-        self.z = _as_quat(z)
-        self.y = _as_quat(y)
-
-    @classmethod
-    def identity(cls):
-        return cls(QONE, Quaternion(), Quaternion(), QONE)
-
-    @classmethod
-    def diag(cls, a, b):
-        return cls(a, Quaternion(), Quaternion(), b)
-
-    def __mul__(self, other):
-        return QMatrix2(
-            self.w * other.w + self.x * other.z,
-            self.w * other.x + self.x * other.y,
-            self.z * other.w + self.y * other.z,
-            self.z * other.x + self.y * other.y,
-        )
-
-    def __add__(self, other):
-        return QMatrix2(self.w + other.w, self.x + other.x,
-                        self.z + other.z, self.y + other.y)
-
-    def __sub__(self, other):
-        return QMatrix2(self.w - other.w, self.x - other.x,
-                        self.z - other.z, self.y - other.y)
-
-    def scale(self, c):
-        return QMatrix2(self.w * c, self.x * c, self.z * c, self.y * c)
-
-    def dagger(self):
-        """Quaternionic conjugate transpose."""
-        return QMatrix2(self.w.conj(), self.z.conj(),
-                        self.x.conj(), self.y.conj())
-
-    def unitarity_defect(self):
-        d = self.dagger() * self - QMatrix2.identity()
-        return max(d.w.norm(), d.x.norm(), d.z.norm(), d.y.norm())
-
-    def entries(self):
-        return (self.w, self.x, self.z, self.y)
-
-    def max_norm(self):
-        return max(e.norm() for e in self.entries())
-
-    def __repr__(self):
-        return f"QMatrix2([[{self.w}, {self.x}], [{self.z}, {self.y}]])"
+    v = qnorm(q[..., 1:])
+    theta = np.arctan2(v, q[..., 0])
+    real = v < 1e-300
+    f = np.divide(theta, v, out=np.zeros_like(v), where=~real)
+    out = np.concatenate([np.log(n)[..., None], f[..., None] * q[..., 1:]],
+                         axis=-1)
+    out[..., 1] = np.where(real & (q[..., 0] < 0), np.pi, out[..., 1])
+    return out
 
 
 def section_s(p):
-    """Group element [[-xbar^-1 ybar xbar, x], [xbar, y]] over the x != 0 patch.
-
-    Its second column is the point (x, y) itself.
-    """
+    """Group element [[-xbar^-1 ybar xbar, x], [xbar, y]] over the x != 0
+    patch.  Its second column is the point (x, y) itself."""
     x, y = p.x, p.y
-    if x.norm() < TAU_PATCH:
+    if qnorm(x) < TAU_PATCH:
         raise PatchError("patch violation: x = 0 on the s patch")
-    xb = x.conj()
-    w = -(xb.inv() * y.conj() * xb)
-    return QMatrix2(w, x, xb, y)
+    xb = x * QCONJ
+    w = -qmul(qmul(qinv(xb), y * QCONJ), xb)
+    return np.array([[w, x], [xb, y]])
 
 
 def section_n(p):
-    """Group element [[ybar, x], [-ybar^-1 xbar ybar, y]] over the y != 0 patch."""
+    """Group element [[ybar, x], [-ybar^-1 xbar ybar, y]] over the y != 0
+    patch."""
     x, y = p.x, p.y
-    if y.norm() < TAU_PATCH:
+    if qnorm(y) < TAU_PATCH:
         raise PatchError("patch violation: y = 0 on the n patch")
-    yb = y.conj()
-    z = -(yb.inv() * x.conj() * yb)
-    return QMatrix2(yb, x, z, y)
+    yb = y * QCONJ
+    z = -qmul(qmul(qinv(yb), x * QCONJ), yb)
+    return np.array([[yb, x], [z, y]])
 
 
 def transition_tau(p):
-    """Unit quaternion tau = -xbar^-1 ybar^-1 xbar ybar linking the sections.
-
-    section_n(p) = section_s(p) * diag(tau, 1) on the overlap.
-    """
+    """Unit quaternion tau = -xbar^-1 ybar^-1 xbar ybar linking the sections:
+    section_n(p) = section_s(p) diag(tau, 1) on the overlap."""
     x, y = p.x, p.y
-    if x.norm() < TAU_PATCH or y.norm() < TAU_PATCH:
+    if qnorm(x) < TAU_PATCH or qnorm(y) < TAU_PATCH:
         raise PatchError("patch violation: overlap needs x != 0 and y != 0")
-    xb, yb = x.conj(), y.conj()
-    return -(xb.inv() * yb.inv() * xb * yb)
+    xb, yb = x * QCONJ, y * QCONJ
+    return -qmul(qmul(qmul(qinv(xb), qinv(yb)), xb), yb)

@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .quaternions import QMUL
+from .quaternions import qmatmul
 from .rational import (I, ZERO, CRat, Combination, add_into, crat,
                        frac_mat_inverse)
 
@@ -165,7 +165,7 @@ def _vector_matrices():
 def _vector_table(mats):
     """Brackets [X, Y] = (AB - BA)/4 of the matrices A = 2X, B = 2Y in
     mats, in integer arithmetic, as {(g1, g2): {gen: CRat}}."""
-    ab = np.einsum("arki,bkcj,ijl->abrcl", mats, mats, QMUL.reshape(4, 4, 4))
+    ab = qmatmul(mats[:, None], mats[None, :])
     # AB - BA = 2 sum_c f_c (2 X_c) for [X, Y] = sum_c f_c X_c
     twice = (ab - ab.swapaxes(0, 1)).reshape(10, 10, 16)[..., _SLOTS]
     return {(g1, g2): {g: crat(Fraction(int(f), 2))

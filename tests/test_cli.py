@@ -308,6 +308,34 @@ def test_transport_writes_json_only(tmp_path, capsys):
     assert not out.exists()
 
 
+# a level range given as a flag or a config key is refused; m = None
+# marks the refusals
+@pytest.mark.parametrize("given, m", [
+    ((), 1), (("--m", "3"), 3), (("--m", "3..3"), 3), ({"m_range": [4, 4]}, 4),
+    (("--m", "2..5"), None), (("--m", "2..21"), None), (("--m", "1..6"), None),
+    ({"m_range": [2, 5]}, None), ({"m_range": [3, 4]}, None),
+])
+def test_transport_runs_one_level(tmp_path, capsys, given, m):
+    spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+            "steps": 10}
+    pfile = tmp_path / "path.json"
+    pfile.write_text(json.dumps(spec))
+    if isinstance(given, dict):
+        cfile = tmp_path / "config.json"
+        cfile.write_text(json.dumps(given))
+        given = ("--config", str(cfile))
+    out = tmp_path / "out"
+    code = run(out, "transport", str(pfile), *given)
+    if m is None:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "one level" in err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert json.loads((out / "transport.json").read_text())["m"] == m
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--steps", "10"),
     ("eds-check", "--m", "2"),

@@ -15,7 +15,7 @@ from sphere7.connection import (PathSpec, connection_matrix,
                                 parallel_transport, reeb_transport)
 from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
                           conjugation, dim)
-from sphere7.quaternions import Quaternion, qlog, transition_tau
+from sphere7.quaternions import qlog, transition_tau
 from sphere7.u2h import VECTOR_IN_SPINOR, complex_array
 
 
@@ -30,7 +30,7 @@ def test_trivial_level_connection():
 def test_zero_tangent():
     rng = np.random.default_rng(1)
     p = random_point(rng, 0.2)
-    z = TangentVector(p, Quaternion(), Quaternion())
+    z = TangentVector(p, np.zeros(4), np.zeros(4))
     assert np.all(connection_matrix(z, 3) == 0)
 
 
@@ -337,8 +337,8 @@ def _expm_gauge(m, p):
     rows = complex_array(VECTOR_IN_SPINOR, ("j1", "j2", "j3"), GENERATOR_NAMES)
     j1, j2, j3 = [sum(c * rep[g].toarray() for c, g in zip(r, GENERATOR_NAMES))
                   for r in rows]
-    q = qlog(transition_tau(p))
-    return scipy.linalg.expm(2.0 * (q.q1 * j1 + q.q2 * j2 + q.q3 * j3))
+    q1, q2, q3 = qlog(transition_tau(p))[1:]
+    return scipy.linalg.expm(2.0 * (q1 * j1 + q2 * j2 + q3 * j3))
 
 
 def _reference_transport(path, m, steps, frame="s", switches=()):
