@@ -24,8 +24,8 @@ from .connection import (PathSpec, TransportResult, connection_matrix,
                          reeb_transport)
 from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    commutant_dimension, dim, exponentiate, filtration_check,
-                   k_spectrum, matrix_of_laurent, matrix_of_weyl,
-                   partial_sum_distance, verify_brackets, verify_reality)
+                   k_spectrum, matrix_of_laurent, partial_sum_distance,
+                   verify_brackets, verify_reality)
 from .quaternions import PatchError, section_n, section_s, transition_tau
 from .u2h import (LieElement, SPINOR_GENERATORS, VECTOR_GENERATORS, bracket,
                   bracket_gens, basis_change, contraction_constants,

@@ -11,8 +11,9 @@ sums, producing operators that map level m into the ambient level m+1
 block.  Both return scipy.sparse CSR arrays: every generator is a ladder
 operator with at most two nonzeros per column.  The checks read them
 through stacked sparse products and accept dense matrices too.
-matrix_of_laurent runs the same evaluator on the monomials of the symbolic
-Laurent generators, which closes the algebra <-> operator loop.
+matrix_of_laurent runs the same evaluator, in one call, on the monomials of
+a dict of symbolic Laurent elements, such as the ten formal generators of
+one truncation, which closes the algebra <-> operator loop.
 """
 
 import json
@@ -27,7 +28,7 @@ from .tolerances import TAU_REP
 from .u2h import (GENERATOR_PAIRS, REALITY_SPINOR, SPINOR_GENERATORS,
                   VECTOR_IN_SPINOR, bracket_table, casimir_pairs,
                   complex_array)
-from .weyl import GENERATOR_TERMS, LaurentElement
+from .weyl import GENERATOR_TERMS
 
 GENERATOR_NAMES = SPINOR_GENERATORS
 
@@ -76,12 +77,16 @@ def conjugation(m):
     U[sigma i, sigma j] = s_i s_j conj(U[i, j]).  Returns (sigma, s) as an
     integer and a float array.
     """
-    states = basis(m)
-    index = basis_index(m)
-    sigma = np.array([index[(m - 1 - n1 - n2 - n3, n3, n2)]
-                      for n1, n2, n3 in states], dtype=np.intp)
-    sign = np.array([(-1.0) ** (n1 + n2) for n1, n2, _ in states])
-    return sigma, sign
+    n1, n2, n3 = np.array(basis(m)).T
+    return (_rank(m - 1 - n1 - n2 - n3, n3, n2).astype(np.intp),
+            (-1.0) ** (n1 + n2))
+
+
+def _rank(n1, n2, n3):
+    """The graded-lex position of (n1, n2, n3) in basis(): dim(t) states lie
+    below total t, n1 (t + 1) - n1 (n1 - 1)/2 below n1 within it."""
+    t = n1 + n2 + n3
+    return t * (t + 1) * (t + 2) // 6 + n1 * (t + 1) - n1 * (n1 - 1) // 2 + n2
 
 
 def _apply_words(words, occ, cod_m, sides=(), s=None):
@@ -124,12 +129,7 @@ def _apply_words(words, occ, cod_m, sides=(), s=None):
     if t.size and t.max() >= cod_m:
         raise ValueError(f"state {tuple(out[np.argmax(t)].tolist())} "
                          "escapes the codomain block")
-    # the graded-lex position of (n1, n2, n3) in basis(): dim(t) states
-    # lie below total t, n1 (t + 1) - n1 (n1 - 1)/2 below n1 within it
-    n1 = out[:, 0]
-    row = (t * (t + 1) * (t + 2) // 6 + n1 * (t + 1) - n1 * (n1 - 1) // 2
-           + out[:, 1])
-    return word, row, col, amp[word, col]
+    return word, _rank(*out.T), col, amp[word, col]
 
 
 # the terms of GENERATOR_TERMS, each with the position of its generator
@@ -203,31 +203,27 @@ def embed_exact_in_ambient(m):
     return _assemble(m, np.sqrt(m - np.arange(m + 1.0)), m, m + 1)
 
 
-def matrix_of_weyl(w, m_domain, m_codomain):
-    """Evaluate a normal-ordered symbolic element on occupation states, each
-    monomial as the slot word of its creators left of its annihilators."""
-    return matrix_of_laurent(LaurentElement.from_weyl(w), 1, m_domain,
-                             m_codomain)
-
-
-def matrix_of_laurent(lau, m, m_domain=None, m_codomain=None):
-    """Evaluate a Laurent element at hbar = 1/m, grade g -> m^(-g/2)."""
-    md = m if m_domain is None else m_domain
-    mc = md + 1 if m_codomain is None else m_codomain
-    terms = [(k, sum(((slot,) * e for slot, e in enumerate(key)), ()), c)
-             for k, w in enumerate(lau.grades.values())
-             for key, c in w.terms.items()]
-    k, words, coeff = zip(*terms) if terms else ((), (), ())
-    word, row, col, amp = _apply_words(words, np.array(basis(md)).T, mc)
-    # each grade's matrix is summed before it is scaled, which fixes the
-    # rounding the commuting-diagram residuals are reported with
-    mats = np.zeros((len(lau.grades), dim(mc), dim(md)), dtype=complex)
-    np.add.at(mats, (np.array(k, dtype=np.intp)[word], row, col),
+def matrix_of_laurent(lau, m, m_domain, m_codomain):
+    """Evaluate the Laurent elements {name: element} at hbar = 1/m, grade
+    g -> m^(-g/2), as dense D(m_codomain) x D(m_domain) matrices
+    {name: matrix}, all in one evaluator call."""
+    blocks = [(name, g) for name, x in lau.items() for g in x.grades]
+    terms = [(b, sum(((slot,) * e for slot, e in enumerate(key)), ()), c)
+             for b, (name, g) in enumerate(blocks)
+             for key, c in lau[name].grades[g].terms.items()]
+    b, words, coeff = zip(*terms) if terms else ((), (), ())
+    occ = np.array(basis(m_domain)).T
+    word, row, col, amp = _apply_words(words, occ, m_codomain)
+    # each (element, grade) block is summed before it is scaled, which fixes
+    # the rounding the commuting-diagram residuals are reported with
+    shape = (dim(m_codomain), dim(m_domain))
+    mats = np.zeros((len(blocks), *shape), dtype=complex)
+    np.add.at(mats, (np.array(b, dtype=np.intp)[word], row, col),
               np.array([c.to_complex() for c in coeff])[word] * amp)
-    total = np.zeros((dim(mc), dim(md)), dtype=complex)
-    for g, mat in zip(lau.grades, mats):
-        total += float(m) ** (-g / 2.0) * mat
-    return total
+    out = {name: np.zeros(shape, dtype=complex) for name in lau}
+    for (name, g), mat in zip(blocks, mats):
+        out[name] += float(m) ** (-g / 2.0) * mat
+    return out
 
 
 # ---------------------------------------------------------------------------

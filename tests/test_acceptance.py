@@ -127,8 +127,8 @@ def test_criterion_6_commuting_diagram():
         for ell in range(0, 5):
             gens = weyl.embedded_generators(ell)
             part = fock.build_rho_partial(m, ell)
-            for name, lau in gens.items():
-                mat = fock.matrix_of_laurent(lau, m, m, m + 1)
+            for name, mat in fock.matrix_of_laurent(gens, m, m,
+                                                    m + 1).items():
                 worst = max(worst, float(np.max(np.abs(mat - part[name]))))
     assert worst < 1e-12
     _ok("criterion 6 (commuting diagram)", f"max deviation {worst:.2e}")

@@ -3,13 +3,14 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere7 import cli
+from sphere7 import cli, weyl
 from sphere7.cli import main
 from sphere7.fock import M_MAX, build_rho, load_representation
 
@@ -115,6 +116,56 @@ def test_verify_reports_an_off_diagonal_k(tmp_path, capsys, monkeypatch):
             "nonzero", "value": None,
             "threshold": 1e-12 if check == "rep-spectrum" else 1,
             "passed": False}
+
+
+def test_verify_writes_no_commuting_diagram_past_ell_4(tmp_path):
+    # the diagram stops at ell = 4: with no lower ell in range it has
+    # nothing to compare, and a row would report a residual never computed
+    assert run(tmp_path, "verify", "--m", "1..2", "--ell", "5..5") == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    names = {c["check"] for c in report["checks"]}
+    assert "commuting-diagram" not in names
+    assert "classical-quantum-agreement" not in names
+    assert "rep-bracket" in names
+
+
+def _failing_rows(tmp_path, capsys, *args):
+    assert run(tmp_path, "verify", *args) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "verify.json").read_text())
+    return [c for c in report["checks"] if not c["passed"]]
+
+
+def test_verify_catches_a_corrupted_sqrt_coefficient(tmp_path, capsys,
+                                                     monkeypatch):
+    # b_2 off by 1/64 changes S_ell in the formal generators and in their
+    # classical mirror alike; only the commuting diagram compares S_ell
+    # with the operators' own series
+    exact = weyl.sqrt_coefficient
+    monkeypatch.setattr(
+        "sphere7.weyl.sqrt_coefficient",
+        lambda k: exact(k) + (Fraction(1, 64) if k == 2 else 0))
+    failing = _failing_rows(tmp_path, capsys, "--m", "1..3", "--ell", "0..2")
+    assert [(c["check"], c["detail"]) for c in failing] == [
+        ("commuting-diagram", f"m={m}") for m in (1, 2, 3)]
+    for m, row in zip((1, 2, 3), failing):
+        assert row["value"] == pytest.approx(m / 32)
+
+
+def test_verify_catches_a_corrupted_ladder_amplitude(tmp_path, capsys,
+                                                     monkeypatch):
+    def scaled(m):
+        rep = build_rho(m)
+        if m == 3:
+            rep["P++"] = rep["P++"].copy()
+            rep["P++"].data[0] *= 1.001
+        return rep
+
+    monkeypatch.setattr("sphere7.fock.build_rho", scaled)
+    failing = _failing_rows(tmp_path, capsys, "--m", "1..3", "--ell", "0..2")
+    assert [(c["check"], c["detail"]) for c in failing] == [
+        ("rep-bracket", "m=3 worst=('P++', 'K--')"),
+        ("rep-reality", "m=3"), ("rep-casimir", "m=3")]
 
 
 def test_eds_check(tmp_path):

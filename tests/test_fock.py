@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sphere7 import connection
+from sphere7 import connection, fock
 from sphere7.coframe import random_point
 from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
                           build_rho, build_rho_partial, casimir_deviation,
@@ -13,11 +13,10 @@ from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
                           expected_k_spectrum, exponentiate, filtration_check,
                           full_convergence_ell, k_spectrum,
                           load_representation, matrix_of_laurent,
-                          matrix_of_weyl, partial_sum_distance,
-                          sqrt_series_value, verify_brackets, verify_reality,
-                          verify_traceless)
+                          partial_sum_distance, sqrt_series_value,
+                          verify_brackets, verify_reality, verify_traceless)
 from sphere7.rational import CRat
-from sphere7.weyl import WeylElement, embedded_generators
+from sphere7.weyl import LaurentElement, WeylElement, embedded_generators
 
 
 def test_dim():
@@ -73,6 +72,14 @@ def _conjugation_defect(c, rep):
         for x in (r - r.conj().T, 1j * (r + r.conj().T)):
             worst = max(worst, float(np.max(np.abs(c @ x.conj() - x @ c))))
     return worst
+
+
+def test_conjugation_permutation_matches_basis_index():
+    for m in range(1, 21):
+        index = basis_index(m)
+        expected = [index[(m - 1 - n1 - n2 - n3, n3, n2)]
+                    for n1, n2, n3 in basis(m)]
+        assert conjugation(m)[0].tolist() == expected
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -284,7 +291,7 @@ def test_sqrt_series_value_matches_reference():
         assert abs(sqrt_series_value(ell, 1.0) / exact - 1) < 1e-15
 
 
-def test_matrix_of_weyl_is_algebra_map():
+def test_matrix_of_laurent_is_algebra_map():
     # the Fock action is a representation: matrices of products compose
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -292,19 +299,40 @@ def test_matrix_of_weyl_is_algebra_map():
         k2 = tuple(int(rng.integers(0, 2)) for _ in range(6))
         x = WeylElement({k1: CRat(int(rng.integers(-2, 3)), 1)})
         y = WeylElement({k2: CRat(1, int(rng.integers(-2, 3)))})
-        my = matrix_of_weyl(y, 3, 6)       # raises total by at most 3
-        mx_big = matrix_of_weyl(x, 6, 9)
-        mxy = matrix_of_weyl(x * y, 3, 9)
+        lau = {"x": LaurentElement.from_weyl(x),
+               "y": LaurentElement.from_weyl(y),
+               "xy": LaurentElement.from_weyl(x * y)}
+        my = matrix_of_laurent(lau, 1, 3, 6)["y"]  # raises total by <= 3
+        mx_big = matrix_of_laurent(lau, 1, 6, 9)["x"]
+        mxy = matrix_of_laurent(lau, 1, 3, 9)["xy"]
         assert np.max(np.abs(mx_big @ my - mxy)) < 1e-10
+
+
+def test_matrix_of_laurent_evaluates_each_element_alone(monkeypatch):
+    # one evaluator call on the ten generators gives, bit for bit, the
+    # matrices of ten calls on one generator each
+    calls = []
+    apply_words = fock._apply_words
+    monkeypatch.setattr(fock, "_apply_words",
+                        lambda *a: calls.append(1) or apply_words(*a))
+    matrix_of_laurent(embedded_generators(1), 2, 2, 3)
+    assert len(calls) == 1
+    for ell in range(5):
+        gens = embedded_generators(ell)
+        for m in (1, 2, 3):
+            together = matrix_of_laurent(gens, m, m, m + 1)
+            assert list(together) == list(gens)
+            for name, lau in gens.items():
+                alone, = matrix_of_laurent({name: lau}, m, m, m + 1).values()
+                assert np.array_equal(together[name], alone)
 
 
 def test_commuting_diagram():
     for m in (1, 2, 3):
         for ell in (0, 2, 4):
-            gens = embedded_generators(ell)
             part = build_rho_partial(m, ell)
-            for name, lau in gens.items():
-                mat = matrix_of_laurent(lau, m, m, m + 1)
+            mats = matrix_of_laurent(embedded_generators(ell), m, m, m + 1)
+            for name, mat in mats.items():
                 assert np.max(np.abs(mat - part[name])) < 1e-12
 
 
