@@ -8,9 +8,11 @@ One evaluator applies slot words to the occupation states.  build_rho runs
 it on the words of weyl.GENERATOR_TERMS with the exact operator square root
 S (deformation parameter 1/m), build_rho_partial with its finite partial
 sums, producing operators that map level m into the ambient level m+1
-block.  Both return scipy.sparse CSR arrays: every generator is a ladder
-operator with at most two nonzeros per column.  The checks read them
-through stacked sparse products and accept dense matrices too.
+block.  Both return LevelMatrix values, the row, column and value arrays of
+the stored entries: every generator is a ladder operator with at most two
+nonzeros per column.  The checks join these entry arrays on their inner
+index and sum the entries that meet on one position; they accept dense
+matrices too.
 matrix_of_laurent runs the same evaluator, in one call, on the monomials of
 a dict of symbolic Laurent elements, such as the ten formal generators of
 one truncation, which closes the algebra <-> operator loop.
@@ -21,7 +23,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .rational import add_into
 from .tolerances import TAU_REP
@@ -33,9 +34,9 @@ from .weyl import GENERATOR_TERMS
 GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
-# 2 vCPUs measured 58 MiB / 0.8 s at M = 12 and 75 MiB / 0.9 s at M = 20;
-# the bound is transport's, whose RK4 holds dense D x D buffers (D = 1540
-# at M = 20, about a second per step).
+# 2 vCPUs measured 41 MiB / 0.3 s at M = 12 and 47 MiB / 0.4 s at M = 20
+# (whole process, median of five); the bound is transport's, whose RK4
+# holds dense D x D buffers (D = 1540 at M = 20, about a second per step).
 M_MAX = 20
 
 # Largest level `dump-rep --format json` writes.  The JSON dump holds every
@@ -138,27 +139,81 @@ _GEN, _COEFF, _GRADE, _WORDS, _SIDES = zip(*(
     for term in terms))
 
 
+class LevelMatrix:
+    """A level matrix as its stored entries: the row, column and value of
+    every nonzero in row-major order, each position once.  np.asarray and
+    toarray give the dense matrix."""
+
+    __slots__ = ("row", "col", "val", "shape")
+
+    def __init__(self, row, col, val, shape):
+        self.row, self.col, self.val, self.shape = row, col, val, shape
+
+    @property
+    def nbytes(self):
+        return self.row.nbytes + self.col.nbytes + self.val.nbytes
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.row, self.col] += self.val  # a -0.0 part reads +0.0
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype)
+
+
+def _summed(key, val):
+    """The sum v1 + v2 + ... of the values on each distinct key, in the order
+    given, and the position where the key first occurs, in order of the
+    keys; keys whose sum is zero are dropped."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    count = np.diff(start, append=len(key))
+    out = val[order[start]]
+    # the n-th term of every key that has one, n = 1, 2, ...
+    live = np.flatnonzero(count > 1)
+    n = 1
+    while len(live):
+        out[live] += val[order[start[live] + n]]
+        n += 1
+        live = live[count[live] > n]
+    keep = out != 0
+    return order[start[keep]], out[keep]
+
+
+def _runs(count, start):
+    """Run r of count[r] consecutive positions from start[r], run after run:
+    the run and the position of each element."""
+    run = np.repeat(np.arange(len(count)), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    return run, np.arange(len(run)) - first + start[run]
+
+
 def _assemble(m, s, dom_m, cod_m):
-    """GENERATOR_TERMS at hbar = 1/m with S = s[tau], as sparse
-    D(cod_m) x D(dom_m) CSR arrays."""
+    """GENERATOR_TERMS at hbar = 1/m with S = s[tau], as D(cod_m) x D(dom_m)
+    level matrices."""
     occ = np.array(basis(dom_m)).T
     word, row, col, amp = _apply_words(_WORDS, occ, cod_m, _SIDES, s)
     coeff = np.array([c.to_complex() * float(m) ** (-grade / 2)
                       for c, grade in zip(_COEFF, _GRADE)])
-    # the generators one below the other; their entries on one position sum
-    d = dim(cod_m)
-    index = np.array([np.array(_GEN)[word] * d + row, col], dtype=np.int32)
-    stack = scipy.sparse.csr_array((coeff[word] * amp, tuple(index)),
-                                   shape=(len(GENERATOR_TERMS) * d,
-                                          occ.shape[1]))
-    # the diagonal terms of K+- and J+- cancel on some states
-    stack.eliminate_zeros()
-    return {name: stack[g * d:(g + 1) * d]
-            for g, name in enumerate(GENERATOR_TERMS)}
+    # the terms of a generator on one position sum in word order; the
+    # diagonal terms of K+- and J+- cancel on some states
+    shape = (dim(cod_m), occ.shape[1])
+    gen = np.array(_GEN)[word]
+    at, val = _summed((gen * shape[0] + row) * shape[1] + col,
+                      coeff[word] * amp)
+    row, col = row[at].astype(np.int32), col[at].astype(np.int32)
+    bounds = np.searchsorted(gen[at], np.arange(len(GENERATOR_TERMS) + 1))
+    return {name: LevelMatrix(row[a:b], col[a:b], val[a:b], shape)
+            for name, a, b in zip(GENERATOR_TERMS, bounds, bounds[1:])}
 
 
 def build_rho(m):
-    """The exact level-m representation: ten sparse D x D complex matrices."""
+    """The exact level-m representation: ten D x D level matrices."""
     return _assemble(m, np.sqrt(m - np.arange(m + 1.0)), m, m)
 
 
@@ -197,12 +252,6 @@ def build_rho_partial(m, ell, domain_m=None):
     return _assemble(m, s, dm, dm + 1)
 
 
-def embed_exact_in_ambient(m):
-    """build_rho(m) in the D(m+1) x D(m) ambient shape: the exact S
-    assembled into the level-(m+1) codomain, whose extra rows stay zero."""
-    return _assemble(m, np.sqrt(m - np.arange(m + 1.0)), m, m + 1)
-
-
 def matrix_of_laurent(lau, m, m_domain, m_codomain):
     """Evaluate the Laurent elements {name: element} at hbar = 1/m, grade
     g -> m^(-g/2), as dense D(m_codomain) x D(m_domain) matrices
@@ -237,11 +286,15 @@ _PAIR_INDEX[np.triu_indices(len(GENERATOR_NAMES), 1)] = range(
     len(GENERATOR_PAIRS))
 _PAIR_INDEX += _PAIR_INDEX.T
 
+# the bracket and Casimir checks take the rows in blocks of about this many
+# product terms, which bounds their work arrays whatever the level
+_BLOCK_TERMS = 1 << 16
+
 
 def _coefficient_rows(table, keys):
-    """The Lie elements table[key] as the rows of a sparse
-    (len(keys), 10) array over GENERATOR_NAMES."""
-    return scipy.sparse.csr_array(complex_array(table, keys, GENERATOR_NAMES))
+    """The Lie elements table[key] as the rows of a (len(keys), 10) array
+    over GENERATOR_NAMES."""
+    return complex_array(table, keys, GENERATOR_NAMES)
 
 
 @lru_cache(maxsize=None)
@@ -266,50 +319,80 @@ def _casimir_weights():
     return complex_array(w, GENERATOR_NAMES, GENERATOR_NAMES)
 
 
+def _stored(mat):
+    """The row, column and value arrays of a level matrix's stored entries,
+    or of a dense matrix's nonzeros, in row-major order."""
+    if isinstance(mat, LevelMatrix):
+        return mat.row, mat.col, mat.val
+    mat = np.asarray(mat)
+    i, j = np.nonzero(mat)
+    return i, j, mat[i, j]
+
+
 def _entries(rep):
     """The stored entries of the ten matrices of rep as arrays
-    (g, i, j, value), g the position in GENERATOR_NAMES, and their number
-    of rows d.  Dense input, such as a loaded dump, is accepted."""
-    mats = [scipy.sparse.csr_array(rep[g]) for g in GENERATOR_NAMES]
-    d = mats[0].shape[0]
-    g = np.repeat(np.arange(len(mats)), [x.nnz for x in mats])
-    i = np.concatenate([np.repeat(np.arange(d), np.diff(x.indptr))
-                        for x in mats])
-    j = np.concatenate([x.indices for x in mats])
-    return (g, i, j, np.concatenate([x.data for x in mats])), d
+    (g, i, j, value), g the position in GENERATOR_NAMES, ordered by
+    (g, i, j), and their number of rows d.  Dense input, such as a loaded
+    dump, is accepted."""
+    parts = [_stored(rep[g]) for g in GENERATOR_NAMES]
+    i, j, v = (np.concatenate(x) for x in zip(*parts))
+    g = np.repeat(np.arange(len(parts)), [len(p[2]) for p in parts])
+    return ((g, i.astype(np.int64), j.astype(np.int64), v),
+            rep[GENERATOR_NAMES[0]].shape[0])
 
 
-def _stacked(g, i, j, v, d):
-    """The matrices stacked as the blocks of d rows of one sparse array."""
-    return scipy.sparse.csr_array((v, (g * d + i, j)),
-                                  shape=(len(GENERATOR_NAMES) * d, d))
+def _product_blocks(entries, d, pairs):
+    """The terms of the products rho_x rho_y with pairs[x, y], block by
+    block: each entry a of rho_x with each entry b of rho_y in the row of
+    a's column.  The entries a are taken in order of (row, generator,
+    column), so the terms of one product position come in order of the
+    inner index, and cut into blocks of whole rows with about _BLOCK_TERMS
+    terms.  Yields the arrays (a, b) and the block's entries a."""
+    g, i, j, _ = entries
+    by_row = np.argsort(i, kind="stable")
+    count = np.bincount(i, minlength=d)
+    start = np.cumsum(count) - count
+    cut = np.cumsum(np.bincount(i, count[j], d)) // _BLOCK_TERMS
+    for left in np.split(by_row, np.searchsorted(
+            i[by_row], np.flatnonzero(np.diff(cut)) + 1)):
+        a, at = _runs(count[j[left]], start[j[left]])
+        a, b = left[a], by_row[at]
+        wanted = pairs[g[a], g[b]]
+        yield a[wanted], b[wanted], left
 
 
-def _products(g, i, j, v, d):
-    """Every product rho_x rho_y from one vstack(rho) @ hstack(rho), whose
-    block (x, y) it is, as COO coordinates (x, y, i, j, value)."""
-    hstack = scipy.sparse.csr_array((v, (i, g * d + j)),
-                                    shape=(d, len(GENERATOR_NAMES) * d))
-    prod = (_stacked(g, i, j, v, d) @ hstack).tocoo()
-    x, i = np.divmod(prod.row, d)
-    y, j = np.divmod(prod.col, d)
-    return x, y, i, j, prod.data
+def _residuals(pos, second, val, coeffs, entries, left, d):
+    """The max over each p of |A_p - B_p - sum_g coeffs[p, g] rho_g| on the
+    rows that the entries left cover; left holds every entry of those rows.
 
-
-def _block_residuals(lhs, coeffs, stacked):
-    """Max |lhs - sum_g coeffs[p, g] rho_g| over each block p of d rows;
-    a sparse operation on arrays d^2 wide allocates work arrays that wide.
-    The sum is kron(coeffs, eye(d)) @ stacked, the expansion built from
-    the entries of coeffs."""
-    (n, g), d = coeffs.shape, stacked.shape[1]
-    c = coeffs.tocoo()
-    r = np.arange(d)
-    expand = scipy.sparse.csr_array(
-        (np.repeat(c.data, d),
-         ((c.row[:, None] * d + r).ravel(), (c.col[:, None] * d + r).ravel())),
-        shape=(n * d, g * d))
-    rhs = expand @ stacked
-    return abs(lhs - rhs).max(axis=1).toarray().reshape(n, d).max(axis=1)
+    A_p and B_p come as terms: the values val at the positions
+    pos = (i n + p) d + j (row i, column j, n = len(coeffs)), those marked
+    second belonging to B.  A, B and the sum over g, g ascending, are each
+    summed term by term in order and rounded on their own before they are
+    combined.  Row-major positions keep a row's terms together for the
+    sort.
+    """
+    g, i, j, v = entries
+    n = len(coeffs)
+    # each entry of left with the nonzero coefficients of its generator
+    q, p = np.nonzero(coeffs.T)
+    count = np.bincount(q, minlength=coeffs.shape[1])
+    e, at = _runs(count[g[left]], (np.cumsum(count) - count)[g[left]])
+    e, p = left[e], p[at]
+    part = np.full(len(pos) + len(e), 2, dtype=np.int8)
+    part[:len(pos)] = second
+    pos = np.concatenate([pos, (i[e] * n + p) * d + j[e]])
+    at, total = _summed(3 * pos + part,
+                        np.concatenate([val, coeffs[p, g[e]] * v[e]]))
+    pos, part = pos[at], part[at]
+    new = np.ones(len(pos), dtype=bool)
+    np.not_equal(pos[1:], pos[:-1], out=new[1:])
+    sums = np.zeros((np.count_nonzero(new), 3), dtype=complex)
+    sums[np.cumsum(new) - 1, part] = total
+    res = np.zeros(n)
+    np.maximum.at(res, pos[new] // d % n,
+                  np.abs(sums[:, 0] - sums[:, 1] - sums[:, 2]))
+    return res
 
 
 def verify_brackets(rep, table=None):
@@ -319,40 +402,48 @@ def verify_brackets(rep, table=None):
     residual, None when every residual is zero.
     """
     entries, d = _entries(rep)
+    g, i, j, v = entries
     coeffs = (_bracket_coefficients() if table is None
               else _coefficient_rows(table, GENERATOR_PAIRS))
-    x, y, i, j, v = _products(*entries, d)
-    off = x != y
-    x, y, i, j, v = x[off], y[off], i[off], j[off], v[off]
-    # block (x, y) enters the commutator of its pair with sign +1 when x
-    # comes first in GENERATOR_NAMES, -1 otherwise
-    lhs = scipy.sparse.csr_array(
-        (np.where(x < y, v, -v), (_PAIR_INDEX[x, y] * d + i, j)),
-        shape=(len(GENERATOR_PAIRS) * d, d))
-    res = _block_residuals(lhs, coeffs, _stacked(*entries, d))
+    res = np.zeros(len(GENERATOR_PAIRS))
+    for a, b, left in _product_blocks(
+            entries, d, ~np.eye(len(GENERATOR_NAMES), dtype=bool)):
+        x, y = g[a], g[b]
+        # the commutator of a pair is rho_x rho_y - rho_y rho_x, x first in
+        # GENERATOR_NAMES
+        pos = (i[a] * len(GENERATOR_PAIRS) + _PAIR_INDEX[x, y]) * d + j[b]
+        np.maximum(res, _residuals(pos, x > y, v[a] * v[b], coeffs, entries,
+                                   left, d), out=res)
     k = int(np.argmax(res))
     return (float(res[k]), GENERATOR_PAIRS[k]) if res[k] > 0 else (0.0, None)
 
 
 def verify_reality(rep):
     """Max residual of (rho X)^dagger = rho(X^dagger)."""
-    (g, i, j, v), d = _entries(rep)
-    return float(_block_residuals(_stacked(g, j, i, v.conj(), d),
-                                  _reality_coefficients(),
-                                  _stacked(g, i, j, v, d)).max())
+    entries, d = _entries(rep)
+    g, i, j, v = entries
+    return float(_residuals(
+        (j * len(GENERATOR_NAMES) + g) * d + i, 0, v.conj(),
+        _reality_coefficients(), entries, np.arange(len(v)), d).max())
 
 
 def verify_traceless(rep):
-    return max(abs(complex(rep[x].trace())) for x in GENERATOR_NAMES)
+    (g, i, j, v), d = _entries(rep)
+    on = i == j
+    diag = np.zeros((len(GENERATOR_NAMES), d), dtype=complex)
+    diag[g[on], i[on]] = v[on]
+    return float(np.abs(diag.sum(axis=1)).max())
 
 
 def _k_diagonal(rep):
     """The diagonal of rho(K_+.-.); an off-diagonal nonzero raises
     ValueError."""
-    k = scipy.sparse.coo_array(rep["K+-"])
-    if np.any((k.row != k.col) & (k.data != 0)):
+    i, j, v = _stored(rep["K+-"])
+    if np.any((i != j) & (v != 0)):
         raise ValueError("rho(K+-) has an off-diagonal nonzero")
-    return k.diagonal()
+    diag = np.zeros(rep["K+-"].shape[0], dtype=complex)
+    diag[i] = v
+    return diag
 
 
 def k_spectrum(rep):
@@ -422,14 +513,32 @@ def casimir_deviation(rep):
 
     The Casimir is built from the exact inverse Killing form on the vector
     basis, with the vector generators expressed through the spinor
-    matrices: C2 = sum W[x, y] rho_x rho_y, read off one stacked product.
+    matrices: C2 = sum W[x, y] rho_x rho_y, summed over (x, y) ascending
+    on each position from the entries of every product.
     """
     entries, d = _entries(rep)
-    x, y, i, j, v = _products(*entries, d)
-    c2 = scipy.sparse.csr_array((_casimir_weights()[x, y] * v, (i, j)),
-                                shape=(d, d))
-    scalar = c2.trace() / d
-    return float(abs(c2 - scalar * scipy.sparse.eye_array(d)).max())
+    g, i, j, v = entries
+    w = _casimir_weights()
+    key, c2 = [], []
+    for a, b, _ in _product_blocks(entries, d, w != 0):
+        # each product position, keyed (i, x, y, j), sums over the inner
+        # index; C2 then sums the products in order of (x, y)
+        x, y = g[a], g[b]
+        at, prod = _summed(((i[a] * len(GENERATOR_NAMES) + x)
+                            * len(GENERATOR_NAMES) + y) * d + j[b],
+                           v[a] * v[b])
+        a, b = a[at], b[at]
+        pos = i[a] * d + j[b]
+        at, c = _summed(pos, w[g[a], g[b]] * prod)
+        key.append(pos[at])
+        c2.append(c)
+    key, c2 = np.concatenate(key), np.concatenate(c2)
+    diag = np.zeros(d, dtype=complex)
+    on = key % (d + 1) == 0  # i == j
+    diag[key[on] // (d + 1)] = c2[on]
+    _, dev = _summed(np.concatenate([key, np.arange(d) * (d + 1)]),
+                     np.concatenate([c2, np.full(d, -diag.sum() / d)]))
+    return float(np.max(np.abs(dev), initial=0.0))
 
 
 def exponentiate(x, t=1.0, tol=TAU_REP):
@@ -444,32 +553,6 @@ def exponentiate(x, t=1.0, tol=TAU_REP):
         raise ValueError(f"matrix is not antihermitean (defect {defect:.3g})")
     lam, v = np.linalg.eigh((0.5j * t) * (x - x.conj().T))
     return (v * np.exp(-1j * lam)) @ v.conj().T
-
-
-def filtration_check(m_max):
-    """Basis-compatibility of the level inclusions, and the off-block fact.
-
-    Verifies that dimensions strictly increase and each level's basis is the
-    prefix of the next level's.  Restricting the level-(m+1) matrices to the
-    level-m block is NOT a subrepresentation; the maximal off-block column
-    entry per level is reported as evidence.
-    """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    report = {"dims": [dim(m) for m in range(1, m_max + 1)],
-              "prefix_ok": True, "off_block_norm": {}}
-    for m in range(1, m_max):
-        if dim(m) >= dim(m + 1):
-            report["prefix_ok"] = False
-        if basis(m) != basis(m + 1)[:dim(m)]:
-            report["prefix_ok"] = False
-        rep = build_rho(m + 1)
-        d = dim(m)
-        off = max(float(abs(rep[g][d:, :d]).max()) for g in rep)
-        report["off_block_norm"][m + 1] = off
-    report["is_subrepresentation"] = all(
-        v < 1e-14 for v in report["off_block_norm"].values())
-    return report
 
 
 # ---------------------------------------------------------------------------

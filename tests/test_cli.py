@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +80,8 @@ def test_verify_reports_a_failed_irreducibility_witness(tmp_path, capsys,
     def reducible(m):
         rep = build_rho(m)
         if m == 3:
-            rep.update({g: rep[g] * 0 for g in ("P++", "P--", "P-+", "P+-")})
+            rep.update({g: np.zeros(rep[g].shape)
+                        for g in ("P++", "P--", "P-+", "P+-")})
         return rep
 
     monkeypatch.setattr("sphere7.fock.build_rho", reducible)
@@ -99,9 +104,9 @@ def test_verify_reports_an_off_diagonal_k(tmp_path, capsys, monkeypatch):
     def skewed(m):
         rep = build_rho(m)
         if m == 3:
-            k = rep["K+-"].tolil()
+            k = rep["K+-"].toarray()
             k[1, 2] = 1e-3
-            rep["K+-"] = k.tocsr()
+            rep["K+-"] = k
         return rep
 
     monkeypatch.setattr("sphere7.fock.build_rho", skewed)
@@ -157,8 +162,7 @@ def test_verify_catches_a_corrupted_ladder_amplitude(tmp_path, capsys,
     def scaled(m):
         rep = build_rho(m)
         if m == 3:
-            rep["P++"] = rep["P++"].copy()
-            rep["P++"].data[0] *= 1.001
+            rep["P++"].val[0] *= 1.001
         return rep
 
     monkeypatch.setattr("sphere7.fock.build_rho", scaled)
@@ -303,12 +307,12 @@ def test_table_reports_the_measured_k_spectrum(tmp_path, monkeypatch):
     # the range by 2, and an off-diagonal entry is named, not a traceback
     def skewed(m):
         rep = build_rho(m)
-        k = rep["K+-"].tolil()
+        k = rep["K+-"].toarray()
         if m == 2:
             k[0, 1] = 1e-3
         else:
-            k.setdiag(k.diagonal() + 2j)
-        rep["K+-"] = k.tocsr()
+            k += 2j * np.eye(len(k))
+        rep["K+-"] = k
         return rep
 
     monkeypatch.setattr("sphere7.fock.build_rho", skewed)
@@ -470,3 +474,29 @@ def test_config_file(tmp_path, capsys):
         cfile.write_text(json.dumps(bad))
         assert run(tmp_path, "verify", "--config", str(cfile)) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the level matrices are numpy entry arrays: neither the import nor a
+    # verify or transport run loads scipy
+    spec = tmp_path / "reeb.json"
+    spec.write_text(json.dumps({
+        "type": "reeb_loop", "r": [0.5, 0.5, 0.5, 0.5],
+        "theta": [0, 0, 0, 0], "m": 2, "steps": 10000,
+        "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]}))
+    out = str(tmp_path / "out")
+    code = ("import sys\n"
+            "from sphere7 import cli\n"
+            f"verify = cli.main(['verify', '--m', '1..3', '--ell', '0..2', "
+            f"'--out', {out!r}])\n"
+            f"transport = cli.main(['transport', {str(spec)!r}, "
+            f"'--out', {out!r}])\n"
+            "print(verify, transport, sorted(\n"
+            "    k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 0 []"

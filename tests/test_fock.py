@@ -9,9 +9,8 @@ from sphere7.coframe import random_point
 from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
                           build_rho, build_rho_partial, casimir_deviation,
                           commutant_dimension, conjugation, dim,
-                          dump_representation, embed_exact_in_ambient,
-                          expected_k_spectrum, exponentiate, filtration_check,
-                          full_convergence_ell, k_spectrum,
+                          dump_representation, expected_k_spectrum,
+                          exponentiate, full_convergence_ell, k_spectrum,
                           load_representation, matrix_of_laurent,
                           partial_sum_distance, sqrt_series_value,
                           verify_brackets, verify_reality, verify_traceless)
@@ -47,7 +46,7 @@ def test_m2_examples():
     idx = basis_index(2)
     v = np.zeros(4, dtype=complex)
     v[idx[(0, 0, 0)]] = 1.0
-    out = rep["P+-"] @ v
+    out = rep["P+-"].toarray() @ v
     expect = np.zeros(4, dtype=complex)
     expect[idx[(0, 0, 1)]] = 1.0  # sqrt(1) * sqrt(2 - 1)
     assert np.allclose(out, expect)
@@ -97,9 +96,7 @@ def test_conjugation_commutes_with_rho(m):
 @pytest.mark.parametrize("m", [2, 4, 5])
 def test_conjugation_detects_a_flipped_amplitude(m):
     rep = dict(build_rho(m))
-    bad = rep["P++"].copy()
-    bad.data[0] = -bad.data[0]
-    rep["P++"] = bad
+    rep["P++"].val[0] = -rep["P++"].val[0]
     assert _conjugation_defect(_conjugation_matrix(m), rep) > 0.1
 
 
@@ -113,7 +110,7 @@ def test_bracket_and_reality_residuals():
 
 
 def test_specific_pp_bracket_m2():
-    rep = build_rho(2)
+    rep = {g: x.toarray() for g, x in build_rho(2).items()}
     lhs = rep["P++"] @ rep["P--"] - rep["P--"] @ rep["P++"]
     rhs = 1j * (-rep["J+-"] + rep["K+-"])
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -216,13 +213,19 @@ def test_partial_action_boundary_sequence():
     idx3 = basis_index(3)
     col = basis_index(2)[(1, 0, 0)]
     out_row = idx3[(2, 0, 0)]
-    amp = part["K--"][out_row, col]
+    amp = part["K--"].toarray()[out_row, col]
     assert abs(amp - 2j * math.sqrt(2) * math.sqrt(2) * 1.0) < 1e-12
+
+
+def _embed_exact_in_ambient(m):
+    """build_rho(m) in the D(m+1) x D(m) ambient shape: the exact S
+    assembled into the level-(m+1) codomain, whose extra rows stay zero."""
+    return fock._assemble(m, np.sqrt(m - np.arange(m + 1.0)), m, m + 1)
 
 
 def test_partial_distance_monotone_and_matches_matrices():
     for m in (2, 3, 4):
-        amb = embed_exact_in_ambient(m)
+        amb = _embed_exact_in_ambient(m)
         prev = np.inf
         for ell in (0, 1, 2, 4, 8, 16, 32, 64):
             d_scan = partial_sum_distance(m, ell)
@@ -230,8 +233,8 @@ def test_partial_distance_monotone_and_matches_matrices():
             prev = d_scan
             if ell <= 8:
                 part = build_rho_partial(m, ell)
-                d_mat = max(float(np.max(np.abs(part[g] - amb[g])))
-                            for g in amb)
+                d_mat = max(float(np.max(np.abs(
+                    part[g].toarray() - amb[g].toarray()))) for g in amb)
                 assert abs(d_mat - d_scan) < 1e-12
 
 
@@ -336,8 +339,32 @@ def test_commuting_diagram():
                 assert np.max(np.abs(mat - part[name])) < 1e-12
 
 
+def _filtration_check(m_max):
+    """Basis-compatibility of the level inclusions, and the off-block fact.
+
+    Verifies that dimensions strictly increase and each level's basis is the
+    prefix of the next level's.  Restricting the level-(m+1) matrices to the
+    level-m block is NOT a subrepresentation; the maximal off-block column
+    entry per level is reported as evidence.
+    """
+    report = {"dims": [dim(m) for m in range(1, m_max + 1)],
+              "prefix_ok": True, "off_block_norm": {}}
+    for m in range(1, m_max):
+        if dim(m) >= dim(m + 1):
+            report["prefix_ok"] = False
+        if basis(m) != basis(m + 1)[:dim(m)]:
+            report["prefix_ok"] = False
+        rep = build_rho(m + 1)
+        d = dim(m)
+        off = max(float(np.abs(rep[g].toarray()[d:, :d]).max()) for g in rep)
+        report["off_block_norm"][m + 1] = off
+    report["is_subrepresentation"] = all(
+        v < 1e-14 for v in report["off_block_norm"].values())
+    return report
+
+
 def test_filtration_check():
-    rep = filtration_check(8)
+    rep = _filtration_check(8)
     assert rep["dims"] == [1, 4, 10, 20, 35, 56, 84, 120]
     assert rep["prefix_ok"]
     assert not rep["is_subrepresentation"]

@@ -1,6 +1,8 @@
-"""The sparse level matrices and the checks that read them, against dense
-references: a dense assembly of hand-derived ladder closures and the dense
-forms of the bracket, reality, Casimir and commutant checks."""
+"""The level matrices, stored as entry arrays, and the checks that read
+them, against dense references: a dense assembly of hand-derived ladder
+closures and the dense forms of the bracket, reality, Casimir and commutant
+checks.  scipy serves only as the commutant oracle's sparse Kronecker
+products."""
 
 import math
 import os
@@ -13,11 +15,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from sphere7 import fock
 from sphere7.fock import (GENERATOR_NAMES, basis, basis_index, build_rho,
                           build_rho_partial, casimir_deviation,
                           commutant_dimension, dim, dump_representation,
-                          embed_exact_in_ambient, sqrt_series_value,
-                          verify_brackets, verify_reality)
+                          k_spectrum, load_representation, sqrt_series_value,
+                          verify_brackets, verify_reality, verify_traceless)
 from sphere7.rational import CRat
 from sphere7.u2h import (REALITY_SPINOR, VECTOR_IN_SPINOR, bracket_table,
                          casimir_pairs)
@@ -167,23 +170,23 @@ def _dense(rep):
 def _assert_same(sparse_rep, dense_rep):
     assert sparse_rep.keys() == dense_rep.keys()
     for g, x in sparse_rep.items():
-        assert scipy.sparse.issparse(x)
         want = dense_rep[g]
         assert np.array_equal(x.toarray(), want)
         # one stored entry per nonzero, each with the dense value's bits;
         # + 0.0 clears only the sign of a zero part, which differs where
         # the reference stores 1j * (negative int) and the assembly a sum
-        coo = x.tocoo()
-        assert coo.nnz == np.count_nonzero(want)
-        assert np.array_equal((coo.data + 0.0).view(np.uint64),
-                              (want[coo.row, coo.col] + 0.0).view(np.uint64))
+        assert len(x.val) == np.count_nonzero(want)
+        assert np.array_equal((x.val + 0.0).view(np.uint64),
+                              (want[x.row, x.col] + 0.0).view(np.uint64))
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_assembly_matches_the_dense_ladder_table(m):
     exact = lambda t: math.sqrt(m - t)  # noqa: E731
     _assert_same(build_rho(m), _dense_assemble(m, exact, m, m))
-    _assert_same(embed_exact_in_ambient(m),
+    # build_rho(m) assembled into the level-(m+1) codomain
+    _assert_same(fock._assemble(m, np.sqrt(m - np.arange(m + 1.0)), m,
+                                m + 1),
                  _dense_assemble(m, exact, m, m + 1))
     for ell in range(5):
         def partial(t):
@@ -227,11 +230,42 @@ def test_checks_match_the_dense_oracle(m):
     assert commutant_dimension(dense) == 1
 
 
+def test_level_one_checks_run_on_no_stored_entries():
+    # D = 1: the K+- and J+- diagonal terms cancel, so every check reduces
+    # over empty entry arrays and returns the empty level's value
+    rep = build_rho(1)
+    assert all(len(x.val) == 0 for x in rep.values())
+    for r in (rep, _dense(rep)):
+        assert verify_brackets(r) == (0.0, None)
+        assert verify_reality(r) == 0.0
+        assert verify_traceless(r) == 0.0
+        assert casimir_deviation(r) == 0.0
+        assert commutant_dimension(r) == 1
+        assert k_spectrum(r).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_checks_read_a_binary_dump_as_the_level_matrices(tmp_path, m):
+    rep = build_rho(m)
+    _, dense = load_representation(dump_representation(m, tmp_path))
+    assert verify_brackets(dense) == verify_brackets(rep)
+    assert verify_reality(dense) == verify_reality(rep)
+    assert casimir_deviation(dense) == casimir_deviation(rep)
+
+
+@pytest.mark.parametrize("m", (4, 9))
+def test_row_blocks_give_the_one_block_results(m, monkeypatch):
+    # the bracket and Casimir checks sum each position within one block of
+    # whole rows, so cutting the rows finer changes no bit
+    rep = build_rho(m)
+    whole = (verify_brackets(rep), casimir_deviation(rep))
+    monkeypatch.setattr(fock, "_BLOCK_TERMS", 7)
+    assert (verify_brackets(rep), casimir_deviation(rep)) == whole
+
+
 def test_corrupted_ladder_amplitude_fails_the_bracket_check():
     rep = build_rho(4)
-    bad = rep["P++"].copy()
-    bad.data[3] *= 1.25
-    rep["P++"] = bad
+    rep["P++"].val[3] *= 1.25
     res, pair = verify_brackets(rep)
     want_res, want_pair = _dense_verify_brackets(_dense(rep))
     assert res > 0.1
@@ -241,8 +275,8 @@ def test_corrupted_ladder_amplitude_fails_the_bracket_check():
 
 
 def test_level_checks_keep_to_the_stored_entries_at_m_30():
-    # both sides of the bracket and reality checks are laid out as blocks
-    # of D rows; rows D^2 wide took about 1.07 GiB here (D = 4960)
+    # the bracket check joins the stored entries a block of rows at a time;
+    # a layout with rows D^2 wide once took about 1.07 GiB here (D = 4960)
     code = ("import resource\n"
             "from sphere7.fock import build_rho, verify_brackets, "
             "verify_reality\n"
