@@ -7,9 +7,9 @@ system by finite differences, and follows a Reeb orbit around its period.
 
 import numpy as np
 
-from sphere7 import (ToricPoint, contact_alpha, eds_residual, pullback,
-                     reeb_flow, reeb_tangent, section_n, section_s,
-                     toric_embed, transition_tau)
+from sphere7 import (ToricPoint, eds_residual, pullback, reeb_flow,
+                     reeb_tangent, section_n, section_s, toric_embed,
+                     transition_tau)
 from sphere7.coframe import random_point, random_unit_tangent
 from sphere7.quaternions import qdagger, qmatmul, qnorm
 
@@ -60,7 +60,7 @@ print(f"halving the step drops the residual by {r1/r2:.3f} (second order)")
 print("\n== Reeb dynamics in toric coordinates ==")
 t = ToricPoint([0.5, 0.5, 0.5, 0.5], [0.3, 1.1, 2.2, 4.0])
 r = reeb_tangent(t)
-print(f"alpha(Reeb) = {contact_alpha(r):.12f}  (normalized to 1)")
+print(f"alpha(Reeb) = {pullback(r).alpha():.12f}  (normalized to 1)")
 p0 = toric_embed(t).as_array8()
 for frac in (0.25, 0.5, 1.0):
     pt = toric_embed(reeb_flow(t, 2 * np.pi * frac)).as_array8()

@@ -16,21 +16,18 @@ Layers, bottom up:
 """
 
 from .coframe import (CoframeSample, SpherePoint, TangentVector, ToricPoint,
-                      contact_alpha, eds_residual, gauge_overlap_check,
-                      pullback, reeb_flow, reeb_tangent, toric_embed,
-                      toric_tangent)
+                      eds_residual, gauge_overlap_check, pullback, reeb_flow,
+                      reeb_tangent, toric_embed, toric_tangent)
 from .connection import (PathSpec, TransportResult, connection_matrix,
-                         curvature_residual, parallel_transport,
-                         reeb_transport)
+                         curvature_residual, parallel_transport)
 from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    commutant_dimension, dim, exponentiate, k_spectrum,
                    matrix_of_laurent, partial_sum_distance, verify_brackets,
                    verify_reality)
 from .quaternions import PatchError, section_n, section_s, transition_tau
 from .u2h import (LieElement, SPINOR_GENERATORS, VECTOR_GENERATORS, bracket,
-                  bracket_gens, basis_change, contraction_constants,
-                  contraction_limit, grading_decomposition, reality,
-                  verify_jacobi)
+                  basis_change, contraction_constants, contraction_limit,
+                  grading_decomposition, reality, verify_jacobi)
 from .weyl import (LaurentElement, Polymeromorphic, PolyNM, WeylElement,
                    embedded_generators, sqrt_partial_sum, verify_embedding)
 from .classical import PoissonElement, verify_classical

@@ -267,9 +267,7 @@ def cmd_verify(cfg):
                        "threshold": "nondecreasing", "passed": mono_ok})
         prev_grades = grades
 
-    # the classical mirror and the commuting diagram stop at ell = 4
-    low_ells = range(cfg.ell_range[0], min(cfg.ell_range[1], 4) + 1)
-    for ell in low_ells:
+    for ell in cfg.ells():
         cl = classical.verify_classical(ell)
         qt = {k: v["residual_min_grade"] for k, v in embed_reports[ell].items()}
         ct = {k: v["residual_min_grade"] for k, v in cl.items()}
@@ -305,15 +303,13 @@ def cmd_verify(cfg):
                        f"m={m} ell=40", "value": interior,
                        "threshold": 1e-6, "passed": interior < 1e-6})
 
-    # no row without an ell to compare at
-    diagram_ms = (range(cfg.m_range[0], min(cfg.m_range[1], 3) + 1)
-                  if low_ells else ())
+    diagram_ms = range(cfg.m_range[0], min(cfg.m_range[1], 3) + 1)
     # each ell's generators are built once and shared by the levels
-    images = ([weyl.embedded_generators(ell) for ell in low_ells]
-              if diagram_ms else [])
+    images = ({ell: weyl.embedded_generators(ell) for ell in cfg.ells()}
+              if diagram_ms else {})
     for m in diagram_ms:
         worst = 0.0
-        for ell, gens in zip(low_ells, images):
+        for ell, gens in images.items():
             part = fock.build_rho_partial(m, ell)
             for name, mat in fock.matrix_of_laurent(gens, m, m, m + 1).items():
                 worst = max(worst, float(np.max(np.abs(
@@ -445,7 +441,7 @@ def cmd_transport(cfg, path_file):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = connection.parallel_transport(path, m, steps)
+        result = connection.parallel_transport(path, m)
     except PatchError as exc:  # one step's nodes near both x = 0 and y = 0
         print(f"config error: {steps} steps are too coarse for this path "
               f"({exc})", file=sys.stderr)

@@ -127,13 +127,6 @@ def random_point(rng, min_patch=0.0):
             return p
 
 
-def random_tangent(rng, p):
-    p8 = p.as_array8()
-    u8 = rng.standard_normal(8)
-    u8 -= (p8 @ u8) * p8
-    return TangentVector.from_array8(p, u8)
-
-
 def random_unit_tangent(rng, p, length=1.0):
     """Tangent drawn uniformly on the tangent sphere, rescaled to `length`."""
     p8 = p.as_array8()
@@ -151,15 +144,14 @@ class CoframeSample:
     -kappa^3/2 = 2 kappa^{+.-.}.
     """
 
-    __slots__ = ("mu", "nu", "kappa", "mu_real", "kappa_real", "patch")
+    __slots__ = ("mu", "nu", "kappa", "mu_real", "kappa_real")
 
-    def __init__(self, mu, nu, kappa, patch):
+    def __init__(self, mu, nu, kappa):
         self.mu = mu[1:]
         self.nu = nu
         self.kappa = kappa[1:]
         self.mu_real = float(mu[0])
         self.kappa_real = float(kappa[0])
-        self.patch = patch
 
     def components10(self):
         """(mu1..3, nu0..3, kappa1..3), the coefficients on the vector
@@ -222,12 +214,7 @@ def pullback(u, patch="auto"):
     """The coframe on u over the patch: "s" (x != 0), "n" (y != 0), or
     "auto", the preferred_patch of u's base point."""
     patch = preferred_patch(u.base) if patch == "auto" else patch
-    return CoframeSample(*_coframe_at(u, patch), patch)
-
-
-def contact_alpha(u):
-    """alpha(u) = -kappa^3(u)/2 = 2 kappa^{+.-.}(u), patch independent."""
-    return pullback(u).alpha()
+    return CoframeSample(*_coframe_at(u, patch))
 
 
 def maurer_cartan_matrix(u, patch="s"):
@@ -272,10 +259,6 @@ class Chart:
         return d_u_wv - d_v_wu
 
 
-def _coframe10(u, patch):
-    return pullback(u, patch).components10()
-
-
 def eds_residual(p, u, v, h=1e-4, patch="s"):
     """Absolute residuals of the structure equations dw + [w, w]/2 = 0 of
     the coframe w at (p; u, v), in components10 order.
@@ -288,11 +271,11 @@ def eds_residual(p, u, v, h=1e-4, patch="s"):
     chart = Chart(p, [u, v])
 
     def omega(i_field, s):
-        return _coframe10(chart.frame_vector(i_field, s), patch)
+        return pullback(chart.frame_vector(i_field, s), patch).components10()
 
     dw = chart.exterior_derivative(omega, h)  # dω(u, v) componentwise
-    cu = _coframe10(TangentVector(p, u.dx, u.dy), patch)
-    cv = _coframe10(TangentVector(p, v.dx, v.dy), patch)
+    cu, cv = (pullback(TangentVector(p, w.dx, w.dy), patch).components10()
+              for w in (u, v))
     # [w, w](u, v)/2 = [w(u), w(v)], componentwise B[a, b, c] cu[b] cv[c]
     return np.abs(dw + _BRACKET @ cv @ cu)
 

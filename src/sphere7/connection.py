@@ -11,13 +11,15 @@ equation).  The truncated variant replaces the square roots by partial sums
 to order ell+1 and maps level m into the ambient level m+1 block; it is flat
 only to the corresponding grade and is not antihermitean, so transport is
 offered for the exact connection only; ell=None selects it, an integer
-ell the truncation.  Parallel transport integrates
+ell the truncation.  A PathSpec is a curve gamma on [0, 1] with its step
+count, and parallel_transport(path, m) integrates
 
-    U'(t) = -A(gamma'(t)) U(t),  U(0) = Id
+    U'(t) = -A(gamma'(t)) U(t),  U(0) = Id,  0 <= t <= 1
 
-with fixed-step RK4, switching trivialization when the s-patch coordinate
-gets small.  A TransportResult holds the one unitary U of a path, and every
-Born probability |<psi_f, U psi_i>|^2 (normalized) is read from it.
+with RK4 in those steps, switching trivialization when the s-patch
+coordinate gets small.  A TransportResult holds the one unitary U of a
+path, and every Born probability |<psi_f, U psi_i>|^2 (normalized) is read
+from it.
 
 The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
@@ -71,10 +73,6 @@ def _scatter(flat, values, shape):
     return out
 
 
-def _coefficients(u, patch):
-    return _pullback(u.base.as_array8()[None], u.as_array8()[None], patch)[0]
-
-
 def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
     """The connection form evaluated on one tangent vector.
 
@@ -88,7 +86,8 @@ def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
         raise ValueError("the exact connection acts on level m only")
     flat, vals, shape = (_rho_stack(m) if ell is None else _rho_stack(
         m, ell + 1, m if domain_m is None else domain_m))
-    return _scatter(flat, _coefficients(u, patch) @ vals, shape)
+    c = _pullback(u.base.as_array8()[None], u.as_array8()[None], patch)[0]
+    return _scatter(flat, c @ vals, shape)
 
 
 def curvature_residual(p, u, v, m, ell=None, h=1e-4, patch="s"):
@@ -147,16 +146,15 @@ def _chordal(knots, t):
 
 
 class PathSpec:
-    """Parametric curve with analytic tangent, sampled on [t0, t1].
+    """Parametric curve with analytic tangent on [0, 1], integrated in
+    `steps` equal steps.
 
     curve(t) maps an array of N times to ambient points and velocities, both
     (N, 8); `arrays` puts them on the sphere and its tangent spaces.
     """
 
-    def __init__(self, curve, t0=0.0, t1=1.0, steps=1000, label="path"):
+    def __init__(self, curve, steps=1000, label="path"):
         self.curve = curve
-        self.t0 = float(t0)
-        self.t1 = float(t1)
         self.steps = int(steps)
         self.label = label
 
@@ -184,19 +182,18 @@ class PathSpec:
         if w < 1e-12 or math.pi - w < 1e-12:
             raise ValueError("endpoints coincide or are antipodal")
         bp = (b - cosw * a) / math.sin(w)  # unit, orthogonal to a
-        return cls(partial(_arc, a, bp, w), 0.0, 1.0, steps, "great-circle")
+        return cls(partial(_arc, a, bp, w), steps, "great-circle")
 
     @classmethod
     def great_circle_loop(cls, p0, direction, steps=1000):
         """Full great circle through p0 with initial velocity direction."""
         a = p0.as_array8()
-        d = (direction.as_array8() if isinstance(direction, TangentVector)
-             else np.asarray(direction, dtype=float))
+        d = np.asarray(direction, dtype=float)
         d = d - (a @ d) * a
         nd = np.linalg.norm(d)
         if nd < 1e-12:
             raise ValueError("direction is radial")
-        return cls(partial(_arc, a, d / nd, 2 * math.pi), 0.0, 1.0, steps,
+        return cls(partial(_arc, a, d / nd, 2 * math.pi), steps,
                    "great-circle-loop")
 
     @classmethod
@@ -204,7 +201,7 @@ class PathSpec:
         """Fixed radii, angles advancing linearly by dtheta over [0, 1]."""
         curve = partial(_toric_line, t0.r, t0.theta,
                         np.asarray(dtheta, dtype=float))
-        return cls(curve, 0.0, 1.0, steps, label)
+        return cls(curve, steps, label)
 
     @classmethod
     def reeb_loop(cls, t0, steps=1000):
@@ -231,15 +228,15 @@ class PathSpec:
             i = int(np.argmin(cos))
             raise ValueError(f"knots {i} and {i + 1} are antipodal: the chord "
                              "between them passes through the origin")
-        return cls(partial(_chordal, knots), 0.0, 1.0, steps, "piecewise")
+        return cls(partial(_chordal, knots), steps, "piecewise")
 
     @classmethod
     def constant(cls, p0, steps=2):
-        return cls(partial(_arc, p0.as_array8(), np.zeros(8), 0.0), 0.0, 1.0,
-                   steps, "constant")
+        return cls(partial(_arc, p0.as_array8(), np.zeros(8), 0.0), steps,
+                   "constant")
 
     def to_json(self):
-        return {"label": self.label, "t0": self.t0, "t1": self.t1,
+        return {"label": self.label, "t0": 0.0, "t1": 1.0,
                 "steps": self.steps}
 
 
@@ -296,7 +293,7 @@ def _gauge_generator(m, p):
 def gauge_matrix(m, p):
     """Unitary representing the transition element diag(tau, 1) at level m,
     the exponential of _gauge_generator."""
-    return exponentiate(_gauge_generator(m, p), 1.0, tol=1e-8)
+    return exponentiate(_gauge_generator(m, p))
 
 
 def _step_frames(p8, north):
@@ -338,8 +335,9 @@ def _complete(cols, sigma, sign, keep):
     return out
 
 
-def parallel_transport(path, m, steps=None, start_frame=None):
-    """Integrate the exact flat connection along a path with fixed-step RK4.
+def parallel_transport(path, m, *, start_frame=None):
+    """Integrate the exact flat connection along a path with fixed-step RK4,
+    in the path's steps on [0, 1].
 
     Frames switch between the two trivializing patches when the active
     coordinate drops below PATCH_SWITCH_LEVEL at one of a step's RK nodes;
@@ -362,17 +360,16 @@ def parallel_transport(path, m, steps=None, start_frame=None):
     final frame change.  This is the full-column integrator exactly, since
     every step commutes with J.
     """
-    steps = path.steps if steps is None else int(steps)
+    steps = path.steps
     if steps < 2:
         raise ValueError("need at least 2 steps")
     d = dim(m)
     flat, vals, _ = _rho_stack(m)
     sigma, sign = conjugation(m)
     keep = np.flatnonzero(np.arange(d) <= sigma)
-    t0, t1 = path.t0, path.t1
-    h = (t1 - t0) / steps
+    h = 1.0 / steps
     vals = (h / 2) * vals          # nodes carry B = (h/2)(-A)
-    frame = start_frame or preferred_patch(path.point(t0))
+    frame = start_frame or preferred_patch(path.point(0.0))
     start_frame = frame
     switches = []
     u_op = np.zeros((d, len(keep)), dtype=complex)     # the columns keep of U
@@ -387,7 +384,7 @@ def parallel_transport(path, m, steps=None, start_frame=None):
 
     for k0 in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - k0)
-        nodes = t0 + np.arange(2 * k0, 2 * (k0 + n) + 1) * (h / 2)
+        nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (h / 2)
         p8, u8 = path.arrays(nodes)
         north, switched = _step_frames(p8, frame == "n")
         # nodes 2k and 2k+1 in the frame of step k, node 2n in that of step
@@ -434,13 +431,8 @@ def parallel_transport(path, m, steps=None, start_frame=None):
     if end_frame != start_frame:
         # express the result in the frame the path started in (the endpoint
         # must lie in the overlap for this to be meaningful)
-        g = gauge_matrix(m, path.point(t1))
+        g = gauge_matrix(m, path.point(1.0))
         u_op = (g @ u_op) if end_frame == "n" else (g.conj().T @ u_op)
         end_frame = start_frame
     res = float(np.max(np.abs(u_op.conj().T @ u_op - np.eye(d))))
     return TransportResult(u_op, res, steps, switches, start_frame, end_frame)
-
-
-def reeb_transport(t0, m, steps=10_000):
-    """Transport around one Reeb period; flat + contractible means U ~ Id."""
-    return parallel_transport(PathSpec.reeb_loop(t0, steps), m)

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .rational import add_into
-from .tolerances import TAU_REP
 from .u2h import (GENERATOR_PAIRS, REALITY_SPINOR, SPINOR_GENERATORS,
                   VECTOR_IN_SPINOR, bracket_table, casimir_pairs,
                   complex_array)
@@ -291,20 +290,15 @@ _PAIR_INDEX += _PAIR_INDEX.T
 _BLOCK_TERMS = 1 << 16
 
 
-def _coefficient_rows(table, keys):
-    """The Lie elements table[key] as the rows of a (len(keys), 10) array
-    over GENERATOR_NAMES."""
-    return complex_array(table, keys, GENERATOR_NAMES)
-
-
 @lru_cache(maxsize=None)
 def _bracket_coefficients():
-    return _coefficient_rows(bracket_table("spinor"), GENERATOR_PAIRS)
+    return complex_array(bracket_table("spinor"), GENERATOR_PAIRS,
+                         GENERATOR_NAMES)
 
 
 @lru_cache(maxsize=None)
 def _reality_coefficients():
-    return _coefficient_rows(REALITY_SPINOR, GENERATOR_NAMES)
+    return complex_array(REALITY_SPINOR, GENERATOR_NAMES, GENERATOR_NAMES)
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +398,7 @@ def verify_brackets(rep, table=None):
     entries, d = _entries(rep)
     g, i, j, v = entries
     coeffs = (_bracket_coefficients() if table is None
-              else _coefficient_rows(table, GENERATOR_PAIRS))
+              else complex_array(table, GENERATOR_PAIRS, GENERATOR_NAMES))
     res = np.zeros(len(GENERATOR_PAIRS))
     for a, b, left in _product_blocks(
             entries, d, ~np.eye(len(GENERATOR_NAMES), dtype=bool)):
@@ -541,17 +535,17 @@ def casimir_deviation(rep):
     return float(np.max(np.abs(dev), initial=0.0))
 
 
-def exponentiate(x, t=1.0, tol=TAU_REP):
-    """exp(t X) for antihermitean X; rejects non-antihermitean input.
+def exponentiate(x):
+    """exp(X) for antihermitean X; rejects a defect |X + X^H| above 1e-8.
 
-    The Hermitian H = i t (X - X^H)/2 is diagonalized, H = V diag(l) V^H,
-    and exp(t X) = V diag(exp(-i l)) V^H; for a normal matrix the
+    The Hermitian H = i (X - X^H)/2 is diagonalized, H = V diag(l) V^H,
+    and exp(X) = V diag(exp(-i l)) V^H; for a normal matrix the
     eigenvector method is well conditioned (Moler-Van Loan 2003).
     """
     defect = float(np.max(np.abs(x + x.conj().T)))
-    if defect > tol:
+    if defect > 1e-8:
         raise ValueError(f"matrix is not antihermitean (defect {defect:.3g})")
-    lam, v = np.linalg.eigh((0.5j * t) * (x - x.conj().T))
+    lam, v = np.linalg.eigh(0.5j * (x - x.conj().T))
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 

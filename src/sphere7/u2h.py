@@ -245,10 +245,6 @@ def bracket(x, y, table=None):
     return LieElement(out, x.basis)
 
 
-def bracket_gens(g1, g2, basis="spinor"):
-    return LieElement(bracket_table(basis)[(g1, g2)], basis)
-
-
 def verify_jacobi(basis="spinor", mutate=None):
     """Max residual of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] over generator triples.
 
@@ -445,9 +441,10 @@ def cross_basis_residual():
 def reality_bracket_residual():
     """Exact check that the involution antiautomorphizes the bracket."""
     worst = Fraction(0)
+    table = bracket_table("spinor")
     for g1 in SPINOR_GENERATORS:
         for g2 in SPINOR_GENERATORS:
-            lhs = reality(bracket_gens(g1, g2))
+            lhs = reality(LieElement(table[(g1, g2)]))
             rhs = bracket(reality(g1), reality(g2)).scale(-1)
             worst = max(worst, (lhs - rhs).max_abs())
     return worst

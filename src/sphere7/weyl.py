@@ -189,10 +189,6 @@ class LaurentElement:
                         continue
                     self.grades[g] = w
 
-    @classmethod
-    def from_weyl(cls, w, grade=0, cap=None):
-        return cls({grade: w}, cap=cap)
-
     def __add__(self, other):
         out = add_into(dict(self.grades), other.grades.items())
         return type(self)(out, cap=_min_cap(self.cap, other.cap),
@@ -382,7 +378,7 @@ def embedded_generators(ell, cap=None, ring=WeylElement):
         for c, grade, word, side in terms:
             w = (prod(map(ring.gen, word[1:]), start=ring.gen(word[0]))
                  if word else ring.unit())
-            lau = LaurentElement.from_weyl(w.scale(c), grade, cap=cap)
+            lau = LaurentElement({grade: w.scale(c)}, cap=cap)
             parts.append(s * lau if side == "left" else
                          lau * s if side == "right" else lau)
         gens[name] = sum(parts[1:], parts[0])

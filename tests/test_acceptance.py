@@ -15,7 +15,7 @@ import numpy as np
 from sphere7 import classical, coframe, fock, u2h, weyl
 from sphere7.cli import main as cli_main
 from sphere7.connection import (PathSpec, curvature_residual,
-                                parallel_transport, reeb_transport)
+                                parallel_transport)
 
 
 def _ok(label, detail=""):
@@ -195,12 +195,12 @@ def test_criterion_9_quantum_dynamics():
     for m in (2, 3):
         p0 = coframe.SpherePoint([1, 0, 0, 0], [0, 0, 0, 0])
         loop = PathSpec.great_circle_loop(
-            p0, np.array([0, 1.0, 0, 0, 0, 0.5, 0, 0]))
-        res = parallel_transport(loop, m, steps=10_000)
+            p0, np.array([0, 1.0, 0, 0, 0, 0.5, 0, 0]), 10_000)
+        res = parallel_transport(loop, m)
         assert res.holonomy_distance() < 1e-5
         assert res.unitarity_residual < 1e-8
         tor = coframe.ToricPoint([0.5, 0.5, 0.5, 0.5], [0.2, 1.2, 2.2, 3.2])
-        res = reeb_transport(tor, m, steps=10_000)
+        res = parallel_transport(PathSpec.reeb_loop(tor, 10_000), m)
         assert res.holonomy_distance() < 1e-5
         assert res.unitarity_residual < 1e-8
     a = coframe.random_point(rng, 0.4)
@@ -208,14 +208,14 @@ def test_criterion_9_quantum_dynamics():
     mid1 = coframe.random_point(rng, 0.4)
     mid2 = coframe.random_point(rng, 0.4)
     m = 3
-    u1 = parallel_transport(PathSpec.piecewise([a, mid1, b]), m, 10_000,
+    u1 = parallel_transport(PathSpec.piecewise([a, mid1, b], 10_000), m,
                             start_frame="s").matrix
-    u2 = parallel_transport(PathSpec.piecewise([a, mid2, b]), m, 10_000,
+    u2 = parallel_transport(PathSpec.piecewise([a, mid2, b], 10_000), m,
                             start_frame="s").matrix
     assert float(np.max(np.abs(u1 - u2))) < 1e-5
     d = fock.dim(m)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    res = parallel_transport(PathSpec.piecewise([a, mid1, b]), m, 2000)
+    res = parallel_transport(PathSpec.piecewise([a, mid1, b], 2000), m)
     total = sum(res.probability(psi, e) for e in np.eye(d))
     assert abs(total - 1.0) < 1e-8
     elapsed = time.time() - t0

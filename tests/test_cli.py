@@ -123,15 +123,16 @@ def test_verify_reports_an_off_diagonal_k(tmp_path, capsys, monkeypatch):
             "passed": False}
 
 
-def test_verify_writes_no_commuting_diagram_past_ell_4(tmp_path):
-    # the diagram stops at ell = 4: with no lower ell in range it has
-    # nothing to compare, and a row would report a residual never computed
-    assert run(tmp_path, "verify", "--m", "1..2", "--ell", "5..5") == 0
+def test_verify_runs_mirror_and_diagram_past_ell_4(tmp_path):
+    assert run(tmp_path, "verify", "--m", "1..3", "--ell", "5..6") == 0
     report = json.loads((tmp_path / "verify.json").read_text())
-    names = {c["check"] for c in report["checks"]}
-    assert "commuting-diagram" not in names
-    assert "classical-quantum-agreement" not in names
-    assert "rep-bracket" in names
+    rows = [(c["check"], c["detail"], c["passed"]) for c in report["checks"]
+            if c["check"] in ("classical-quantum-agreement",
+                              "commuting-diagram")]
+    assert rows == [
+        ("classical-quantum-agreement", "ell=5", True),
+        ("classical-quantum-agreement", "ell=6", True),
+        *[("commuting-diagram", f"m={m}", True) for m in (1, 2, 3)]]
 
 
 def _failing_rows(tmp_path, capsys, *args):
@@ -151,6 +152,21 @@ def test_verify_catches_a_corrupted_sqrt_coefficient(tmp_path, capsys,
         "sphere7.weyl.sqrt_coefficient",
         lambda k: exact(k) + (Fraction(1, 64) if k == 2 else 0))
     failing = _failing_rows(tmp_path, capsys, "--m", "1..3", "--ell", "0..2")
+    assert [(c["check"], c["detail"]) for c in failing] == [
+        ("commuting-diagram", f"m={m}") for m in (1, 2, 3)]
+    for m, row in zip((1, 2, 3), failing):
+        assert row["value"] == pytest.approx(m / 32)
+
+
+def test_verify_catches_a_corrupted_late_sqrt_coefficient(tmp_path, capsys,
+                                                          monkeypatch):
+    # b_5 enters S_ell only from ell = 5 on, so only a diagram at ell >= 5
+    # sees it
+    exact = weyl.sqrt_coefficient
+    monkeypatch.setattr(
+        "sphere7.weyl.sqrt_coefficient",
+        lambda k: exact(k) + (Fraction(1, 64) if k == 5 else 0))
+    failing = _failing_rows(tmp_path, capsys, "--m", "1..3", "--ell", "5..5")
     assert [(c["check"], c["detail"]) for c in failing] == [
         ("commuting-diagram", f"m={m}") for m in (1, 2, 3)]
     for m, row in zip((1, 2, 3), failing):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
-                             _pullback, contact_alpha, eds_residual,
-                             gauge_overlap_check, maurer_cartan_matrix,
-                             pullback, random_point, random_tangent,
+                             _pullback, eds_residual, gauge_overlap_check,
+                             maurer_cartan_matrix, pullback, random_point,
                              random_unit_tangent, reeb_flow, reeb_tangent,
                              toric_embed, toric_tangent)
 from sphere7.quaternions import (QCONJ, PatchError, qdagger, qmatmul, qmul,
@@ -39,7 +38,7 @@ def test_kappa_mu_imaginary():
     rng = np.random.default_rng(1)
     for _ in range(200):
         p = random_point(rng, 0.15)
-        u = random_tangent(rng, p)
+        u = random_unit_tangent(rng, p)
         c = pullback(u, "s")
         assert abs(c.kappa_real) < 1e-12
         assert abs(c.mu_real) < 1e-10
@@ -49,7 +48,7 @@ def test_double_index_component_identity():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p = random_point(rng, 0.15)
-        u = random_tangent(rng, p)
+        u = random_unit_tangent(rng, p)
         c = pullback(u, "s")
         # 2 kappa^{+.-.} = -kappa^3/2 exactly, same number both ways
         assert 2 * c.kappa_dd()["+-"] == c.alpha()
@@ -76,7 +75,7 @@ def test_closed_form_matches_section_derivative():
     for patch in ("s", "n"):
         for _ in range(25):
             p = random_point(rng, 0.25)
-            u = random_tangent(rng, p)
+            u = random_unit_tangent(rng, p)
             a = maurer_cartan_matrix(u, patch)
             b = _section_pullback_fd(u, patch, h=1e-6)
             assert np.max(qnorm(a - b)) < 1e-8
@@ -100,7 +99,7 @@ def test_batched_pullback_matches_section_derivative(patch):
     us = []
     for _ in range(200):
         p = random_point(rng, 0.25)
-        us.append(random_tangent(rng, p))
+        us.append(random_unit_tangent(rng, p))
     got = _pullback(np.array([u.base.as_array8() for u in us]),
                     np.array([u.as_array8() for u in us]), patch)
     want = [_pairing_from_maurer_cartan(_section_pullback_fd(u, patch))
@@ -113,7 +112,7 @@ def test_kappa_global_and_nu_gauge():
     rng = np.random.default_rng(4)
     for _ in range(100):
         p = random_point(rng, 0.15)
-        u = random_tangent(rng, p)
+        u = random_unit_tangent(rng, p)
         cs, cn = pullback(u, "s"), pullback(u, "n")
         assert np.max(np.abs(cs.kappa - cn.kappa)) < 1e-12
         tau = transition_tau(p)
@@ -213,7 +212,7 @@ def test_toric_period():
 
 def test_reeb_alpha_normalization():
     t = ToricPoint([0.5, 0.5, 0.5, 0.5], [0.2, 1.0, 2.5, 4.1])
-    assert abs(contact_alpha(reeb_tangent(t)) - 1.0) < 1e-12
+    assert abs(pullback(reeb_tangent(t)).alpha() - 1.0) < 1e-12
 
 
 def test_toric_alpha_cross_check():
@@ -221,7 +220,7 @@ def test_toric_alpha_cross_check():
     # and the kappa-based evaluation of the pushforward must agree
     t = ToricPoint([1, 0, 0, 0], [0.9, 0, 0, 0])
     u = toric_tangent(t, (1, 0, 0, 0))
-    assert abs(contact_alpha(u) - 1.0) < 1e-10
+    assert abs(pullback(u).alpha() - 1.0) < 1e-10
 
 
 def test_toric_tangent_matches_fd():

@@ -10,7 +10,7 @@ from sphere7.rational import CRat
 from sphere7.u2h import (GRADING_ELEMENT, REALITY_SPINOR, VECTOR_IN_SPINOR,
                          LieElement, SPINOR_GENERATORS,
                          VECTOR_GENERATORS, basis_change, bracket,
-                         bracket_gens, bracket_table, casimir_pairs,
+                         bracket_table, casimir_pairs,
                          contraction_constants, contraction_limit,
                          cross_basis_residual, grading_decomposition,
                          killing_form, reality, reality_bracket_residual,
@@ -21,10 +21,10 @@ I = CRat(0, 1)
 
 def test_bracket_examples():
     # expanding the epsilon contraction in the J-J bracket
-    res = bracket_gens("J+-", "J++")
+    res = bracket(LieElement.gen("J+-"), LieElement.gen("J++"))
     assert res == LieElement({"J++": -2 * I})
     # K-K with eps_{-.+.} = +1
-    res = bracket_gens("K+-", "K++")
+    res = bracket(LieElement.gen("K+-"), LieElement.gen("K++"))
     assert res == LieElement({"K++": 2 * I})
     # antisymmetry
     for g in SPINOR_GENERATORS:
@@ -34,7 +34,7 @@ def test_bracket_examples():
 
 def test_pp_bracket_mixed():
     # [P^+_+., P^-_-.] = i(eps_{+.-.} J^{+-} + eps^{+-} K_{+.-.})
-    res = bracket_gens("P++", "P--")
+    res = bracket(LieElement.gen("P++"), LieElement.gen("P--"))
     assert res == LieElement({"J+-": -I, "K+-": I})
 
 

@@ -129,7 +129,7 @@ def _recipe_generators(ell, cap, ring):
     n, total = _number_op_literals(ring)
 
     def lw(w, grade=0):
-        return LaurentElement.from_weyl(w, grade, cap=cap)
+        return LaurentElement({grade: w}, cap=cap)
 
     return {
         "J++": lw((g(2) * g(4)).scale(-2 * i)),
