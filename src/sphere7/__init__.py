@@ -16,8 +16,8 @@ Layers, bottom up:
 """
 
 from .coframe import (CoframeSample, SpherePoint, TangentVector, ToricPoint,
-                      eds_residual, gauge_overlap_check, pullback, reeb_flow,
-                      reeb_tangent, toric_embed, toric_tangent)
+                      eds_residual, pullback, reeb_flow, reeb_tangent,
+                      toric_embed, toric_tangent)
 from .connection import (PathSpec, TransportResult, connection_matrix,
                          curvature_residual, parallel_transport)
 from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,

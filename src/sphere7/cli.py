@@ -157,7 +157,6 @@ def _config_from_args(command, config, args):
 
 
 def _write_report(cfg, name, payload):
-    cfg.out.mkdir(parents=True, exist_ok=True)
     payload = {"generated_at": datetime.datetime.now(datetime.timezone.utc)
                .isoformat(),
                "seed": cfg.seed, **payload}
@@ -167,12 +166,11 @@ def _write_report(cfg, name, payload):
     if cfg.fmt == "csv" and "checks" in payload:
         cpath = cfg.out / f"{name}.csv"
         with open(cpath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["check", "detail", "value", "threshold", "passed"])
-            for row in payload["checks"]:
-                w.writerow([row["check"], row.get("detail", ""),
-                            row["value"], row.get("threshold", ""),
-                            row["passed"]])
+            # every check row has the keys check, detail, value, threshold
+            # and passed, in that order
+            w = csv.DictWriter(fh, payload["checks"][0])
+            w.writeheader()
+            w.writerows(payload["checks"])
     return path
 
 
@@ -216,43 +214,26 @@ def _rep_checks(m, tau):
     return rows
 
 
-# pairs that must close exactly at every truncation order
-def _required_exact_pairs():
-    out = []
-    for x, y in u2h.GENERATOR_PAIRS:
-        if x.startswith("J") or y.startswith("J") or "K+-" in (x, y):
-            out.append(f"{x}|{y}")
-    return out
-
-
 def cmd_verify(cfg):
-    checks = []
-    mutate = cfg.mutate
-    jac, triple = u2h.verify_jacobi("spinor", mutate=mutate)
-    checks.append({"check": "jacobi-spinor",
-                   "detail": f"worst triple {triple}" if triple else "",
-                   "value": str(jac), "threshold": "0 (exact)",
-                   "passed": jac == 0})
-    jac_v, triple_v = u2h.verify_jacobi("vector")
-    checks.append({"check": "jacobi-vector", "detail": "",
-                   "value": str(jac_v), "threshold": "0 (exact)",
-                   "passed": jac_v == 0})
-    xb = u2h.cross_basis_residual()
-    checks.append({"check": "cross-basis", "detail": "",
-                   "value": str(xb), "threshold": "0 (exact)",
-                   "passed": xb == 0})
-    rb = u2h.reality_bracket_residual()
-    checks.append({"check": "reality-antiautomorphism", "detail": "",
-                   "value": str(rb), "threshold": "0 (exact)",
-                   "passed": rb == 0})
+    jac, triple = u2h.verify_jacobi("spinor", mutate=cfg.mutate)
+    jac_detail = f"worst triple {triple}" if triple else ""
+    exact = [("jacobi-spinor", jac_detail, jac),
+             ("jacobi-vector", "", u2h.verify_jacobi("vector")[0]),
+             ("cross-basis", "", u2h.cross_basis_residual()),
+             ("reality-antiautomorphism", "", u2h.reality_bracket_residual())]
+    checks = [{"check": name, "detail": detail, "value": str(r),
+               "threshold": "0 (exact)", "passed": r == 0}
+              for name, detail, r in exact]
 
-    required = set(_required_exact_pairs())
+    # pairs that must close exactly at every truncation order
+    required = {f"{x}|{y}" for x, y in u2h.GENERATOR_PAIRS
+                if x.startswith("J") or y.startswith("J") or "K+-" in (x, y)}
     embed_reports = {}
     prev_grades = {}
     for ell in cfg.ells():
         rep = weyl.verify_embedding(ell)
         embed_reports[ell] = rep
-        bad_exact = [k for k in required if not rep[k]["exact"]]
+        bad_exact = [k for k in rep if k in required and not rep[k]["exact"]]
         checks.append({"check": "embedding-exact-sector",
                        "detail": f"ell={ell} failing={bad_exact}",
                        "value": len(bad_exact), "threshold": 0,
@@ -277,11 +258,10 @@ def cmd_verify(cfg):
                        "threshold": "identical grade tables",
                        "passed": same})
 
-    if mutate:
+    if cfg.mutate:
         rep_m = fock.build_rho(max(2, cfg.m_range[0]))
-        br, pair = fock.verify_brackets(rep_m,
-                                        table=u2h.bracket_table("spinor",
-                                                                mutate=mutate))
+        table = u2h.bracket_table("spinor", mutate=cfg.mutate)
+        br, pair = fock.verify_brackets(rep_m, table=table)
         checks.append({"check": "rep-bracket-mutated",
                        "detail": f"failing pair {pair}",
                        "value": br, "threshold": cfg.tau_rep,
@@ -473,7 +453,6 @@ def cmd_transport(cfg, path_file):
 # ---------------------------------------------------------------------------
 
 def cmd_table(cfg):
-    cfg.out.mkdir(parents=True, exist_ok=True)
     rep_rows = []
     for m in cfg.ms():
         rep = fock.build_rho(m)
@@ -501,19 +480,12 @@ def cmd_table(cfg):
     tpath = cfg.out / "table.csv"
     with open(tpath, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["m", "dim", "k_spectrum", "bracket_residual",
-                    "reality_residual", "note"])
-        for r in rep_rows:
-            w.writerow([r[k] for k in ("m", "dim", "k_spectrum",
-                                       "bracket_residual",
-                                       "reality_residual", "note")])
+        # each block's header is its rows' keys
+        w.writerow(rep_rows[0])
+        w.writerows(r.values() for r in rep_rows)
         w.writerow([])
-        w.writerow(["ell", "exact_pairs", "min_residual_grade",
-                    "max_residual_grade"])
-        for r in emb_rows:
-            w.writerow([r[k] for k in ("ell", "exact_pairs",
-                                       "min_residual_grade",
-                                       "max_residual_grade")])
+        w.writerow(emb_rows[0])
+        w.writerows(r.values() for r in emb_rows)
     _write_report(cfg, "table", {"config": cfg.__dict__,
                                  "representations": rep_rows,
                                  "embedding": emb_rows})
@@ -587,6 +559,7 @@ def main(argv=None):
     command = args.pop("command")
     try:
         cfg = _config_from_args(command, args.pop("config"), args)
+        cfg.out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,12 +9,13 @@ The unit sphere in H^2 carries, over the patch x != 0, the coframe
 
 with d(xbar^-1) = -xbar^-1 dxbar xbar^-1, and mirror formulas with x and y
 exchanged over the patch y != 0.  The coframe is the pulled-back
-Maurer-Cartan form of a section, a u(2,H)-valued form whose components10 are
-its coefficients on the vector generators of u2h.  The vector->spinor basis
-change of u2h turns them into the complex double-index coefficients that
-couple the coframe to the spinor generators, and its ten first-order
-identities are the structure equations dw + [w, w]/2 = 0 with the u2h
-bracket, verified by finite differences along normalized-chart lines.
+Maurer-Cartan form 2 g^-1 dg = [[mu, nu], [-nubar, kappa]] of the patch's
+section g; components10 are its coefficients on the vector generators of
+u2h, and the u2h basis change turns them into the complex coefficients of
+the spinor generators.  Its ten identities are the structure equations
+dw + [w, w]/2 = 0 with the u2h bracket, checked by finite differences along
+normalized-chart lines.  The two patches' forms differ by the gauge
+transition diag(tau, 1), which connection.gauge_matrix lifts to a level.
 """
 
 import math
@@ -23,8 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .quaternions import (QCONJ, PatchError, qinv, qmul, qnorm,
-                          transition_tau)
+from .quaternions import QCONJ, PatchError, qinv, qmul, qnorm
 from .tolerances import TAU_PATCH, TAU_SPHERE
 from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
                   bracket_table, complex_array)
@@ -204,24 +204,12 @@ def preferred_patch(p):
     return "s" if qnorm(p.x) >= qnorm(p.y) else "n"
 
 
-def _coframe_at(u, patch):
-    """mu, nu, kappa on one tangent as (4,) quaternions."""
-    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
-    return [r[0] for r in rows]
-
-
 def pullback(u, patch="auto"):
     """The coframe on u over the patch: "s" (x != 0), "n" (y != 0), or
     "auto", the preferred_patch of u's base point."""
     patch = preferred_patch(u.base) if patch == "auto" else patch
-    return CoframeSample(*_coframe_at(u, patch))
-
-
-def maurer_cartan_matrix(u, patch="s"):
-    """(1/2)[[mu, nu], [-nubar, kappa]] assembled from the coframe values,
-    a (2, 2, 4) array."""
-    mu, nu, kappa = _coframe_at(u, patch)
-    return np.array([[mu, nu], [-nu * QCONJ, kappa]]) * 0.5
+    rows = _coframe(u.base.as_array8()[None], u.as_array8()[None], patch)
+    return CoframeSample(*(r[0] for r in rows))
 
 
 class Chart:
@@ -235,12 +223,7 @@ class Chart:
 
     def __init__(self, p, directions):
         self.p8 = p.as_array8()
-        self.dirs = [d.as_array8() if isinstance(d, TangentVector) else
-                     np.asarray(d, dtype=float) for d in directions]
-
-    def point(self, s):
-        q = self.p8 + sum(si * di for si, di in zip(s, self.dirs))
-        return SpherePoint.from_array8(q / np.linalg.norm(q))
+        self.dirs = [d.as_array8() for d in directions]
 
     def frame_vector(self, i, s):
         """Pushforward of the i-th coordinate field at chart coordinates s."""
@@ -259,7 +242,7 @@ class Chart:
         return d_u_wv - d_v_wu
 
 
-def eds_residual(p, u, v, h=1e-4, patch="s"):
+def eds_residual(p, u, v, h=1e-4):
     """Absolute residuals of the structure equations dw + [w, w]/2 = 0 of
     the coframe w at (p; u, v), in components10 order.
 
@@ -271,30 +254,13 @@ def eds_residual(p, u, v, h=1e-4, patch="s"):
     chart = Chart(p, [u, v])
 
     def omega(i_field, s):
-        return pullback(chart.frame_vector(i_field, s), patch).components10()
+        return pullback(chart.frame_vector(i_field, s), "s").components10()
 
     dw = chart.exterior_derivative(omega, h)  # dω(u, v) componentwise
-    cu, cv = (pullback(TangentVector(p, w.dx, w.dy), patch).components10()
+    cu, cv = (pullback(TangentVector(p, w.dx, w.dy), "s").components10()
               for w in (u, v))
     # [w, w](u, v)/2 = [w(u), w(v)], componentwise B[a, b, c] cu[b] cv[c]
     return np.abs(dw + _BRACKET @ cv @ cu)
-
-
-def gauge_overlap_check(p, u, h=1e-5):
-    """Residual of mu_n = taubar mu tau + 2 taubar (d tau) on one tangent.
-
-    The derivative of the transition quaternion along u is a central
-    difference on the normalized chart line through p with velocity u.
-    """
-    mu_s, mu_n = (_coframe_at(u, patch)[0] for patch in "sn")
-    tau = transition_tau(p)
-    chart = Chart(p, [u])
-    tp = transition_tau(chart.point((h,)))
-    tm = transition_tau(chart.point((-h,)))
-    dtau = (tp - tm) * (1.0 / (2 * h))
-    taubar = tau * QCONJ
-    predicted = qmul(qmul(taubar, mu_s), tau) + qmul(taubar, dtau) * 2.0
-    return float(qnorm(mu_n - predicted))
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +298,23 @@ def _toric8(re, im):
     return np.concatenate([re, -im], axis=1)[:, _TORIC_COLS]
 
 
-def toric_rows(r, theta, dtheta, dr=0.0):
+def toric_rows(r, theta, dtheta):
     """Ambient points and velocities (N, 8), not yet projected, of the toric
-    coordinates with radii r and angle rows theta (N, 4) moving with
-    velocity (dr, dtheta)."""
+    coordinates with fixed radii r and angle rows theta (N, 4) moving with
+    angular velocity dtheta."""
     c, s = np.cos(theta), np.sin(theta)
     rd = r * np.asarray(dtheta)
-    return _toric8(r * c, r * s), _toric8(dr * c - rd * s, dr * s + rd * c)
+    return _toric8(r * c, r * s), _toric8(-rd * s, rd * c)
 
 
 def toric_embed(t):
     return SpherePoint.from_array8(toric_rows(t.r, t.theta[None], 0.0)[0][0])
 
 
-def toric_tangent(t, dtheta, dr=(0.0, 0.0, 0.0, 0.0)):
-    """Pushforward of a toric-coordinate velocity to the ambient tangent."""
-    p8, u8 = toric_rows(t.r, t.theta[None], dtheta, np.asarray(dr))
+def toric_tangent(t, dtheta):
+    """Pushforward of an angular velocity at fixed radii to the ambient
+    tangent."""
+    p8, u8 = toric_rows(t.r, t.theta[None], dtheta)
     return TangentVector.from_array8(SpherePoint.from_array8(p8[0]), u8[0])
 
 

@@ -218,8 +218,7 @@ class PathSpec:
         keep their order across them.  Consecutive knots must not be
         antipodal.
         """
-        knots = np.array([p.as_array8() if isinstance(p, SpherePoint)
-                          else np.asarray(p, dtype=float) for p in points])
+        knots = np.array([p.as_array8() for p in points])
         if len(knots) < 2:
             raise ValueError("need at least two points")
         unit = knots / np.linalg.norm(knots, axis=1)[:, None]

@@ -155,7 +155,7 @@ _SLOTS = (1, 2, 3, 4, 5, 6, 7, 13, 14, 15)
 def _vector_matrices():
     """2X for the vector generators X as (10, 2, 2, 4) integer quaternion
     components: [[mu, nu], [-nubar, kappa]] with one unit component, the
-    layout coframe.maurer_cartan_matrix assembles."""
+    layout of the pulled-back Maurer-Cartan form 2 g^-1 dg."""
     out = np.zeros((10, 16), dtype=int)
     out[range(10), _SLOTS] = 1
     out[3:7, 8:12] = np.diag([-1, 1, 1, 1])     # -nubar for nu = 1, i, j, k

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere7 import cli, weyl
+from sphere7 import cli, u2h, weyl
 from sphere7.cli import main
 from sphere7.fock import M_MAX, build_rho, load_representation
 
@@ -58,6 +59,29 @@ def test_config_out_of_range(tmp_path, capsys, args, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--m", "1..1", "--ell", "0..0"),
+    ("eds-check", "--samples", "1"),
+    ("transport", "path.json"),
+    ("table", "--m", "1..1", "--ell", "0..0"),
+    ("dump-rep", "--m", "1..1"),
+])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_a_directory(tmp_path, monkeypatch, capsys, args,
+                                        below):
+    # --out names a file, or a path under one: refused before any check
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("path.json").write_text(json.dumps(
+        {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+         "m": 1}))
+    pathlib.Path("afile").write_text("")
+    assert main([*args, "--out", str(pathlib.Path("afile", below))]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out
+    assert pathlib.Path("afile").read_text() == ""
+
+
 def test_verify_mutated_fails_and_names_pair(tmp_path):
     code = run(tmp_path, "verify", "--m", "2", "--ell", "0..0",
                "--mutate", "k-bracket")
@@ -71,6 +95,21 @@ def test_verify_mutated_fails_and_names_pair(tmp_path):
                 if c["check"] == "rep-bracket-mutated")
     assert not rep_row["passed"]
     assert "('K++', 'K+-')" in rep_row["detail"]
+
+
+def test_verify_lists_failing_exact_pairs_in_pair_order(tmp_path,
+                                                       monkeypatch):
+    # the order must not follow the string hashes, which vary by process
+    real = weyl.verify_embedding
+    monkeypatch.setattr(weyl, "verify_embedding", lambda *a, **kw: {
+        k: dict(v, exact=False) for k, v in real(*a, **kw).items()})
+    assert run(tmp_path, "verify", "--m", "1", "--ell", "0..0") == 1
+    report = json.loads((tmp_path / "verify.json").read_text())
+    row, = (c for c in report["checks"]
+            if c["check"] == "embedding-exact-sector")
+    failing = ast.literal_eval(row["detail"].split("failing=")[1])
+    order = [f"{x}|{y}" for x, y in u2h.GENERATOR_PAIRS]
+    assert len(failing) > 1 and failing == sorted(failing, key=order.index)
 
 
 def test_verify_reports_a_failed_irreducibility_witness(tmp_path, capsys,
@@ -433,7 +472,8 @@ _VALUES = ["", "a", "0", "-1", "3..1", "21", "nan", "inf", "1e155", "1e-3",
 @given(command=st.sampled_from(sorted(cli.COMMANDS)),
        flags=st.lists(st.tuples(st.sampled_from(_FLAGS),
                                 st.sampled_from(_VALUES)), max_size=4))
-def test_fuzzed_argv_exits_0_or_2_with_a_valid_config(command, flags):
+def test_fuzzed_argv_exits_0_or_2_with_a_valid_config(tmp_path_factory,
+                                                      command, flags):
     # the handlers are stubs: what is checked is the argument layer
     received = []
 
@@ -441,8 +481,9 @@ def test_fuzzed_argv_exits_0_or_2_with_a_valid_config(command, flags):
         received.append(cfg)
         return 0
 
+    out = tmp_path_factory.getbasetemp() / "unused"
     argv = [command, *(["path.json"] if command == "transport" else []),
-            *(x for flag in flags for x in flag), "--out", "unused"]
+            *(x for flag in flags for x in flag), "--out", str(out)]
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         mp.setitem(cli.COMMANDS, command,
