@@ -48,6 +48,10 @@ class RunConfig:
                               f"supported level m = {fock.M_MAX}")
         if self.ell_range[0] < 0 or self.ell_range[1] < self.ell_range[0]:
             raise ConfigError(f"invalid ell range {self.ell_range}")
+        if self.ell_range[1] > fock.ELL_MAX:
+            raise ConfigError(f"ell = {self.ell_range[1]} is above the "
+                              f"largest supported truncation "
+                              f"ell = {fock.ELL_MAX}")
         if self.tau_rep <= 0 or self.tau_sphere <= 0:
             raise ConfigError("tolerances must be positive")
         # the chart points of a step overflow from about h = 1e155
@@ -260,8 +264,7 @@ def cmd_verify(cfg):
 
     if cfg.mutate:
         rep_m = fock.build_rho(max(2, cfg.m_range[0]))
-        table = u2h.bracket_table("spinor", mutate=cfg.mutate)
-        br, pair = fock.verify_brackets(rep_m, table=table)
+        br, pair = fock.verify_brackets(rep_m, mutate=cfg.mutate)
         checks.append({"check": "rep-bracket-mutated",
                        "detail": f"failing pair {pair}",
                        "value": br, "threshold": cfg.tau_rep,

@@ -20,23 +20,19 @@ transition diag(tau, 1), which connection.gauge_matrix lifts to a level.
 
 import math
 import warnings
-from itertools import product
 
 import numpy as np
 
 from .quaternions import QCONJ, PatchError, qinv, qmul, qnorm
 from .tolerances import TAU_PATCH, TAU_SPHERE
-from .u2h import (SPINOR_GENERATORS, VECTOR_GENERATORS, VECTOR_IN_SPINOR,
-                  bracket_table, complex_array)
+from .u2h import basis_maps, float_image, structure_constants
 
 # _SPINOR[a, g]: coefficient of spinor generator g in vector generator a, so
 # components10 rows c pair with the spinor generators as c @ _SPINOR
-_SPINOR = complex_array(VECTOR_IN_SPINOR, VECTOR_GENERATORS,
-                        SPINOR_GENERATORS)
+_SPINOR = float_image(basis_maps()[1])
 # _BRACKET[a, b, c]: coefficient of vector generator a in [b, c] (all real)
-_BRACKET = complex_array(bracket_table("vector"),
-                         list(product(VECTOR_GENERATORS, repeat=2)),
-                         VECTOR_GENERATORS).real.T.reshape(10, 10, 10)
+_BRACKET = np.ascontiguousarray(np.moveaxis(
+    float_image(structure_constants("vector")).real, 2, 0))
 
 
 def _warn_if_off(viol, constraint, action):

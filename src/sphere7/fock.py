@@ -25,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .rational import add_into
-from .u2h import (GENERATOR_PAIRS, REALITY_SPINOR, SPINOR_GENERATORS,
-                  VECTOR_IN_SPINOR, bracket_table, casimir_pairs,
-                  complex_array)
+from .u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
+                  basis_maps, casimir_pairs, exact_array, float_image,
+                  structure_constants)
 from .weyl import GENERATOR_TERMS
 
 GENERATOR_NAMES = SPINOR_GENERATORS
@@ -37,6 +37,12 @@ GENERATOR_NAMES = SPINOR_GENERATORS
 # (whole process, median of five); the bound is transport's, whose RK4
 # holds dense D x D buffers (D = 1540 at M = 20, about a second per step).
 M_MAX = 20
+
+# Largest truncation order `verify` and `table` run.  The formal embedding
+# and its classical mirror took 15.9 + 1.7 s at ell = 8, 56 + 4.9 s at
+# ell = 10 and 170 + 9.9 s at ell = 12 on 2 vCPUs (one run each), roughly
+# doubling with each ell.
+ELL_MAX = 12
 
 # Largest level `dump-rep --format json` writes.  The JSON dump holds every
 # generator's dense nested lists at once: on 2 vCPUs it peaked at 109 / 246
@@ -291,14 +297,15 @@ _BLOCK_TERMS = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _bracket_coefficients():
-    return complex_array(bracket_table("spinor"), GENERATOR_PAIRS,
-                         GENERATOR_NAMES)
+def _bracket_coefficients(mutate=None):
+    """Row p: the coefficients of [x, y] for the p-th pair {x, y}."""
+    num, den = structure_constants("spinor", mutate)
+    return float_image((num[np.triu_indices(len(GENERATOR_NAMES), 1)], den))
 
 
 @lru_cache(maxsize=None)
 def _reality_coefficients():
-    return complex_array(REALITY_SPINOR, GENERATOR_NAMES, GENERATOR_NAMES)
+    return float_image(basis_maps()[2])
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +317,7 @@ def _casimir_weights():
         for x, cx in VECTOR_IN_SPINOR[ga].items():
             add_into(w[x], ((y, cx * cy * coeff)
                             for y, cy in VECTOR_IN_SPINOR[gb].items()))
-    return complex_array(w, GENERATOR_NAMES, GENERATOR_NAMES)
+    return float_image(exact_array(w, GENERATOR_NAMES, GENERATOR_NAMES))
 
 
 def _stored(mat):
@@ -389,16 +396,16 @@ def _residuals(pos, second, val, coeffs, entries, left, d):
     return res
 
 
-def verify_brackets(rep, table=None):
-    """(max residual, worst pair) of [rho X, rho Y] = rho([X, Y]).
+def verify_brackets(rep, mutate=None):
+    """(max residual, worst pair) of [rho X, rho Y] = rho([X, Y]), the
+    brackets those of u2h.bracket_table("spinor", mutate).
 
     The worst pair is the first in combinations order with the maximal
     residual, None when every residual is zero.
     """
     entries, d = _entries(rep)
     g, i, j, v = entries
-    coeffs = (_bracket_coefficients() if table is None
-              else complex_array(table, GENERATOR_PAIRS, GENERATOR_NAMES))
+    coeffs = _bracket_coefficients(mutate)
     res = np.zeros(len(GENERATOR_PAIRS))
     for a, b, left in _product_blocks(
             entries, d, ~np.eye(len(GENERATOR_NAMES), dtype=bool)):

@@ -24,15 +24,32 @@ Spinor generator names use two sign characters: "J++", "J+-", "J--" (the
 undotted symmetric pair), "P++" .. "P--" (first sign undotted, second dotted),
 "K++", "K+-", "K--" (dotted symmetric pair).  All coefficients are exact
 complex rationals; every identity checked here is checked exactly.
+
+An exact array is a pair (num, den): an int64 array num whose last axis holds
+real and imaginary numerators, over one positive int den.
+structure_constants gives f[a, b, c], the coefficient of generator c in
+[a, b]; basis_maps gives S = SPINOR_IN_VECTOR, S^-1 = VECTOR_IN_SPINOR and
+R = REALITY_SPINOR, row g the image of generator g.  The exact checks are
+integer einsum contractions of these: verify_jacobi sums f[y, z, d] f[x, d, e]
+over d with its two cyclic terms, cross_basis_residual compares f S with S S f
+in both bases, and reality_bracket_residual conj(f) R with -R R f.
+
+int64 cannot wrap in them: exact_array refuses a numerator or denominator
+above ENTRY_MAX = 2**10.  The largest number a check forms is an entry of
+f m - m m f (20 real products of two entries against 400 of three) brought to
+a common denominator by at most two more denominators: a sum of at most 420
+products of at most five factors, so it, its |re| + |im| and every partial sum
+stay below 2 * 420 * 2**50 < 2**60.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 
-from .quaternions import qmatmul
+from .quaternions import QMUL, qmatmul
 from .rational import (I, ZERO, CRat, Combination, add_into, crat,
                        frac_mat_inverse)
 
@@ -94,6 +111,48 @@ class LieElement(Combination):
         if not self.terms:
             return "0"
         return " + ".join(f"({c})*{g}" for g, c in sorted(self.terms.items()))
+
+
+# _GMUL[a, b]: the components of e_a e_b for (e_0, e_1) = (1, i), the
+# quaternion table on its complex subalgebra
+_GMUL = QMUL.reshape(4, 4, 4)[:2, :2, :2]
+ENTRY_MAX = 2 ** 10
+
+
+def _checked(num, den):
+    """The read-only exact array (num, den) of a table; OverflowError when
+    an entry is above ENTRY_MAX, past which int64 contractions could wrap."""
+    if max(den, np.abs(num).max(initial=0)) > ENTRY_MAX:
+        raise OverflowError(f"exact table entry above {ENTRY_MAX}")
+    num = np.ascontiguousarray(num)
+    num.flags.writeable = False
+    return num, den
+
+
+def exact_array(table, rows, cols):
+    """The exact table {row: {col: CRat}} on the given rows and columns as
+    an exact array over the lcm of its denominators; an absent entry is
+    zero."""
+    at = {c: k for k, c in enumerate(cols)}
+    items = [(r, at[c], v.re, v.im) for r, row in enumerate(rows)
+             for c, v in table[row].items()]
+    den = lcm(*(x.denominator for *_, re, im in items for x in (re, im)))
+    num = np.zeros((len(rows), len(cols), 2), dtype=np.int64)
+    for r, c, re, im in items:
+        num[r, c] = int(re * den), int(im * den)
+    return _checked(num, den)
+
+
+def float_image(x):
+    """The complex floats of an exact array (num, den), each part num / den."""
+    return (x[0] / x[1]).view(complex)[..., 0]
+
+
+def _contract(spec, x, y):
+    """The einsum spec of two numerator arrays and _GMUL, their
+    Gaussian-integer product; x meets _GMUL first."""
+    return np.einsum(spec, x, y, _GMUL,
+                     optimize=["einsum_path", (0, 2), (0, 1)])
 
 
 def _build_spinor_table():
@@ -162,20 +221,28 @@ def _vector_matrices():
     return out.reshape(10, 2, 2, 4)
 
 
-def _vector_table(mats):
-    """Brackets [X, Y] = (AB - BA)/4 of the matrices A = 2X, B = 2Y in
-    mats, in integer arithmetic, as {(g1, g2): {gen: CRat}}."""
+def _vector_constants(mats):
+    """The structure constants of the matrices A = 2X in mats, from
+    [X, Y] = (AB - BA)/4 in integer arithmetic, as an exact array over 2."""
     ab = qmatmul(mats[:, None], mats[None, :])
     # AB - BA = 2 sum_c f_c (2 X_c) for [X, Y] = sum_c f_c X_c
     twice = (ab - ab.swapaxes(0, 1)).reshape(10, 10, 16)[..., _SLOTS]
-    return {(g1, g2): {g: crat(Fraction(int(f), 2))
-                       for g, f in zip(VECTOR_GENERATORS, twice[a, b]) if f}
+    return _checked(np.stack([twice, 0 * twice], axis=-1), 2)
+
+
+def _vector_table(f):
+    """The real structure constants f as {(g1, g2): {gen: CRat}}."""
+    num, den = f
+    return {(g1, g2): {g: crat(Fraction(int(x), den))
+                       for g, x in zip(VECTOR_GENERATORS, num[a, b, :, 0])
+                       if x}
             for a, g1 in enumerate(VECTOR_GENERATORS)
             for b, g2 in enumerate(VECTOR_GENERATORS)}
 
 
 _SPINOR_TABLE = _build_spinor_table()
-_VECTOR_TABLE = _vector_table(_vector_matrices())
+_VECTOR_F = _vector_constants(_vector_matrices())
+_VECTOR_TABLE = _vector_table(_VECTOR_F)
 
 # spinor generators written in the vector basis, (re, im) coefficients
 SPINOR_IN_VECTOR = {k: {g: crat(c) for g, c in v.items()} for k, v in {
@@ -197,17 +264,6 @@ VECTOR_IN_SPINOR = {
     for v, row in zip(VECTOR_GENERATORS, frac_mat_inverse(
         [[SPINOR_IN_VECTOR[s].get(v, ZERO) for v in VECTOR_GENERATORS]
          for s in SPINOR_GENERATORS]))}
-
-
-def complex_array(table, rows, cols):
-    """The exact table {row: {col: CRat}} on the given rows and columns as
-    a complex array; an absent entry is zero."""
-    at = {c: k for k, c in enumerate(cols)}
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for r, row in enumerate(rows):
-        for c, v in table[row].items():
-            out[r, at[c]] = v.to_complex()
-    return out
 
 
 def bracket_table(basis="spinor", mutate=None):
@@ -245,25 +301,41 @@ def bracket(x, y, table=None):
     return LieElement(out, x.basis)
 
 
+def structure_constants(basis="spinor", mutate=None):
+    """f[a, b, c], the coefficient of generator c in [a, b], as an exact
+    array of shape (10, 10, 10, 2); mutate as in bracket_table."""
+    if basis == "vector" and mutate is None:
+        return _VECTOR_F
+    return _constants(basis, mutate)
+
+
+@cache
+def _constants(basis, mutate):
+    gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
+    num, den = exact_array(bracket_table(basis, mutate),
+                           list(product(gens, repeat=2)), gens)
+    return num.reshape(10, 10, 10, 2), den
+
+
 def verify_jacobi(basis="spinor", mutate=None):
     """Max residual of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] over generator triples.
 
-    Returns (max_residual, worst_triple); the residual is exactly zero for the
-    genuine tables.
+    Returns (max_residual, worst_triple), the worst triple the first in
+    combinations order with the largest residual; the residual is exactly
+    zero for the genuine tables, and the triple then None.
     """
     gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
-    table = bracket_table(basis, mutate)
-    worst = Fraction(0)
-    worst_triple = None
-    for a, b, c in combinations(gens, 3):
-        ea, eb, ec = (LieElement.gen(g, basis) for g in (a, b, c))
-        res = (bracket(ea, bracket(eb, ec, table), table)
-               + bracket(eb, bracket(ec, ea, table), table)
-               + bracket(ec, bracket(ea, eb, table), table))
-        r = res.max_abs()
-        if r > worst:
-            worst, worst_triple = r, (a, b, c)
-    return worst, worst_triple
+    f, den = structure_constants(basis, mutate)
+    triples = list(combinations(range(len(gens)), 3))
+    x, y, z = np.array(triples).T
+    # [A, [B, C]] = sum over d, e of f[b, c, d] f[a, d, e] g_e
+    r = np.abs(sum(_contract("tdi,tdej,ijk->tek", f[b, c], f[a])
+                   for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+               ).sum(axis=2).max(axis=1)
+    k = int(np.argmax(r))
+    if not r[k]:
+        return Fraction(0), None
+    return Fraction(int(r[k]), den * den), tuple(gens[i] for i in triples[k])
 
 
 def reality(x):
@@ -297,6 +369,16 @@ def basis_change(x, to):
 # carried over from X^dagger = -X on the vector basis
 REALITY_SPINOR = {g: basis_change(reality(basis_change(
     LieElement.gen(g), "vector")), "spinor").terms for g in SPINOR_GENERATORS}
+
+
+@cache
+def basis_maps():
+    """(S, S^-1, R): SPINOR_IN_VECTOR, VECTOR_IN_SPINOR and REALITY_SPINOR as
+    10 x 10 exact arrays, row g the image of generator g."""
+    return tuple(exact_array(table, rows, cols) for table, rows, cols in (
+        (SPINOR_IN_VECTOR, SPINOR_GENERATORS, VECTOR_GENERATORS),
+        (VECTOR_IN_SPINOR, VECTOR_GENERATORS, SPINOR_GENERATORS),
+        (REALITY_SPINOR, SPINOR_GENERATORS, SPINOR_GENERATORS)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +496,25 @@ def casimir_pairs():
                  for b, gb in enumerate(VECTOR_GENERATORS) if binv[a][b] != 0)
 
 
+def _max_abs(x, y):
+    """The largest |re| + |im| (CRat's abs) over the entries of x - y, two
+    exact arrays, as a Fraction."""
+    (a, p), (b, q) = x, y
+    d = lcm(p, q)
+    return Fraction(int(np.abs(a * (d // p) - b * (d // q)).sum(-1).max()), d)
+
+
+def _image(f, m):
+    """sum over c of f[a, b, c] m[c]: each bracket mapped through m."""
+    return _contract("abci,cdj,ijk->abdk", f[0], m[0]), f[1] * m[1]
+
+
+def _bracket_of_images(m, f):
+    """sum over x, y of m[a, x] m[b, y] f[x, y]: [m a, m b] in the table f."""
+    inner = _contract("byi,xydj,ijk->bxdk", m[0], f[0])
+    return _contract("axi,bxdj,ijk->abdk", m[0], inner), m[1] ** 2 * f[1]
+
+
 def cross_basis_residual():
     """Exact max deviation between brackets computed in either basis.
 
@@ -421,30 +522,15 @@ def cross_basis_residual():
     is mapped to the vector basis and compared against the bracket of the
     mapped arguments computed with the vector table, and vice versa.
     """
-    worst = Fraction(0)
-    for g1 in SPINOR_GENERATORS:
-        for g2 in SPINOR_GENERATORS:
-            e1, e2 = LieElement.gen(g1), LieElement.gen(g2)
-            spin = basis_change(bracket(e1, e2), "vector")
-            vect = bracket(basis_change(e1, "vector"), basis_change(e2, "vector"))
-            worst = max(worst, (spin - vect).max_abs())
-    for g1 in VECTOR_GENERATORS:
-        for g2 in VECTOR_GENERATORS:
-            e1 = LieElement.gen(g1, "vector")
-            e2 = LieElement.gen(g2, "vector")
-            vect = basis_change(bracket(e1, e2), "spinor")
-            spin = bracket(basis_change(e1, "spinor"), basis_change(e2, "spinor"))
-            worst = max(worst, (vect - spin).max_abs())
-    return worst
+    s, s_inv, _ = basis_maps()
+    fs, fv = structure_constants("spinor"), structure_constants("vector")
+    return max(_max_abs(_image(fs, s), _bracket_of_images(s, fv)),
+               _max_abs(_image(fv, s_inv), _bracket_of_images(s_inv, fs)))
 
 
 def reality_bracket_residual():
-    """Exact check that the involution antiautomorphizes the bracket."""
-    worst = Fraction(0)
-    table = bracket_table("spinor")
-    for g1 in SPINOR_GENERATORS:
-        for g2 in SPINOR_GENERATORS:
-            lhs = reality(LieElement(table[(g1, g2)]))
-            rhs = bracket(reality(g1), reality(g2)).scale(-1)
-            worst = max(worst, (lhs - rhs).max_abs())
-    return worst
+    """Exact check that the involution antiautomorphizes the bracket:
+    [X, Y]^dagger = -[X^dagger, Y^dagger], the involution conjugate-linear."""
+    (f, den), r = structure_constants("spinor"), basis_maps()[2]
+    rhs, d = _bracket_of_images(r, (f, den))
+    return _max_abs(_image((f * [1, -1], den), r), (-rhs, d))

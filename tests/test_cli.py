@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sphere7 import cli, u2h, weyl
 from sphere7.cli import main
-from sphere7.fock import M_MAX, build_rho, load_representation
+from sphere7.fock import ELL_MAX, M_MAX, build_rho, load_representation
 
 
 def run(tmp_path, *args):
@@ -51,6 +51,12 @@ def test_verify_invalid_m(tmp_path):
     # the chart points of a step overflow from about h = 1e155
     (("eds-check", "--h", "1e155"), "h must be in (0, 1), got 1e+155"),
     (("verify", "--mutate", "xyz"), "mutate must be k-bracket, got 'xyz'"),
+    (("verify", "--m", "1..1", "--ell", f"0..{ELL_MAX + 1}"),
+     f"ell = {ELL_MAX + 1} is above the largest supported truncation "
+     f"ell = {ELL_MAX}"),
+    (("table", "--m", "1..1", "--ell", f"{ELL_MAX + 1}..{ELL_MAX + 1}"),
+     f"ell = {ELL_MAX + 1} is above the largest supported truncation "
+     f"ell = {ELL_MAX}"),
 ])
 def test_config_out_of_range(tmp_path, capsys, args, message):
     assert run(tmp_path, *args) == 2

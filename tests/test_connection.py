@@ -16,7 +16,7 @@ from sphere7.connection import (PathSpec, connection_matrix,
 from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
                           conjugation, dim)
 from sphere7.quaternions import qlog, transition_tau
-from sphere7.u2h import VECTOR_IN_SPINOR, complex_array
+from sphere7.u2h import basis_maps, float_image
 
 
 def test_trivial_level_connection():
@@ -345,7 +345,7 @@ def test_coarse_loop_through_x_zero(steps):
 def _expm_gauge(m, p):
     """gauge_matrix(m, p) through scipy.linalg.expm on dense generators."""
     rep = build_rho(m)
-    rows = complex_array(VECTOR_IN_SPINOR, ("j1", "j2", "j3"), GENERATOR_NAMES)
+    rows = float_image(basis_maps()[1])[:3]     # j1, j2, j3
     j1, j2, j3 = [sum(c * rep[g].toarray() for c, g in zip(r, GENERATOR_NAMES))
                   for r in rows]
     q1, q2, q3 = qlog(transition_tau(p))[1:]
