@@ -17,20 +17,16 @@ count, and parallel_transport(path, m) integrates
     U'(t) = -A(gamma'(t)) U(t),  U(0) = Id,  0 <= t <= 1
 
 with RK4 in those steps, switching trivialization when the s-patch
-coordinate gets small.  A TransportResult holds the one unitary U of a
-path, and every Born probability |<psi_f, U psi_i>|^2 (normalized) is read
-from it.
+coordinate gets small.  Level m is Sym^(m-1) of level 2, so RK4 runs on the
+4 x 4 level-2 connection only, and fock.sym_power lifts its result, gauge
+switches included, to level m.  A TransportResult holds the one unitary U
+of a path, and every Born probability |<psi_f, U psi_i>|^2 (normalized) is
+read from it.
 
 The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
 a 10-term combination of short rows scattered into zeros.  The transition
 unitaries come from a Hermitian eigendecomposition (fock.exponentiate).
-
-Level m carries the antiunitary J of fock.conjugation, which commutes with
-every real multiple of a level matrix, hence with each RK4 step and each
-transition unitary.  Transport therefore integrates only the columns j with
-j <= sigma(j), about half of them, and fills the others from
-U[sigma i, sigma j] = s_i s_j conj(U[i, j]) at the end.
 """
 
 import math
@@ -41,7 +37,7 @@ import numpy as np
 from .coframe import (_SPINOR, Chart, SpherePoint, TangentVector, _pullback,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _entries, build_rho, build_rho_partial,
-                   conjugation, dim, exponentiate)
+                   dim, exponentiate, sym_power)
 from .quaternions import qlog, transition_tau
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
@@ -68,8 +64,10 @@ def _rho_stack(m, ell=None, domain_m=None):
 
 
 def _scatter(flat, values, shape):
-    out = np.zeros(shape, dtype=complex)
-    out.reshape(-1)[flat] = values
+    """Matrices of the given shape, zero off the flat indices; values holds
+    their entries there in its last axis."""
+    out = np.zeros((*values.shape[:-1], *shape), dtype=complex)
+    out.reshape(*values.shape[:-1], -1)[..., flat] = values
     return out
 
 
@@ -322,64 +320,26 @@ def _node_coefficients(p8, u8, north):
     return out
 
 
-def _complete(cols, sigma, sign, keep):
-    """The D x D operator U whose columns keep are cols, the others filled
-    from U[a, sigma j] = s_a s_(sigma j) conj(U[sigma a, j]), with sigma and
-    s = sign from fock.conjugation."""
-    out = np.empty((len(sigma), len(sigma)), dtype=complex)
-    out[:, keep] = cols
-    pair = sigma[keep] != keep
-    fill = sigma[keep[pair]]
-    out[:, fill] = np.outer(sign, sign[fill]) * cols[sigma][:, pair].conj()
-    return out
+def _level2_transport(path, start_frame):
+    """RK4 for the 4 x 4 level-2 connection in the path's steps: the
+    transport matrix, expressed in the frame it starts in, the switch log
+    and that frame.
 
-
-def parallel_transport(path, m, *, start_frame=None):
-    """Integrate the exact flat connection along a path with fixed-step RK4,
-    in the path's steps on [0, 1].
-
-    Frames switch between the two trivializing patches when the active
-    coordinate drops below PATCH_SWITCH_LEVEL at one of a step's RK nodes;
-    the switch happens at the start of that step, conjugates the
-    accumulated operator by the transition unitary and is logged.
-    Transports compose, U(g2 after g1) = U(g2) U(g1), when computed in
-    matching frames; start_frame pins the trivialization (default: the
-    larger coordinate at the start point).  The operator is not reprojected
-    onto the unitary group; its drift is reported as a diagnostic.
-
-    The node geometry and generator coefficients of up to _BLOCK_STEPS steps
-    are computed at once.  Each node's (h/2)(-A) is scattered onto the
-    connection's nonzero pattern in one of three D x D buffers, whose zeros
-    off the pattern are never touched; the end node of a step is the start
-    node of the next.  The operator is carried as its columns j <= sigma(j)
-    of fock.conjugation, D/2 of them for even m and (D + (m+1)/2)/2 for odd
-    m, in a C-contiguous D x |keep| array; the RK4 stages run in place on
-    three more of that shape, and the gauge switches multiply it from the
-    left.  The other columns are filled from the conjugation before the
-    final frame change.  This is the full-column integrator exactly, since
-    every step commutes with J.
+    Each block of up to _BLOCK_STEPS steps evaluates its node geometry and
+    generator coefficients at once, and forms every step's RK4 increment
+    inc from B = (h/2)(-A) at its three nodes; a step is then
+    U <- U + inc U, and a switch one product with a transition unitary.
     """
     steps = path.steps
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    d = dim(m)
-    flat, vals, _ = _rho_stack(m)
-    sigma, sign = conjugation(m)
-    keep = np.flatnonzero(np.arange(d) <= sigma)
+    flat, vals, _ = _rho_stack(2)
     h = 1.0 / steps
     vals = (h / 2) * vals          # nodes carry B = (h/2)(-A)
     frame = start_frame or preferred_patch(path.point(0.0))
     start_frame = frame
     switches = []
-    u_op = np.zeros((d, len(keep)), dtype=complex)     # the columns keep of U
-    u_op[keep, np.arange(len(keep))] = 1.0
-    # b0, bmid, b1: B at a step's three nodes; s, x, k: RK4 stages
-    b0, bmid, b1 = np.zeros((3, d, d), dtype=complex)
-    s, x, k = np.zeros((3, d, len(keep)), dtype=complex)
-    b1_valid = False   # b1 holds B at the previous step's end, in its frame
-
-    def assemble(out, c):
-        out.reshape(-1)[flat] = c @ vals
+    u_op = np.eye(4, dtype=complex)
 
     for k0 in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - k0)
@@ -391,47 +351,55 @@ def parallel_transport(path, m, *, start_frame=None):
         # switches, and is then evaluated again
         coeff = _node_coefficients(p8, u8,
                                    np.repeat(north + north[-1:], 2)[:-1])
+        end = coeff[2::2].copy()
+        again = np.flatnonzero(switched[1:])
+        end[again] = _node_coefficients(p8[2 * again + 2], u8[2 * again + 2],
+                                        np.array(north)[again])
+        b0, bmid, b1 = (_scatter(flat, c @ vals, (4, 4))
+                        for c in (coeff[:-1:2], coeff[1::2], end))
+        # with kj the RK4 slopes, (h/2) k2 = p U and (h/2) k3 = q U; the
+        # step adds (h/6)(k1 + 2 k2 + 2 k3 + k4) = inc U
+        p = bmid + bmid @ b0
+        q = bmid + bmid @ p
+        inc = (b0 + 2 * p + 2 * q + b1 + 2 * (b1 @ q)) / 3
         for i in range(n):
             if switched[i]:
                 new_frame = "n" if north[i] else "s"
-                g = gauge_matrix(m, SpherePoint.from_array8(p8[2 * i]))
+                g = gauge_matrix(2, SpherePoint.from_array8(p8[2 * i]))
                 u_op = (g.conj().T @ u_op) if frame == "s" else (g @ u_op)
                 switches.append((float(nodes[2 * i]), frame, new_frame))
                 frame = new_frame
-                b1_valid = False
-            if b1_valid:
-                b0, b1 = b1, b0
-            else:
-                assemble(b0, coeff[2 * i])
-            assemble(bmid, coeff[2 * i + 1])
-            j = 2 * i + 2
-            assemble(b1, coeff[j] if i + 1 == n or not switched[i + 1] else
-                     _node_coefficients(p8[j:j + 1], u8[j:j + 1],
-                                        np.array(north[i:i + 1]))[0])
-            b1_valid = True
-            # with kj the RK4 slopes: s = (h/2)(k1 + 2 k2 + 2 k3 + k4)
-            np.matmul(b0, u_op, out=s)
-            np.add(u_op, s, out=x)
-            np.matmul(bmid, x, out=k)
-            np.add(u_op, k, out=x)
-            k *= 2
-            s += k
-            np.matmul(bmid, x, out=k)
-            k *= 2
-            s += k
-            np.add(u_op, k, out=x)
-            np.matmul(b1, x, out=k)
-            s += k
-            s /= 3
-            u_op += s
+            u_op += inc[i] @ u_op
 
-    u_op = _complete(u_op, sigma, sign, keep)
-    end_frame = frame
-    if end_frame != start_frame:
+    if frame != start_frame:
         # express the result in the frame the path started in (the endpoint
         # must lie in the overlap for this to be meaningful)
-        g = gauge_matrix(m, path.point(1.0))
-        u_op = (g @ u_op) if end_frame == "n" else (g.conj().T @ u_op)
-        end_frame = start_frame
-    res = float(np.max(np.abs(u_op.conj().T @ u_op - np.eye(d))))
-    return TransportResult(u_op, res, steps, switches, start_frame, end_frame)
+        g = gauge_matrix(2, path.point(1.0))
+        u_op = (g @ u_op) if frame == "n" else (g.conj().T @ u_op)
+    return u_op, switches, start_frame
+
+
+def parallel_transport(path, m, *, start_frame=None):
+    """Integrate the exact flat connection along a path with fixed-step RK4,
+    in the path's steps on [0, 1].
+
+    Level m is Sym^(m-1) of level 2, and the level-m transport is the
+    symmetric power of the level-2 one (fock.sym_power), gauge switches
+    included.  So RK4 runs once, on the 4 x 4 level-2 connection, and its
+    result is lifted to level m.  Frames switch between the two
+    trivializing patches when the active coordinate drops below
+    PATCH_SWITCH_LEVEL at one of a step's RK nodes; the switch happens at
+    the start of that step, conjugates the accumulated operator by the
+    transition unitary and is logged.  Transports compose,
+    U(g2 after g1) = U(g2) U(g1), when computed in matching frames;
+    start_frame pins the trivialization (default: the larger coordinate at
+    the start point).  The operator is not reprojected onto the unitary
+    group; its drift max |U^H U - I|, read as the lift of the level-2
+    U^H U, is reported as a diagnostic.
+    """
+    d = dim(m)
+    u2, switches, start_frame = _level2_transport(path, start_frame)
+    drift = sym_power(u2.conj().T @ u2, m)
+    drift.flat[::d + 1] -= 1.0
+    return TransportResult(sym_power(u2, m), float(np.max(np.abs(drift))),
+                           path.steps, switches, start_frame, start_frame)

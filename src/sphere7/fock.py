@@ -34,8 +34,8 @@ GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
 # 2 vCPUs measured 41 MiB / 0.3 s at M = 12 and 47 MiB / 0.4 s at M = 20
-# (whole process, median of five); the bound is transport's, whose RK4
-# holds dense D x D buffers (D = 1540 at M = 20, about a second per step).
+# (whole process, median of five); the bound is transport's dense level-m
+# matrix: a 2000-step loop at M = 20 (D = 1540) took 1.3-2.0 s, 160 MiB.
 M_MAX = 20
 
 # Largest truncation order `verify` and `table` run.  The formal embedding
@@ -93,6 +93,63 @@ def _rank(n1, n2, n3):
     below total t, n1 (t + 1) - n1 (n1 - 1)/2 below n1 within it."""
     t = n1 + n2 + n3
     return t * (t + 1) * (t + 2) // 6 + n1 * (t + 1) - n1 * (n1 - 1) // 2 + n2
+
+
+# columns of a level that sym_power fills at once: the slice of the level
+# below that they read stays in cache
+_LIFT_COLUMNS = 32
+
+
+@lru_cache(maxsize=None)
+def _lowered(m):
+    """The states of level m as sym_power reads them: for each state the
+    mode j of its largest occupation k_j, the position of k - e_j in
+    basis(m - 1) and 1/sqrt(k_j); and for each mode i the states with
+    k_i > 0, sqrt(k_i) on them (a column) and the positions of k - e_i."""
+    n = np.array(basis(m)).T
+    k = np.stack([m - 1 - n.sum(axis=0), n[2], n[1], n[0]])
+    drop = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    down = _rank(*(n[None] - drop[:, :, None]).transpose(1, 0, 2))
+    j = np.argmax(k, axis=0)
+    col = np.arange(len(j))
+    modes = [(rows, np.sqrt(ki[rows])[:, None], di[rows])
+             for ki, di in zip(k, down) for rows in [np.flatnonzero(ki)]]
+    return j, down[j, col], 1.0 / np.sqrt(k[j, col]), modes
+
+
+def sym_power(u, m):
+    """The matrix of Gamma(u) on level m = Sym^(m-1) C^4, in basis(m) order,
+    for a 4 x 4 matrix u of level 2.
+
+    State (n1, n2, n3) has the occupations k = (m-1-n1-n2-n3, n3, n2, n1),
+    so level-2 index i is mode i.  Gamma(u) sends a_j^dagger to
+    sum_i u[i, j] a_i^dagger, so each level follows from the one below,
+    _LIFT_COLUMNS columns at a time:
+
+        U_m[k', k] = sum_i u[i, j] sqrt(k'_i / k_j) U_(m-1)[k' - e_i, k - e_j]
+
+    for any j with k_j > 0, here the largest.  Gamma is multiplicative and
+    Gamma(u^H) = Gamma(u)^H (Bargmann, Commun. Pure Appl. Math. 14, 187
+    (1961)).
+    """
+    dim(m)
+    u = np.asarray(u, dtype=complex)
+    out = u.copy() if m > 1 else np.ones((1, 1), dtype=complex)
+    for level in range(3, m + 1):
+        j, src, scale, modes = _lowered(level)
+        d = len(j)
+        new = np.empty((d, d), dtype=complex)
+        for c in range(0, d, _LIFT_COLUMNS):
+            cs = slice(c, c + _LIFT_COLUMNS)
+            w = out[:, src[cs]] * scale[cs]
+            acc = np.zeros((d, w.shape[1]), dtype=complex)
+            for ui, (rows, root, down) in zip(u[:, j[cs]], modes):
+                term = (w * ui)[down]
+                term *= root
+                acc[rows] += term
+            new[:, cs] = acc
+        out = new
+    return out
 
 
 def _apply_words(words, occ, cod_m, sides=(), s=None):

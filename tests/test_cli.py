@@ -307,7 +307,8 @@ def test_transport_malformed(tmp_path, capsys):
                                           "y": [0, 0, 0, 0]},
       "direction": [0, 0, 0, 0, 1, 0, 0, 0], "steps": 4},
      "4 steps are too coarse"),
-    # RK4 diverges: residual 5e37, probability 1e32 before the guard
+    # the level-2 drift of 3.3e-3 grows about (m-1)-fold in the lift to
+    # m = 12: residual 3.6e-2
     ({"type": "great_circle_loop", "at": {"x": [0.6, 0.8, 0, 0],
                                           "y": [0, 0, 0, 0]},
       "direction": [0, 0, 0, 0, 0.3, 0.1, 0.5, 0.2], "m": 12, "steps": 12,

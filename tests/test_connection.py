@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
 from sphere7.connection import (PathSpec, connection_matrix,
                                 curvature_residual, gauge_matrix,
                                 parallel_transport)
-from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial,
-                          conjugation, dim)
+from sphere7.fock import (GENERATOR_NAMES, basis, build_rho,
+                          build_rho_partial, conjugation, dim, sym_power)
 from sphere7.quaternions import qlog, transition_tau
 from sphere7.u2h import basis_maps, float_image
 
@@ -385,6 +386,51 @@ def _reference_transport(path, m, frame="s", switches=()):
     return u_op
 
 
+def _tensor_lift(u, m):
+    """P^H u^(x)(m-1) P, P the isometry of basis(m) onto the normalized
+    symmetric tensors of (C^4)^(m-1) (Fulton-Harris, Representation Theory,
+    1991, 6.1).  State (n1, n2, n3) has the mode counts
+    k = (m-1-n1-n2-n3, n3, n2, n1); its tensor is sqrt(k! / (m-1)!) times
+    the sum of the words with those counts."""
+    n = m - 1
+    big = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        big = np.kron(big, u)
+    words = np.array(list(itertools.product(range(4), repeat=n)))
+    counts = (words[:, :, None] == np.arange(4)).sum(axis=1)
+    state = {(n - n1 - n2 - n3, n3, n2, n1): i
+             for i, (n1, n2, n3) in enumerate(basis(m))}
+    p = np.zeros((len(words), dim(m)))
+    for w, k in enumerate(map(tuple, counts.tolist())):
+        p[w, state[k]] = math.sqrt(math.prod(map(math.factorial, k))
+                                   / math.factorial(n))
+    return p.T @ big @ p
+
+
+def _lifted_reference(path, m, frame="s", switches=()):
+    """The level-2 reference transport, lifted to level m by _tensor_lift."""
+    ref = _reference_transport(path, 2, frame, switches)
+    return ref if m == 2 else _tensor_lift(ref, m)
+
+
+def _switching_loop(steps):
+    """A great-circle loop through x = 0 and y = 0: it switches patch four
+    times."""
+    p0 = SpherePoint([0.6, 0.8, 0, 0], [0, 0, 0, 0])
+    return PathSpec.great_circle_loop(p0, [0, 0, 0, 0, 1., 0.5, 0, 0.2],
+                                      steps)
+
+
+def test_tensor_lift_is_an_isometry_and_matches_sym_power():
+    rng = np.random.default_rng(31)
+    for m in range(1, 6):
+        assert np.max(np.abs(_tensor_lift(np.eye(4), m)
+                             - np.eye(dim(m)))) < 1e-14
+        u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u /= np.linalg.norm(u, 2)
+        assert np.max(np.abs(sym_power(u, m) - _tensor_lift(u, m))) < 1e-14
+
+
 def _conjugation_defect(u, m):
     """max |U[sigma i, sigma j] - s_i s_j conj(U[i, j])| (fock.conjugation)."""
     sigma, sign = conjugation(m)
@@ -423,7 +469,7 @@ def test_batched_transport_matches_per_node_reference(monkeypatch, block,
     path = make_path(150)
     res = parallel_transport(path, m)
     assert res.switches == [] and res.start_frame == "s"
-    ref = _reference_transport(path, m)
+    ref = _lifted_reference(path, m)
     assert np.max(np.abs(res.matrix - ref)) < 1e-12
     assert _conjugation_defect(res.matrix, m) < 1e-13
 
@@ -431,19 +477,18 @@ def test_batched_transport_matches_per_node_reference(monkeypatch, block,
 @pytest.mark.parametrize("block", [None, 7])
 def test_switching_transport_matches_per_node_reference(monkeypatch, block):
     # a loop through x = 0 switches patch four times; with 7-step blocks the
-    # switches fall inside blocks and on their first steps, so the node
-    # buffers rotate across switches, block ends and re-evaluated end nodes;
-    # even m are of quaternionic type, odd m of real type
+    # switches fall inside blocks and on their first steps, so end nodes are
+    # evaluated again across switches and block ends; even m are of
+    # quaternionic type, odd m of real type
     if block is not None:
         monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
-    p0 = SpherePoint([0.6, 0.8, 0, 0], [0, 0, 0, 0])
-    path = PathSpec.great_circle_loop(p0, [0, 0, 0, 0, 1., 0.5, 0, 0.2], 100)
+    path = _switching_loop(100)
     for m in (2, 3, 4, 5):
         res = parallel_transport(path, m)
         assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
                                                    ("s", "n"), ("n", "s")]
         assert res.start_frame == res.end_frame == "s"
-        ref = _reference_transport(path, m, switches=res.switches)
+        ref = _lifted_reference(path, m, switches=res.switches)
         assert np.max(np.abs(res.matrix - ref)) < 1e-12
         assert _conjugation_defect(res.matrix, m) < 1e-13
         for t, _, _ in res.switches:
@@ -473,10 +518,10 @@ def test_random_arc_transport_matches_per_node_reference(a, c, squeeze, part,
     path = PathSpec.great_circle(SpherePoint.from_array8(a),
                                  SpherePoint.from_array8(b), 40)
     res = parallel_transport(path, m)
-    ref = _reference_transport(path, m, frame=res.start_frame,
-                               switches=res.switches)
-    # 40 steps can leave RK4's stability region on a fast arc at m = 4, 5,
-    # and the operator then grows; the bounds hold relative to its size
+    ref = _lifted_reference(path, m, frame=res.start_frame,
+                            switches=res.switches)
+    # 40 steps can leave RK4's stability region on a fast arc, and the
+    # lifted operator then grows with m; the bounds hold relative to its size
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(res.matrix - ref)) < 1e-12 * scale
     assert _conjugation_defect(res.matrix, m) < 1e-13 * scale
@@ -505,3 +550,59 @@ def test_pattern_storage_matches_dense_assembly(m):
             want = _dense_assembly(u, build_rho_partial(m, ell + 1,
                                                         domain_m=dom))
             assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_vacuum_entry_is_a_power_of_the_level_2_one():
+    # the vacuum is Sym^(m-1) of level-2 index 0, so its amplitude is
+    # U_2[0, 0]^(m-1) on any path
+    path = PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
+                                 _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0, 0.2),
+                                 400)
+    u00 = parallel_transport(path, 2).matrix[0, 0]
+    assert abs(u00) < 0.99
+    for m in range(1, 9):
+        vac = parallel_transport(path, m).matrix[0, 0]
+        assert abs(vac - u00 ** (m - 1)) < 1e-14
+
+
+def _point(coords):
+    p8 = np.array(coords)
+    assume(min(np.linalg.norm(p8[:4]), np.linalg.norm(p8[4:])) > 0.1)
+    return SpherePoint.from_array8(p8 / np.linalg.norm(p8))
+
+
+@settings(deadline=None, max_examples=20)
+@given(_COORDS, _COORDS, _COORDS, st.integers(3, 6))
+def test_transport_composition_property(a, b, c, m):
+    # in the s frame at every end, U(b -> c) U(a -> b) = U(a -> c): the
+    # connection is flat and the sphere simply connected.  Arcs that come
+    # near x = 0 or y = 0 switch patch on the way, and there RK4 needs more
+    # steps; each leg at 1000 steps is within |U(500) - U(1000)| / 15 or so
+    # (fourth order), which bounds the composition defect
+    a, b, c = _point(a), _point(b), _point(c)
+    for p, q in ((a, b), (b, c), (a, c)):
+        assume(-0.9 < p.as_array8() @ q.as_array8() < 0.999)
+
+    def transport(p, q):
+        coarse, fine = (parallel_transport(PathSpec.great_circle(p, q, n), m,
+                                           start_frame="s").matrix
+                        for n in (500, 1000))
+        return fine, float(np.max(np.abs(coarse - fine)))
+
+    (ab, e_ab), (bc, e_bc), (ac, e_ac) = (transport(*leg) for leg in
+                                          ((a, b), (b, c), (a, c)))
+    assert np.max(np.abs(bc @ ab - ac)) < 1e-12 + e_ab + e_bc + e_ac
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_lift_is_within_the_level_m_rk4_error(m):
+    # level-m RK4 on the switching loop is off by about |ref(n) - ref(2n)|
+    # (fourth order), the lift of level-2 RK4 by far less, so they agree
+    # within twice that estimate
+    coarse, fine = _switching_loop(100), _switching_loop(200)
+    res = parallel_transport(coarse, m)
+    ref = _reference_transport(coarse, m, switches=res.switches)
+    ref2 = _reference_transport(
+        fine, m, switches=parallel_transport(fine, 2).switches)
+    estimate = float(np.max(np.abs(ref - ref2)))
+    assert 0 < np.max(np.abs(res.matrix - ref)) < 2 * estimate

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sphere7 import connection, fock
 from sphere7.coframe import random_point
@@ -13,7 +15,8 @@ from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
                           exponentiate, full_convergence_ell, k_spectrum,
                           load_representation, matrix_of_laurent,
                           partial_sum_distance, sqrt_series_value,
-                          verify_brackets, verify_reality, verify_traceless)
+                          sym_power, verify_brackets, verify_reality,
+                          verify_traceless)
 from sphere7.rational import CRat
 from sphere7.weyl import LaurentElement, WeylElement, embedded_generators
 
@@ -411,6 +414,42 @@ def test_exponentiate_matches_expm():
     x[3, 7] += 1e-3
     with pytest.raises(ValueError, match="not antihermitean"):
         exponentiate(x)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sym_power_exponentiates_the_generators(m):
+    # level m is Sym^(m-1) of level 2, so the lift of exp(t rho_2(X)) is
+    # exp(t rho_m(X)) for every generator, hermitean or not
+    low, rep = build_rho(2), build_rho(m)
+    for name in GENERATOR_NAMES:
+        for t in (0.3, -0.7):
+            want = scipy.linalg.expm(t * rep[name].toarray())
+            got = sym_power(scipy.linalg.expm(t * low[name].toarray()), m)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+_ENTRIES = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=32,
+                    max_size=32)
+
+
+def _matrix(entries):
+    """A complex 4 x 4 matrix of spectral norm 1, so that every level's lift
+    has entries of modulus at most 1."""
+    z = np.array(entries[:16]) + 1j * np.array(entries[16:])
+    z = z.reshape(4, 4)
+    norm = np.linalg.norm(z, 2)
+    assume(norm > 1e-3)
+    return z / norm
+
+
+@settings(deadline=None, max_examples=40)
+@given(_ENTRIES, _ENTRIES, st.integers(1, 6))
+def test_sym_power_is_multiplicative_and_keeps_adjoints(a, b, m):
+    a, b = _matrix(a), _matrix(b)
+    lift_a, lift_b = sym_power(a, m), sym_power(b, m)
+    assert lift_a.shape == (dim(m), dim(m))
+    assert np.max(np.abs(sym_power(a @ b, m) - lift_a @ lift_b)) < 1e-13
+    assert np.max(np.abs(sym_power(a.conj().T, m) - lift_a.conj().T)) < 1e-14
 
 
 def test_dump_load_roundtrip(tmp_path):
