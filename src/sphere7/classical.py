@@ -9,20 +9,24 @@ with fundamental brackets {z, zbar} = -i, {z^+_+., z^-_-.} = i,
 matches the quantum module, the naive replacement map classical -> quantum
 is the identity on exponent tuples.
 
-Only the product and the bracket are classical: the generator recipe, the
-number functions n = 2 zbar z and N = z^+_-. z^-_+. - z^+_+. z^-_-. and the
-45-pair report are those of the weyl module, run on this ring.  The
-commutative product orders nothing, so N carries no ordering constant.
+Only the product and the bracket rule are classical: the generator recipe,
+the number functions n = 2 zbar z and N = z^+_-. z^-_+. - z^+_+. z^-_-., the
+bracket kernel and the 45-pair report are those of the weyl module, run on
+this ring.  The rule is the biderivation of _FUNDAMENTAL: a term pair gives
+one row per fundamental bracket, weighted by the two exponents it lowers.
+The commutative product orders nothing, so N carries no ordering constant.
 """
 
-from .rational import I, add_into, monomial_product
-from .weyl import SlotPolynomial, verify_embedding
+import numpy as np
 
-# (slot_i, slot_j, {x_i, x_j}) for all ordered pairs with nonzero bracket
+from .rational import I, monomial_product
+from .weyl import _SLOT_CODE, SlotPolynomial, _exponents, verify_embedding
+
+# (slot_i, slot_j, s) for all ordered pairs with {x_i, x_j} = s i nonzero
 _FUNDAMENTAL = (
-    (3, 0, -I), (0, 3, I),
-    (4, 1, I), (1, 4, -I),
-    (2, 5, I), (5, 2, -I),
+    (3, 0, -1), (0, 3, 1),
+    (4, 1, 1), (1, 4, -1),
+    (2, 5, 1), (5, 2, -1),
 )
 
 
@@ -34,25 +38,22 @@ class PoissonElement(SlotPolynomial):
     # Poisson relations carry no explicit i: the classical targets are the
     # quantum structure constants divided by i
     BRACKET_NORM = -I
+    BRACKET_UNIT = I
     __mul__ = monomial_product
 
-    def deriv(self, slot):
-        # lowering one exponent is injective on the monomials it keeps
-        return self._wrap({k[:slot] + (k[slot] - 1,) + k[slot + 1:]: c * k[slot]
-                           for k, c in self.terms.items() if k[slot]})
+    @staticmethod
+    def _bracket_size(x, y):
+        return np.full(len(x), len(_FUNDAMENTAL))
 
-    def comm(self, other):
-        """Poisson bracket: the biderivation extending _FUNDAMENTAL."""
-        out = {}
-        for i, j, c in _FUNDAMENTAL:
-            df = self.deriv(i)
-            if df.is_zero():
-                continue
-            dg = other.deriv(j)
-            if dg.is_zero():
-                continue
-            add_into(out, ((k, v * c) for k, v in (df * dg).terms.items()))
-        return self._wrap(out)
+    @staticmethod
+    def _bracket_rows(x, y):
+        """The biderivation extending _FUNDAMENTAL: for each (i, j, s), the
+        weight s x_i y_j on the monomial x y / (x_i y_j)."""
+        i, j, s = np.array(_FUNDAMENTAL).T
+        w = s * _exponents(x, i) * _exponents(y, j)
+        src, k = np.nonzero(w)
+        lowered = _SLOT_CODE[i[k]] + _SLOT_CODE[j[k]]
+        return src, x[src] + y[src] - lowered, w[src, k]
 
 
 def verify_classical(ell, gradecap=None):

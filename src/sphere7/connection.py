@@ -261,7 +261,9 @@ class TransportResult:
         nf = float(np.vdot(psi_f, psi_f).real)
         if ni == 0.0 or nf == 0.0:
             raise ValueError("states must be nonzero")
-        amp = complex(np.vdot(psi_f, self.matrix @ psi_i))
+        # U psi_i by an einsum, which calls no BLAS: OpenBLAS runs a zgemv at
+        # D = 120 on a second thread, which then spins
+        amp = complex(np.vdot(psi_f, np.einsum("ij,j->i", self.matrix, psi_i)))
         return abs(amp) ** 2 / (ni * nf)
 
     def holonomy_distance(self):

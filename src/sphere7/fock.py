@@ -28,7 +28,7 @@ from .rational import add_into
 from .u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
                   basis_maps, casimir_pairs, exact_array, float_image,
                   structure_constants)
-from .weyl import GENERATOR_TERMS
+from .weyl import GENERATOR_TERMS, _runs
 
 GENERATOR_NAMES = SPINOR_GENERATORS
 
@@ -245,14 +245,6 @@ def _summed(key, val):
         live = live[count[live] > n]
     keep = out != 0
     return order[start[keep]], out[keep]
-
-
-def _runs(count, start):
-    """Run r of count[r] consecutive positions from start[r], run after run:
-    the run and the position of each element."""
-    run = np.repeat(np.arange(len(count)), count)
-    first = np.repeat(np.cumsum(count) - count, count)
-    return run, np.arange(len(run)) - first + start[run]
 
 
 def _assemble(m, s, dom_m, cod_m):

@@ -159,6 +159,17 @@ def _normal(a, b, d):
     return z
 
 
+# gaussian(a, b, d) is the CRat (a + b i) / d, for ints a, b and d > 0
+gaussian = _normal
+
+
+def numerators(cs):
+    """The CRats cs as Gaussian numerators (a, b) over one denominator, the
+    lcm of theirs: the list of pairs and the denominator."""
+    den = lcm(*(c._d for c in cs))
+    return [(c._a * (den // c._d), c._b * (den // c._d)) for c in cs], den
+
+
 def crat(x):
     """Coerce ints, Fractions, 2-tuples and CRats to CRat."""
     if type(x) is CRat:

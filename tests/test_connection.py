@@ -16,7 +16,7 @@ from sphere7.connection import (PathSpec, connection_matrix,
                                 parallel_transport)
 from sphere7.fock import (GENERATOR_NAMES, basis, build_rho,
                           build_rho_partial, conjugation, dim, sym_power)
-from sphere7.quaternions import qlog, transition_tau
+from sphere7.quaternions import QCONJ, qlog, qmul, transition_tau
 from sphere7.u2h import basis_maps, float_image
 
 
@@ -303,6 +303,30 @@ def test_born_probability():
     coarse = parallel_transport(PathSpec.great_circle(a, b, 1000), m)
     total = sum(coarse.probability(psi_i, e) for e in np.eye(d))
     assert abs(total - 1.0) < 1e-8
+
+
+def _s_patch_arcs(rng, count):
+    """Great-circle arcs whose points all keep |x| > 0.5."""
+    while count:
+        p, q = random_point(rng), random_point(rng)
+        path = PathSpec.great_circle(p, q, 2000)
+        x = path.arrays(np.linspace(0, 1, 401))[0][:, :4]
+        if np.linalg.norm(x, axis=1).min() > 0.5:
+            count -= 1
+            yield p, q, path
+
+
+def test_vacuum_amplitude_has_a_closed_form():
+    # on one patch the level-2 vacuum amplitude is h0 - i h3 with the
+    # quaternion h = conj(x_q) x_p + conj(y_q) y_p, and level m lifts it to
+    # its (m - 1)-th power; no RK4 enters this oracle
+    for p, q, path in _s_patch_arcs(np.random.default_rng(17), 3):
+        h = qmul(q.x * QCONJ, p.x) + qmul(q.y * QCONJ, p.y)
+        vacuum = h[0] - 1j * h[3]
+        for m in range(2, 9):
+            res = parallel_transport(path, m, start_frame="s")
+            assert res.switches == []
+            assert abs(res.matrix[0, 0] - vacuum ** (m - 1)) < 1e-10
 
 
 def test_born_rejects_zero_states():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RING_COMM, laurent_comm, verify_oracle
+from sphere7 import weyl
 from sphere7.classical import PoissonElement
 from sphere7.rational import CRat
 from sphere7.u2h import REALITY_SPINOR
@@ -55,10 +57,53 @@ _weyl = st.dictionaries(
 @settings(deadline=None, max_examples=200)
 @given(_weyl, _weyl)
 def test_comm_matches_full_products(x, y):
-    # comm keeps only the contraction terms; the full products are the oracle
+    # the kernel keeps only the contraction terms; the full products of the
+    # dict ring are the oracle
     c = x.comm(y)
     assert c == x * y - y * x
     assert all(c.terms.values())
+
+
+_RINGS = [WeylElement, PoissonElement]
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+@settings(deadline=None, max_examples=100)
+@given(x=_weyl, y=_weyl)
+def test_comm_matches_the_dict_bracket(ring, x, y):
+    # the Poisson ring's oracle is the biderivation of its six fundamental
+    # brackets, the oscillator ring's the contraction-only normal ordering
+    x, y = ring(x.terms), ring(y.terms)
+    c = x.comm(y)
+    assert type(c) is ring
+    assert c == RING_COMM[ring](x, y)
+
+
+# caps 0 and 2 drop grade pairs of every ell, so `dropped` decides `exact`
+@pytest.mark.parametrize("cap", [None, 16, 0, 2], ids=str)
+@pytest.mark.parametrize("ell", range(5))
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_kernel_report_matches_the_dict_walk(ring, ell, cap):
+    assert verify_embedding(ell, cap, ring) == verify_oracle(ell, cap, ring)
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_chunks_of_a_few_rows_give_the_same_report(monkeypatch, ring):
+    monkeypatch.setattr(weyl, "CHUNK_ROWS", 5)
+    assert verify_embedding(2, ring=ring) == verify_oracle(2, ring=ring)
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_coefficients_past_the_int64_bound_take_python_ints(ring):
+    # 2**40 times both factors puts every product past 2**63
+    names = ("P++", "P--", "K++", "K--")
+    gens = embedded_generators(2, 8, ring)
+    big = [gens[g].scale(2 ** 40) for g in names]
+    (_, _, _, re, im), _, _ = weyl._brackets(ring, big, [(0, 1), (2, 3)], 8)
+    assert re.dtype == im.dtype == object
+    for x, y in ((0, 1), (2, 3)):
+        want = laurent_comm(gens[names[x]], gens[names[y]])
+        assert big[x].comm(big[y]) == want.scale(2 ** 80)
 
 
 # the 45-pair (residual_min_grade, exact) tables of both rings at cap 16,
