@@ -4,22 +4,18 @@ The space at level m is spanned by occupation states |n1, n2, n3> with
 n1 + n2 + n3 <= m - 1, dimension binom(m+2, 3), ordered graded-lex by
 (total, n1, n2) ascending, so each level is the prefix of the next.
 
-One evaluator applies slot words to the occupation states.  build_rho runs
-it on the words of weyl.GENERATOR_TERMS with the exact operator square root
-S (deformation parameter 1/m), build_rho_partial with its finite partial
-sums, producing operators that map level m into the ambient level m+1
-block.  Both return LevelMatrix values, the row, column and value arrays of
-the stored entries: every generator is a ladder operator with at most two
-nonzeros per column.  The checks join these entry arrays on their inner
-index and sum the entries that meet on one position; they accept dense
-matrices too.
-matrix_of_laurent runs the same evaluator, in one call, on the monomials of
-a dict of symbolic Laurent elements, such as the ten formal generators of
-one truncation, which closes the algebra <-> operator loop.
+One evaluator applies slot words to the occupation states: build_rho the
+words of weyl.GENERATOR_TERMS with the exact operator square root S
+(deformation parameter 1/m), build_rho_partial with its partial sums, and
+matrix_of_laurent the monomials of symbolic Laurent elements, which closes
+the algebra <-> operator loop.  The first two return LevelMatrix values.
+A word moves the occupations by a fixed shift, so a level is a sum of a few
+shifted diagonals: the checks multiply those, two gathered vectors each.
 """
 
 import json
 import math
+import pathlib
 from functools import lru_cache
 
 import numpy as np
@@ -33,8 +29,8 @@ from .weyl import GENERATOR_TERMS, _runs
 GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
-# 2 vCPUs measured 41 MiB / 0.3 s at M = 12 and 47 MiB / 0.4 s at M = 20
-# (whole process, median of five); the bound is transport's dense level-m
+# 2 vCPUs measured 35 MiB / 0.19 s at M = 12 and 38 MiB / 0.21 s at M = 20
+# (whole process, median of seven); the bound is transport's dense level-m
 # matrix: a 2000-step loop at M = 20 (D = 1540) took 1.3-2.0 s, 160 MiB.
 M_MAX = 20
 
@@ -69,6 +65,14 @@ def basis(m):
 
 def basis_index(m):
     return {state: i for i, state in enumerate(basis(m))}
+
+
+@lru_cache(maxsize=None)
+def _occupations(m):
+    """np.array(basis(m)).T, read-only: its callers share it."""
+    occ = np.array(basis(m)).T
+    occ.flags.writeable = False
+    return occ
 
 
 def conjugation(m):
@@ -225,32 +229,30 @@ class LevelMatrix:
         return out if dtype is None else out.astype(dtype)
 
 
-def _summed(key, val):
-    """The sum v1 + v2 + ... of the values on each distinct key, in the order
-    given, and the position where the key first occurs, in order of the
-    keys; keys whose sum is zero are dropped."""
+def _grouped(key):
+    """A stable order of key, its runs of equal keys (the starts and, for
+    n = 1, 2, ..., the runs with an n-th term and its position), their keys."""
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    count = np.diff(start, append=len(key))
-    out = val[order[start]]
-    # the n-th term of every key that has one, n = 1, 2, ...
-    live = np.flatnonzero(count > 1)
-    n = 1
-    while len(live):
-        out[live] += val[order[start[live] + n]]
-        n += 1
-        live = live[count[live] > n]
-    keep = out != 0
-    return order[start[keep]], out[keep]
+    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    run, at = _runs(np.diff(first, append=len(key)), first)
+    n = at - first[run]
+    steps = [(run[n == k], at[n == k]) for k in range(1, n.max(initial=0) + 1)]
+    return order, (first, steps), key[first]
+
+
+def _fold(val, runs):
+    """The sum v1 + v2 + ... of each run of the values (or rows) val."""
+    out = val[runs[0]]
+    for live, at in runs[1]:
+        out[live] += val[at]
+    return out
 
 
 def _assemble(m, s, dom_m, cod_m):
     """GENERATOR_TERMS at hbar = 1/m with S = s[tau], as D(cod_m) x D(dom_m)
     level matrices."""
-    occ = np.array(basis(dom_m)).T
+    occ = _occupations(dom_m)
     word, row, col, amp = _apply_words(_WORDS, occ, cod_m, _SIDES, s)
     coeff = np.array([c.to_complex() * float(m) ** (-grade / 2)
                       for c, grade in zip(_COEFF, _GRADE)])
@@ -258,8 +260,9 @@ def _assemble(m, s, dom_m, cod_m):
     # diagonal terms of K+- and J+- cancel on some states
     shape = (dim(cod_m), occ.shape[1])
     gen = np.array(_GEN)[word]
-    at, val = _summed((gen * shape[0] + row) * shape[1] + col,
-                      coeff[word] * amp)
+    order, runs, _ = _grouped((gen * shape[0] + row) * shape[1] + col)
+    val = _fold((coeff[word] * amp)[order], runs)
+    at, val = order[runs[0]][val != 0], val[val != 0]
     row, col = row[at].astype(np.int32), col[at].astype(np.int32)
     bounds = np.searchsorted(gen[at], np.arange(len(GENERATOR_TERMS) + 1))
     return {name: LevelMatrix(row[a:b], col[a:b], val[a:b], shape)
@@ -340,9 +343,9 @@ _PAIR_INDEX[np.triu_indices(len(GENERATOR_NAMES), 1)] = range(
     len(GENERATOR_PAIRS))
 _PAIR_INDEX += _PAIR_INDEX.T
 
-# the bracket and Casimir checks take the rows in blocks of about this many
-# product terms, which bounds their work arrays whatever the level
-_BLOCK_TERMS = 1 << 16
+# level checks: columns per block, most diagonals (a level has 14; the work
+# arrays hold a block's row per product of two diagonals)
+_COLUMNS, _DIAGONALS = 256, 32
 
 
 @lru_cache(maxsize=None)
@@ -391,58 +394,76 @@ def _entries(rep):
             rep[GENERATOR_NAMES[0]].shape[0])
 
 
-def _product_blocks(entries, d, pairs):
-    """The terms of the products rho_x rho_y with pairs[x, y], block by
-    block: each entry a of rho_x with each entry b of rho_y in the row of
-    a's column.  The entries a are taken in order of (row, generator,
-    column), so the terms of one product position come in order of the
-    inner index, and cut into blocks of whole rows with about _BLOCK_TERMS
-    terms.  Yields the arrays (a, b) and the block's entries a."""
-    g, i, j, _ = entries
-    by_row = np.argsort(i, kind="stable")
-    count = np.bincount(i, minlength=d)
-    start = np.cumsum(count) - count
-    cut = np.cumsum(np.bincount(i, count[j], d)) // _BLOCK_TERMS
-    for left in np.split(by_row, np.searchsorted(
-            i[by_row], np.flatnonzero(np.diff(cut)) + 1)):
-        a, at = _runs(count[j[left]], start[j[left]])
-        a, b = left[a], by_row[at]
-        wanted = pairs[g[a], g[b]]
-        yield a[wanted], b[wanted], left
+def _ladder(rep):
+    """rep as at most _DIAGONALS diagonals, else ValueError: the stored
+    entries (dense input too) grouped by generator g and shift t = occ(i) -
+    occ(j), in order of the codes g B + L(t) + B/2, L(t) = ((t1 + t2 + t3) b
+    + t1) b + t2 linear, b = 8m, B = b^3, graded-lex for |t_k| < 2m.  Gives
+    (m, the codes as bytes), the plans' key; the amplitudes of the diagonals,
+    then of their adjoints, 0 on column d; the rows, d in empty columns."""
+    (g, i, j, v), d = _entries(rep)
+    m = next(m for m in range(1, d + 2) if dim(m) >= d)
+    b, (n1, n2, n3) = 8 * m, _occupations(m)
+    span, lin = b ** 3, ((n1 + n2 + n3) * b + n1) * b + n2
+    codes, diag = np.unique(g * span + span // 2 + lin[i] - lin[j],
+                            return_inverse=True)
+    if len(codes) > _DIAGONALS:
+        raise ValueError(f"{len(codes)} diagonals, over {_DIAGONALS}")
+    amp = np.zeros((2 * len(codes), d + 1), dtype=complex)
+    amp[diag, j], amp[len(codes) + diag, i] = v, v.conj()
+    row = np.full((len(codes), d), d)
+    row[diag, j] = i
+    return (m, codes.tobytes()), amp, row
 
 
-def _residuals(pos, second, val, coeffs, entries, left, d):
-    """The max over each p of |A_p - B_p - sum_g coeffs[p, g] rho_g| on the
-    rows that the entries left cover; left holds every entry of those rows.
+@lru_cache(maxsize=64)
+def _plan(m, codes, check, mutate=None):
+    """The terms of a level check on the diagonals of the _ladder codes,
+    summed in two rounds, each term by term in order.  The first sums the
+    products dx dy of diagonals on each (x, y, net shift code code(dx) +
+    code(dy) - B/2) in order of dy's shift, the order of the inner index,
+    and the terms c times diagonal e on each (p, shift, kind); the second
+    those sums, times a weight, on each (group, net shift)."""
+    span, n = (8 * m) ** 3, len(GENERATOR_NAMES)
+    gen, code = np.divmod(np.frombuffer(codes, dtype=np.int64), span)
+    dy, dx = (a.ravel() for a in np.indices((len(gen),) * 2))
+    x, y, u = gen[dx], gen[dy], code[dx] + code[dy] - span // 2
+    # the adjoints follow, of generators g + n and codes B - code
+    gen, code = np.concatenate([gen, gen + n]), np.append(code, span - code)
+    # weights: rho_x rho_y - rho_y rho_x - rho([x, y]) of pair p, x first in
+    # GENERATOR_NAMES; C2, one group, W[x, y]; (rho X)^dagger - rho(X^dagger)
+    on, at, w = x != y, _PAIR_INDEX[x, y] * span + u, 1.0 - 2 * (x > y)
+    if check == "casimir":
+        w = _casimir_weights()[x, y]
+        on, at = w != 0, u
+    coeffs = (_bracket_coefficients(mutate) if check == "brackets" else
+              np.hstack([_reality_coefficients(), np.eye(n)])
+              if check == "reality" else np.zeros((0, n)))
+    on &= check != "reality"
+    p, g = np.nonzero(coeffs)
+    count = np.bincount(gen, minlength=coeffs.shape[1])
+    t, e = _runs(count[g], (np.cumsum(count) - count)[g])
+    c, lin = coeffs[p[t], g[t]], 2 * (p[t] * span + code[e]) + (g[t] < n)
+    order, runs, _ = _grouped(((x * n + y) * span + u)[on])
+    lin_order, lin_runs, lin_k = _grouped(lin)
+    head = order[runs[0]]
+    by_key, sums, k = _grouped(np.concatenate([at[on][head], lin_k // 2]))
+    w = np.concatenate([w[on][head], 1.0 - 2.0 * (lin_k % 2)])
+    return (dx[on][order], dy[on][order], runs, e[lin_order], c[lin_order],
+            lin_runs, by_key, w[by_key, None], sums,
+            k == span // 2 if check == "casimir" else k // span)
 
-    A_p and B_p come as terms: the values val at the positions
-    pos = (i n + p) d + j (row i, column j, n = len(coeffs)), those marked
-    second belonging to B.  A, B and the sum over g, g ascending, are each
-    summed term by term in order and rounded on their own before they are
-    combined.  Row-major positions keep a row's terms together for the
-    sort.
-    """
-    g, i, j, v = entries
-    n = len(coeffs)
-    # each entry of left with the nonzero coefficients of its generator
-    q, p = np.nonzero(coeffs.T)
-    count = np.bincount(q, minlength=coeffs.shape[1])
-    e, at = _runs(count[g[left]], (np.cumsum(count) - count)[g[left]])
-    e, p = left[e], p[at]
-    part = np.full(len(pos) + len(e), 2, dtype=np.int8)
-    part[:len(pos)] = second
-    pos = np.concatenate([pos, (i[e] * n + p) * d + j[e]])
-    at, total = _summed(3 * pos + part,
-                        np.concatenate([val, coeffs[p, g[e]] * v[e]]))
-    pos, part = pos[at], part[at]
-    new = np.ones(len(pos), dtype=bool)
-    np.not_equal(pos[1:], pos[:-1], out=new[1:])
-    sums = np.zeros((np.count_nonzero(new), 3), dtype=complex)
-    sums[np.cumsum(new) - 1, part] = total
-    res = np.zeros(n)
-    np.maximum.at(res, pos[new] // d % n,
-                  np.abs(sums[:, 0] - sums[:, 1] - sums[:, 2]))
-    return res
+
+def _sums(rep, check, mutate=None):
+    """The check's groups and sums, a block of _COLUMNS columns at a time."""
+    key, amp, row = _ladder(rep)
+    dx, dy, runs, e, c, lin, order, w, sums, group = _plan(*key, check, mutate)
+    for c0 in range(0, row.shape[1], _COLUMNS):
+        cs = slice(c0, min(c0 + _COLUMNS, row.shape[1]))
+        first = np.concatenate([
+            _fold(amp[dx[:, None], row[dy, cs]] * amp[dy, cs], runs),
+            _fold(c[:, None] * amp[e, cs], lin)])
+        yield group, _fold(w * first[order], sums)
 
 
 def verify_brackets(rep, mutate=None):
@@ -452,29 +473,17 @@ def verify_brackets(rep, mutate=None):
     The worst pair is the first in combinations order with the maximal
     residual, None when every residual is zero.
     """
-    entries, d = _entries(rep)
-    g, i, j, v = entries
-    coeffs = _bracket_coefficients(mutate)
     res = np.zeros(len(GENERATOR_PAIRS))
-    for a, b, left in _product_blocks(
-            entries, d, ~np.eye(len(GENERATOR_NAMES), dtype=bool)):
-        x, y = g[a], g[b]
-        # the commutator of a pair is rho_x rho_y - rho_y rho_x, x first in
-        # GENERATOR_NAMES
-        pos = (i[a] * len(GENERATOR_PAIRS) + _PAIR_INDEX[x, y]) * d + j[b]
-        np.maximum(res, _residuals(pos, x > y, v[a] * v[b], coeffs, entries,
-                                   left, d), out=res)
+    for pair, sums in _sums(rep, "brackets", mutate):
+        np.maximum.at(res, pair, np.abs(sums).max(axis=1))
     k = int(np.argmax(res))
     return (float(res[k]), GENERATOR_PAIRS[k]) if res[k] > 0 else (0.0, None)
 
 
 def verify_reality(rep):
     """Max residual of (rho X)^dagger = rho(X^dagger)."""
-    entries, d = _entries(rep)
-    g, i, j, v = entries
-    return float(_residuals(
-        (j * len(GENERATOR_NAMES) + g) * d + i, 0, v.conj(),
-        _reality_coefficients(), entries, np.arange(len(v)), d).max())
+    return max(float(np.abs(sums).max(initial=0.0))
+               for _, sums in _sums(rep, "reality"))
 
 
 def verify_traceless(rep):
@@ -564,31 +573,14 @@ def casimir_deviation(rep):
     The Casimir is built from the exact inverse Killing form on the vector
     basis, with the vector generators expressed through the spinor
     matrices: C2 = sum W[x, y] rho_x rho_y, summed over (x, y) ascending
-    on each position from the entries of every product.
+    on each position from the terms of every product.
     """
-    entries, d = _entries(rep)
-    g, i, j, v = entries
-    w = _casimir_weights()
-    key, c2 = [], []
-    for a, b, _ in _product_blocks(entries, d, w != 0):
-        # each product position, keyed (i, x, y, j), sums over the inner
-        # index; C2 then sums the products in order of (x, y)
-        x, y = g[a], g[b]
-        at, prod = _summed(((i[a] * len(GENERATOR_NAMES) + x)
-                            * len(GENERATOR_NAMES) + y) * d + j[b],
-                           v[a] * v[b])
-        a, b = a[at], b[at]
-        pos = i[a] * d + j[b]
-        at, c = _summed(pos, w[g[a], g[b]] * prod)
-        key.append(pos[at])
-        c2.append(c)
-    key, c2 = np.concatenate(key), np.concatenate(c2)
-    diag = np.zeros(d, dtype=complex)
-    on = key % (d + 1) == 0  # i == j
-    diag[key[on] // (d + 1)] = c2[on]
-    _, dev = _summed(np.concatenate([key, np.arange(d) * (d + 1)]),
-                     np.concatenate([c2, np.full(d, -diag.sum() / d)]))
-    return float(np.max(np.abs(dev), initial=0.0))
+    diag, worst = [], 0.0
+    for on, c2 in _sums(rep, "casimir"):
+        diag.append(c2[on].sum(axis=0))
+        worst = max(worst, float(np.abs(c2[~on]).max(initial=0.0)))
+    diag = np.concatenate(diag)
+    return max(worst, float(np.abs(diag - diag.sum() / len(diag)).max()))
 
 
 def exponentiate(x):
@@ -609,25 +601,35 @@ def exponentiate(x):
 # partial-sum convergence diagnostics
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _tail_terms(m, block):
+    """The S entries of partial_sum_distance: |coefficient|, amplitude, tau."""
+    occ = _occupations(m)
+    if block == "interior":
+        occ = occ[:, occ.sum(axis=0) < m - 1]
+    word, row, col, amp = _apply_words(_WORDS, occ, m + 1)
+    left = np.array([side == "left" for side in _SIDES])[word]
+    tau = np.where(left, _occupations(m + 1).sum(axis=0)[row],
+                   occ.sum(axis=0)[col]) + 1
+    scale = np.array([abs(c.to_complex()) if side else 0.0
+                      for c, side in zip(_COEFF, _SIDES)])[word]
+    return scale[scale != 0], amp[scale != 0], tau[scale != 0]
+
+
 def partial_sum_distance(m, ell, block="all"):
     """Sup-entry distance between the truncated and exact level-m operators.
 
     Computed from the closed form: every differing entry is a term of
     GENERATOR_TERMS that takes S, its amplitude times the series tail at
-    x = tau/m.  block="interior" restricts to columns whose states have
-    total < m-1 (where x < 1 and the tail is geometric); boundary columns
-    decay only like 1/sqrt(ell).
+    x = tau/m; only the tail depends on ell.  block="interior" restricts to
+    columns whose states have total < m-1 (where x < 1 and the tail is
+    geometric); boundary columns decay only like 1/sqrt(ell).
     """
     err = np.array([abs(math.sqrt(m) * (sqrt_series_value(ell, t / m)
                                         - math.sqrt(1.0 - t / m)))
                     for t in range(m + 1)])
-    occ = np.array(basis(m)).T
-    if block == "interior":
-        occ = occ[:, occ.sum(axis=0) < m - 1]
-    word, _, _, amp = _apply_words(_WORDS, occ, m + 1, _SIDES, err)
-    scale = np.array([abs(c.to_complex()) if side else 0.0
-                      for c, side in zip(_COEFF, _SIDES)])
-    return float(np.max(scale[word] * np.abs(amp), initial=0.0))
+    scale, amp, tau = _tail_terms(m, block)
+    return float(np.max(scale * np.abs(amp * err[tau]), initial=0.0))
 
 
 def full_convergence_ell(m, threshold=1e-3):
@@ -671,7 +673,6 @@ def dump_representation(m, outdir, mode="binary"):
     binary mode: one JSON header plus per-generator little-endian float64
     [re, im] row-major sidecars; json mode inlines the matrices.
     """
-    import pathlib
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rep = build_rho(m)
@@ -700,7 +701,6 @@ def dump_representation(m, outdir, mode="binary"):
 
 
 def load_representation(path):
-    import pathlib
     path = pathlib.Path(path)
     header = json.loads(path.read_text())
     d = header["dim"]

@@ -262,17 +262,28 @@ def _summed(key, x, y, src, w, scale):
     """The sums of x[src] y[src] w scale over equal keys: the sorted keys
     and the real and imaginary sums.
 
-    x and y are Gaussian integers, (re, im) pairs of arrays.  No number
-    formed, partial sums included, exceeds 2 max|x| max|y| max|w| scale
-    times the most rows on one key.  int64 holds them all when that bound,
-    checked before any product, is below 2**63; Python ints otherwise.
+    x and y are Gaussian integers, (re, im) pairs of arrays, and w and
+    scale nonzero integers.  No number formed, partial sums included,
+    exceeds 2 max|x| max|y| max|w| scale times the most rows on one key,
+    nor the sum over the rows of one key of max(2 |x| |y|, 1) |w| scale,
+    |x| the larger of |re x| and |im x|.  int64 holds them all when the
+    first bound, checked before any product, is below 2**63, or else the
+    second, summed in float64, is below 2**62: the factor 2 covers its
+    rounding, relatively under n 2**-50 for n rows on a key.  Python ints
+    otherwise.
     """
     order = np.argsort(key)
     key, src, w = key[order], src[order], w[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     most = int(np.diff(first, append=len(key)).max(initial=0))
     bound = 2 * _maxabs(*x) * _maxabs(*y) * _maxabs(w) * scale * most
-    dtype = np.int64 if bound < 2 ** 63 else object
+    fits = bound < 2 ** 63
+    if not fits and bound < 2 ** 1000:  # each factor converts to a float
+        size = [np.maximum(*np.abs(v)).astype(float)[src] for v in (x, y)]
+        fits = np.add.reduceat(
+            np.maximum(2 * size[0] * size[1], 1) * np.abs(w).astype(float)
+            * float(scale), first).max() < 2 ** 62
+    dtype = np.int64 if fits else object
     (xr, xi), (yr, yi) = ([a.astype(dtype) for a in v] for v in (x, y))
     w = w.astype(dtype) * scale
     return (key[first], np.add.reduceat((xr * yr - xi * yi)[src] * w, first),

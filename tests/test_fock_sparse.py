@@ -16,8 +16,8 @@ import pytest
 import scipy.sparse
 
 from sphere7 import fock
-from sphere7.fock import (GENERATOR_NAMES, basis, basis_index, build_rho,
-                          build_rho_partial, casimir_deviation,
+from sphere7.fock import (GENERATOR_NAMES, LevelMatrix, basis, basis_index,
+                          build_rho, build_rho_partial, casimir_deviation,
                           commutant_dimension, dim, dump_representation,
                           k_spectrum, load_representation, sqrt_series_value,
                           verify_brackets, verify_reality, verify_traceless)
@@ -253,14 +253,57 @@ def test_checks_read_a_binary_dump_as_the_level_matrices(tmp_path, m):
     assert casimir_deviation(dense) == casimir_deviation(rep)
 
 
+def _bits(rep):
+    br, pair = verify_brackets(rep)
+    return (br.hex(), pair, verify_reality(rep).hex(),
+            casimir_deviation(rep).hex())
+
+
 @pytest.mark.parametrize("m", (4, 9))
-def test_row_blocks_give_the_one_block_results(m, monkeypatch):
-    # the bracket and Casimir checks sum each position within one block of
-    # whole rows, so cutting the rows finer changes no bit
+def test_column_blocks_give_the_one_block_results(m, monkeypatch):
+    # each position is summed within its column, so cutting the columns
+    # finer changes no bit
     rep = build_rho(m)
-    whole = (verify_brackets(rep), casimir_deviation(rep))
-    monkeypatch.setattr(fock, "_BLOCK_TERMS", 7)
-    assert (verify_brackets(rep), casimir_deviation(rep)) == whole
+    rep["P++"].val[3] *= 1.25  # nonzero residuals on every check
+    whole = _bits(rep)
+    for columns in (1, 3):
+        monkeypatch.setattr(fock, "_COLUMNS", columns)
+        assert _bits(rep) == whole
+
+
+def _with_entry(x, i, j, value):
+    """The level matrix x with one more stored entry, in row-major order."""
+    at = np.searchsorted(x.row.astype(np.int64) * x.shape[1] + x.col,
+                         i * x.shape[1] + j)
+    return LevelMatrix(np.insert(x.row, at, i), np.insert(x.col, at, j),
+                       np.insert(x.val, at, value), x.shape)
+
+
+@pytest.mark.parametrize("m", (3, 6))
+def test_an_entry_off_every_ladder_reads_as_the_dense_oracle(m, tmp_path):
+    # (0, D - 1) takes the last state to the vacuum: no generator's term
+    # moves occupations by (0, 0, 1 - m)
+    d = dim(m)
+    rep = build_rho(m)
+    rep["P++"] = _with_entry(rep["P++"], 0, d - 1, 0.3 - 0.2j)
+    dense = _dense(rep)
+    res, pair = verify_brackets(rep)
+    want_res, want_pair = _dense_verify_brackets(dense)
+    assert res > 0.1 and pair == want_pair
+    assert abs(res - want_res) < 1e-14
+    real = verify_reality(rep)
+    assert real > 0.1 and abs(real - _dense_verify_reality(dense)) < 1e-14
+    cas = casimir_deviation(rep)
+    assert cas > 0.01 and abs(cas - _dense_casimir_deviation(dense)) < 1e-14
+    # the same entry written into a binary dump reads the same bits
+    path = dump_representation(m, tmp_path)
+    pairs = np.memmap(path.parent / f"rho_m{m}_Ppp.bin", dtype="<f8",
+                      mode="r+", shape=(d, d, 2))
+    pairs[0, d - 1] = (0.3, -0.2)
+    pairs.flush()
+    del pairs
+    _, loaded = load_representation(path)
+    assert _bits(loaded) == _bits(rep)
 
 
 def test_corrupted_ladder_amplitude_fails_the_bracket_check():
@@ -274,21 +317,58 @@ def test_corrupted_ladder_amplitude_fails_the_bracket_check():
     assert abs(res - want_res) < 1e-14
 
 
-def test_level_checks_keep_to_the_stored_entries_at_m_30():
-    # the bracket check joins the stored entries a block of rows at a time;
-    # a layout with rows D^2 wide once took about 1.07 GiB here (D = 4960)
-    code = ("import resource\n"
-            "from sphere7.fock import build_rho, verify_brackets, "
-            "verify_reality\n"
-            "rep = build_rho(30)\n"
-            "print(verify_brackets(rep)[0], verify_reality(rep),\n"
-            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+def test_a_matrix_of_noise_everywhere_is_refused():
+    # every entry nonzero makes 130 diagonals at m = 2; the checks refuse
+    # such input rather than multiply every pair of them
+    rng = np.random.default_rng(5)
+    rep = {g: rng.standard_normal((4, 4)) + 0j for g in GENERATOR_NAMES}
+    for check in (verify_brackets, verify_reality, casimir_deviation):
+        with pytest.raises(ValueError, match="130 diagonals"):
+            check(rep)
+
+
+def _run(code):
+    """The standard output of code run in a fresh interpreter on src/."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    brackets, reality, max_rss_kib = proc.stdout.split()
+    return proc.stdout
+
+
+def test_level_checks_keep_to_the_stored_entries_at_m_30():
+    # the bracket check reads the stored entries as diagonals, a block of
+    # columns at a time; a layout with rows D^2 wide once took about
+    # 1.07 GiB at D = 4960
+    code = ("import resource\n"
+            "from sphere7.fock import build_rho, verify_brackets, "
+            "verify_reality\n"
+            "rep = build_rho(30)\n"
+            "print(verify_brackets(rep)[0], verify_reality(rep),\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    brackets, reality, max_rss_kib = _run(code).split()
     assert float(brackets) < 1e-10 and float(reality) < 1e-10
+    assert int(max_rss_kib) < 400 * 1024
+
+
+def test_an_entry_off_every_ladder_keeps_the_checks_bounded_at_m_30():
+    # the off-ladder entry (0, D - 1) of the dense-oracle test adds one
+    # diagonal, and with it one product per diagonal of every other
+    # generator, to the checks' work arrays; row 0 of P++ holds one entry,
+    # in column 2, so the new one is stored second
+    code = ("import resource\n"
+            "import numpy as np\n"
+            "from sphere7 import fock\n"
+            "rep = fock.build_rho(30)\n"
+            "x = rep['P++']\n"
+            "rep['P++'] = fock.LevelMatrix(\n"
+            "    np.insert(x.row, 1, 0), np.insert(x.col, 1, 4959),\n"
+            "    np.insert(x.val, 1, 2j), x.shape)\n"
+            "print(fock.verify_brackets(rep)[0], fock.verify_reality(rep),\n"
+            "      fock.casimir_deviation(rep),\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    *values, max_rss_kib = _run(code).split()
+    assert all(float(v) > 0.01 for v in values)
     assert int(max_rss_kib) < 400 * 1024

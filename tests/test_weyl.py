@@ -106,6 +106,39 @@ def test_coefficients_past_the_int64_bound_take_python_ints(ring):
         assert big[x].comm(big[y]) == want.scale(2 ** 80)
 
 
+def test_sums_under_the_per_key_bound_stay_int64():
+    # 4000 small rows on key 0 and one row of 2**60-sized products on key
+    # 1: the global bound, 2 * 2**30 * 2**30 * 4000, is past 2**63, while
+    # each key's bound is below 2**62
+    n = 4001
+    key = np.zeros(n, np.int64)
+    key[-1] = 1
+    xr, xi = np.ones(n, np.int64), np.zeros(n, np.int64)
+    xr[-1], xi[-1] = 2 ** 30, -(2 ** 29)
+    yr, yi = xr.copy(), -xi
+    w = np.ones(n, np.int64)
+    w[0] = 3
+    got_key, re, im = weyl._summed(key, (xr, xi), (yr, yi), np.arange(n), w,
+                                   1)
+    assert re.dtype == im.dtype == np.int64
+    want = {}
+    for k, a, b, c, d, e in zip(*(v.tolist() for v in (key, xr, xi, yr, yi,
+                                                        w))):
+        s = want.setdefault(k, [0, 0])
+        s[0] += (a * c - b * d) * e
+        s[1] += (a * d + b * c) * e
+    assert got_key.tolist() == [0, 1]
+    assert [re.tolist(), im.tolist()] == [list(v) for v in zip(*want.values())]
+    assert want[1] == [2 ** 60 + 2 ** 58, 0]
+    # eight such rows on key 1 sum past 2**62: Python ints, the same sums
+    key, src = np.append(key, [1] * 7), np.append(np.arange(n), [n - 1] * 7)
+    w = np.append(w, [1] * 7)
+    _, re, im = weyl._summed(key, (xr, xi), (yr, yi), src, w, 1)
+    assert re.dtype == im.dtype == object
+    assert re.tolist() == [want[0][0], 8 * want[1][0]]
+    assert im.tolist() == [0, 0]
+
+
 # the 45-pair (residual_min_grade, exact) tables of both rings at cap 16,
 # recorded before the integer-backed CRat and the contraction-only comm
 RECORDED = json.loads(
