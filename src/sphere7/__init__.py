@@ -25,9 +25,7 @@ from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    matrix_of_laurent, partial_sum_distance, verify_brackets,
                    verify_reality)
 from .quaternions import PatchError, section_n, section_s, transition_tau
-from .u2h import (LieElement, SPINOR_GENERATORS, VECTOR_GENERATORS, bracket,
-                  basis_change, contraction_constants, contraction_limit,
-                  grading_decomposition, reality, verify_jacobi)
+from .u2h import SPINOR_GENERATORS, VECTOR_GENERATORS, verify_jacobi
 from .weyl import (LaurentElement, Polymeromorphic, PolyNM, WeylElement,
                    embedded_generators, sqrt_partial_sum, verify_embedding)
 from .classical import PoissonElement, verify_classical

@@ -25,14 +25,14 @@ import numpy as np
 
 from .quaternions import QCONJ, PatchError, qinv, qmul, qnorm
 from .tolerances import TAU_PATCH, TAU_SPHERE
-from .u2h import basis_maps, float_image, structure_constants
+from .u2h import basis_maps, bracket_table, float_image
 
 # _SPINOR[a, g]: coefficient of spinor generator g in vector generator a, so
 # components10 rows c pair with the spinor generators as c @ _SPINOR
 _SPINOR = float_image(basis_maps()[1])
 # _BRACKET[a, b, c]: coefficient of vector generator a in [b, c] (all real)
 _BRACKET = np.ascontiguousarray(np.moveaxis(
-    float_image(structure_constants("vector")).real, 2, 0))
+    float_image(bracket_table("vector")).real, 2, 0))
 
 
 def _warn_if_off(viol, constraint, action):

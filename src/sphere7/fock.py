@@ -20,24 +20,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rational import add_into
-from .u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_IN_SPINOR,
-                  basis_maps, casimir_pairs, exact_array, float_image,
-                  structure_constants)
+from .u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, basis_maps,
+                  bracket_table, casimir_weights, float_image)
 from .weyl import GENERATOR_TERMS, _runs
 
 GENERATOR_NAMES = SPINOR_GENERATORS
 
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
-# 2 vCPUs measured 35 MiB / 0.19 s at M = 12 and 38 MiB / 0.21 s at M = 20
+# 2 vCPUs measured 35 MiB / 0.18 s at M = 12 and 38 MiB / 0.22 s at M = 20
 # (whole process, median of seven); the bound is transport's dense level-m
-# matrix: a 2000-step loop at M = 20 (D = 1540) took 1.3-2.0 s, 160 MiB.
+# matrix: a 2000-step loop at M = 20 (D = 1540) took 0.86-0.99 s, 159 MiB.
 M_MAX = 20
 
 # Largest truncation order `verify` and `table` run.  The formal embedding
-# and its classical mirror took 15.9 + 1.7 s at ell = 8, 56 + 4.9 s at
-# ell = 10 and 170 + 9.9 s at ell = 12 on 2 vCPUs (one run each), roughly
-# doubling with each ell.
+# and its classical mirror took 3.0 + 0.1 s at ell = 8, 8.4 + 0.2 s at
+# ell = 10 and 33 + 0.3 s at ell = 12 (392 MiB peak) on 2 vCPUs (one run
+# each), roughly doubling with each ell.
 ELL_MAX = 12
 
 # Largest level `dump-rep --format json` writes.  The JSON dump holds every
@@ -73,23 +71,6 @@ def _occupations(m):
     occ = np.array(basis(m)).T
     occ.flags.writeable = False
     return occ
-
-
-def conjugation(m):
-    """The antiunitary J that commutes with the level-m representation, as
-    the signed permutation J|i> = s_i |sigma(i)> on the basis(m) indices.
-
-    sigma(n1, n2, n3) = (m-1-n1-n2-n3, n3, n2) swaps n1 with the vacuum slot
-    and n2 with n3, and s = (-1)^(n1+n2).  J^2 = (-1)^(m-1): level m is
-    Sym^(m-1) of the quaternionic C^4 = H^2 of U(2,H), quaternionic for even
-    m and real for odd m (Frobenius-Schur).  A unitary generated by real
-    multiples of the level matrices satisfies
-    U[sigma i, sigma j] = s_i s_j conj(U[i, j]).  Returns (sigma, s) as an
-    integer and a float array.
-    """
-    n1, n2, n3 = np.array(basis(m)).T
-    return (_rank(m - 1 - n1 - n2 - n3, n3, n2).astype(np.intp),
-            (-1.0) ** (n1 + n2))
 
 
 def _rank(n1, n2, n3):
@@ -351,7 +332,7 @@ _COLUMNS, _DIAGONALS = 256, 32
 @lru_cache(maxsize=None)
 def _bracket_coefficients(mutate=None):
     """Row p: the coefficients of [x, y] for the p-th pair {x, y}."""
-    num, den = structure_constants("spinor", mutate)
+    num, den = bracket_table("spinor", mutate)
     return float_image((num[np.triu_indices(len(GENERATOR_NAMES), 1)], den))
 
 
@@ -362,14 +343,8 @@ def _reality_coefficients():
 
 @lru_cache(maxsize=None)
 def _casimir_weights():
-    """W with C2 = sum over x, y of W[x, y] rho_x rho_y: the Casimir pairs
-    of the vector basis written through the spinor generators, exactly."""
-    w = {x: {} for x in GENERATOR_NAMES}
-    for ga, gb, coeff in casimir_pairs():
-        for x, cx in VECTOR_IN_SPINOR[ga].items():
-            add_into(w[x], ((y, cx * cy * coeff)
-                            for y, cy in VECTOR_IN_SPINOR[gb].items()))
-    return float_image(exact_array(w, GENERATOR_NAMES, GENERATOR_NAMES))
+    """W with C2 = sum over x, y of W[x, y] rho_x rho_y."""
+    return float_image(casimir_weights())
 
 
 def _stored(mat):

@@ -1,5 +1,4 @@
-"""Exact complex-rational scalars, their sparse sums and small exact linear
-algebra.
+"""Exact complex-rational scalars and their sparse sums.
 
 All structure constants and symbolic oscillator-algebra coefficients in this
 package are elements of Q(i).  Floating point enters only when a symbolic
@@ -13,9 +12,9 @@ operation does int arithmetic and normalizes once.  The real and imaginary
 parts are read as fractions.Fraction, also exported as Q.
 
 Combination, a finitely supported map from keys to nonzero CRat, is the one
-container of the exact layer: Lie algebra elements, slot polynomials and the
-polynomials in the number operators are its subclasses, and add_into is the
-one zero-dropping accumulate step.
+container of the exact layer: slot polynomials and the polynomials in the
+number operators are its subclasses, and add_into is the one zero-dropping
+accumulate step.
 """
 
 from fractions import Fraction
@@ -179,7 +178,6 @@ def crat(x):
     return CRat(x)
 
 
-ZERO = CRat(0)
 I = CRat(0, 1)
 
 
@@ -232,10 +230,6 @@ class Combination:
     def __neg__(self):
         return self.scale(-1)
 
-    def conj(self):
-        """Conjugate every coefficient."""
-        return self._wrap({k: c.conj() for k, c in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
 
@@ -251,22 +245,3 @@ def monomial_product(x, y):
     return x._wrap(add_into({}, (
         (tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
         for k1, c1 in x.terms.items() for k2, c2 in y.terms.items())))
-
-
-def frac_mat_inverse(rows):
-    """Invert a square matrix of Fractions or CRats by Gauss-Jordan
-    elimination; the inverse has entries of the same type."""
-    n = len(rows)
-    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]

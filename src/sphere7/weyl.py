@@ -44,7 +44,7 @@ import numpy as np
 
 from .rational import (Combination, add_into, crat, gaussian,
                        monomial_product, numerators)
-from .u2h import GENERATOR_PAIRS, bracket_table
+from .u2h import GENERATOR_PAIRS, SPINOR_GENERATORS, bracket_table
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
 
@@ -478,8 +478,10 @@ class PolyNM(Combination):
 
     __slots__ = ()
     __mul__ = monomial_product
-    # n and N are self-adjoint, so the dagger only conjugates coefficients
-    dagger = Combination.conj
+
+    def dagger(self):
+        # n and N are self-adjoint, so the dagger only conjugates coefficients
+        return self._wrap({k: c.conj() for k, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -605,10 +607,11 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
         gradecap = 2 * ell + 4
     gens = embedded_generators(ell, cap=gradecap, ring=ring)
     index = {name: k for k, name in enumerate(gens)}
-    table = bracket_table("spinor")
-    targets = [(p, index[g], ring.BRACKET_NORM * c)
-               for p, xy in enumerate(GENERATOR_PAIRS)
-               for g, c in table[xy].items()]
+    num, den = bracket_table("spinor")
+    rows = num[np.triu_indices(len(SPINOR_GENERATORS), 1)]
+    targets = [(p, index[SPINOR_GENERATORS[g]],
+                ring.BRACKET_NORM * gaussian(*rows[p, g].tolist(), den))
+               for p, g in zip(*np.nonzero(rows.any(axis=-1)))]
     (pair, grade, *_), dropped, _ = _brackets(
         ring, list(gens.values()),
         [(index[x], index[y]) for x, y in GENERATOR_PAIRS], gradecap, targets)

@@ -1,15 +1,34 @@
-"""Dict-walk brackets of the two coefficient rings, the oracles of the
-bracket kernel in sphere7.weyl.
+"""Dict-walk oracles of the exact layer and of one symmetry of the level
+matrices.
 
-These are the bracket bodies the kernel replaced: the contraction-only
-normal ordering of the oscillator ring, the biderivation of the Poisson
-ring, the grade-by-grade Laurent bracket and the 45-pair report built from
-them one pair and one term pair at a time.
+The bracket kernel of sphere7.weyl is checked against the bracket bodies it
+replaced: the contraction-only normal ordering of the oscillator ring, the
+biderivation of the Poisson ring, the grade-by-grade Laurent bracket and the
+45-pair report built from them one pair and one term pair at a time.
+
+The exact arrays of sphere7.u2h are checked against the Lie algebra as dicts
+{(g1, g2): {gen: CRat}} walked one key at a time: the vector brackets and
+Casimir pairs as tests/u2h_tables.json records them, dict views of the spinor
+brackets and of the change of basis, the inverse change of basis by
+Gauss-Jordan elimination and the reality table derived through it.  The
+contraction and grading of the spinor algebra live here too.
+
+conjugation is the antiunitary symmetry of the level matrices of
+sphere7.fock.
 """
 
+import json
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+
 from sphere7.classical import PoissonElement
-from sphere7.rational import I, add_into
-from sphere7.u2h import GENERATOR_PAIRS, bracket_table
+from sphere7.fock import _rank, basis
+from sphere7.rational import CRat, Combination, I, add_into, gaussian
+from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
+                         basis_maps, bracket_table)
 from sphere7.weyl import (LaurentElement, WeylElement, _contractions,
                           _min_cap, embedded_generators)
 
@@ -89,7 +108,7 @@ def verify_oracle(ell, gradecap=None, ring=WeylElement):
     if gradecap is None:
         gradecap = 2 * ell + 4
     gens = embedded_generators(ell, cap=gradecap, ring=ring)
-    table = bracket_table("spinor")
+    table = SPINOR_TABLE
     report = {}
     for x, y in GENERATOR_PAIRS:
         target = LaurentElement(cap=gradecap)
@@ -103,3 +122,264 @@ def verify_oracle(ell, gradecap=None, ring=WeylElement):
             "cap": gradecap,
         }
     return report
+
+
+# ---------------------------------------------------------------------------
+# the Lie algebra as dicts of exact coefficients
+# ---------------------------------------------------------------------------
+
+class LieElement(Combination):
+    """Finitely supported exact-coefficient combination of basis generators."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, coeffs=None, basis="spinor"):
+        super().__init__(coeffs)
+        self.basis = basis
+
+    def _wrap(self, terms):
+        res = super()._wrap(terms)
+        res.basis = self.basis
+        return res
+
+    @classmethod
+    def gen(cls, name, basis=None):
+        if basis is None:
+            basis = "spinor" if name in SPINOR_GENERATORS else "vector"
+        return cls({name: 1}, basis)
+
+    def __add__(self, other):
+        assert self.basis == other.basis
+        return super().__add__(other)
+
+    def conj(self):
+        """Conjugate every coefficient."""
+        return self._wrap({k: c.conj() for k, c in self.terms.items()})
+
+    def max_abs(self):
+        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+
+    def __eq__(self, other):
+        return self.basis == other.basis and super().__eq__(other)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c})*{g}" for g, c in sorted(self.terms.items()))
+
+
+def table_view(x, rows, cols):
+    """The exact array x on the given rows and columns as the table
+    {row: {col: CRat}}, zero entries left out."""
+    num, den = x
+    num = num.reshape(len(rows), len(cols), 2).tolist()
+    return {r: {c: gaussian(re, im, den) for c, (re, im) in zip(cols, row)
+                if re or im} for r, row in zip(rows, num)}
+
+
+_RECORDS = json.loads(Path(__file__).with_name("u2h_tables.json").read_text())
+
+
+def recorded(name):
+    """The table name of u2h_tables.json as {key: {gen: CRat}}."""
+    return {k: {g: CRat(Fraction(re), Fraction(im)) for g, (re, im)
+                in v.items()} for k, v in _RECORDS[name].items()}
+
+
+VECTOR_TABLE = {key: {} for key in product(VECTOR_GENERATORS, repeat=2)} | {
+    tuple(key.split("|")): v for key, v in recorded("vector_brackets").items()}
+# C2 = sum of coeff * g_a g_b over the Casimir pairs (g_a, g_b, coeff)
+CASIMIR_PAIRS = tuple((a, b, Fraction(c))
+                      for a, b, c in _RECORDS["casimir_pairs"])
+
+
+def bracket_dicts(basis="spinor", mutate=None):
+    """u2h.bracket_table(basis, mutate) as {(g1, g2): {gen: CRat}}."""
+    gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
+    return table_view(bracket_table(basis, mutate),
+                      list(product(gens, repeat=2)), gens)
+
+
+SPINOR_TABLE = bracket_dicts("spinor")
+
+
+def bracket(x, y, table=None):
+    """Bilinear bracket of two LieElements in a common basis."""
+    assert x.basis == y.basis
+    if table is None:
+        table = SPINOR_TABLE if x.basis == "spinor" else VECTOR_TABLE
+    out = {}
+    for g1, c1 in x.terms.items():
+        for g2, c2 in y.terms.items():
+            c12 = c1 * c2
+            add_into(out, ((g, c12 * c) for g, c in table[(g1, g2)].items()))
+    return LieElement(out, x.basis)
+
+
+def frac_mat_inverse(rows):
+    """Invert a square matrix of Fractions or CRats by Gauss-Jordan
+    elimination; the inverse has entries of the same type."""
+    n = len(rows)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def inverse_map(s_in_v):
+    """The vector generators in the spinor basis: the exact inverse of the
+    change of basis s_in_v."""
+    inv = frac_mat_inverse([[s_in_v[s].get(v, CRat())
+                             for v in VECTOR_GENERATORS]
+                            for s in SPINOR_GENERATORS])
+    return {v: {s: c for s, c in zip(SPINOR_GENERATORS, row) if c}
+            for v, row in zip(VECTOR_GENERATORS, inv)}
+
+
+# the change of basis, spinor generators in the vector basis, and its inverse
+SPINOR_IN_VECTOR = table_view(basis_maps()[0], SPINOR_GENERATORS,
+                              VECTOR_GENERATORS)
+VECTOR_IN_SPINOR = inverse_map(SPINOR_IN_VECTOR)
+
+
+def _linear_image(x, images, basis):
+    """The LieElement sum of c * images[g] over the terms c * g of x."""
+    return LieElement(add_into({}, ((g2, c * s) for g, c in x.terms.items()
+                                    for g2, s in images[g].items())), basis)
+
+
+def basis_change(x, to, maps=(SPINOR_IN_VECTOR, VECTOR_IN_SPINOR)):
+    """Map a LieElement to the other basis through maps, the change of basis
+    and its inverse; round trips are exact."""
+    if x.basis == to:
+        return x
+    return _linear_image(x, maps[to == "spinor"], to)
+
+
+def reality(x, table=None):
+    """Conjugate-linear involution X -> X^dagger extended to elements.
+
+    Every vector-basis generator is antihermitean, X^dagger = -X; on the
+    spinor generators it is table, by default REALITY_SPINOR, which is
+    derived from that.
+    """
+    if isinstance(x, str):
+        x = LieElement.gen(x)
+    if x.basis == "spinor":
+        return _linear_image(x.conj(), table or REALITY_SPINOR, "spinor")
+    return x.conj().scale(-1)
+
+
+# the conjugate-linear involution X -> X^dagger on the spinor generators,
+# carried over from X^dagger = -X on the vector basis
+REALITY_SPINOR = {g: basis_change(reality(basis_change(
+    LieElement.gen(g), "vector")), "spinor").terms for g in SPINOR_GENERATORS}
+
+
+def casimir_weights():
+    """W[x][y] with C2 = sum of W[x][y] x y over the spinor generators, from
+    the recorded Casimir pairs and inverse change of basis."""
+    v_in_s = recorded("vector_in_spinor")
+    w = {x: {} for x in SPINOR_GENERATORS}
+    for ga, gb, coeff in CASIMIR_PAIRS:
+        for x, cx in v_in_s[ga].items():
+            add_into(w[x], ((y, cx * cy * coeff)
+                            for y, cy in v_in_s[gb].items()))
+    return w
+
+
+# ---------------------------------------------------------------------------
+# contraction to the three-oscillator Heisenberg algebra plus one compact factor
+# ---------------------------------------------------------------------------
+
+# the rescaled generators, in the order of the spinor generators they scale
+CONTRACTED_GENERATORS = ("J++", "J+-", "J--",
+                         "pi++", "pi+-", "pi-+", "pi--",
+                         "Z++", "I", "Z--")
+
+
+def _rescaled_brackets():
+    """The brackets of the rescaled generators, each original generator g
+    divided by lambda^e(g), as {(g1, g2): {gen: (CRat, power of 1/lambda)}};
+    e is 1 on the momenta and the off-diagonal compact pair and 2 on the
+    future central element."""
+    names = dict(zip(SPINOR_GENERATORS, CONTRACTED_GENERATORS))
+    power = dict(zip(CONTRACTED_GENERATORS, (0, 0, 0, 1, 1, 1, 1, 1, 2, 1)))
+    out = {}
+    for (o1, o2), res in SPINOR_TABLE.items():
+        g1, g2 = names[o1], names[o2]
+        out[g1, g2] = {names[g]: (c, power[g1] + power[g2] - power[names[g]])
+                       for g, c in res.items()}
+        if any(e < 0 for _, e in out[g1, g2].values()):
+            raise ValueError("contraction limit does not exist")
+    return out
+
+
+def contraction_constants(lam):
+    """Structure constants of the rescaled basis at a finite parameter; at
+    lambda -> infinity they converge to contraction_limit() with per-entry
+    residual O(1/lambda)."""
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return {key: {g: c * (1 / lam ** e) for g, (c, e) in res.items()}
+            for key, res in _rescaled_brackets().items()}
+
+
+def contraction_limit():
+    """The lambda -> infinity structure constants; "I" is central."""
+    return {key: {g: c for g, (c, e) in res.items() if not e}
+            for key, res in _rescaled_brackets().items()}
+
+
+def grading_decomposition(d):
+    """Partition the generators by exact ad(d) eigenvalue.
+
+    Raises ValueError when some generator is not an eigenvector of ad(d).
+    Eigenvalue keys are (re, im) Fraction pairs; for the documented grading
+    elements they are integers (im = 0).
+    """
+    if isinstance(d, str):
+        d = LieElement.gen(d)
+    gens = SPINOR_GENERATORS if d.basis == "spinor" else VECTOR_GENERATORS
+    grades = {}
+    for g in gens:
+        res = bracket(d, LieElement.gen(g, d.basis))
+        if set(res.terms) - {g}:
+            raise ValueError(f"not a grading element: ad on {g} is not diagonal")
+        ev = res.terms.get(g, CRat())
+        grades.setdefault((ev.re, ev.im), set()).add(g)
+    return grades
+
+
+GRADING_ELEMENT = LieElement({"K+-": CRat(0, -1)})  # -i K_{+.-.}
+
+
+# ---------------------------------------------------------------------------
+# the antiunitary symmetry of the level matrices
+# ---------------------------------------------------------------------------
+
+def conjugation(m):
+    """The antiunitary J that commutes with the level-m representation, as
+    the signed permutation J|i> = s_i |sigma(i)> on the basis(m) indices.
+
+    sigma(n1, n2, n3) = (m-1-n1-n2-n3, n3, n2) swaps n1 with the vacuum slot
+    and n2 with n3, and s = (-1)^(n1+n2).  J^2 = (-1)^(m-1): level m is
+    Sym^(m-1) of the quaternionic C^4 = H^2 of U(2,H), quaternionic for even
+    m and real for odd m (Frobenius-Schur).  A unitary generated by real
+    multiples of the level matrices satisfies
+    U[sigma i, sigma j] = s_i s_j conj(U[i, j]).  Returns (sigma, s) as an
+    integer and a float array.
+    """
+    n1, n2, n3 = np.array(basis(m)).T
+    return (_rank(m - 1 - n1 - n2 - n3, n3, n2).astype(np.intp),
+            (-1.0) ** (n1 + n2))

@@ -1,6 +1,6 @@
+from oracles import SPINOR_TABLE
 from sphere7.classical import PoissonElement, verify_classical
 from sphere7.rational import CRat
-from sphere7.u2h import bracket_table
 from sphere7.weyl import embedded_generators, verify_embedding
 
 I = CRat(0, 1)
@@ -33,7 +33,7 @@ def test_absent_grade_is_a_poisson_zero():
 
 def test_jj_bracket_matches_classical_target():
     gens = embedded_generators(0, ring=PoissonElement)
-    table = bracket_table("spinor")
+    table = SPINOR_TABLE
     pb = gens["J++"].comm(gens["J--"])
     target_coeffs = table[("J++", "J--")]
     target = None

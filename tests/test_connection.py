@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import conjugation
 from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              _pullback, pullback, random_point,
@@ -15,7 +16,7 @@ from sphere7.connection import (PathSpec, connection_matrix,
                                 curvature_residual, gauge_matrix,
                                 parallel_transport)
 from sphere7.fock import (GENERATOR_NAMES, basis, build_rho,
-                          build_rho_partial, conjugation, dim, sym_power)
+                          build_rho_partial, dim, sym_power)
 from sphere7.quaternions import QCONJ, qlog, qmul, transition_tau
 from sphere7.u2h import basis_maps, float_image
 
@@ -138,7 +139,7 @@ _COORDS = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8,
 @given(_COORDS, _COORDS, st.sampled_from([2, 3, 4]))
 def test_gauge_relation_property(p_coords, u_coords, m):
     # the s -> n transition unitary at random overlap points: unitary,
-    # commuting with fock.conjugation's J, and a_n = g^dagger a_s g +
+    # commuting with the level's conjugation J, and a_n = g^dagger a_s g +
     # g^dagger dg on a random unit tangent
     p8 = np.array(p_coords)
     assume(np.linalg.norm(p8) > 0.1)
@@ -456,7 +457,8 @@ def test_tensor_lift_is_an_isometry_and_matches_sym_power():
 
 
 def _conjugation_defect(u, m):
-    """max |U[sigma i, sigma j] - s_i s_j conj(U[i, j])| (fock.conjugation)."""
+    """max |U[sigma i, sigma j] - s_i s_j conj(U[i, j])|, J = (sigma, s)
+    the conjugation of the level."""
     sigma, sign = conjugation(m)
     return float(np.max(np.abs(u[np.ix_(sigma, sigma)]
                                - np.outer(sign, sign) * u.conj())))

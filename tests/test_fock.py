@@ -6,11 +6,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import conjugation
 from sphere7 import connection, fock
 from sphere7.coframe import random_point
 from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
                           build_rho, build_rho_partial, casimir_deviation,
-                          commutant_dimension, conjugation, dim,
+                          commutant_dimension, dim,
                           dump_representation, expected_k_spectrum,
                           exponentiate, full_convergence_ell, k_spectrum,
                           load_representation, matrix_of_laurent,

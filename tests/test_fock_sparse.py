@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from oracles import (CASIMIR_PAIRS, REALITY_SPINOR, SPINOR_TABLE,
+                     VECTOR_IN_SPINOR)
 from sphere7 import fock
 from sphere7.fock import (GENERATOR_NAMES, LevelMatrix, basis, basis_index,
                           build_rho, build_rho_partial, casimir_deviation,
@@ -22,8 +24,6 @@ from sphere7.fock import (GENERATOR_NAMES, LevelMatrix, basis, basis_index,
                           k_spectrum, load_representation, sqrt_series_value,
                           verify_brackets, verify_reality, verify_traceless)
 from sphere7.rational import CRat
-from sphere7.u2h import (REALITY_SPINOR, VECTOR_IN_SPINOR, bracket_table,
-                         casimir_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _lie_to_matrix(rep, coeffs):
 
 def _dense_verify_brackets(rep, table=None):
     if table is None:
-        table = bracket_table("spinor")
+        table = SPINOR_TABLE
     worst, worst_pair = 0.0, None
     for x, y in combinations(GENERATOR_NAMES, 2):
         lhs = rep[x] @ rep[y] - rep[y] @ rep[x]
@@ -134,7 +134,7 @@ def _dense_casimir_deviation(rep):
     rho_vec = {g: _lie_to_matrix(rep, VECTOR_IN_SPINOR[g])
                for g in VECTOR_IN_SPINOR}
     c2 = np.zeros((d, d), dtype=complex)
-    for ga, gb, coeff in casimir_pairs():
+    for ga, gb, coeff in CASIMIR_PAIRS:
         c2 += float(coeff) * (rho_vec[ga] @ rho_vec[gb])
     return float(np.max(np.abs(c2 - np.trace(c2) / d * np.eye(d))))
 

@@ -1,37 +1,32 @@
-import json
 from fractions import Fraction
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import (CASIMIR_PAIRS, GRADING_ELEMENT, REALITY_SPINOR,
+                     SPINOR_IN_VECTOR, SPINOR_TABLE, VECTOR_IN_SPINOR,
+                     VECTOR_TABLE, LieElement, basis_change, bracket,
+                     bracket_dicts, casimir_weights, contraction_constants,
+                     contraction_limit, grading_decomposition,
+                     inverse_map, reality, recorded, table_view)
 from sphere7 import coframe, fock, u2h
-from sphere7.rational import CRat, add_into
-from sphere7.u2h import (ENTRY_MAX, GENERATOR_PAIRS, GRADING_ELEMENT,
-                         REALITY_SPINOR, SPINOR_IN_VECTOR, VECTOR_IN_SPINOR,
-                         LieElement, SPINOR_GENERATORS,
-                         VECTOR_GENERATORS, basis_change, bracket,
-                         bracket_table, casimir_pairs,
-                         contraction_constants, contraction_limit,
-                         cross_basis_residual, exact_array,
-                         grading_decomposition, killing_form, reality,
+from sphere7.rational import CRat, I
+from sphere7.u2h import (ENTRY_MAX, GENERATOR_PAIRS, SPINOR_GENERATORS,
+                         VECTOR_GENERATORS, bracket_table,
+                         cross_basis_residual, killing_form,
                          reality_bracket_residual, verify_jacobi)
-
-I = CRat(0, 1)
 
 
 def test_bracket_examples():
+    table = SPINOR_TABLE
     # expanding the epsilon contraction in the J-J bracket
-    res = bracket(LieElement.gen("J+-"), LieElement.gen("J++"))
-    assert res == LieElement({"J++": -2 * I})
+    assert table["J+-", "J++"] == {"J++": -2 * I}
     # K-K with eps_{-.+.} = +1
-    res = bracket(LieElement.gen("K+-"), LieElement.gen("K++"))
-    assert res == LieElement({"K++": 2 * I})
+    assert table["K+-", "K++"] == {"K++": 2 * I}
     # antisymmetry
     for g in SPINOR_GENERATORS:
-        x = LieElement.gen(g)
-        assert bracket(x, x).is_zero()
+        assert table[g, g] == {}
 
 
 def test_pp_bracket_mixed():
@@ -58,6 +53,21 @@ def test_jacobi_mutated_nonzero():
     worst, triple = verify_jacobi("spinor", mutate="k-bracket")
     assert worst > 0
     assert triple is not None
+
+
+@pytest.mark.parametrize("basis, gens, entry", [
+    ("spinor", SPINOR_GENERATORS, ("K++", "K+-", "K++")),
+    ("vector", VECTOR_GENERATORS, ("k1", "k2", "k3")),
+])
+def test_k_bracket_mutation_moves_one_antisymmetric_pair(basis, gens, entry):
+    (good, den), (bad, bad_den) = (bracket_table(basis),
+                                   bracket_table(basis, "k-bracket"))
+    a, b, c = map(gens.index, entry)
+    assert bad_den == den
+    assert np.argwhere(bad != good).tolist() == sorted([[a, b, c, 0],
+                                                        [b, a, c, 0]])
+    assert bad[a, b, c, 0] - good[a, b, c, 0] == den
+    assert bad[b, a, c, 0] - good[b, a, c, 0] == -den
 
 
 def test_reality_table():
@@ -112,10 +122,8 @@ def test_cross_basis_exact():
 
 
 def test_real_form_constants_are_real():
-    table = bracket_table("vector")
-    for res in table.values():
-        for c in res.values():
-            assert c.im == 0
+    num, _ = bracket_table("vector")
+    assert not num[..., 1].any()
 
 
 def test_contraction_limit():
@@ -172,58 +180,34 @@ def test_grading_trivial_and_invalid():
 
 
 def test_killing_form_invertible_symmetric():
-    b = killing_form()
-    n = len(b)
-    for i in range(n):
-        for j in range(n):
-            assert b[i][j] == b[j][i]
-    pairs = casimir_pairs()
-    assert pairs  # nondegenerate
+    b, den = killing_form()
+    assert den == 1
+    assert np.array_equal(b, np.diag([-3] * 3 + [-6] * 4 + [-3] * 3))
+    # the recorded pairs are the dual basis: one per generator, 1 / B(g, g)
+    assert [(ga, gb) for ga, gb, _ in CASIMIR_PAIRS] == [
+        (g, g) for g in VECTOR_GENERATORS]
+    assert [c for *_, c in CASIMIR_PAIRS] == [Fraction(1, x) for x in
+                                             np.diag(b).tolist()]
 
 
-def _structure_constants_json(basis="spinor"):
-    """Exportable structure-constant records."""
-    gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
-    table = bracket_table(basis)
-    records = []
-    for g1 in gens:
-        for g2 in gens:
-            res = table[(g1, g2)]
-            if res:
-                records.append({
-                    "X": g1, "Y": g2,
-                    "result": [{"gen": g, "re": str(c.re), "im": str(c.im)}
-                               for g, c in sorted(res.items())],
-                })
-    return records
-
-
-def test_structure_constants_json():
-    recs = _structure_constants_json()
-    assert all({"X", "Y", "result"} <= set(r) for r in recs)
-    some = next(r for r in recs if r["X"] == "K+-" and r["Y"] == "K++")
-    assert some["result"] == [{"gen": "K++", "re": "0", "im": "2"}]
-
-
-def _recorded(table):
-    return {k: {g: CRat(Fraction(re), Fraction(im)) for g, (re, im)
-                in v.items()} for k, v in table.items()}
+def test_casimir_weights_are_the_recorded_ones():
+    # W from the recorded Casimir pairs and inverse change of basis alone
+    assert table_view(u2h.casimir_weights(), SPINOR_GENERATORS,
+                      SPINOR_GENERATORS) == casimir_weights()
 
 
 def test_derived_tables_match_recorded_values():
-    # the vector brackets, the inverse basis change, the reality table and
-    # the Casimir pairs as the hand-entered tables gave them
-    rec = json.loads(Path(__file__).with_name("u2h_tables.json").read_text())
-    table = bracket_table("vector")
-    assert {f"{a}|{b}": table[a, b] for a in VECTOR_GENERATORS
-            for b in VECTOR_GENERATORS if table[a, b]} == _recorded(
-                rec["vector_brackets"])
-    assert len(table) == 100
-    assert VECTOR_IN_SPINOR == _recorded(rec["vector_in_spinor"])
-    assert REALITY_SPINOR == _recorded(rec["reality_spinor"])
-    pairs = casimir_pairs()
-    assert all(type(c) is Fraction for _, _, c in pairs)
-    assert [[a, b, str(c)] for a, b, c in pairs] == rec["casimir_pairs"]
+    # the vector brackets, the inverse basis change and the reality table,
+    # derived in u2h and by the dict walks, as the hand-entered tables gave
+    # them
+    assert bracket_dicts("vector") == VECTOR_TABLE
+    assert len(VECTOR_TABLE) == 100
+    _, s_inv, r = u2h.basis_maps()
+    names = SPINOR_GENERATORS, VECTOR_GENERATORS
+    assert (table_view(s_inv, *names[::-1]) == VECTOR_IN_SPINOR
+            == recorded("vector_in_spinor"))
+    assert (table_view(r, names[0], names[0]) == REALITY_SPINOR
+            == recorded("reality_spinor"))
 
 
 def test_vector_matrices_are_antihermitean_units():
@@ -236,35 +220,29 @@ def test_vector_matrices_are_antihermitean_units():
                           [1, 1, 1, 2, 2, 2, 2, 1, 1, 1])
 
 
-def _patch_vector_constants(monkeypatch, f):
-    """Make f the vector structure constants of the checks and of the
-    dict tables the oracles read."""
-    monkeypatch.setattr(u2h, "_VECTOR_F", f)
-    monkeypatch.setattr(u2h, "_VECTOR_TABLE", u2h._vector_table(f))
-
-
 def test_corrupted_basis_matrix_is_caught(monkeypatch):
     # p0's lower-left entry with the wrong sign: the matrices no longer
     # close into the paper's algebra and both exact checks see it
     mats = u2h._vector_matrices()
     mats[3, 1, 0] *= -1
-    _patch_vector_constants(monkeypatch, u2h._vector_constants(mats))
-    assert cross_basis_residual() == 2 == _cross_basis_residual()
+    monkeypatch.setattr(u2h, "_VECTOR_F", u2h._vector_constants(mats))
+    view = bracket_dicts("vector")
+    assert cross_basis_residual() == 2 == _cross_basis_residual(vector=view)
     assert verify_jacobi("vector")[0] == Fraction(1, 2)
-    assert verify_jacobi("vector") == _verify_jacobi("vector")
+    assert verify_jacobi("vector") == _verify_jacobi("vector", view)
 
 
 # The dict-walk forms of the three exact checks: the references the
 # einsum contractions of u2h must reproduce value for value.
 
-def _verify_jacobi(basis="spinor", mutate=None):
+def _verify_jacobi(basis="spinor", table=None):
     """Max residual of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] over generator triples.
 
     Returns (max_residual, worst_triple); the residual is exactly zero for the
     genuine tables.
     """
     gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
-    table = bracket_table(basis, mutate)
+    table = table or (SPINOR_TABLE if basis == "spinor" else VECTOR_TABLE)
     worst = Fraction(0)
     worst_triple = None
     for a, b, c in combinations(gens, 3):
@@ -278,38 +256,37 @@ def _verify_jacobi(basis="spinor", mutate=None):
     return worst, worst_triple
 
 
-def _cross_basis_residual():
+def _cross_basis_residual(spinor=SPINOR_TABLE, vector=VECTOR_TABLE,
+                          s_in_v=SPINOR_IN_VECTOR):
     """Exact max deviation between brackets computed in either basis.
 
     For every spinor generator pair, [X, Y] computed from the spinor table
     is mapped to the vector basis and compared against the bracket of the
     mapped arguments computed with the vector table, and vice versa.
     """
+    maps = s_in_v, inverse_map(s_in_v)
     worst = Fraction(0)
-    for g1 in SPINOR_GENERATORS:
-        for g2 in SPINOR_GENERATORS:
-            e1, e2 = LieElement.gen(g1), LieElement.gen(g2)
-            spin = basis_change(bracket(e1, e2), "vector")
-            vect = bracket(basis_change(e1, "vector"), basis_change(e2, "vector"))
-            worst = max(worst, (spin - vect).max_abs())
-    for g1 in VECTOR_GENERATORS:
-        for g2 in VECTOR_GENERATORS:
-            e1 = LieElement.gen(g1, "vector")
-            e2 = LieElement.gen(g2, "vector")
-            vect = basis_change(bracket(e1, e2), "spinor")
-            spin = bracket(basis_change(e1, "spinor"), basis_change(e2, "spinor"))
-            worst = max(worst, (vect - spin).max_abs())
+    for basis, other, table, other_table in (
+            ("spinor", "vector", spinor, vector),
+            ("vector", "spinor", vector, spinor)):
+        gens = SPINOR_GENERATORS if basis == "spinor" else VECTOR_GENERATORS
+        for g1 in gens:
+            for g2 in gens:
+                e1, e2 = LieElement.gen(g1, basis), LieElement.gen(g2, basis)
+                here = basis_change(bracket(e1, e2, table), other, maps)
+                there = bracket(basis_change(e1, other, maps),
+                                basis_change(e2, other, maps), other_table)
+                worst = max(worst, (here - there).max_abs())
     return worst
 
 
-def _reality_bracket_residual():
+def _reality_bracket_residual(table=None):
     """Exact check that the involution antiautomorphizes the bracket."""
     worst = Fraction(0)
-    table = bracket_table("spinor")
     for g1 in SPINOR_GENERATORS:
         for g2 in SPINOR_GENERATORS:
-            lhs = reality(LieElement(table[(g1, g2)]))
-            rhs = bracket(reality(g1), reality(g2)).scale(-1)
+            lhs = reality(LieElement(SPINOR_TABLE[(g1, g2)]), table)
+            rhs = bracket(reality(g1, table), reality(g2, table)).scale(-1)
             worst = max(worst, (lhs - rhs).max_abs())
     return worst
 
@@ -322,55 +299,85 @@ def _reality_bracket_residual():
 ])
 def test_jacobi_matches_dict_walk(basis, mutate, want):
     got = verify_jacobi(basis, mutate)
-    assert got == want == _verify_jacobi(basis, mutate)
+    assert got == want == _verify_jacobi(basis, bracket_dicts(basis, mutate))
     assert type(got[0]) is Fraction
 
 
-def _patch_map(monkeypatch, name, row, col, delta):
-    """Add delta to one entry of the basis map u2h.<name> and rebuild the
-    exact maps the checks read from the corrupted tables."""
-    bad = {g: dict(images) for g, images in getattr(u2h, name).items()}
-    bad[row][col] = bad[row].get(col, CRat(0)) + delta
-    monkeypatch.setattr(u2h, name, bad)
+def test_corrupted_reality_entry_is_caught(monkeypatch):
+    s, s_inv, (r, den) = u2h.basis_maps()
+    r = r.copy()
+    r[3, 6, 1] += den                             # R(P++) gains i P--
+    monkeypatch.setattr(u2h, "basis_maps",
+                        lambda: (s, s_inv, u2h._checked(r, den)))
+    bad = {g: dict(images) for g, images in REALITY_SPINOR.items()}
+    bad["P++"]["P--"] = bad["P++"].get("P--", CRat(0)) + I
+    got = reality_bracket_residual()
+    assert got > 0
+    assert got == _reality_bracket_residual(bad)
+
+
+def _patch_change_of_basis(monkeypatch, s):
+    monkeypatch.setattr(u2h, "_S", s)
     maps = u2h.basis_maps.__wrapped__()
     monkeypatch.setattr(u2h, "basis_maps", lambda: maps)
 
 
-def test_corrupted_reality_entry_is_caught(monkeypatch):
-    _patch_map(monkeypatch, "REALITY_SPINOR", "P++", "P--", CRat(0, 1))
-    got = reality_bracket_residual()
-    assert got > 0
-    assert got == _reality_bracket_residual()
-
-
 def test_corrupted_basis_change_entry_is_caught(monkeypatch):
-    _patch_map(monkeypatch, "SPINOR_IN_VECTOR", "P+-", "p1", 1)
+    # P+- sent to p1 - i p2: S S^H stays diagonal, but S no longer maps the
+    # paper's brackets to the matrix ones
+    s = u2h._S.copy()
+    s[4] *= -1
+    _patch_change_of_basis(monkeypatch, s)
+    bad = dict(SPINOR_IN_VECTOR)
+    bad["P+-"] = {v: -c for v, c in bad["P+-"].items()}
     got = cross_basis_residual()
     assert got > 0
-    assert got == _cross_basis_residual()
+    assert got == _cross_basis_residual(s_in_v=bad)
+
+
+def test_change_of_basis_with_rows_not_orthogonal_is_refused(monkeypatch):
+    # P+- = i p2 has a nonzero inner product with P-+ = p1 + i p2
+    s = u2h._S.copy()
+    s[4, 4] += 1
+    with pytest.raises(ValueError, match="not diagonal"):
+        _patch_change_of_basis(monkeypatch, s)
 
 
 def test_corrupted_vector_constant_is_caught(monkeypatch):
     # [p0, p1] gains 1/2 k3, and [p1, p0] loses it
-    num, den = u2h.structure_constants("vector")
+    num, den = bracket_table("vector")
     num = num.copy()
     num[3, 4, 9, 0] += 1
     num[4, 3, 9, 0] -= 1
-    _patch_vector_constants(monkeypatch, u2h._checked(num, den))
+    monkeypatch.setattr(u2h, "_VECTOR_F", u2h._checked(num, den))
     got = verify_jacobi("vector")
     assert got[0] > 0
-    assert got == _verify_jacobi("vector")
+    assert got == _verify_jacobi("vector", bracket_dicts("vector"))
     assert cross_basis_residual() > 0
-    assert cross_basis_residual() == _cross_basis_residual()
+    assert cross_basis_residual() == _cross_basis_residual(
+        vector=bracket_dicts("vector"))
+
+
+def test_corrupted_spinor_constant_is_caught(monkeypatch):
+    # [J++, P-+] = 2i P++, the sum of two epsilon contractions; one unit off
+    num, den = bracket_table("spinor")
+    num = num.copy()
+    num[0, 5, 3, 1] -= 1
+    monkeypatch.setattr(u2h, "_SPINOR_F", u2h._checked(num, den))
+    got = cross_basis_residual()
+    assert got > 0
+    assert got == _cross_basis_residual(spinor=bracket_dicts("spinor"))
 
 
 def test_table_entries_are_bounded_for_int64():
     # a contraction of entries near 2**40 would wrap int64 silently
-    assert exact_array({"a": {"b": CRat(ENTRY_MAX)}}, ["a"], ["b"])[1] == 1
-    for big in (CRat(2 ** 40 - 1), CRat(0, -2 ** 40),
-                CRat(Fraction(1, 2 ** 40))):
+    assert u2h._checked(np.array([[ENTRY_MAX, 0]]), 1)[1] == 1
+    for num, den in (([2 ** 40 - 1, 0], 1), ([0, -2 ** 40], 1),
+                     ([1, 0], 2 ** 40)):
         with pytest.raises(OverflowError):
-            exact_array({"a": {"b": big}}, ["a"], ["b"])
+            u2h._checked(np.array([num]), den)
+    num, den = u2h._checked(np.array([[2, -4]]), 6)
+    assert num.tolist() == [[1, -2]] and den == 3
 
 
 def _complex_array(table, rows, cols):
@@ -388,25 +395,20 @@ def test_float_images_are_bitwise_the_exact_tables():
     # each float the correctly rounded quotient of the same rational, so
     # equal bit for bit to the entry-by-entry conversion
     names = fock.GENERATOR_NAMES
-    w = {x: {} for x in names}
-    for ga, gb, coeff in casimir_pairs():
-        for x, cx in VECTOR_IN_SPINOR[ga].items():
-            add_into(w[x], ((y, cx * cy * coeff)
-                            for y, cy in VECTOR_IN_SPINOR[gb].items()))
-    pairs = list(product(VECTOR_GENERATORS, repeat=2))
     for got, want in [
             (fock._bracket_coefficients(),
-             _complex_array(bracket_table("spinor"), GENERATOR_PAIRS, names)),
+             _complex_array(SPINOR_TABLE, GENERATOR_PAIRS, names)),
             (fock._bracket_coefficients("k-bracket"),
-             _complex_array(bracket_table("spinor", "k-bracket"),
+             _complex_array(bracket_dicts("spinor", "k-bracket"),
                             GENERATOR_PAIRS, names)),
             (fock._reality_coefficients(),
              _complex_array(REALITY_SPINOR, names, names)),
-            (fock._casimir_weights(), _complex_array(w, names, names)),
+            (fock._casimir_weights(),
+             _complex_array(casimir_weights(), names, names)),
             (coframe._SPINOR, _complex_array(
                 VECTOR_IN_SPINOR, VECTOR_GENERATORS, SPINOR_GENERATORS)),
             (coframe._BRACKET, _complex_array(
-                bracket_table("vector"), pairs,
+                VECTOR_TABLE, list(product(VECTOR_GENERATORS, repeat=2)),
                 VECTOR_GENERATORS).real.T.reshape(10, 10, 10)),
             (u2h.float_image(u2h.basis_maps()[0]), _complex_array(
                 SPINOR_IN_VECTOR, SPINOR_GENERATORS, VECTOR_GENERATORS))]:

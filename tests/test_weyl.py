@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RING_COMM, laurent_comm, verify_oracle
+from oracles import REALITY_SPINOR, RING_COMM, laurent_comm, verify_oracle
 from sphere7 import weyl
 from sphere7.classical import PoissonElement
 from sphere7.rational import CRat
-from sphere7.u2h import REALITY_SPINOR
 from sphere7.weyl import (LaurentElement, PolyNM, WeylElement,
                           embedded_generators, sqrt_coefficient,
                           sqrt_partial_sum, verify_embedding)
