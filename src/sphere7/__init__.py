@@ -21,9 +21,8 @@ from .coframe import (CoframeSample, SpherePoint, TangentVector, ToricPoint,
 from .connection import (PathSpec, TransportResult, connection_matrix,
                          curvature_residual, parallel_transport)
 from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
-                   commutant_dimension, dim, exponentiate, k_spectrum,
-                   matrix_of_laurent, partial_sum_distance, verify_brackets,
-                   verify_reality)
+                   commutant_dimension, dim, k_spectrum, matrix_of_laurent,
+                   partial_sum_distance, verify_brackets, verify_reality)
 from .quaternions import PatchError, section_n, section_s, transition_tau
 from .u2h import SPINOR_GENERATORS, VECTOR_GENERATORS, verify_jacobi
 from .weyl import (LaurentElement, Polymeromorphic, PolyNM, WeylElement,

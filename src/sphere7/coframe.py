@@ -41,14 +41,35 @@ def _warn_if_off(viol, constraint, action):
                       f"input {action}")
 
 
+def _rescaled(v, size):
+    """(w, size(w), |v|): w is v (..., k) with each row whose norm size(v)
+    lies outside [2**-250, 2**250] divided by its largest |entry|, as there
+    the norm, or a product of two, can overflow or lose digits to underflow;
+    |v| is the norm of v itself, inf past the float range.  Rows inside the
+    range pass bit for bit."""
+    with np.errstate(over="ignore", under="ignore"):
+        n = size(v)
+        far = ~((n >= 2.0 ** -250) & (n <= 2.0 ** 250)) & np.any(v, axis=-1)
+        if not far.any():
+            return v, n, n
+        scale = np.where(far, np.max(np.abs(v), axis=-1), 1.0)
+        v = v / scale[..., None]
+        n = size(v)
+        return v, n, scale * n
+
+
+def _norm8(p8):
+    sq = p8 * p8
+    return np.sqrt(np.sum(sq[:, :4], axis=1) + np.sum(sq[:, 4:], axis=1))
+
+
 def to_sphere(p8):
     """Rows of p8 scaled onto the unit sphere, with a warning when a row was
     off it by more than TAU_SPHERE."""
-    sq = p8 * p8
-    n = np.sqrt(np.sum(sq[:, :4], axis=1) + np.sum(sq[:, 4:], axis=1))
+    p8, n, norm = _rescaled(p8, _norm8)
     if np.any(n == 0.0):
         raise ValueError("cannot project the origin to the sphere")
-    _warn_if_off(float(np.max(np.abs(n - 1.0))), "sphere", "normalized")
+    _warn_if_off(float(np.max(np.abs(norm - 1.0))), "sphere", "normalized")
     return p8 * (1.0 / n)[:, None]
 
 
@@ -274,12 +295,11 @@ class ToricPoint:
     __slots__ = ("r", "theta")
 
     def __init__(self, r, theta):
-        r = np.asarray(r, dtype=float)
+        r, n, norm = _rescaled(np.asarray(r, dtype=float), np.linalg.norm)
         theta = np.mod(np.asarray(theta, dtype=float), 2 * math.pi)
-        n = float(np.linalg.norm(r))
         if n == 0.0:
             raise ValueError("all radii vanish")
-        _warn_if_off(abs(n - 1.0), "radius", "normalized")
+        _warn_if_off(abs(float(norm) - 1.0), "radius", "normalized")
         self.r = r / n
         self.theta = theta
 

@@ -25,8 +25,8 @@ read from it.
 
 The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
-a 10-term combination of short rows scattered into zeros.  The transition
-unitaries come from a Hermitian eigendecomposition (fock.exponentiate).
+a 10-term combination of short rows scattered into zeros.  A transition
+unitary is the symmetric power of one exact conjugation at level 2.
 """
 
 import math
@@ -34,17 +34,22 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .coframe import (_SPINOR, Chart, SpherePoint, TangentVector, _pullback,
+from .coframe import (Chart, SpherePoint, TangentVector, _pullback, _rescaled,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _entries, build_rho, build_rho_partial,
-                   dim, exponentiate, sym_power)
-from .quaternions import qlog, transition_tau
+                   dim, sym_power)
+from .quaternions import qcomplex, transition_tau
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
 PATCH_SWITCH_LEVEL = 0.05
 # steps whose node geometry parallel_transport evaluates at once; it bounds
 # the memory of the geometry independently of the number of steps
 _BLOCK_STEPS = 256
+# W W^H = 2 I; level 2 is C^4 with rho_2(g) = W c(g) W^H / 2 for a group
+# element g and rho_2(X) = W c(X) W^H / 2 for an algebra element X, c the
+# complex form quaternions.qcomplex
+W = np.array([[0, 0, 1j, -1j], [-1, -1, 0, 0], [1, -1, 0, 0],
+              [0, 0, -1j, -1j]])
 
 
 @lru_cache(maxsize=None)
@@ -186,10 +191,11 @@ class PathSpec:
     def great_circle_loop(cls, p0, direction, steps=1000):
         """Full great circle through p0 with initial velocity direction."""
         a = p0.as_array8()
-        d = np.asarray(direction, dtype=float)
+        d, size, _ = _rescaled(np.asarray(direction, dtype=float),
+                               np.linalg.norm)
         d = d - (a @ d) * a
         nd = np.linalg.norm(d)
-        if nd < 1e-12:
+        if nd <= 1e-12 * size:
             raise ValueError("direction is radial")
         return cls(partial(_arc, a, d / nd, 2 * math.pi), steps,
                    "great-circle-loop")
@@ -254,9 +260,11 @@ class TransportResult:
 
     def probability(self, psi_i, psi_f):
         """The Born probability |<psi_f, U psi_i>|^2 / (|psi_f|^2 |psi_i|^2)
-        of the final state psi_f given the initial state psi_i."""
-        psi_i = np.asarray(psi_i, dtype=complex)
-        psi_f = np.asarray(psi_f, dtype=complex)
+        of the final state psi_f given the initial state psi_i.  It does not
+        depend on their scale, so a state whose norm would overflow or
+        underflow is scaled first."""
+        psi_i, psi_f = (_rescaled(np.asarray(v, dtype=complex),
+                                  np.linalg.norm)[0] for v in (psi_i, psi_f))
         ni = float(np.vdot(psi_i, psi_i).real)
         nf = float(np.vdot(psi_f, psi_f).real)
         if ni == 0.0 or nf == 0.0:
@@ -279,20 +287,12 @@ class TransportResult:
                 "end_frame": self.end_frame}
 
 
-def _gauge_generator(m, p):
-    """The level-m image of diag(log tau, 0) = 2 sum_i (log tau)_i j_i,
-    scattered from its spinor coefficients onto the level matrices'
-    pattern as in connection_matrix."""
-    v = qlog(transition_tau(p))[1:]
-    flat, vals, shape = _rho_stack(m)
-    coeffs = 2.0 * v @ _SPINOR[:3]
-    return _scatter(flat, coeffs @ vals, shape)
-
-
 def gauge_matrix(m, p):
     """Unitary representing the transition element diag(tau, 1) at level m,
-    the exponential of _gauge_generator."""
-    return exponentiate(_gauge_generator(m, p))
+    the symmetric power of its level-2 image W c(diag(tau, 1)) W^H / 2."""
+    g = np.zeros((2, 2, 4))
+    g[0, 0], g[1, 1, 0] = transition_tau(p), 1.0
+    return sym_power(W @ qcomplex(g) @ W.conj().T / 2, m)
 
 
 def _step_frames(p8, north):

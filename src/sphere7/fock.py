@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, basis_maps,
-                  bracket_table, casimir_weights, float_image)
+from .u2h import (GENERATOR_PAIRS, PAIR_INDEX, SPINOR_GENERATORS,
+                  basis_maps, casimir_weights, float_image, pair_brackets)
 from .weyl import GENERATOR_TERMS, _runs
 
 GENERATOR_NAMES = SPINOR_GENERATORS
@@ -91,7 +91,7 @@ def _lowered(m):
     mode j of its largest occupation k_j, the position of k - e_j in
     basis(m - 1) and 1/sqrt(k_j); and for each mode i the states with
     k_i > 0, sqrt(k_i) on them (a column) and the positions of k - e_i."""
-    n = np.array(basis(m)).T
+    n = _occupations(m)
     k = np.stack([m - 1 - n.sum(axis=0), n[2], n[1], n[0]])
     drop = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]])
     down = _rank(*(n[None] - drop[:, :, None]).transpose(1, 0, 2))
@@ -299,7 +299,7 @@ def matrix_of_laurent(lau, m, m_domain, m_codomain):
              for b, (name, g) in enumerate(blocks)
              for key, c in lau[name].grades[g].terms.items()]
     b, words, coeff = zip(*terms) if terms else ((), (), ())
-    occ = np.array(basis(m_domain)).T
+    occ = _occupations(m_domain)
     word, row, col, amp = _apply_words(words, occ, m_codomain)
     # each (element, grade) block is summed before it is scaled, which fixes
     # the rounding the commuting-diagram residuals are reported with
@@ -317,13 +317,6 @@ def matrix_of_laurent(lau, m, m_domain, m_codomain):
 # verification suite
 # ---------------------------------------------------------------------------
 
-# _PAIR_INDEX[x, y]: the position in GENERATOR_PAIRS of the pair {x, y};
-# the upper triangle in row-major order is the combinations order
-_PAIR_INDEX = np.zeros((len(GENERATOR_NAMES),) * 2, dtype=np.intp)
-_PAIR_INDEX[np.triu_indices(len(GENERATOR_NAMES), 1)] = range(
-    len(GENERATOR_PAIRS))
-_PAIR_INDEX += _PAIR_INDEX.T
-
 # level checks: columns per block, most diagonals (a level has 14; the work
 # arrays hold a block's row per product of two diagonals)
 _COLUMNS, _DIAGONALS = 256, 32
@@ -332,8 +325,7 @@ _COLUMNS, _DIAGONALS = 256, 32
 @lru_cache(maxsize=None)
 def _bracket_coefficients(mutate=None):
     """Row p: the coefficients of [x, y] for the p-th pair {x, y}."""
-    num, den = bracket_table("spinor", mutate)
-    return float_image((num[np.triu_indices(len(GENERATOR_NAMES), 1)], den))
+    return float_image(pair_brackets(mutate))
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +399,7 @@ def _plan(m, codes, check, mutate=None):
     gen, code = np.concatenate([gen, gen + n]), np.append(code, span - code)
     # weights: rho_x rho_y - rho_y rho_x - rho([x, y]) of pair p, x first in
     # GENERATOR_NAMES; C2, one group, W[x, y]; (rho X)^dagger - rho(X^dagger)
-    on, at, w = x != y, _PAIR_INDEX[x, y] * span + u, 1.0 - 2 * (x > y)
+    on, at, w = x != y, PAIR_INDEX[x, y] * span + u, 1.0 - 2 * (x > y)
     if check == "casimir":
         w = _casimir_weights()[x, y]
         on, at = w != 0, u
@@ -556,20 +548,6 @@ def casimir_deviation(rep):
         worst = max(worst, float(np.abs(c2[~on]).max(initial=0.0)))
     diag = np.concatenate(diag)
     return max(worst, float(np.abs(diag - diag.sum() / len(diag)).max()))
-
-
-def exponentiate(x):
-    """exp(X) for antihermitean X; rejects a defect |X + X^H| above 1e-8.
-
-    The Hermitian H = i (X - X^H)/2 is diagonalized, H = V diag(l) V^H,
-    and exp(X) = V diag(exp(-i l)) V^H; for a normal matrix the
-    eigenvector method is well conditioned (Moler-Van Loan 2003).
-    """
-    defect = float(np.max(np.abs(x + x.conj().T)))
-    if defect > 1e-8:
-        raise ValueError(f"matrix is not antihermitean (defect {defect:.3g})")
-    lam, v = np.linalg.eigh(0.5j * (x - x.conj().T))
-    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 A quaternion q = q0 + q1*i + q2*j + q3*k is a float array whose last axis
 holds (q0, q1, q2, q3); a quaternionic 2x2 matrix [[w, x], [z, y]] is an
 array of shape (..., 2, 2, 4).  Every product goes through the one table
-QMUL of i^2 = j^2 = k^2 = ijk = -1.  Conjugation is
-qbar = q0 - q1*i - q2*j - q3*k and |q|^2 = qbar q.  The sphere S^7 sits in
-H^2 as |x|^2 + |y|^2 = 1 and carries two sections of the quaternionic
-unitary group, one valid where x != 0 and one where y != 0, related on the
-overlap by right multiplication with diag(tau, 1).
+QMUL of i^2 = j^2 = k^2 = ijk = -1; qcomplex gives the complex 4x4 form.
+Conjugation is qbar = q0 - q1*i - q2*j - q3*k and |q|^2 = qbar q.  The
+sphere S^7 sits in H^2 as |x|^2 + |y|^2 = 1 and carries two sections of the
+quaternionic unitary group, one valid where x != 0 and one where y != 0,
+related on the overlap by right multiplication with diag(tau, 1).
 """
 
 import numpy as np
@@ -58,21 +58,18 @@ def qdagger(a):
     return a.swapaxes(-3, -2) * QCONJ
 
 
-def qlog(q):
-    """Principal logarithm log|q| + theta vhat, theta = atan2(|v|, q0), of
-    q = q0 + v.  The direction of log(-|q|) is ambiguous; i is taken."""
-    q = np.asarray(q, dtype=float)
-    n = qnorm(q)
-    if np.any(n == 0.0):
-        raise ZeroDivisionError("zero quaternion")
-    v = qnorm(q[..., 1:])
-    theta = np.arctan2(v, q[..., 0])
-    real = v < 1e-300
-    f = np.divide(theta, v, out=np.zeros_like(v), where=~real)
-    out = np.concatenate([np.log(n)[..., None], f[..., None] * q[..., 1:]],
-                         axis=-1)
-    out[..., 1] = np.where(real & (q[..., 0] < 0), np.pi, out[..., 1])
-    return out
+# _QBLOCK[a]: the complex 2x2 block of the basis quaternion e_a
+_QBLOCK = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
+                    [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+
+
+def qcomplex(a):
+    """The complex 4x4 form of quaternionic 2x2 matrices (..., 2, 2, 4):
+    entry q becomes the block [[q0 + i q1, q2 + i q3], [-q2 + i q3,
+    q0 - i q1]].  It takes qmatmul to @ and qdagger to the conjugate
+    transpose, exactly on integer entries."""
+    out = np.einsum("...rca,aij->...ricj", a, _QBLOCK)
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def section_s(p):

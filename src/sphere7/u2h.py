@@ -192,6 +192,21 @@ def bracket_table(basis="spinor", mutate=None):
     return _checked(num, den)
 
 
+# the generators (x, y) of each pair of GENERATOR_PAIRS, the upper triangle
+# in row-major order; PAIR_INDEX[x, y] = PAIR_INDEX[y, x] is its position
+_PAIR_X, _PAIR_Y = np.triu_indices(len(SPINOR_GENERATORS), 1)
+PAIR_INDEX = np.zeros((len(SPINOR_GENERATORS),) * 2, dtype=np.intp)
+PAIR_INDEX[_PAIR_X, _PAIR_Y] = PAIR_INDEX[_PAIR_Y, _PAIR_X] = range(
+    len(GENERATOR_PAIRS))
+
+
+def pair_brackets(mutate=None):
+    """Row p: [x, y] for the p-th pair {x, y} of GENERATOR_PAIRS, from
+    bracket_table("spinor", mutate), as an exact array (45, 10, 2)."""
+    num, den = bracket_table("spinor", mutate)
+    return num[_PAIR_X, _PAIR_Y], den
+
+
 def verify_jacobi(basis="spinor", mutate=None):
     """Max residual of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] over generator triples.
 

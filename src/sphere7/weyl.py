@@ -44,7 +44,7 @@ import numpy as np
 
 from .rational import (Combination, add_into, crat, gaussian,
                        monomial_product, numerators)
-from .u2h import GENERATOR_PAIRS, SPINOR_GENERATORS, bracket_table
+from .u2h import GENERATOR_PAIRS, SPINOR_GENERATORS, pair_brackets
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
 
@@ -607,8 +607,7 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
         gradecap = 2 * ell + 4
     gens = embedded_generators(ell, cap=gradecap, ring=ring)
     index = {name: k for k, name in enumerate(gens)}
-    num, den = bracket_table("spinor")
-    rows = num[np.triu_indices(len(SPINOR_GENERATORS), 1)]
+    rows, den = pair_brackets()
     targets = [(p, index[SPINOR_GENERATORS[g]],
                 ring.BRACKET_NORM * gaussian(*rows[p, g].tolist(), den))
                for p, g in zip(*np.nonzero(rows.any(axis=-1)))]

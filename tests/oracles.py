@@ -14,7 +14,8 @@ Gauss-Jordan elimination and the reality table derived through it.  The
 contraction and grading of the spinor algebra live here too.
 
 conjugation is the antiunitary symmetry of the level matrices of
-sphere7.fock.
+sphere7.fock, and qlog the quaternion logarithm through which a transition
+unitary of sphere7.connection is checked as the exponential of a generator.
 """
 
 import json
@@ -26,6 +27,7 @@ import numpy as np
 
 from sphere7.classical import PoissonElement
 from sphere7.fock import _rank, basis
+from sphere7.quaternions import qnorm
 from sphere7.rational import CRat, Combination, I, add_into, gaussian
 from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
                          basis_maps, bracket_table)
@@ -383,3 +385,20 @@ def conjugation(m):
     n1, n2, n3 = np.array(basis(m)).T
     return (_rank(m - 1 - n1 - n2 - n3, n3, n2).astype(np.intp),
             (-1.0) ** (n1 + n2))
+
+
+def qlog(q):
+    """Principal logarithm log|q| + theta vhat, theta = atan2(|v|, q0), of
+    q = q0 + v.  The direction of log(-|q|) is ambiguous; i is taken."""
+    q = np.asarray(q, dtype=float)
+    n = qnorm(q)
+    if np.any(n == 0.0):
+        raise ZeroDivisionError("zero quaternion")
+    v = qnorm(q[..., 1:])
+    theta = np.arctan2(v, q[..., 0])
+    real = v < 1e-300
+    f = np.divide(theta, v, out=np.zeros_like(v), where=~real)
+    out = np.concatenate([np.log(n)[..., None], f[..., None] * q[..., 1:]],
+                         axis=-1)
+    out[..., 1] = np.where(real & (q[..., 0] < 0), np.pi, out[..., 1])
+    return out

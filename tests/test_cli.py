@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,13 @@ def test_transport_malformed(tmp_path, capsys):
       "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]},
      "too coarse for m = 12, use more steps"),
     ({"m": M_MAX + 1}, f"level m = {M_MAX}"),
+    # radial is relative to |direction|: 1e-13 across a unit radial part
+    ({"type": "great_circle_loop", "at": {"x": [1, 0, 0, 0],
+                                          "y": [0, 0, 0, 0]},
+      "direction": [1, 0, 0, 0, 1e-13, 0, 0, 0]}, "direction is radial"),
+    ({"type": "great_circle_loop", "at": {"x": [1, 0, 0, 0],
+                                          "y": [0, 0, 0, 0]},
+      "direction": [0] * 8}, "direction is radial"),
     # a chord through the origin: nan at a node for even steps, a jump
     # across the sphere for odd steps
     ({"type": "piecewise", "steps": 100,
@@ -353,6 +361,51 @@ def test_transport_coarse_loop_through_x_zero(tmp_path):
     report = json.loads((tmp_path / "transport.json").read_text())
     assert len(report["result"]["switches"]) == 4
     assert report["result"]["holonomy_distance"] < 1e-4
+
+
+_POLE = {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]}
+_ARC = {"type": "great_circle", "from": _POLE,
+        "to": {"x": [0.6, 0, 0.1, 0], "y": [0, 0.3, 0, 0.5]}}
+_LOOP = {"type": "great_circle_loop", "at": _POLE,
+         "direction": [1, 0, 0, 0, 1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("spec, scaled", [
+    ({"type": "reeb_loop", "r": [0.5] * 4, "theta": [0, 0.5, 1, 2]},
+     {"r": [1e308] * 4}),
+    (_ARC, {"from": {"x": [1e308, 0, 0, 0], "y": [0, 0, 0, 0]}}),
+    (_ARC, {"from": {"x": [1e-200, 0, 0, 0], "y": [0, 0, 0, 0]}}),
+    (_ARC, {"psi_i": [1e200, 0, 0, 0]}),
+    (_ARC, {"psi_i": [1e-200, 0, 0, 0], "psi_f": [1e300, 1e300, 0, 0]}),
+    (_LOOP, {"direction": [1e308, 0, 0, 0, 1e308, 0, 0, 0]}),
+    ({**_LOOP, "direction": [0, 0, 0, 0, 1, 0, 0, 0]},
+     {"direction": [0, 0, 0, 0, 1e-13, 0, 0, 0]}),
+], ids=["reeb-r", "arc-from-huge", "arc-from-tiny", "psi-huge", "psi-tiny",
+        "loop-direction-huge", "loop-direction-tiny"])
+def test_transport_inputs_whose_norm_overflows_or_underflows(tmp_path, spec,
+                                                             scaled):
+    # each scaled spec reads as its unscaled one: a norm that overflows, or
+    # underflows for a nonzero vector, is taken after dividing by the
+    # largest entry
+    reports = []
+    for override in ({}, scaled):
+        pfile = tmp_path / "path.json"
+        pfile.write_text(json.dumps({"m": 3, "steps": 300, "psi_i":
+                                     [1, 0, 0, 0], "psi_f": [1, 1, 0, 0],
+                                     **spec, **override}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # "normalized"
+            assert run(tmp_path, "transport", str(pfile)) == 0
+        reports.append(json.loads((tmp_path / "transport.json").read_text()))
+    want, got = reports
+    assert 0.01 < want["probability"]
+    assert abs(got["probability"] - want["probability"]) < 1e-12
+    switches = [r["result"]["switches"] for r in reports]
+    assert len(switches[0]) == len(switches[1])
+    if spec["type"] == "great_circle_loop":    # through x = 0 and y = 0
+        assert len(switches[0]) == 4
+    for (t0, *frames0), (t1, *frames1) in zip(*switches):
+        assert abs(t0 - t1) < 1e-12 and frames0 == frames1
 
 
 def test_table(tmp_path):

@@ -7,18 +7,18 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import conjugation
+from oracles import conjugation, qlog
 from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
-                             _pullback, pullback, random_point,
+                             _coframe, _pullback, pullback, random_point,
                              random_unit_tangent)
 from sphere7.connection import (PathSpec, connection_matrix,
                                 curvature_residual, gauge_matrix,
                                 parallel_transport)
 from sphere7.fock import (GENERATOR_NAMES, basis, build_rho,
                           build_rho_partial, dim, sym_power)
-from sphere7.quaternions import QCONJ, qlog, qmul, transition_tau
-from sphere7.u2h import basis_maps, float_image
+from sphere7.quaternions import QCONJ, qcomplex, qmul, transition_tau
+from sphere7.u2h import _vector_matrices, basis_maps, float_image
 
 
 def test_trivial_level_connection():
@@ -376,6 +376,81 @@ def _expm_gauge(m, p):
                   for r in rows]
     q1, q2, q3 = qlog(transition_tau(p))[1:]
     return scipy.linalg.expm(2.0 * (q1 * j1 + q2 * j2 + q3 * j3))
+
+
+def _gauge_points():
+    """Five seeded overlap points, and one where x and y commute, so that
+    tau = -1 and its logarithm takes a branch."""
+    rng = np.random.default_rng(5)
+    return [random_point(rng, 0.35) for _ in range(5)] + [
+        SpherePoint([0.6, 0, 0, 0], [0.8, 0, 0, 0])]
+
+
+def test_gauge_matrix_is_the_exponential_of_the_logarithm():
+    # the lift of W c(diag(tau, 1)) W^H / 2 against expm of the level-m
+    # generator of diag(log tau, 0)
+    points = _gauge_points()
+    assert np.allclose(transition_tau(points[-1]), [-1, 0, 0, 0])
+    for p in points:
+        for m in range(1, 9):
+            assert np.max(np.abs(gauge_matrix(m, p) - _expm_gauge(m, p))
+                          ) < 1e-13
+
+
+def test_level_2_is_one_conjugation_of_the_vector_matrices():
+    # W W^H = 2 I and rho_2(X) = W c(X) W^H / 2 for the ten vector
+    # generators X, both without rounding; 2X is _vector_matrices()
+    w = connection.W
+    assert np.array_equal(w @ w.conj().T, 2 * np.eye(4))
+    rep = build_rho(2)
+    rows = float_image(basis_maps()[1])
+    for row, two_x in zip(rows, _vector_matrices()):
+        image = sum(c * rep[g].toarray() for c, g in zip(row, GENERATOR_NAMES))
+        assert np.array_equal(image, w @ qcomplex(two_x) @ w.conj().T / 4)
+
+
+def _coframe_conjugation_residual(w):
+    """max |connection_matrix(u, 2, patch) - w c(Omega) w^H / 4| over seeded
+    tangents u in both patches, Omega = [[mu, nu], [-nubar, kappa]] the
+    coframe on u, the pulled-back 2 g^-1 dg."""
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(10):
+        p = random_point(rng, 0.3)
+        u = random_unit_tangent(rng, p)
+        for patch in ("s", "n"):
+            mu, nu, kappa = (r[0] for r in _coframe(
+                p.as_array8()[None], u.as_array8()[None], patch))
+            omega = np.array([[mu, nu], [-nu * QCONJ, kappa]])
+            want = w @ qcomplex(omega) @ w.conj().T / 4
+            worst = max(worst, float(np.max(np.abs(
+                connection_matrix(u, 2, patch=patch) - want))))
+    return worst
+
+
+def test_level_2_connection_is_the_conjugated_coframe():
+    assert _coframe_conjugation_residual(connection.W) < 1e-14
+
+
+@pytest.mark.parametrize("entry", list(zip(*np.nonzero(connection.W))))
+def test_a_sign_flip_in_w_is_caught(monkeypatch, entry):
+    # negative control: W with one entry negated breaks the coframe identity,
+    # the closed-form gauge and the gauge relation
+    w = connection.W.copy()
+    w[entry] *= -1
+    assert _coframe_conjugation_residual(w) > 0.1
+    monkeypatch.setattr(connection, "W", w)
+    p = _gauge_points()[0]
+    assert np.max(np.abs(gauge_matrix(2, p) - _expm_gauge(2, p))) > 0.1
+    u = random_unit_tangent(np.random.default_rng(6), p)
+    g = gauge_matrix(2, p)
+    chart = Chart(p, [u])
+    h = 1e-6
+    gp, gm = (gauge_matrix(2, chart.frame_vector(0, (s,)).base)
+              for s in (h, -h))
+    resid = (connection_matrix(u, 2, patch="n") - g.conj().T @ (
+        connection_matrix(u, 2, patch="s") @ g + (gp - gm) / (2 * h)))
+    assert np.max(np.abs(resid)) > 0.1
 
 
 def _reference_transport(path, m, frame="s", switches=()):

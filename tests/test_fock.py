@@ -7,13 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import conjugation
-from sphere7 import connection, fock
-from sphere7.coframe import random_point
+from sphere7 import fock
 from sphere7.fock import (GENERATOR_NAMES, M_MAX, basis, basis_index,
                           build_rho, build_rho_partial, casimir_deviation,
                           commutant_dimension, dim,
                           dump_representation, expected_k_spectrum,
-                          exponentiate, full_convergence_ell, k_spectrum,
+                          full_convergence_ell, k_spectrum,
                           load_representation, matrix_of_laurent,
                           partial_sum_distance, sqrt_series_value,
                           sym_power, verify_brackets, verify_reality,
@@ -372,49 +371,6 @@ def test_filtration_check():
     assert rep["prefix_ok"]
     assert not rep["is_subrepresentation"]
     assert rep["off_block_norm"][3] > 0.1
-
-
-def test_exponentiate():
-    rep = {g: x.toarray() for g, x in build_rho(2).items()}
-    assert np.allclose(exponentiate(np.zeros((3, 3), dtype=complex)),
-                       np.eye(3))
-    u = exponentiate(2 * math.pi * rep["K+-"])
-    assert np.max(np.abs(u - np.eye(4))) < 1e-10
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        t = float(rng.uniform(-10, 10))
-        u = exponentiate(t * (rep["P++"] - rep["P++"].conj().T))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-    with pytest.raises(ValueError):
-        exponentiate(np.array([[1.0]]))
-
-
-def _random_antihermitean(rng, d, norm):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    x = z - z.conj().T
-    return x * (norm / np.linalg.norm(x, 2))
-
-
-def _gauge_generator(m):
-    """The generator gauge_matrix exponentiates, at a seeded overlap point."""
-    return connection._gauge_generator(
-        m, random_point(np.random.default_rng(5), 0.35))
-
-
-def test_exponentiate_matches_expm():
-    rng = np.random.default_rng(12)
-    cases = [(_random_antihermitean(rng, d, norm), t)
-             for d in (4, 20, 120) for norm in (0.1, 3.0, 14.0, 50.0)
-             for t in (1.0, -0.7)]
-    cases.append((_gauge_generator(8), 1.0))
-    for x, t in cases:
-        u = exponentiate(t * x)
-        assert np.max(np.abs(u - scipy.linalg.expm(t * x))) < 1e-12
-        assert np.max(np.abs(u.conj().T @ u - np.eye(len(x)))) < 1e-13
-    x = _random_antihermitean(rng, 20, 5.0)
-    x[3, 7] += 1e-3
-    with pytest.raises(ValueError, match="not antihermitean"):
-        exponentiate(x)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import qlog
 from sphere7.coframe import SpherePoint, random_point
-from sphere7.quaternions import (QCONJ, QMUL, PatchError, qdagger, qinv,
-                                 qlog, qmatmul, qmul, qnorm, section_n,
+from sphere7.quaternions import (QCONJ, QMUL, PatchError, qcomplex, qdagger,
+                                 qinv, qmatmul, qmul, qnorm, section_n,
                                  section_s, transition_tau)
 
 ONE, QI, QJ, QK = np.eye(4)
@@ -104,6 +105,24 @@ def test_qdagger_reverses_matrix_products():
     ints = rng.integers(-3, 4, (2, 2, 2, 4))
     assert np.array_equal(qdagger(qmatmul(ints[0], ints[1])),
                           qmatmul(qdagger(ints[1]), qdagger(ints[0])))
+
+
+def test_qcomplex_is_an_exact_homomorphism():
+    # the block of each basis quaternion, as the module docstring writes it
+    blocks = {"1": [[1, 0], [0, 1]], "i": [[1j, 0], [0, -1j]],
+              "j": [[0, 1], [-1, 0]], "k": [[0, 1j], [1j, 0]]}
+    for name, q in UNITS.items():
+        a = np.zeros((2, 2, 4))
+        a[1, 0] = q
+        want = np.zeros((4, 4), dtype=complex)
+        want[2:, :2] = blocks[name]
+        assert np.array_equal(qcomplex(a), want)
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(-3, 4, (2, 50, 2, 2, 4))
+    assert np.array_equal(qcomplex(qmatmul(a, b)), qcomplex(a) @ qcomplex(b))
+    assert np.array_equal(qcomplex(qdagger(a)),
+                          qcomplex(a).conj().swapaxes(-1, -2))
+    assert np.array_equal(qcomplex(ID2), np.eye(4))
 
 
 def test_qlog_closed_forms():

@@ -12,9 +12,9 @@ from oracles import (CASIMIR_PAIRS, GRADING_ELEMENT, REALITY_SPINOR,
                      inverse_map, reality, recorded, table_view)
 from sphere7 import coframe, fock, u2h
 from sphere7.rational import CRat, I
-from sphere7.u2h import (ENTRY_MAX, GENERATOR_PAIRS, SPINOR_GENERATORS,
-                         VECTOR_GENERATORS, bracket_table,
-                         cross_basis_residual, killing_form,
+from sphere7.u2h import (ENTRY_MAX, GENERATOR_PAIRS, PAIR_INDEX,
+                         SPINOR_GENERATORS, VECTOR_GENERATORS, bracket_table,
+                         cross_basis_residual, killing_form, pair_brackets,
                          reality_bracket_residual, verify_jacobi)
 
 
@@ -389,6 +389,19 @@ def _complex_array(table, rows, cols):
         for c, v in table[row].items():
             out[r, at[c]] = v.to_complex()
     return out
+
+
+@pytest.mark.parametrize("mutate", [None, "k-bracket"])
+def test_pair_rows_follow_generator_pairs(mutate):
+    # row p of pair_brackets and PAIR_INDEX both name the p-th pair, in
+    # either order, of GENERATOR_PAIRS
+    num, den = bracket_table("spinor", mutate)
+    rows, rden = pair_brackets(mutate)
+    assert rows.shape == (len(GENERATOR_PAIRS), 10, 2) and rden == den
+    at = {g: k for k, g in enumerate(SPINOR_GENERATORS)}
+    for p, (x, y) in enumerate(GENERATOR_PAIRS):
+        assert PAIR_INDEX[at[x], at[y]] == PAIR_INDEX[at[y], at[x]] == p
+        assert np.array_equal(rows[p], num[at[x], at[y]])
 
 
 def test_float_images_are_bitwise_the_exact_tables():
