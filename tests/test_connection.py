@@ -112,6 +112,21 @@ def test_toric_line_transport():
     assert res.unitarity_residual < 1e-8
 
 
+def _gauge_relation_residual(p, u, m):
+    """max |a_n - (g^dagger a_s g + g^dagger dg)| on the tangent u at the
+    overlap point p, g = gauge_matrix(m, p) and dg by central differences
+    along the chart line of u."""
+    g = gauge_matrix(m, p)
+    a_s = connection_matrix(u, m, patch="s")
+    a_n = connection_matrix(u, m, patch="n")
+    chart = Chart(p, [u])
+    h = 1e-6
+    gp, gm = (gauge_matrix(m, chart.frame_vector(0, (s,)).base)
+              for s in (h, -h))
+    dg = (gp - gm) / (2 * h)
+    return np.max(np.abs(a_n - (g.conj().T @ a_s @ g + g.conj().T @ dg)))
+
+
 def test_gauge_relation_at_rep_level():
     rng = np.random.default_rng(6)
     m = 2
@@ -120,15 +135,7 @@ def test_gauge_relation_at_rep_level():
         u = random_unit_tangent(rng, p)
         g = gauge_matrix(m, p)
         assert np.max(np.abs(g.conj().T @ g - np.eye(dim(m)))) < 1e-12
-        a_s = connection_matrix(u, m, patch="s")
-        a_n = connection_matrix(u, m, patch="n")
-        chart = Chart(p, [u])
-        h = 1e-6
-        gp, gm = (gauge_matrix(m, chart.frame_vector(0, (s,)).base)
-                  for s in (h, -h))
-        dg = (gp - gm) / (2 * h)
-        resid = a_n - (g.conj().T @ a_s @ g + g.conj().T @ dg)
-        assert np.max(np.abs(resid)) < 1e-8
+        assert _gauge_relation_residual(p, u, m) < 1e-8
 
 
 _COORDS = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8,
@@ -154,14 +161,7 @@ def test_gauge_relation_property(p_coords, u_coords, m):
     assert np.max(np.abs(g.conj().T @ g - np.eye(dim(m)))) < 1e-12
     assert _conjugation_defect(g, m) < 1e-13
     a_s = connection_matrix(u, m, patch="s")
-    a_n = connection_matrix(u, m, patch="n")
-    chart = Chart(p, [u])
-    h = 1e-6
-    gp, gm = (gauge_matrix(m, chart.frame_vector(0, (s,)).base)
-              for s in (h, -h))
-    dg = (gp - gm) / (2 * h)
-    resid = a_n - (g.conj().T @ a_s @ g + g.conj().T @ dg)
-    assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(a_s))
+    assert _gauge_relation_residual(p, u, m) < 1e-8 * np.max(np.abs(a_s))
 
 
 def _alpha_coefficient_probe(u, m1=2, m2=3, ell=0):
@@ -443,14 +443,7 @@ def test_a_sign_flip_in_w_is_caught(monkeypatch, entry):
     p = _gauge_points()[0]
     assert np.max(np.abs(gauge_matrix(2, p) - _expm_gauge(2, p))) > 0.1
     u = random_unit_tangent(np.random.default_rng(6), p)
-    g = gauge_matrix(2, p)
-    chart = Chart(p, [u])
-    h = 1e-6
-    gp, gm = (gauge_matrix(2, chart.frame_vector(0, (s,)).base)
-              for s in (h, -h))
-    resid = (connection_matrix(u, 2, patch="n") - g.conj().T @ (
-        connection_matrix(u, 2, patch="s") @ g + (gp - gm) / (2 * h)))
-    assert np.max(np.abs(resid)) > 0.1
+    assert _gauge_relation_residual(p, u, 2) > 0.1
 
 
 def _reference_transport(path, m, frame="s", switches=()):
