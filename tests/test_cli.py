@@ -316,13 +316,6 @@ def test_transport_malformed(tmp_path, capsys):
       "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]},
      "too coarse for m = 12, use more steps"),
     ({"m": M_MAX + 1}, f"level m = {M_MAX}"),
-    # radial is relative to |direction|: 1e-13 across a unit radial part
-    ({"type": "great_circle_loop", "at": {"x": [1, 0, 0, 0],
-                                          "y": [0, 0, 0, 0]},
-      "direction": [1, 0, 0, 0, 1e-13, 0, 0, 0]}, "direction is radial"),
-    ({"type": "great_circle_loop", "at": {"x": [1, 0, 0, 0],
-                                          "y": [0, 0, 0, 0]},
-      "direction": [0] * 8}, "direction is radial"),
     # a chord through the origin: nan at a node for even steps, a jump
     # across the sphere for odd steps
     ({"type": "piecewise", "steps": 100,
@@ -338,6 +331,13 @@ def test_transport_malformed(tmp_path, capsys):
     ({"dump_matrix": 1}, "dump_matrix must be true or false"),
     ({"psi_i": [1, 0, 0, 0]}, "psi_i given without the other state"),
     ({"psi_f": [1, 0, 0, 0]}, "psi_f given without the other state"),
+    # radial is relative to |direction|: 1e-13 across a unit radial part
+    ({"type": "great_circle_loop", "at": {"x": [1, 0, 0, 0],
+                                          "y": [0, 0, 0, 0]},
+      "direction": [1, 0, 0, 0, 1e-13, 0, 0, 0]}, "direction is radial"),
+    ({"type": "great_circle_loop", "at": {"x": [1, 0, 0, 0],
+                                          "y": [0, 0, 0, 0]},
+      "direction": [0] * 8}, "direction is radial"),
 ])
 def test_transport_out_of_range(tmp_path, capsys, override, message):
     spec = {"type": "constant", "at": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
