@@ -12,16 +12,13 @@ to order ell+1 and maps level m into the ambient level m+1 block; it is flat
 only to the corresponding grade and is not antihermitean, so transport is
 offered for the exact connection only; ell=None selects it, an integer
 ell the truncation.  A PathSpec is a curve gamma on [0, 1] with its step
-count, and parallel_transport(path, m) integrates
-
-    U'(t) = -A(gamma'(t)) U(t),  U(0) = Id,  0 <= t <= 1
-
-with RK4 in those steps, switching trivialization when the s-patch
-coordinate gets small.  Level m is Sym^(m-1) of level 2, so RK4 runs on the
-4 x 4 level-2 connection only, and fock.sym_power lifts its result, gauge
-switches included, to level m.  A TransportResult holds the one unitary U
-of a path, and every Born probability |<psi_f, U psi_i>|^2 (normalized) is
-read from it.
+count.  The exact connection is A = rho(g^-1 dg) for the section g of a
+patch, so U'(t) = -A(gamma'(t)) U(t), U(0) = Id, is solved by
+rho(g(gamma(t)))^-1 rho(g(gamma(0))); parallel_transport(path, m) takes g
+from the frame the path starts in, and the steps resolve only the scan
+for patch switches.  A TransportResult holds the one unitary U of a path,
+and every Born probability |<psi_f, U psi_i>|^2 (normalized) is read
+from it.
 
 The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
@@ -38,7 +35,9 @@ from .coframe import (Chart, SpherePoint, TangentVector, _pullback, _rescaled,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _entries, build_rho, build_rho_partial,
                    dim, sym_power)
-from .quaternions import qcomplex, transition_tau
+from .quaternions import (PatchError, qcomplex, section_n, section_s,
+                          transition_tau)
+from .tolerances import TAU_PATCH
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
 PATCH_SWITCH_LEVEL = 0.05
@@ -68,14 +67,6 @@ def _rho_stack(m, ell=None, domain_m=None):
     return flat, vals, shape
 
 
-def _scatter(flat, values, shape):
-    """Matrices of the given shape, zero off the flat indices; values holds
-    their entries there in its last axis."""
-    out = np.zeros((*values.shape[:-1], *shape), dtype=complex)
-    out.reshape(*values.shape[:-1], -1)[..., flat] = values
-    return out
-
-
 def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
     """The connection form evaluated on one tangent vector.
 
@@ -89,8 +80,10 @@ def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
         raise ValueError("the exact connection acts on level m only")
     flat, vals, shape = (_rho_stack(m) if ell is None else _rho_stack(
         m, ell + 1, m if domain_m is None else domain_m))
-    c = _pullback(u.base.as_array8()[None], u.as_array8()[None], patch)[0]
-    return _scatter(flat, c @ vals, shape)
+    out = np.zeros(shape, dtype=complex)
+    out.flat[flat] = _pullback(u.base.as_array8()[None], u.as_array8()[None],
+                               patch)[0] @ vals
+    return out
 
 
 def curvature_residual(p, u, v, m, ell=None, h=1e-4, patch="s"):
@@ -149,8 +142,8 @@ def _chordal(knots, t):
 
 
 class PathSpec:
-    """Parametric curve with analytic tangent on [0, 1], integrated in
-    `steps` equal steps.
+    """Parametric curve with analytic tangent on [0, 1], scanned for patch
+    switches in `steps` equal steps.
 
     curve(t) maps an array of N times to ambient points and velocities, both
     (N, 8); `arrays` puts them on the sphere and its tangent spaces.
@@ -244,7 +237,7 @@ class PathSpec:
 
 
 class TransportResult:
-    """Transport unitary with integration diagnostics."""
+    """Transport unitary with its switch log and rounding diagnostic."""
 
     __slots__ = ("matrix", "unitarity_residual", "steps", "switches",
                  "start_frame", "end_frame")
@@ -287,117 +280,81 @@ class TransportResult:
                 "end_frame": self.end_frame}
 
 
+def _rho2(g):
+    """The level-2 image W c(g) W^H / 2 of quaternionic 2x2 matrices g."""
+    return W @ qcomplex(g) @ W.conj().T / 2
+
+
 def gauge_matrix(m, p):
     """Unitary representing the transition element diag(tau, 1) at level m,
-    the symmetric power of its level-2 image W c(diag(tau, 1)) W^H / 2."""
+    the symmetric power of its level-2 image."""
     g = np.zeros((2, 2, 4))
     g[0, 0], g[1, 1, 0] = transition_tau(p), 1.0
-    return sym_power(W @ qcomplex(g) @ W.conj().T / 2, m)
+    return sym_power(_rho2(g), m)
 
 
 def _step_frames(p8, north):
-    """Frame of each step of a block, True for the n patch, and whether it
-    switches at the step's start.  p8 holds the block's nodes t_k, t_k + h/2,
-    ..., t_n; north is the frame the block starts in.  A step switches when
-    the active coordinate drops below PATCH_SWITCH_LEVEL at any of its three
-    RK nodes."""
+    """Frame of each step of a block, True for the n patch, whether it
+    switches at the step's start, and its active coordinate's least modulus.
+    p8 holds the block's nodes t_k, t_k + h/2, ..., t_n; north is the frame
+    the block starts in.  A step switches when the active coordinate drops
+    below PATCH_SWITCH_LEVEL at any of its three nodes."""
     r = np.linalg.norm(p8.reshape(-1, 2, 4), axis=2)     # |x|, |y| per node
     low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
-    low = (low < PATCH_SWITCH_LEVEL).tolist()             # per step, (s, n)
     frames, switched = [], []
-    for low_s, low_n in low:
+    for low_s, low_n in (low < PATCH_SWITCH_LEVEL).tolist():  # per step
         flip = low_n if north else low_s
         north ^= flip
         frames.append(north)
         switched.append(flip)
-    return frames, switched
-
-
-def _node_coefficients(p8, u8, north):
-    """-(generator coefficients) at each node, in the frame north[i]."""
-    out = np.empty((len(p8), len(GENERATOR_NAMES)), dtype=complex)
-    for patch, sel in (("s", ~north), ("n", north)):
-        if sel.any():
-            out[sel] = -_pullback(p8[sel], u8[sel], patch)
-    return out
+    return frames, switched, np.where(frames, low[:, 1], low[:, 0])
 
 
 def _level2_transport(path, start_frame):
-    """RK4 for the 4 x 4 level-2 connection in the path's steps: the
-    transport matrix, expressed in the frame it starts in, the switch log
-    and that frame.
-
-    Each block of up to _BLOCK_STEPS steps evaluates its node geometry and
-    generator coefficients at once, and forms every step's RK4 increment
-    inc from B = (h/2)(-A) at its three nodes; a step is then
-    U <- U + inc U, and a switch one product with a transition unitary.
-    """
+    """The level-2 transport of the path, its switch log and its start
+    frame.  The switch scan takes up to _BLOCK_STEPS steps' nodes at once,
+    and refuses a step whose active coordinate falls below TAU_PATCH at one
+    of its nodes, as the coframe there would."""
     steps = path.steps
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    flat, vals, _ = _rho_stack(2)
-    h = 1.0 / steps
-    vals = (h / 2) * vals          # nodes carry B = (h/2)(-A)
-    frame = start_frame or preferred_patch(path.point(0.0))
-    start_frame = frame
+    frame = start_frame = start_frame or preferred_patch(path.point(0.0))
     switches = []
-    u_op = np.eye(4, dtype=complex)
-
     for k0 in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - k0)
-        nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (h / 2)
-        p8, u8 = path.arrays(nodes)
-        north, switched = _step_frames(p8, frame == "n")
-        # nodes 2k and 2k+1 in the frame of step k, node 2n in that of step
-        # n-1; so node 2k+2 is in the frame of step k unless step k+1
-        # switches, and is then evaluated again
-        coeff = _node_coefficients(p8, u8,
-                                   np.repeat(north + north[-1:], 2)[:-1])
-        end = coeff[2::2].copy()
-        again = np.flatnonzero(switched[1:])
-        end[again] = _node_coefficients(p8[2 * again + 2], u8[2 * again + 2],
-                                        np.array(north)[again])
-        b0, bmid, b1 = (_scatter(flat, c @ vals, (4, 4))
-                        for c in (coeff[:-1:2], coeff[1::2], end))
-        # with kj the RK4 slopes, (h/2) k2 = p U and (h/2) k3 = q U; the
-        # step adds (h/6)(k1 + 2 k2 + 2 k3 + k4) = inc U
-        p = bmid + bmid @ b0
-        q = bmid + bmid @ p
-        inc = (b0 + 2 * p + 2 * q + b1 + 2 * (b1 @ q)) / 3
-        for i in range(n):
-            if switched[i]:
-                new_frame = "n" if north[i] else "s"
-                g = gauge_matrix(2, SpherePoint.from_array8(p8[2 * i]))
-                u_op = (g.conj().T @ u_op) if frame == "s" else (g @ u_op)
-                switches.append((float(nodes[2 * i]), frame, new_frame))
-                frame = new_frame
-            u_op += inc[i] @ u_op
-
-    if frame != start_frame:
-        # express the result in the frame the path started in (the endpoint
-        # must lie in the overlap for this to be meaningful)
-        g = gauge_matrix(2, path.point(1.0))
-        u_op = (g @ u_op) if frame == "n" else (g.conj().T @ u_op)
-    return u_op, switches, start_frame
+        nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (0.5 / steps)
+        north, switched, active = _step_frames(path.arrays(nodes)[0],
+                                               frame == "n")
+        if np.min(active) < TAU_PATCH:
+            bad = north[int(np.argmax(active < TAU_PATCH))]
+            raise PatchError(f"{steps} steps are too coarse for this path "
+                             f"(patch violation: |{'xy'[bad]}| ~ 0 on the "
+                             f"{'sn'[bad]} patch)")
+        for i in np.flatnonzero(switched):
+            old, frame = frame, "sn"[north[i]]
+            switches.append((float(nodes[2 * i]), old, frame))
+    section = section_s if start_frame == "s" else section_n
+    try:
+        end, start = (_rho2(section(path.point(t))) for t in (1.0, 0.0))
+    except PatchError as exc:
+        msg = f"the path must start and end in the {start_frame} chart its "
+        raise PatchError(f"{msg}transport is expressed in ({exc})") from None
+    return end.conj().T @ start, switches, start_frame
 
 
 def parallel_transport(path, m, *, start_frame=None):
-    """Integrate the exact flat connection along a path with fixed-step RK4,
-    in the path's steps on [0, 1].
+    """Parallel transport of the exact flat connection along a path, in
+    closed form: at level 2 it is rho_2(s(q))^H rho_2(s(p)) from the path's
+    start p to its end q, s the section of the start frame, and
+    fock.sym_power lifts it to level m.
 
-    Level m is Sym^(m-1) of level 2, and the level-m transport is the
-    symmetric power of the level-2 one (fock.sym_power), gauge switches
-    included.  So RK4 runs once, on the 4 x 4 level-2 connection, and its
-    result is lifted to level m.  Frames switch between the two
-    trivializing patches when the active coordinate drops below
-    PATCH_SWITCH_LEVEL at one of a step's RK nodes; the switch happens at
-    the start of that step, conjugates the accumulated operator by the
-    transition unitary and is logged.  Transports compose,
-    U(g2 after g1) = U(g2) U(g1), when computed in matching frames;
-    start_frame pins the trivialization (default: the larger coordinate at
-    the start point).  The operator is not reprojected onto the unitary
-    group; its drift max |U^H U - I|, read as the lift of the level-2
-    U^H U, is reported as a diagnostic.
+    The result is expressed in that frame: start_frame pins it (default:
+    the larger coordinate at p), and p and q must lie in its chart.  The
+    path's steps set the resolution of the scan that logs a switch between
+    the two patches where the active coordinate drops below
+    PATCH_SWITCH_LEVEL at one of a step's nodes.  Transports compose,
+    U(g2 after g1) = U(g2) U(g1), in matching frames.  The rounding drift
+    max |U^H U - I|, the lift of the level-2 U^H U, is a diagnostic.
     """
     d = dim(m)
     u2, switches, start_frame = _level2_transport(path, start_frame)

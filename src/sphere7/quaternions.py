@@ -77,7 +77,7 @@ def section_s(p):
     patch.  Its second column is the point (x, y) itself."""
     x, y = p.x, p.y
     if qnorm(x) < TAU_PATCH:
-        raise PatchError("patch violation: x = 0 on the s patch")
+        raise PatchError(f"patch violation: x = 0 on the s patch at {p}")
     xb = x * QCONJ
     w = -qmul(qmul(qinv(xb), y * QCONJ), xb)
     return np.array([[w, x], [xb, y]])
@@ -88,7 +88,7 @@ def section_n(p):
     patch."""
     x, y = p.x, p.y
     if qnorm(y) < TAU_PATCH:
-        raise PatchError("patch violation: y = 0 on the n patch")
+        raise PatchError(f"patch violation: y = 0 on the n patch at {p}")
     yb = y * QCONJ
     z = -qmul(qmul(qinv(yb), x * QCONJ), yb)
     return np.array([[yb, x], [z, y]])

@@ -16,21 +16,30 @@ contraction and grading of the spinor algebra live here too.
 conjugation is the antiunitary symmetry of the level matrices of
 sphere7.fock, and qlog the quaternion logarithm through which a transition
 unitary of sphere7.connection is checked as the exponential of a generator.
+
+The closed-form transport of sphere7.connection is checked against
+reference_transport, fixed-step RK4 of U' = -A U with the connection
+assembled node by node through connection_matrix and the gauges built by
+expm; it must converge to the closed form at fourth order.  tensor_lift
+lifts a level-2 unitary to level m through tensor powers.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from sphere7.classical import PoissonElement
-from sphere7.fock import _rank, basis
-from sphere7.quaternions import qnorm
+from sphere7.connection import connection_matrix
+from sphere7.fock import GENERATOR_NAMES, _rank, basis, build_rho, dim
+from sphere7.quaternions import qnorm, transition_tau
 from sphere7.rational import CRat, Combination, I, add_into, gaussian
 from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
-                         basis_maps, bracket_table)
+                         basis_maps, bracket_table, float_image)
 from sphere7.weyl import (LaurentElement, WeylElement, _contractions,
                           _min_cap, embedded_generators)
 
@@ -402,3 +411,77 @@ def qlog(q):
                          axis=-1)
     out[..., 1] = np.where(real & (q[..., 0] < 0), np.pi, out[..., 1])
     return out
+
+
+# ---------------------------------------------------------------------------
+# transport by RK4 node by node, gauges by expm, lifts by tensor powers
+# ---------------------------------------------------------------------------
+
+def expm_gauge(m, p):
+    """gauge_matrix(m, p) through scipy.linalg.expm on dense generators."""
+    rep = build_rho(m)
+    rows = float_image(basis_maps()[1])[:3]     # j1, j2, j3
+    j1, j2, j3 = [sum(c * rep[g].toarray() for c, g in zip(r, GENERATOR_NAMES))
+                  for r in rows]
+    q1, q2, q3 = qlog(transition_tau(p))[1:]
+    return scipy.linalg.expm(2.0 * (q1 * j1 + q2 * j2 + q3 * j3))
+
+
+def reference_transport(path, m, frame="s", switches=()):
+    """Fixed-step RK4 on [0, 1] in the path's steps, with the connection
+    assembled node by node through the scalar API.  At the start of each
+    step that `switches` logs, the operator is conjugated into the new frame
+    by an expm-built gauge; a transport that ends in the other frame is
+    converted back to `frame`."""
+    u_op = np.eye(dim(m), dtype=complex)
+    steps = path.steps
+    h = 1.0 / steps
+    at_step = {round(t / h): (a, b) for t, a, b in switches}
+
+    def a(t):
+        return -connection_matrix(path.tangent(t), m, patch=frame)
+
+    start = frame
+    for k in range(steps):
+        t = k * h
+        if k in at_step:
+            old, frame = at_step[k]
+            g = expm_gauge(m, path.point(t))
+            u_op = (g.conj().T @ u_op) if old == "s" else (g @ u_op)
+        a0, amid, a1 = a(t), a(t + h / 2), a(t + h)
+        k1 = a0 @ u_op
+        k2 = amid @ (u_op + (h / 2) * k1)
+        k3 = amid @ (u_op + (h / 2) * k2)
+        k4 = a1 @ (u_op + h * k3)
+        u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if frame != start:
+        g = expm_gauge(m, path.point(1.0))
+        u_op = (g @ u_op) if frame == "n" else (g.conj().T @ u_op)
+    return u_op
+
+
+def tensor_lift(u, m):
+    """P^H u^(x)(m-1) P, P the isometry of basis(m) onto the normalized
+    symmetric tensors of (C^4)^(m-1) (Fulton-Harris, Representation Theory,
+    1991, 6.1).  State (n1, n2, n3) has the mode counts
+    k = (m-1-n1-n2-n3, n3, n2, n1); its tensor is sqrt(k! / (m-1)!) times
+    the sum of the words with those counts."""
+    n = m - 1
+    big = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        big = np.kron(big, u)
+    words = np.array(list(product(range(4), repeat=n)))
+    counts = (words[:, :, None] == np.arange(4)).sum(axis=1)
+    state = {(n - n1 - n2 - n3, n3, n2, n1): i
+             for i, (n1, n2, n3) in enumerate(basis(m))}
+    p = np.zeros((len(words), dim(m)))
+    for w, k in enumerate(map(tuple, counts.tolist())):
+        p[w, state[k]] = math.sqrt(math.prod(map(math.factorial, k))
+                                   / math.factorial(n))
+    return p.T @ big @ p
+
+
+def lifted_reference(path, m, frame="s", switches=()):
+    """The level-2 reference transport, lifted to level m by tensor_lift."""
+    ref = reference_transport(path, 2, frame, switches)
+    return ref if m == 2 else tensor_lift(ref, m)

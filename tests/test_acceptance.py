@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from oracles import reference_transport
 from sphere7 import classical, coframe, fock, u2h, weyl
 from sphere7.cli import main as cli_main
 from sphere7.connection import (PathSpec, curvature_residual,
@@ -189,7 +190,17 @@ def test_criterion_8_flatness():
 
 
 # 9 ------------------------------------------------------------------
+def _oracle(path, m):
+    """The per-node RK4 oracle in the s frame, switching where the
+    transport's scan does."""
+    switches = parallel_transport(path, m, start_frame="s").switches
+    return reference_transport(path, m, "s", switches)
+
+
 def test_criterion_9_quantum_dynamics():
+    # the closed-form transport closes loops and agrees on two paths by
+    # construction, so each check is also made on the RK4 oracle, which
+    # integrates the Schroedinger equation U' = -A U, at 2000 steps
     t0 = time.time()
     rng = np.random.default_rng(5)
     for m in (2, 3):
@@ -203,6 +214,13 @@ def test_criterion_9_quantum_dynamics():
         res = parallel_transport(PathSpec.reeb_loop(tor, 10_000), m)
         assert res.holonomy_distance() < 1e-5
         assert res.unitarity_residual < 1e-8
+        eye = np.eye(fock.dim(m))
+        for path in (PathSpec.great_circle_loop(
+                p0, np.array([0, 1.0, 0, 0, 0, 0.5, 0, 0]), 2000),
+                     PathSpec.reeb_loop(tor, 2000)):
+            u = _oracle(path, m)
+            assert float(np.max(np.abs(u - eye))) < 1e-5
+            assert float(np.max(np.abs(u.conj().T @ u - eye))) < 1e-8
     a = coframe.random_point(rng, 0.4)
     b = coframe.random_point(rng, 0.4)
     mid1 = coframe.random_point(rng, 0.4)
@@ -212,6 +230,9 @@ def test_criterion_9_quantum_dynamics():
                             start_frame="s").matrix
     u2 = parallel_transport(PathSpec.piecewise([a, mid2, b], 10_000), m,
                             start_frame="s").matrix
+    assert float(np.max(np.abs(u1 - u2))) < 1e-5
+    u1, u2 = (_oracle(PathSpec.piecewise([a, mid, b], 2000), m)
+              for mid in (mid1, mid2))
     assert float(np.max(np.abs(u1 - u2))) < 1e-5
     d = fock.dim(m)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)

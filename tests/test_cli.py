@@ -308,13 +308,11 @@ def test_transport_malformed(tmp_path, capsys):
                                           "y": [0, 0, 0, 0]},
       "direction": [0, 0, 0, 0, 1, 0, 0, 0], "steps": 4},
      "4 steps are too coarse"),
-    # the level-2 drift of 3.3e-3 grows about (m-1)-fold in the lift to
-    # m = 12: residual 3.6e-2
-    ({"type": "great_circle_loop", "at": {"x": [0.6, 0.8, 0, 0],
-                                          "y": [0, 0, 0, 0]},
-      "direction": [0, 0, 0, 0, 0.3, 0.1, 0.5, 0.2], "m": 12, "steps": 12,
-      "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]},
-     "too coarse for m = 12, use more steps"),
+    # the result is expressed in the start chart, which does not cover the
+    # end point: no step count helps
+    ({"type": "great_circle", "from": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+      "to": {"x": [0, 0, 0, 0], "y": [1, 0, 0, 0]}, "steps": 1000},
+     "must start and end in the s chart"),
     ({"m": M_MAX + 1}, f"level m = {M_MAX}"),
     # a chord through the origin: nan at a node for even steps, a jump
     # across the sphere for odd steps
@@ -361,6 +359,43 @@ def test_transport_coarse_loop_through_x_zero(tmp_path):
     report = json.loads((tmp_path / "transport.json").read_text())
     assert len(report["result"]["switches"]) == 4
     assert report["result"]["holonomy_distance"] < 1e-4
+
+
+def _env_with_src():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def test_coarse_transport_is_exact(tmp_path):
+    # 12 steps resolve the four switches of this loop, and the transport
+    # does not depend on the steps otherwise, even lifted to m = 12
+    spec = {"type": "great_circle_loop",
+            "at": {"x": [0.6, 0.8, 0, 0], "y": [0, 0, 0, 0]},
+            "direction": [0, 0, 0, 0, 0.3, 0.1, 0.5, 0.2], "m": 12,
+            "steps": 12, "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]}
+    pfile = tmp_path / "path.json"
+    pfile.write_text(json.dumps(spec))
+    assert run(tmp_path, "transport", str(pfile)) == 0
+    report = json.loads((tmp_path / "transport.json").read_text())
+    assert len(report["result"]["switches"]) == 4
+    assert abs(report["probability"] - 1.0) < 1e-12
+
+
+def test_transport_prints_warnings_on_one_line(tmp_path):
+    spec = tmp_path / "reeb.json"
+    spec.write_text(json.dumps({
+        "type": "reeb_loop", "r": [1e300] * 4, "theta": [0, 0, 0, 0],
+        "m": 2, "steps": 20}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphere7.cli", "transport", str(spec),
+         "--out", str(tmp_path)], env=_env_with_src(), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ("warning: radius constraint violated by 2e+300; "
+                           "input normalized\n")
 
 
 _POLE = {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]}
@@ -610,10 +645,7 @@ def test_commands_run_without_scipy(tmp_path):
             f"'--out', {out!r}])\n"
             "print(verify, transport, sorted(\n"
             "    k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "0 0 []"

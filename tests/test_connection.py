@@ -1,13 +1,12 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import conjugation, qlog
+from oracles import (conjugation, expm_gauge, lifted_reference,
+                     reference_transport, tensor_lift)
 from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              _coframe, _pullback, pullback, random_point,
@@ -15,9 +14,10 @@ from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
 from sphere7.connection import (PathSpec, connection_matrix,
                                 curvature_residual, gauge_matrix,
                                 parallel_transport)
-from sphere7.fock import (GENERATOR_NAMES, basis, build_rho,
-                          build_rho_partial, dim, sym_power)
-from sphere7.quaternions import QCONJ, qcomplex, qmul, transition_tau
+from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial, dim,
+                          sym_power)
+from sphere7.quaternions import (QCONJ, qcomplex, qmul, section_s,
+                                 transition_tau)
 from sphere7.u2h import _vector_matrices, basis_maps, float_image
 
 
@@ -260,9 +260,10 @@ def test_rk4_order():
         return PathSpec.great_circle_loop(
             p0, np.array([0, 1., 0, 1., 0, 0, 0, 0]), steps)
 
-    ref = parallel_transport(loop(8000), 2).matrix
-    e1 = np.max(np.abs(parallel_transport(loop(50), 2).matrix - ref))
-    e2 = np.max(np.abs(parallel_transport(loop(100), 2).matrix - ref))
+    # the per-node RK4 oracle converges to the closed form
+    exact = parallel_transport(loop(50), 2).matrix
+    e1 = np.max(np.abs(reference_transport(loop(50), 2) - exact))
+    e2 = np.max(np.abs(reference_transport(loop(100), 2) - exact))
     assert 10 < e1 / e2 < 25  # fourth order
 
 
@@ -278,11 +279,11 @@ def test_reeb_transport():
 
 def test_reeb_rk4_convergence():
     t = ToricPoint([0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 1.5, 2.5])
-    ref = parallel_transport(PathSpec.reeb_loop(t, 6400), 2).matrix
-    e1 = np.max(np.abs(parallel_transport(PathSpec.reeb_loop(t, 100),
-                                          2).matrix - ref))
-    e2 = np.max(np.abs(parallel_transport(PathSpec.reeb_loop(t, 200),
-                                          2).matrix - ref))
+    exact = parallel_transport(PathSpec.reeb_loop(t, 100), 2).matrix
+    e1 = np.max(np.abs(reference_transport(PathSpec.reeb_loop(t, 100), 2)
+                       - exact))
+    e2 = np.max(np.abs(reference_transport(PathSpec.reeb_loop(t, 200), 2)
+                       - exact))
     assert 10 < e1 / e2 < 25
 
 
@@ -358,24 +359,14 @@ def test_transport_step_validation():
 
 @pytest.mark.parametrize("steps", [10, 12, 20, 40, 100])
 def test_coarse_loop_through_x_zero(steps):
-    # each step's frame is chosen from all three RK nodes, so a node that
-    # lands on x = 0 or y = 0 never reaches the wrong chart
+    # each step's frame is chosen from all three of its nodes, so a node
+    # that lands on x = 0 or y = 0 never reaches the wrong chart
     p0 = SpherePoint([0.6, 0.8, 0, 0], [0, 0, 0, 0])
     path = PathSpec.great_circle_loop(p0, [0, 0, 0, 0, 1., 0, 0, 0], steps)
     res = parallel_transport(path, 2)
     assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
                                                ("s", "n"), ("n", "s")]
     assert res.holonomy_distance() < 1e-2
-
-
-def _expm_gauge(m, p):
-    """gauge_matrix(m, p) through scipy.linalg.expm on dense generators."""
-    rep = build_rho(m)
-    rows = float_image(basis_maps()[1])[:3]     # j1, j2, j3
-    j1, j2, j3 = [sum(c * rep[g].toarray() for c, g in zip(r, GENERATOR_NAMES))
-                  for r in rows]
-    q1, q2, q3 = qlog(transition_tau(p))[1:]
-    return scipy.linalg.expm(2.0 * (q1 * j1 + q2 * j2 + q3 * j3))
 
 
 def _gauge_points():
@@ -393,7 +384,7 @@ def test_gauge_matrix_is_the_exponential_of_the_logarithm():
     assert np.allclose(transition_tau(points[-1]), [-1, 0, 0, 0])
     for p in points:
         for m in range(1, 9):
-            assert np.max(np.abs(gauge_matrix(m, p) - _expm_gauge(m, p))
+            assert np.max(np.abs(gauge_matrix(m, p) - expm_gauge(m, p))
                           ) < 1e-13
 
 
@@ -441,69 +432,15 @@ def test_a_sign_flip_in_w_is_caught(monkeypatch, entry):
     assert _coframe_conjugation_residual(w) > 0.1
     monkeypatch.setattr(connection, "W", w)
     p = _gauge_points()[0]
-    assert np.max(np.abs(gauge_matrix(2, p) - _expm_gauge(2, p))) > 0.1
+    assert np.max(np.abs(gauge_matrix(2, p) - expm_gauge(2, p))) > 0.1
     u = random_unit_tangent(np.random.default_rng(6), p)
     assert _gauge_relation_residual(p, u, 2) > 0.1
 
 
-def _reference_transport(path, m, frame="s", switches=()):
-    """Fixed-step RK4 on [0, 1] in the path's steps, with the connection
-    assembled node by node through the scalar API.  At the start of each
-    step that `switches` logs, the operator is conjugated into the new frame
-    by an expm-built gauge; a transport that ends in the other frame is
-    converted back to `frame`."""
-    u_op = np.eye(dim(m), dtype=complex)
-    steps = path.steps
-    h = 1.0 / steps
-    at_step = {round(t / h): (a, b) for t, a, b in switches}
-
-    def a(t):
-        return -connection_matrix(path.tangent(t), m, patch=frame)
-
-    start = frame
-    for k in range(steps):
-        t = k * h
-        if k in at_step:
-            old, frame = at_step[k]
-            g = _expm_gauge(m, path.point(t))
-            u_op = (g.conj().T @ u_op) if old == "s" else (g @ u_op)
-        a0, amid, a1 = a(t), a(t + h / 2), a(t + h)
-        k1 = a0 @ u_op
-        k2 = amid @ (u_op + (h / 2) * k1)
-        k3 = amid @ (u_op + (h / 2) * k2)
-        k4 = a1 @ (u_op + h * k3)
-        u_op = u_op + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if frame != start:
-        g = _expm_gauge(m, path.point(1.0))
-        u_op = (g @ u_op) if frame == "n" else (g.conj().T @ u_op)
-    return u_op
-
-
-def _tensor_lift(u, m):
-    """P^H u^(x)(m-1) P, P the isometry of basis(m) onto the normalized
-    symmetric tensors of (C^4)^(m-1) (Fulton-Harris, Representation Theory,
-    1991, 6.1).  State (n1, n2, n3) has the mode counts
-    k = (m-1-n1-n2-n3, n3, n2, n1); its tensor is sqrt(k! / (m-1)!) times
-    the sum of the words with those counts."""
-    n = m - 1
-    big = np.ones((1, 1), dtype=complex)
-    for _ in range(n):
-        big = np.kron(big, u)
-    words = np.array(list(itertools.product(range(4), repeat=n)))
-    counts = (words[:, :, None] == np.arange(4)).sum(axis=1)
-    state = {(n - n1 - n2 - n3, n3, n2, n1): i
-             for i, (n1, n2, n3) in enumerate(basis(m))}
-    p = np.zeros((len(words), dim(m)))
-    for w, k in enumerate(map(tuple, counts.tolist())):
-        p[w, state[k]] = math.sqrt(math.prod(map(math.factorial, k))
-                                   / math.factorial(n))
-    return p.T @ big @ p
-
-
-def _lifted_reference(path, m, frame="s", switches=()):
-    """The level-2 reference transport, lifted to level m by _tensor_lift."""
-    ref = _reference_transport(path, 2, frame, switches)
-    return ref if m == 2 else _tensor_lift(ref, m)
+def _error_ratio(u, ref, ref2):
+    """|u - ref| / |ref - ref2| for the oracle ref in n and ref2 in 2n
+    steps: 16/15 when the oracle converges to u at fourth order."""
+    return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref - ref2)))
 
 
 def _switching_loop(steps):
@@ -517,11 +454,11 @@ def _switching_loop(steps):
 def test_tensor_lift_is_an_isometry_and_matches_sym_power():
     rng = np.random.default_rng(31)
     for m in range(1, 6):
-        assert np.max(np.abs(_tensor_lift(np.eye(4), m)
+        assert np.max(np.abs(tensor_lift(np.eye(4), m)
                              - np.eye(dim(m)))) < 1e-14
         u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u /= np.linalg.norm(u, 2)
-        assert np.max(np.abs(sym_power(u, m) - _tensor_lift(u, m))) < 1e-14
+        assert np.max(np.abs(sym_power(u, m) - tensor_lift(u, m))) < 1e-14
 
 
 def _conjugation_defect(u, m):
@@ -539,40 +476,50 @@ def _unit(*coords):
 _TORUS = ToricPoint([0.5, 0.5, 0.5, 0.5], [0.3, 1.0, 2.0, 5.0])
 
 
+def _open_toric_line(n):
+    return PathSpec.toric_line(_TORUS, (0.0, 1.0, 2 * math.pi, 0.0), n)
+
+
+def _open_arc(n):
+    return PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
+                                 _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0, 0.2), n)
+
+
+def _scanned_reference(path, m, frame="s"):
+    """The lifted oracle in the path's steps, switching frame where the
+    scan of parallel_transport does at that resolution."""
+    switches = parallel_transport(path, 2, start_frame=frame).switches
+    return lifted_reference(path, m, frame, switches)
+
+
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("make_path, m", [
     (lambda n: PathSpec.reeb_loop(_TORUS, n), 2),
     (lambda n: PathSpec.reeb_loop(_TORUS, n), 3),
     (lambda n: PathSpec.reeb_loop(_TORUS, n), 4),
-    (lambda n: PathSpec.toric_line(_TORUS, (0.0, 1.0, 2 * math.pi, 0.0), n),
-     5),
+    (_open_toric_line, 5),
     (lambda n: PathSpec.toric_line(_TORUS, (2 * math.pi, 0.0, 0.0, 1.0), n),
      2),
-    (lambda n: PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
-                                     _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0,
-                                           0.2), n), 3),
-    (lambda n: PathSpec.great_circle(_unit(0.8, 0.1, 0, 0, 0.3, 0, 0.2, 0.1),
-                                     _unit(0.5, 0, 0.4, 0.3, 0.1, 0.5, 0,
-                                           0.2), n), 5),
+    (_open_arc, 3),
+    (_open_arc, 5),
 ], ids=["reeb-m2", "reeb-m3", "reeb-m4", "toric-line-m5", "toric-line",
         "great-circle", "great-circle-m5"])
 def test_batched_transport_matches_per_node_reference(monkeypatch, block,
                                                       make_path, m):
     if block is not None:
         monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
-    path = make_path(150)
-    res = parallel_transport(path, m)
+    res = parallel_transport(make_path(150), m)
     assert res.switches == [] and res.start_frame == "s"
-    ref = _lifted_reference(path, m)
-    assert np.max(np.abs(res.matrix - ref)) < 1e-12
+    ref, ref2 = (_scanned_reference(make_path(n), m) for n in (150, 300))
+    assert 1.0 < _error_ratio(res.matrix, ref, ref2) < 1.2
     assert _conjugation_defect(res.matrix, m) < 1e-13
 
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_switching_transport_matches_per_node_reference(monkeypatch, block):
     # a loop through x = 0 switches patch four times; with 7-step blocks the
-    # switches fall inside blocks and on their first steps, so end nodes are
-    # evaluated again across switches and block ends; even m are of
+    # switches fall inside blocks and on their first steps; the oracle
+    # switches where the scan does at its resolution; even m are of
     # quaternionic type, odd m of real type
     if block is not None:
         monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
@@ -582,14 +529,41 @@ def test_switching_transport_matches_per_node_reference(monkeypatch, block):
         assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
                                                    ("s", "n"), ("n", "s")]
         assert res.start_frame == res.end_frame == "s"
-        ref = _lifted_reference(path, m, switches=res.switches)
-        assert np.max(np.abs(res.matrix - ref)) < 1e-12
+        ref, ref2 = (_scanned_reference(_switching_loop(n), m)
+                     for n in (100, 200))
+        assert 1.0 < _error_ratio(res.matrix, ref, ref2) < 1.2
         assert _conjugation_defect(res.matrix, m) < 1e-13
         for t, _, _ in res.switches:
             gauge = gauge_matrix(m, path.point(t))
             assert _conjugation_defect(gauge, m) < 1e-13
         again = parallel_transport(path, m)
         assert np.array_equal(again.matrix, res.matrix)
+
+
+def _flipped_section_s(p):
+    g = section_s(p)
+    g[0, 0] *= -1
+    return g
+
+
+_RHO2 = connection._rho2
+
+
+@pytest.mark.parametrize("attr, mutant", [
+    ("_rho2", lambda g: _RHO2(g).conj().T),
+    ("section_s", _flipped_section_s),
+], ids=["reversed-order", "section-sign"])
+@pytest.mark.parametrize("make_path, m", [(_open_toric_line, 5),
+                                          (_open_arc, 3)],
+                         ids=["toric-line-m5", "great-circle"])
+def test_a_wrong_closed_form_fails_the_ratio_test(monkeypatch, attr, mutant,
+                                                  make_path, m):
+    # negative control: rho_2(s(q)) rho_2(s(p))^H, the product in reversed
+    # order, or a section with one sign flipped is caught by the oracle
+    monkeypatch.setattr(connection, attr, mutant)
+    res = parallel_transport(make_path(150), m)
+    ref, ref2 = (_scanned_reference(make_path(n), m) for n in (150, 300))
+    assert not 1.0 < _error_ratio(res.matrix, ref, ref2) < 1.2
 
 
 @settings(deadline=None, max_examples=25)
@@ -609,15 +583,15 @@ def test_random_arc_transport_matches_per_node_reference(a, c, squeeze, part,
     b = 2 * (a @ c) * c - a
     assume(min(np.linalg.norm(v[i:i + 4]) for v in (a, b) for i in (0, 4))
            > 0.05)
-    path = PathSpec.great_circle(SpherePoint.from_array8(a),
-                                 SpherePoint.from_array8(b), 40)
-    res = parallel_transport(path, m)
-    ref = _lifted_reference(path, m, frame=res.start_frame,
-                            switches=res.switches)
+    a, b = SpherePoint.from_array8(a), SpherePoint.from_array8(b)
+    res = parallel_transport(PathSpec.great_circle(a, b, 40), m)
+    ref, ref2 = (_scanned_reference(PathSpec.great_circle(a, b, n), m,
+                                    res.start_frame) for n in (40, 80))
     # 40 steps can leave RK4's stability region on a fast arc, and the
-    # lifted operator then grows with m; the bounds hold relative to its size
+    # lifted oracle then grows with m; the bounds hold relative to its size
     scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.max(np.abs(res.matrix - ref)) < 1e-12 * scale
+    assert (np.max(np.abs(res.matrix - ref))
+            <= 2 * np.max(np.abs(ref - ref2)) + 1e-13 * scale)
     assert _conjugation_defect(res.matrix, m) < 1e-13 * scale
 
 
@@ -670,9 +644,8 @@ def _point(coords):
 def test_transport_composition_property(a, b, c, m):
     # in the s frame at every end, U(b -> c) U(a -> b) = U(a -> c): the
     # connection is flat and the sphere simply connected.  Arcs that come
-    # near x = 0 or y = 0 switch patch on the way, and there RK4 needs more
-    # steps; each leg at 1000 steps is within |U(500) - U(1000)| / 15 or so
-    # (fourth order), which bounds the composition defect
+    # near x = 0 or y = 0 switch patch on the way; the legs' change from 500
+    # to 1000 steps adds to the bound on the composition defect
     a, b, c = _point(a), _point(b), _point(c)
     for p, q in ((a, b), (b, c), (a, c)):
         assume(-0.9 < p.as_array8() @ q.as_array8() < 0.999)
@@ -690,13 +663,13 @@ def test_transport_composition_property(a, b, c, m):
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_lift_is_within_the_level_m_rk4_error(m):
-    # level-m RK4 on the switching loop is off by about |ref(n) - ref(2n)|
-    # (fourth order), the lift of level-2 RK4 by far less, so they agree
-    # within twice that estimate
+    # the level-m oracle on the switching loop is off from the closed form
+    # by about |ref(n) - ref(2n)| (fourth order), so they agree within
+    # twice that estimate
     coarse, fine = _switching_loop(100), _switching_loop(200)
     res = parallel_transport(coarse, m)
-    ref = _reference_transport(coarse, m, switches=res.switches)
-    ref2 = _reference_transport(
+    ref = reference_transport(coarse, m, switches=res.switches)
+    ref2 = reference_transport(
         fine, m, switches=parallel_transport(fine, 2).switches)
     estimate = float(np.max(np.abs(ref - ref2)))
     assert 0 < np.max(np.abs(res.matrix - ref)) < 2 * estimate
