@@ -504,7 +504,7 @@ def cmd_dump_rep(cfg):
 _OPTIONS = {
     "--m": dict(dest="m_range", help="level range, e.g. 2 or 1..6"),
     "--ell": dict(dest="ell_range", help="truncation range, e.g. 0..4"),
-    "--steps": dict(type=int, help="integrator steps"),
+    "--steps": dict(type=int, help="resolution of transport's switch scan"),
     "--h": dict(type=float, help="finite-difference step, 0 < h < 1"),
     "--seed": dict(type=int, help="RNG seed"),
     "--samples": dict(type=int, help="random sample count"),

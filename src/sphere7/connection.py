@@ -34,7 +34,7 @@ import numpy as np
 from .coframe import (Chart, SpherePoint, TangentVector, _pullback, _rescaled,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _entries, build_rho, build_rho_partial,
-                   dim, sym_power)
+                   sym_power)
 from .quaternions import (PatchError, qcomplex, section_n, section_s,
                           transition_tau)
 from .tolerances import TAU_PATCH
@@ -78,6 +78,8 @@ def connection_matrix(u, m, ell=None, patch="s", domain_m=None):
     """
     if ell is None and domain_m not in (None, m):
         raise ValueError("the exact connection acts on level m only")
+    if ell is not None and ell < 0:
+        raise ValueError("ell must be >= 0")
     flat, vals, shape = (_rho_stack(m) if ell is None else _rho_stack(
         m, ell + 1, m if domain_m is None else domain_m))
     out = np.zeros(shape, dtype=complex)
@@ -237,19 +239,19 @@ class PathSpec:
 
 
 class TransportResult:
-    """Transport unitary with its switch log and rounding diagnostic."""
+    """Transport unitary with its switch log and rounding diagnostic; it is
+    expressed in start_frame at both ends, which to_json writes as both."""
 
     __slots__ = ("matrix", "unitarity_residual", "steps", "switches",
-                 "start_frame", "end_frame")
+                 "start_frame")
 
     def __init__(self, matrix, unitarity_residual, steps, switches,
-                 start_frame, end_frame):
+                 start_frame):
         self.matrix = matrix
         self.unitarity_residual = unitarity_residual
         self.steps = steps
         self.switches = switches
         self.start_frame = start_frame
-        self.end_frame = end_frame
 
     def probability(self, psi_i, psi_f):
         """The Born probability |<psi_f, U psi_i>|^2 / (|psi_f|^2 |psi_i|^2)
@@ -277,7 +279,7 @@ class TransportResult:
                 "steps": self.steps,
                 "switches": [[t, a, b] for (t, a, b) in self.switches],
                 "start_frame": self.start_frame,
-                "end_frame": self.end_frame}
+                "end_frame": self.start_frame}
 
 
 def _rho2(g):
@@ -293,72 +295,61 @@ def gauge_matrix(m, p):
     return sym_power(_rho2(g), m)
 
 
-def _step_frames(p8, north):
-    """Frame of each step of a block, True for the n patch, whether it
-    switches at the step's start, and its active coordinate's least modulus.
-    p8 holds the block's nodes t_k, t_k + h/2, ..., t_n; north is the frame
-    the block starts in.  A step switches when the active coordinate drops
-    below PATCH_SWITCH_LEVEL at any of its three nodes."""
-    r = np.linalg.norm(p8.reshape(-1, 2, 4), axis=2)     # |x|, |y| per node
-    low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
-    frames, switched = [], []
-    for low_s, low_n in (low < PATCH_SWITCH_LEVEL).tolist():  # per step
-        flip = low_n if north else low_s
-        north ^= flip
-        frames.append(north)
-        switched.append(flip)
-    return frames, switched, np.where(frames, low[:, 1], low[:, 0])
+def _switch_log(path, frame):
+    """The patch switches (t, old, new) of a path that starts in frame.
 
-
-def _level2_transport(path, start_frame):
-    """The level-2 transport of the path, its switch log and its start
-    frame.  The switch scan takes up to _BLOCK_STEPS steps' nodes at once,
-    and refuses a step whose active coordinate falls below TAU_PATCH at one
-    of its nodes, as the coframe there would."""
-    steps = path.steps
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
-    frame = start_frame = start_frame or preferred_patch(path.point(0.0))
-    switches = []
+    Steps are scanned _BLOCK_STEPS at a time, on the nodes t_k, t_k + h/2
+    and t_k + h.  A step switches where the current frame's coordinate is
+    below PATCH_SWITCH_LEVEL at one of its nodes, and is refused where the
+    frame it then takes has its coordinate below TAU_PATCH, as the coframe
+    there would be.  Only steps with a coordinate below the level are
+    visited one by one."""
+    steps, north, switches = path.steps, "sn".index(frame), []
     for k0 in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - k0)
         nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (0.5 / steps)
-        north, switched, active = _step_frames(path.arrays(nodes)[0],
-                                               frame == "n")
-        if np.min(active) < TAU_PATCH:
-            bad = north[int(np.argmax(active < TAU_PATCH))]
-            raise PatchError(f"{steps} steps are too coarse for this path "
-                             f"(patch violation: |{'xy'[bad]}| ~ 0 on the "
-                             f"{'sn'[bad]} patch)")
-        for i in np.flatnonzero(switched):
-            old, frame = frame, "sn"[north[i]]
-            switches.append((float(nodes[2 * i]), old, frame))
-    section = section_s if start_frame == "s" else section_n
-    try:
-        end, start = (_rho2(section(path.point(t))) for t in (1.0, 0.0))
-    except PatchError as exc:
-        msg = f"the path must start and end in the {start_frame} chart its "
-        raise PatchError(f"{msg}transport is expressed in ({exc})") from None
-    return end.conj().T @ start, switches, start_frame
+        p8 = to_sphere(path.curve(nodes)[0])
+        r = np.linalg.norm(p8.reshape(-1, 2, 4), axis=2)  # |x|, |y| per node
+        low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
+        for i in np.flatnonzero(np.min(low, axis=1) < PATCH_SWITCH_LEVEL):
+            if low[i, north] < PATCH_SWITCH_LEVEL:
+                north = 1 - north
+                switches.append((float(nodes[2 * i]), "ns"[north],
+                                 "sn"[north]))
+            if low[i, north] < TAU_PATCH:
+                raise PatchError(f"{steps} steps are too coarse for this path "
+                                 f"(patch violation: |{'xy'[north]}| ~ 0 on "
+                                 f"the {'sn'[north]} patch)")
+    return switches
 
 
 def parallel_transport(path, m, *, start_frame=None):
     """Parallel transport of the exact flat connection along a path, in
     closed form: at level 2 it is rho_2(s(q))^H rho_2(s(p)) from the path's
-    start p to its end q, s the section of the start frame, and
+    start p to its end q, s the section of the start frame, and one
     fock.sym_power lifts it to level m.
 
-    The result is expressed in that frame: start_frame pins it (default:
-    the larger coordinate at p), and p and q must lie in its chart.  The
-    path's steps set the resolution of the scan that logs a switch between
-    the two patches where the active coordinate drops below
-    PATCH_SWITCH_LEVEL at one of a step's nodes.  Transports compose,
-    U(g2 after g1) = U(g2) U(g1), in matching frames.  The rounding drift
-    max |U^H U - I|, the lift of the level-2 U^H U, is a diagnostic.
+    The result is expressed in that frame: start_frame, None, "s" or "n",
+    pins it (None: the larger coordinate at p), and p and q must lie in its
+    chart.  The path's steps set only the resolution of _switch_log.
+    Transports compose, U(g2 after g1) = U(g2) U(g1), in matching frames.
+    The rounding drift max |u^H u - I| of the level-2 transport u is a
+    diagnostic; the lift's drift Gamma(u^H u) - I is fixed by it.
     """
-    d = dim(m)
-    u2, switches, start_frame = _level2_transport(path, start_frame)
-    drift = sym_power(u2.conj().T @ u2, m)
-    drift.flat[::d + 1] -= 1.0
-    return TransportResult(sym_power(u2, m), float(np.max(np.abs(drift))),
-                           path.steps, switches, start_frame, start_frame)
+    if start_frame not in (None, "s", "n"):
+        raise ValueError(f"start_frame must be None, 's' or 'n', got "
+                         f"{start_frame!r}")
+    if path.steps < 2:
+        raise ValueError("need at least 2 steps")
+    frame = start_frame or preferred_patch(path.point(0.0))
+    switches = _switch_log(path, frame)
+    section = section_s if frame == "s" else section_n
+    try:
+        end, start = (_rho2(section(path.point(t))) for t in (1.0, 0.0))
+    except PatchError as exc:
+        msg = f"the path must start and end in the {frame} chart its "
+        raise PatchError(f"{msg}transport is expressed in ({exc})") from None
+    u2 = end.conj().T @ start
+    drift = float(np.max(np.abs(u2.conj().T @ u2 - np.eye(4))))
+    return TransportResult(sym_power(u2, m), drift, path.steps, switches,
+                           frame)

@@ -29,7 +29,7 @@ GENERATOR_NAMES = SPINOR_GENERATORS
 # Largest level the command line builds.  `verify --m M..M --ell 0..0` on
 # 2 vCPUs measured 35 MiB / 0.18 s at M = 12 and 38 MiB / 0.22 s at M = 20
 # (whole process, median of seven); the bound is transport's dense level-m
-# matrix: a 2000-step loop at M = 20 (D = 1540) took 0.86-0.99 s, 159 MiB.
+# matrix: a 2000-step loop at M = 20 (D = 1540) took 0.51-0.74 s, 124 MiB.
 M_MAX = 20
 
 # Largest truncation order `verify` and `table` run.  The formal embedding
@@ -263,6 +263,8 @@ def sqrt_series_value(ell, x):
     to a few ulp.  For 0 <= x < 1 the sum stops at the first term that leaves
     it unchanged; the later terms are smaller and of the same sign.
     """
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
     if x == 1 and ell >= 512:
         return math.exp(-0.5 * math.log(math.pi * ell) - 1 / (8 * ell)
                         + 1 / (192 * ell ** 3) - 1 / (640 * ell ** 5))

@@ -21,7 +21,9 @@ The closed-form transport of sphere7.connection is checked against
 reference_transport, fixed-step RK4 of U' = -A U with the connection
 assembled node by node through connection_matrix and the gauges built by
 expm; it must converge to the closed form at fourth order.  tensor_lift
-lifts a level-2 unitary to level m through tensor powers.
+lifts a level-2 unitary to level m through tensor powers.  The scan that
+logs its patch switches is checked against reference_switch_log, the loop
+over every step that it replaced.
 """
 
 import json
@@ -34,10 +36,12 @@ import numpy as np
 import scipy.linalg
 
 from sphere7.classical import PoissonElement
-from sphere7.connection import connection_matrix
+from sphere7 import connection
+from sphere7.connection import PATCH_SWITCH_LEVEL, connection_matrix
 from sphere7.fock import GENERATOR_NAMES, _rank, basis, build_rho, dim
-from sphere7.quaternions import qnorm, transition_tau
+from sphere7.quaternions import PatchError, qnorm, transition_tau
 from sphere7.rational import CRat, Combination, I, add_into, gaussian
+from sphere7.tolerances import TAU_PATCH
 from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
                          basis_maps, bracket_table, float_image)
 from sphere7.weyl import (LaurentElement, WeylElement, _contractions,
@@ -485,3 +489,32 @@ def lifted_reference(path, m, frame="s", switches=()):
     """The level-2 reference transport, lifted to level m by tensor_lift."""
     ref = reference_transport(path, 2, frame, switches)
     return ref if m == 2 else tensor_lift(ref, m)
+
+
+def reference_switch_log(path, frame):
+    """The patch switches (t, old, new) of a path that starts in frame, one
+    step at a time: each block of connection._BLOCK_STEPS steps reads the
+    points and tangents at its nodes, carries the frame through every step
+    and refuses the block before logging its switches."""
+    steps, north, switches = path.steps, frame == "n", []
+    for k0 in range(0, steps, connection._BLOCK_STEPS):
+        n = min(connection._BLOCK_STEPS, steps - k0)
+        nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (0.5 / steps)
+        r = np.linalg.norm(path.arrays(nodes)[0].reshape(-1, 2, 4), axis=2)
+        low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
+        frames, switched = [], []
+        for low_s, low_n in (low < PATCH_SWITCH_LEVEL).tolist():
+            flip = low_n if north else low_s
+            north ^= flip
+            frames.append(north)
+            switched.append(flip)
+        active = np.where(frames, low[:, 1], low[:, 0])
+        if np.min(active) < TAU_PATCH:
+            bad = frames[int(np.argmax(active < TAU_PATCH))]
+            raise PatchError(f"{steps} steps are too coarse for this path "
+                             f"(patch violation: |{'xy'[bad]}| ~ 0 on the "
+                             f"{'sn'[bad]} patch)")
+        for i in np.flatnonzero(switched):
+            old, frame = frame, "sn"[frames[i]]
+            switches.append((float(nodes[2 * i]), old, frame))
+    return switches

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (conjugation, expm_gauge, lifted_reference,
-                     reference_transport, tensor_lift)
+                     reference_switch_log, reference_transport, tensor_lift)
 from sphere7 import connection
 from sphere7.coframe import (Chart, SpherePoint, TangentVector, ToricPoint,
                              _coframe, _pullback, pullback, random_point,
@@ -16,8 +16,8 @@ from sphere7.connection import (PathSpec, connection_matrix,
                                 parallel_transport)
 from sphere7.fock import (GENERATOR_NAMES, build_rho, build_rho_partial, dim,
                           sym_power)
-from sphere7.quaternions import (QCONJ, qcomplex, qmul, section_s,
-                                 transition_tau)
+from sphere7.quaternions import (QCONJ, PatchError, qcomplex, qmul,
+                                 section_s, transition_tau)
 from sphere7.u2h import _vector_matrices, basis_maps, float_image
 
 
@@ -54,6 +54,10 @@ def test_exact_connection_refuses_another_domain():
     assert connection_matrix(u, 2, ell=1, domain_m=5).shape == (56, 35)
     with pytest.raises(ValueError, match="level m only"):
         connection_matrix(u, 2, domain_m=5)
+    # the truncation takes partial sums through order ell + 1, which must
+    # not let ell = -1 through as order 0
+    with pytest.raises(ValueError, match="ell must be >= 0"):
+        connection_matrix(u, 2, ell=-1)
 
 
 def test_exact_flatness():
@@ -528,7 +532,7 @@ def test_switching_transport_matches_per_node_reference(monkeypatch, block):
         res = parallel_transport(path, m)
         assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
                                                    ("s", "n"), ("n", "s")]
-        assert res.start_frame == res.end_frame == "s"
+        assert res.start_frame == res.to_json()["end_frame"] == "s"
         ref, ref2 = (_scanned_reference(_switching_loop(n), m)
                      for n in (100, 200))
         assert 1.0 < _error_ratio(res.matrix, ref, ref2) < 1.2
@@ -538,6 +542,84 @@ def test_switching_transport_matches_per_node_reference(monkeypatch, block):
             assert _conjugation_defect(gauge, m) < 1e-13
         again = parallel_transport(path, m)
         assert np.array_equal(again.matrix, res.matrix)
+
+
+def _scan_paths(seed, steps):
+    """Seeded paths of every kind, the loops through x = 0 and y = 0, and
+    two great circles whose least |x| is 0.0499 and 0.0501 at t = 1/4."""
+    rng = np.random.default_rng(seed)
+    p, q, c = (random_point(rng) for _ in range(3))
+    r = rng.uniform(0.01, 1.0, 4)
+    torus = ToricPoint(r / np.linalg.norm(r), rng.uniform(0, 7, 4))
+    paths = [PathSpec.great_circle(p, q, steps),
+             PathSpec.great_circle_loop(p, rng.standard_normal(8), steps),
+             PathSpec.toric_line(torus, rng.uniform(-7, 7, 4), steps),
+             PathSpec.reeb_loop(torus, steps),
+             PathSpec.piecewise([p, q, c], steps),
+             PathSpec.constant(p, steps), _switching_loop(steps)]
+    for at, direction in (((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0)),
+                          ((0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)),
+                          ((1, 0, 0, 0, 0, 0, 0, 0),
+                           (0, 0, 0, 0.0499, 1, 0, 0, 0)),
+                          ((1, 0, 0, 0, 0, 0, 0, 0),
+                           (0, 0, 0, 0.0501, 1, 0, 0, 0))):
+        paths.append(PathSpec.great_circle_loop(
+            SpherePoint.from_array8(np.array(at, dtype=float)),
+            np.array(direction) / np.linalg.norm(direction), steps))
+    return paths
+
+
+def _log_or_refusal(scan, path, frame):
+    try:
+        return scan(path, frame)
+    except PatchError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [256, 7])
+@pytest.mark.parametrize("frame", ["s", "n"])
+def test_switch_log_matches_the_per_step_loop(monkeypatch, block, frame):
+    # the scan visits only the steps near a zero; the loop it replaced
+    # carried the frame through every step
+    monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
+    logs = []
+    for seed, steps in ((0, 4), (1, 10), (2, 12), (3, 100), (4, 400)):
+        for path in _scan_paths(seed, steps):
+            log = _log_or_refusal(connection._switch_log, path, frame)
+            assert log == _log_or_refusal(reference_switch_log, path, frame)
+            logs.append(log)
+    # at 4 steps the loop through x = 0 has a node on x = 0
+    assert "4 steps are too coarse for this path" in logs[7]
+    # at 400 steps t = 1/4 is a node, so the least |x| is read exactly; the
+    # n frame leaves y = 0 at once
+    below, above = logs[-2:]
+    assert len(below) == 4 + (frame == "n") and len(above) == (frame == "n")
+
+
+def test_unknown_start_frame_is_refused():
+    p = SpherePoint([0.6, 0, 0, 0], [0.8, 0, 0, 0])
+    q = _unit(0.8, 0, 0.1, 0, 0.5, 0.3, 0, 0)
+    for path in (PathSpec.great_circle(p, q, 100), _switching_loop(100)):
+        for frame in ("x", "", "S", 0):
+            with pytest.raises(ValueError, match="None, 's' or 'n'"):
+                parallel_transport(path, 2, start_frame=frame)
+
+
+def test_transport_lifts_once(monkeypatch):
+    # the drift is read at level 2, so it does not depend on m, and the
+    # level-m matrix is the one lift of the level-2 transport
+    path = _open_arc(150)
+    drift = parallel_transport(path, 2).unitarity_residual
+    assert drift > 0
+    calls = []
+
+    def counted(u, m):
+        calls.append(m)
+        return sym_power(u, m)
+
+    monkeypatch.setattr(connection, "sym_power", counted)
+    assert parallel_transport(path, 8).unitarity_residual == drift
+    assert calls == [8]
 
 
 def _flipped_section_s(p):

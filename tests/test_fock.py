@@ -220,6 +220,16 @@ def test_partial_action_boundary_sequence():
     assert abs(amp - 2j * math.sqrt(2) * math.sqrt(2) * 1.0) < 1e-12
 
 
+def test_negative_truncation_order_is_refused():
+    # every partial sum reads sqrt_series_value, which refuses ell < 0 as
+    # weyl.sqrt_partial_sum does
+    for call in (lambda: sqrt_series_value(-1, 0.5),
+                 lambda: partial_sum_distance(3, -1),
+                 lambda: build_rho_partial(3, -1)):
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            call()
+
+
 def _embed_exact_in_ambient(m):
     """build_rho(m) in the D(m+1) x D(m) ambient shape: the exact S
     assembled into the level-(m+1) codomain, whose extra rows stay zero."""
