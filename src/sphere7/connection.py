@@ -16,7 +16,9 @@ count.  The exact connection is A = rho(g^-1 dg) for the section g of a
 patch, so U'(t) = -A(gamma'(t)) U(t), U(0) = Id, is solved by
 rho(g(gamma(t)))^-1 rho(g(gamma(0))); parallel_transport(path, m) takes g
 from the frame the path starts in, and the steps resolve only the scan
-for patch switches.  A TransportResult holds the one unitary U of a path,
+for patch switches.  That scan evaluates only the steps near a chart
+crossing, which every PathSpec has in closed form, so its work does not
+grow with the steps.  A TransportResult holds the one unitary U of a path,
 and every Born probability |<psi_f, U psi_i>|^2 (normalized) is read
 from it.
 
@@ -41,8 +43,11 @@ from .tolerances import TAU_PATCH
 
 # |x| level at which transport abandons the s patch (and mirrored for n)
 PATCH_SWITCH_LEVEL = 0.05
-# steps whose node geometry parallel_transport evaluates at once; it bounds
-# the memory of the geometry independently of the number of steps
+# relative widening of that level for the closed-form crossings, far above
+# the rounding of a node's coordinates
+_LEVEL_MARGIN = 1e-9
+# candidate steps whose nodes _switch_log evaluates at once; it bounds the
+# memory of a path that runs along a chart edge
 _BLOCK_STEPS = 256
 # W W^H = 2 I; level 2 is C^4 with rho_2(g) = W c(g) W^H / 2 for a group
 # element g and rho_2(X) = W c(X) W^H / 2 for an algebra element X, c the
@@ -143,16 +148,67 @@ def _chordal(knots, t):
     return c / nc, dc / nc - c * np.sum(c * dc, axis=1)[:, None] / nc ** 3
 
 
+def _arc_below(a, b, w, level):
+    """For |x| and for |y| of P = cos(w t) a + sin(w t) b, the t-intervals
+    on which it is below level |P|.  |x|^2 - level^2 |P|^2 is a quadratic
+    form in (cos w t, sin w t): it changes sign only at its null directions,
+    once per half turn, so its sign between them is read at midpoints."""
+    ab = np.stack([a, b])
+    gx, gy = (ab[:, h:h + 4] @ ab[:, h:h + 4].T for h in (0, 4))
+    out = ([], [])
+    for spans, g in zip(out, (gx, gy)):
+        (g00, g01), (_, g11) = (g - level * level * (gx + gy)).tolist()
+        cuts, d = {0.0, w}, g01 * g01 - g00 * g11
+        if d >= 0.0:
+            q = -(g01 + math.copysign(math.sqrt(d), g01))
+            cuts |= {math.atan2(v1, v0) % math.pi + k * math.pi
+                     for v0, v1 in ((g11, q), (q, g00))
+                     for k in range(int(w / math.pi) + 1)}
+        cuts = sorted(c for c in cuts if c <= w)
+        for u, v in zip(cuts, cuts[1:]):
+            c, s = math.cos((u + v) / 2), math.sin((u + v) / 2)
+            if g00 * c * c + 2 * g01 * c * s + g11 * s * s < 0.0:
+                spans.append((u / w, v / w))
+    return out
+
+
+def _uneased(psi):
+    """The x in [0, 1] at which (1 - lam, lam), lam the quintic easing of x,
+    points at the angle psi; the easing is monotone, so by bisection."""
+    lam, x = math.sin(psi) / (math.sin(psi) + math.cos(psi)), 0.0
+    for k in range(1, 60):
+        y = x + 2.0 ** -k
+        x = y if y * y * y * (10.0 + y * (-15.0 + 6.0 * y)) < lam else x
+    return x
+
+
+def _chord_below(knots, level):
+    """For |x| and for |y| of the eased chords through the knots, the
+    t-intervals on which it is below level times the point's norm: on a
+    segment, v = (1 - lam, lam) turns a quarter turn, as on an arc."""
+    nseg, out = len(knots) - 1, ([], [])
+    for i in range(nseg):
+        for spans, arc in zip(out, _arc_below(knots[i], knots[i + 1],
+                                              math.pi / 2, level)):
+            spans += [tuple((i + _uneased(math.pi / 2 * s)) / nseg for s in p)
+                      for p in arc]
+    return out
+
+
 class PathSpec:
     """Parametric curve with analytic tangent on [0, 1], scanned for patch
     switches in `steps` equal steps.
 
     curve(t) maps an array of N times to ambient points and velocities, both
     (N, 8); `arrays` puts them on the sphere and its tangent spaces.
+    below(level) gives, for |x| and for |y| of the unit point, t-intervals
+    outside which it stays at or above level, in closed form: every curve is
+    an arc or chord v0 a + v1 b, or keeps |x| and |y| fixed.
     """
 
-    def __init__(self, curve, steps=1000, label="path"):
+    def __init__(self, curve, below, steps=1000, label="path"):
         self.curve = curve
+        self.below = below
         self.steps = int(steps)
         self.label = label
 
@@ -180,7 +236,8 @@ class PathSpec:
         if w < 1e-12 or math.pi - w < 1e-12:
             raise ValueError("endpoints coincide or are antipodal")
         bp = (b - cosw * a) / math.sin(w)  # unit, orthogonal to a
-        return cls(partial(_arc, a, bp, w), steps, "great-circle")
+        return cls(partial(_arc, a, bp, w), partial(_arc_below, a, bp, w),
+                   steps, "great-circle")
 
     @classmethod
     def great_circle_loop(cls, p0, direction, steps=1000):
@@ -192,7 +249,8 @@ class PathSpec:
         nd = np.linalg.norm(d)
         if nd <= 1e-12 * size:
             raise ValueError("direction is radial")
-        return cls(partial(_arc, a, d / nd, 2 * math.pi), steps,
+        arc = (a, d / nd, 2 * math.pi)
+        return cls(partial(_arc, *arc), partial(_arc_below, *arc), steps,
                    "great-circle-loop")
 
     @classmethod
@@ -200,7 +258,9 @@ class PathSpec:
         """Fixed radii, angles advancing linearly by dtheta over [0, 1]."""
         curve = partial(_toric_line, t0.r, t0.theta,
                         np.asarray(dtheta, dtype=float))
-        return cls(curve, steps, label)
+        # |x| and |y| stay fixed, as on the arc cos(t) p(0), t in [0, 1]
+        below = partial(_arc_below, curve(np.zeros(1))[0][0], np.zeros(8), 1)
+        return cls(curve, below, steps, label)
 
     @classmethod
     def reeb_loop(cls, t0, steps=1000):
@@ -226,12 +286,15 @@ class PathSpec:
             i = int(np.argmin(cos))
             raise ValueError(f"knots {i} and {i + 1} are antipodal: the chord "
                              "between them passes through the origin")
-        return cls(partial(_chordal, knots), steps, "piecewise")
+        return cls(partial(_chordal, knots), partial(_chord_below, knots),
+                   steps, "piecewise")
 
     @classmethod
     def constant(cls, p0, steps=2):
-        return cls(partial(_arc, p0.as_array8(), np.zeros(8), 0.0), steps,
-                   "constant")
+        p8 = p0.as_array8()
+        return cls(partial(_arc, p8, np.zeros(8), 0.0),
+                   partial(_arc_below, p8, np.zeros(8), 1),  # one ray
+                   steps, "constant")
 
     def to_json(self):
         return {"label": self.label, "t0": 0.0, "t1": 1.0,
@@ -295,27 +358,37 @@ def gauge_matrix(m, p):
     return sym_power(_rho2(g), m)
 
 
-def _switch_log(path, frame):
-    """The patch switches (t, old, new) of a path that starts in frame.
+def _step_runs(path):
+    """For |x| and for |y|, sorted runs [lo, hi) of steps that hold every
+    step with a node where it can be below PATCH_SWITCH_LEVEL: the steps that
+    meet path.below at that level widened by _LEVEL_MARGIN, and one more on
+    each side."""
+    n, level = path.steps, PATCH_SWITCH_LEVEL * (1 + _LEVEL_MARGIN)
+    return [sorted((max(math.ceil(t0 * n) - 2, 0),
+                    min(math.floor(t1 * n) + 2, n)) for t0, t1 in spans)
+            for spans in path.below(level)]
 
-    Steps are scanned _BLOCK_STEPS at a time, on the nodes t_k, t_k + h/2
-    and t_k + h.  A step switches where the current frame's coordinate is
-    below PATCH_SWITCH_LEVEL at one of its nodes, and is refused where the
-    frame it then takes has its coordinate below TAU_PATCH, as the coframe
-    there would be.  Only steps with a coordinate below the level are
-    visited one by one."""
-    steps, north, switches = path.steps, "sn".index(frame), []
-    for k0 in range(0, steps, _BLOCK_STEPS):
-        n = min(_BLOCK_STEPS, steps - k0)
-        nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (0.5 / steps)
+
+def _switch_log(path, frame):
+    """The patch switches (t, old, new) of a path that starts in frame: a
+    step switches where the current frame's coordinate is below
+    PATCH_SWITCH_LEVEL at one of its nodes t_k, t_k + h/2, t_k + h, and is
+    refused where the new frame's is below TAU_PATCH, as the coframe there
+    would be.  Only the current frame's _step_runs can switch."""
+    steps, north, switches, k = path.steps, "sn".index(frame), [], 0
+    runs = _step_runs(path)
+    while run := next(((max(lo, k), hi) for lo, hi in runs[north] if hi > k),
+                      None):
+        k, n = run[0], min(_BLOCK_STEPS, run[1] - run[0])
+        nodes = np.arange(2 * k, 2 * (k + n) + 1) * (0.5 / steps)
         p8 = to_sphere(path.curve(nodes)[0])
         r = np.linalg.norm(p8.reshape(-1, 2, 4), axis=2)  # |x|, |y| per node
         low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
-        for i in np.flatnonzero(np.min(low, axis=1) < PATCH_SWITCH_LEVEL):
-            if low[i, north] < PATCH_SWITCH_LEVEL:
-                north = 1 - north
-                switches.append((float(nodes[2 * i]), "ns"[north],
-                                 "sn"[north]))
+        hit = np.flatnonzero(low[:, north] < PATCH_SWITCH_LEVEL)[:1]
+        k += int(hit[0]) + 1 if hit.size else n
+        for i in hit:
+            north = 1 - north
+            switches.append((float(nodes[2 * i]), "ns"[north], "sn"[north]))
             if low[i, north] < TAU_PATCH:
                 raise PatchError(f"{steps} steps are too coarse for this path "
                                  f"(patch violation: |{'xy'[north]}| ~ 0 on "

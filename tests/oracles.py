@@ -22,8 +22,9 @@ reference_transport, fixed-step RK4 of U' = -A U with the connection
 assembled node by node through connection_matrix and the gauges built by
 expm; it must converge to the closed form at fourth order.  tensor_lift
 lifts a level-2 unitary to level m through tensor powers.  The scan that
-logs its patch switches is checked against reference_switch_log, the loop
-over every step that it replaced.
+logs its patch switches, which evaluates only the steps near a closed-form
+chart crossing, is checked against reference_switch_log, a walk over every
+step.
 """
 
 import json
@@ -36,7 +37,6 @@ import numpy as np
 import scipy.linalg
 
 from sphere7.classical import PoissonElement
-from sphere7 import connection
 from sphere7.connection import PATCH_SWITCH_LEVEL, connection_matrix
 from sphere7.fock import GENERATOR_NAMES, _rank, basis, build_rho, dim
 from sphere7.quaternions import PatchError, qnorm, transition_tau
@@ -491,14 +491,19 @@ def lifted_reference(path, m, frame="s", switches=()):
     return ref if m == 2 else tensor_lift(ref, m)
 
 
+# steps whose nodes reference_switch_log reads at once; a refusal aborts the
+# whole walk, so the log does not depend on it
+_WALK_STEPS = 256
+
+
 def reference_switch_log(path, frame):
     """The patch switches (t, old, new) of a path that starts in frame, one
-    step at a time: each block of connection._BLOCK_STEPS steps reads the
-    points and tangents at its nodes, carries the frame through every step
-    and refuses the block before logging its switches."""
+    step at a time: each block of _WALK_STEPS steps reads the points and
+    tangents at its nodes, carries the frame through every step and refuses
+    the block before logging its switches."""
     steps, north, switches = path.steps, frame == "n", []
-    for k0 in range(0, steps, connection._BLOCK_STEPS):
-        n = min(connection._BLOCK_STEPS, steps - k0)
+    for k0 in range(0, steps, _WALK_STEPS):
+        n = min(_WALK_STEPS, steps - k0)
         nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (0.5 / steps)
         r = np.linalg.norm(path.arrays(nodes)[0].reshape(-1, 2, 4), axis=2)
         low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])

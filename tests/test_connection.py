@@ -579,8 +579,9 @@ def _log_or_refusal(scan, path, frame):
 @pytest.mark.parametrize("block", [256, 7])
 @pytest.mark.parametrize("frame", ["s", "n"])
 def test_switch_log_matches_the_per_step_loop(monkeypatch, block, frame):
-    # the scan visits only the steps near a zero; the loop it replaced
-    # carried the frame through every step
+    # the scan evaluates only the steps near a closed-form crossing, in
+    # blocks that at 7 steps split the longer runs; the oracle carries the
+    # frame through every step
     monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
     logs = []
     for seed, steps in ((0, 4), (1, 10), (2, 12), (3, 100), (4, 400)):
@@ -594,6 +595,121 @@ def test_switch_log_matches_the_per_step_loop(monkeypatch, block, frame):
     # n frame leaves y = 0 at once
     below, above = logs[-2:]
     assert len(below) == 4 + (frame == "n") and len(above) == (frame == "n")
+
+
+_EDGE_STEPS = (2, 3, 5, 16, 999, 3000)
+
+
+def _edge_paths(steps, swap):
+    """Paths at the chart edge, with x and y exchanged when swap: loops and
+    an arc whose least |x| is at t = 1/4 or 1/2 (t = 1/2 is a node at every
+    step count), chords whose least |x| is at a segment's midpoint, toric
+    lines and Reeb loops with |x| fixed, that |x| being the level, 1e-10
+    below or above it, half of it or zero; paths in the y-plane; constant
+    points below the level."""
+    def point(*v):
+        v = np.array(v, dtype=float) / np.linalg.norm(v)
+        return SpherePoint.from_array8(np.roll(v, 4) if swap else v)
+
+    def torus(*r):
+        return ToricPoint(np.roll(r, 2) if swap else r, [0.3, 1.0, 2.0, 5.0])
+
+    paths = []
+    for rel in (-1.0, -0.5, -1e-10, 0.0, 1e-10):
+        e = connection.PATCH_SWITCH_LEVEL * (1.0 + rel)
+        c = math.sqrt(1.0 - e * e)
+        mid = point(e, 0, 0, 0, c, 0, 0, 0)
+        m8, side = mid.as_array8(), point(0, 1, 0, 0, 0, 0, 0, 0).as_array8()
+        ends = [point(*(m8 + h * side)) for h in (-0.5, 0.5)]
+        arc = [point(*(math.cos(0.3) * m8 + h * math.sin(0.3) * side))
+               for h in (-1, 1)]
+        paths += [
+            PathSpec.great_circle_loop(mid, side, steps),
+            PathSpec.great_circle_loop(point(0.6, 0, 0, 0, 0.8, 0, 0, 0),
+                                       point(0, 0, e, 0, 0, 0, 0, c)
+                                       .as_array8(), steps),
+            PathSpec.great_circle(*arc, steps),
+            PathSpec.piecewise(ends, steps),
+            PathSpec.piecewise(ends + [point(0.7, 0, 0, 0, 0, 0.7, 0, 0)],
+                               steps),
+            PathSpec.toric_line(torus(0.6 * e, 0.8 * e, c, 0.0),
+                                (1.0, -2.0, 3.0, 0.5), steps),
+            PathSpec.reeb_loop(torus(e, 0.0, 0.0, c), steps)]
+    y_plane = [point(0, 0, 0, 0, 1, 0, 0, 0), point(0, 0, 0, 0, 0, 1, 0, 0),
+               point(0, 0, 0, 0, 0, 0, 0.6, 0.8)]
+    return paths + [
+        PathSpec.great_circle_loop(y_plane[0], y_plane[1].as_array8(), steps),
+        PathSpec.great_circle(y_plane[0], y_plane[2], steps),
+        PathSpec.piecewise(y_plane, steps),
+        PathSpec.reeb_loop(torus(0.0, 0.0, 0.6, 0.8), steps),
+        PathSpec.constant(point(0.01, 0, 0, 0, 1, 0, 0, 0), steps),
+        PathSpec.constant(point(0, 0, 0, 0, 1, 0, 0, 0), steps),
+        PathSpec.constant(point(connection.PATCH_SWITCH_LEVEL * (1 - 1e-10),
+                                0, 0, 0, 1, 0, 0, 0), steps)]
+
+
+def _edge_mismatches(frame):
+    """The chart-edge cases on which the scan and the per-step loop differ."""
+    out = []
+    for steps in _EDGE_STEPS:
+        for swap in (False, True):
+            for i, path in enumerate(_edge_paths(steps, swap)):
+                log = _log_or_refusal(connection._switch_log, path, frame)
+                if log != _log_or_refusal(reference_switch_log, path, frame):
+                    out.append((steps, swap, i))
+    return out
+
+
+@pytest.mark.parametrize("block", [256, 7])
+@pytest.mark.parametrize("frame", ["s", "n"])
+def test_switch_log_matches_the_per_step_loop_at_the_chart_edge(
+        monkeypatch, block, frame):
+    monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
+    assert _edge_mismatches(frame) == []
+
+
+@pytest.mark.parametrize("mutant", ["narrowed-level", "no-y-form"])
+def test_a_narrowed_crossing_misses_a_switching_step(monkeypatch, mutant):
+    # the scan evaluates only the candidate steps, so a crossing set that
+    # misses the edge from inside, or reads |x| for |y|, loses switches
+    if mutant == "narrowed-level":
+        monkeypatch.setattr(connection, "_LEVEL_MARGIN", -1e-9)
+    else:
+        below = connection._arc_below
+        monkeypatch.setattr(connection, "_arc_below",
+                            lambda *args: below(*args)[:1] * 2)
+    assert _edge_mismatches("s") or _edge_mismatches("n")
+
+
+def _counted_curve(path):
+    """The sizes of the time arrays path.curve is called with from now on."""
+    calls, curve = [], path.curve
+
+    def counted(t):
+        calls.append(len(t))
+        return curve(t)
+    path.curve = counted
+    return calls
+
+
+def test_switch_scan_work_does_not_grow_with_steps():
+    # a Reeb loop keeps |x| and |y|, so no node is evaluated at any count
+    reeb = PathSpec.reeb_loop(_TORUS, 10**9)
+    calls = _counted_curve(reeb)
+    assert connection._switch_log(reeb, "s") == [] and calls == []
+    assert parallel_transport(reeb, 2).switches == []
+    # the loop of the transport-dense workload: a seeded point with y = 0
+    # along a seeded direction with x = 0 crosses x = 0 and y = 0 twice each
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(4)
+    loop = PathSpec.great_circle_loop(
+        SpherePoint(x / np.linalg.norm(x), np.zeros(4)),
+        np.concatenate([np.zeros(4), rng.standard_normal(4)]), 10**5)
+    calls = _counted_curve(loop)
+    log = connection._switch_log(loop, "s")
+    assert [sw[1:] for sw in log] == [("s", "n"), ("n", "s"), ("s", "n"),
+                                      ("n", "s")]
+    assert 0 < sum(calls) < 0.05 * (2 * loop.steps + 1)
 
 
 def test_unknown_start_frame_is_refused():
