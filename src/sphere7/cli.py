@@ -421,7 +421,7 @@ def cmd_transport(cfg, path_file):
         if len(given) == 1:
             raise ConfigError(f"{given[0]} given without the other state")
         states = [_state_from_json(spec[k], fock.dim(m), k) for k in given]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -550,13 +550,19 @@ def build_parser():
     return ap
 
 
+# built once: parsing leaves the parser as it was, so every main call in a
+# process shares it, and the handler is still looked up in COMMANDS per call
+PARSER = build_parser()
+
+
 def main(argv=None):
-    args = vars(build_parser().parse_args(argv))
+    args = vars(PARSER.parse_args(argv))
     command = args.pop("command")
     try:
         cfg = _config_from_args(command, args.pop("config"), args)
         cfg.out.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError
+    except (ValueError, OSError, RecursionError) as exc:
+        # ConfigError, JSONDecodeError, or a config file nested too deeply
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     with warnings.catch_warnings():   # one line per warning, in this run

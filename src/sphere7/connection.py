@@ -400,7 +400,9 @@ def parallel_transport(path, m, *, start_frame=None):
     """Parallel transport of the exact flat connection along a path, in
     closed form: at level 2 it is rho_2(s(q))^H rho_2(s(p)) from the path's
     start p to its end q, s the section of the start frame, and one
-    fock.sym_power lifts it to level m.
+    fock.sym_power lifts it to level m.  p and q are read in one call of
+    path.curve at t = 0 and 1, points only; the curve is evaluated again
+    only at the nodes _switch_log scans.
 
     The result is expressed in that frame: start_frame, None, "s" or "n",
     pins it (None: the larger coordinate at p), and p and q must lie in its
@@ -414,11 +416,13 @@ def parallel_transport(path, m, *, start_frame=None):
                          f"{start_frame!r}")
     if path.steps < 2:
         raise ValueError("need at least 2 steps")
-    frame = start_frame or preferred_patch(path.point(0.0))
+    p, q = (SpherePoint.from_array8(row)
+            for row in to_sphere(path.curve(np.array([0.0, 1.0]))[0]))
+    frame = start_frame or preferred_patch(p)
     switches = _switch_log(path, frame)
     section = section_s if frame == "s" else section_n
     try:
-        end, start = (_rho2(section(path.point(t))) for t in (1.0, 0.0))
+        end, start = (_rho2(section(x)) for x in (q, p))
     except PatchError as exc:
         msg = f"the path must start and end in the {frame} chart its "
         raise PatchError(f"{msg}transport is expressed in ({exc})") from None

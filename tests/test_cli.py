@@ -628,6 +628,83 @@ def test_config_file(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_deeply_nested_json_is_a_config_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not a ValueError, on deep nesting;
+    # the path spec and the config file are read at different sites
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for args in (("transport", str(deep)), ("verify", "--config", str(deep))):
+        capsys.readouterr()
+        assert run(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "recursion" in err, err
+
+
+def _normalized(out, code, stdout, stderr):
+    """An op's exit code, output and report files, with the report directory,
+    generated_at and config.out taken out."""
+    def clean(text):
+        return _strip_timestamp(text.replace(str(out), "OUT"))
+    files = {}
+    for f in sorted(out.iterdir()) if out.is_dir() else ():
+        report = json.loads(clean(f.read_text()))
+        report["config"].pop("out")
+        files[f.name] = report
+    return code, clean(stdout), clean(stderr), files
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # main parses with one parser built at import; an argparse refusal or a
+    # config error leaves nothing behind for the calls after it
+    spec = tmp_path / "reeb.json"
+    spec.write_text(json.dumps({
+        "type": "reeb_loop", "r": [0.5, 0.5, 0.5, 0.5], "theta": [0, 0, 0, 0],
+        "m": 2, "steps": 10000, "psi_i": [1, 0, 0, 0], "psi_f": [1, 0, 0, 0]}))
+    argvs = [["verify", "--steps", "3"],  # argparse refuses it
+             ["verify", "--m", "0"],      # config error
+             ["transport", str(spec)],
+             ["verify", "--m", "1..2", "--ell", "0..0"]]
+    here = []
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"here{i}"
+        capsys.readouterr()
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        here.append(_normalized(out, code, *capsys.readouterr()))
+    assert [h[0] for h in here] == [2, 2, 0, 0]
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"fresh{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphere7.cli", *argv, "--out", str(out)],
+            env=_env_with_src(), capture_output=True, text=True, timeout=120)
+        fresh = _normalized(out, proc.returncode, proc.stdout, proc.stderr)
+        assert here[i] == fresh, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["transport", "--help"]],
+                         ids=["sphere7", "transport"])
+def test_help_is_that_of_a_fresh_parser(capsys, argv):
+    with pytest.raises(SystemExit):  # the shared parser refuses an argv first
+        main(["verify", "--steps", "3"])
+    texts = []
+    for parse in (main, cli.build_parser().parse_args):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: sphere7" in texts[0]
+
+
+def test_main_does_not_build_a_parser(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(tmp_path, "eds-check", "--samples", "2") == 0
+
+
 def test_commands_run_without_scipy(tmp_path):
     # the level matrices are numpy entry arrays: neither the import nor a
     # verify or transport run loads scipy

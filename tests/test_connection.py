@@ -496,7 +496,8 @@ def _scanned_reference(path, m, frame="s"):
     return lifted_reference(path, m, frame, switches)
 
 
-@pytest.mark.parametrize("block", [None, 7])
+# start_frame None: the frame parallel_transport picks, s on these paths
+@pytest.mark.parametrize("start_frame", [None])
 @pytest.mark.parametrize("make_path, m", [
     (lambda n: PathSpec.reeb_loop(_TORUS, n), 2),
     (lambda n: PathSpec.reeb_loop(_TORUS, n), 3),
@@ -508,28 +509,23 @@ def _scanned_reference(path, m, frame="s"):
     (_open_arc, 5),
 ], ids=["reeb-m2", "reeb-m3", "reeb-m4", "toric-line-m5", "toric-line",
         "great-circle", "great-circle-m5"])
-def test_batched_transport_matches_per_node_reference(monkeypatch, block,
-                                                      make_path, m):
-    if block is not None:
-        monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
-    res = parallel_transport(make_path(150), m)
+def test_batched_transport_matches_per_node_reference(start_frame, make_path,
+                                                      m):
+    res = parallel_transport(make_path(150), m, start_frame=start_frame)
     assert res.switches == [] and res.start_frame == "s"
     ref, ref2 = (_scanned_reference(make_path(n), m) for n in (150, 300))
     assert 1.0 < _error_ratio(res.matrix, ref, ref2) < 1.2
     assert _conjugation_defect(res.matrix, m) < 1e-13
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_switching_transport_matches_per_node_reference(monkeypatch, block):
-    # a loop through x = 0 switches patch four times; with 7-step blocks the
-    # switches fall inside blocks and on their first steps; the oracle
-    # switches where the scan does at its resolution; even m are of
-    # quaternionic type, odd m of real type
-    if block is not None:
-        monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
+@pytest.mark.parametrize("start_frame", [None])
+def test_switching_transport_matches_per_node_reference(start_frame):
+    # a loop through x = 0 switches patch four times; the oracle switches
+    # where the scan does at its resolution; even m are of quaternionic
+    # type, odd m of real type
     path = _switching_loop(100)
     for m in (2, 3, 4, 5):
-        res = parallel_transport(path, m)
+        res = parallel_transport(path, m, start_frame=start_frame)
         assert [sw[1:] for sw in res.switches] == [("s", "n"), ("n", "s"),
                                                    ("s", "n"), ("n", "s")]
         assert res.start_frame == res.to_json()["end_frame"] == "s"
@@ -666,6 +662,10 @@ def test_switch_log_matches_the_per_step_loop_at_the_chart_edge(
         monkeypatch, block, frame):
     monkeypatch.setattr(connection, "_BLOCK_STEPS", block)
     assert _edge_mismatches(frame) == []
+    # the cases hold runs of candidate steps that 7-step blocks split
+    assert any(hi - lo > 7 for steps in _EDGE_STEPS
+               for path in _edge_paths(steps, False)
+               for runs in connection._step_runs(path) for lo, hi in runs)
 
 
 @pytest.mark.parametrize("mutant", ["narrowed-level", "no-y-form"])
@@ -692,24 +692,50 @@ def _counted_curve(path):
     return calls
 
 
+def _dense_loop(seed, steps):
+    """The loop of the transport-dense workload: a seeded point with y = 0
+    along a seeded direction with x = 0 crosses x = 0 and y = 0 twice
+    each."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(4)
+    return PathSpec.great_circle_loop(
+        SpherePoint(x / np.linalg.norm(x), np.zeros(4)),
+        np.concatenate([np.zeros(4), rng.standard_normal(4)]), steps)
+
+
 def test_switch_scan_work_does_not_grow_with_steps():
     # a Reeb loop keeps |x| and |y|, so no node is evaluated at any count
     reeb = PathSpec.reeb_loop(_TORUS, 10**9)
     calls = _counted_curve(reeb)
     assert connection._switch_log(reeb, "s") == [] and calls == []
     assert parallel_transport(reeb, 2).switches == []
-    # the loop of the transport-dense workload: a seeded point with y = 0
-    # along a seeded direction with x = 0 crosses x = 0 and y = 0 twice each
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(4)
-    loop = PathSpec.great_circle_loop(
-        SpherePoint(x / np.linalg.norm(x), np.zeros(4)),
-        np.concatenate([np.zeros(4), rng.standard_normal(4)]), 10**5)
+    loop = _dense_loop(7, 10**5)
     calls = _counted_curve(loop)
     log = connection._switch_log(loop, "s")
     assert [sw[1:] for sw in log] == [("s", "n"), ("n", "s"), ("s", "n"),
                                       ("n", "s")]
     assert 0 < sum(calls) < 0.05 * (2 * loop.steps + 1)
+
+
+def test_transport_reads_the_path_once(monkeypatch):
+    # the end points come from one curve call at t = 0 and 1, and a Reeb
+    # loop has no candidate steps to scan
+    reeb = PathSpec.reeb_loop(_TORUS, 2000)
+    calls = _counted_curve(reeb)
+    parallel_transport(reeb, 2)
+    assert calls == [2]
+    # on the seed-7 transport-dense loop every other call is the scan's
+    loop = _dense_loop(7, 1000)
+    calls, scanned, scan = _counted_curve(loop), [], connection._switch_log
+
+    def counted_scan(path, frame):
+        before = len(calls)
+        log = scan(path, frame)
+        scanned.append(len(calls) - before)
+        return log
+    monkeypatch.setattr(connection, "_switch_log", counted_scan)
+    assert len(parallel_transport(loop, 8).switches) == 4
+    assert scanned[0] > 0 and len(calls) - sum(scanned) == 1
 
 
 def test_unknown_start_frame_is_refused():
