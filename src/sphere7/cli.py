@@ -193,9 +193,10 @@ def _refused(check):
 
 def _rep_checks(m, tau):
     rep = fock.build_rho(m)
-    br, pair = fock.verify_brackets(rep)
-    real = fock.verify_reality(rep)
-    trace = fock.verify_traceless(rep)
+    entries, ladder = fock.level_tables(rep)
+    br, pair = fock.verify_brackets(rep, ladder=ladder)
+    real = fock.verify_reality(rep, ladder)
+    trace = fock.verify_traceless(rep, entries)
     rows = [
         {"check": "rep-bracket", "detail": f"m={m} worst={pair}",
          "value": br, "threshold": tau, "passed": br < tau},
@@ -210,10 +211,10 @@ def _rep_checks(m, tau):
     rows.append({"check": "rep-spectrum", "detail": f"m={m}{reason}",
                  "value": spec_err, "threshold": 1e-12,
                  "passed": spec_err is not None and spec_err < 1e-12})
-    cd, reason = _refused(lambda: fock.commutant_dimension(rep))
+    cd, reason = _refused(lambda: fock.commutant_dimension(rep, entries))
     rows.append({"check": "rep-commutant", "detail": f"m={m}{reason}",
                  "value": cd, "threshold": 1, "passed": cd == 1})
-    cas = fock.casimir_deviation(rep)
+    cas = fock.casimir_deviation(rep, ladder)
     rows.append({"check": "rep-casimir", "detail": f"m={m}",
                  "value": cas, "threshold": 1e-8, "passed": cas < 1e-8})
     return rows
@@ -233,11 +234,12 @@ def cmd_verify(cfg):
     # pairs that must close exactly at every truncation order
     required = {f"{x}|{y}" for x, y in u2h.GENERATOR_PAIRS
                 if x.startswith("J") or y.startswith("J") or "K+-" in (x, y)}
-    embed_reports = {}
+    # one pass per ring; the diagram below reads the quantum generators
+    images, embed_reports = weyl.embedding_pass(cfg.ells())
+    _, classical_reports = weyl.embedding_pass(cfg.ells(),
+                                               ring=classical.PoissonElement)
     prev_grades = {}
-    for ell in cfg.ells():
-        rep = weyl.verify_embedding(ell)
-        embed_reports[ell] = rep
+    for ell, rep in embed_reports.items():
         bad_exact = [k for k in rep if k in required and not rep[k]["exact"]]
         checks.append({"check": "embedding-exact-sector",
                        "detail": f"ell={ell} failing={bad_exact}",
@@ -253,8 +255,7 @@ def cmd_verify(cfg):
                        "threshold": "nondecreasing", "passed": mono_ok})
         prev_grades = grades
 
-    for ell in cfg.ells():
-        cl = classical.verify_classical(ell)
+    for ell, cl in classical_reports.items():
         qt = {k: v["residual_min_grade"] for k, v in embed_reports[ell].items()}
         ct = {k: v["residual_min_grade"] for k, v in cl.items()}
         same = qt == ct
@@ -287,11 +288,7 @@ def cmd_verify(cfg):
                        f"m={m} ell=40", "value": interior,
                        "threshold": 1e-6, "passed": interior < 1e-6})
 
-    diagram_ms = range(cfg.m_range[0], min(cfg.m_range[1], 3) + 1)
-    # each ell's generators are built once and shared by the levels
-    images = ({ell: weyl.embedded_generators(ell) for ell in cfg.ells()}
-              if diagram_ms else {})
-    for m in diagram_ms:
+    for m in range(cfg.m_range[0], min(cfg.m_range[1], 3) + 1):
         worst = 0.0
         for ell, gens in images.items():
             part = fock.build_rho_partial(m, ell)
@@ -452,19 +449,19 @@ def cmd_table(cfg):
     rep_rows = []
     for m in cfg.ms():
         rep = fock.build_rho(m)
-        br, _ = fock.verify_brackets(rep)
+        ladder = fock.level_tables(rep)[1]
+        br, _ = fock.verify_brackets(rep, ladder=ladder)
         spec, reason = _refused(lambda: fock.k_spectrum(rep))
         rep_rows.append({
             "m": m, "dim": fock.dim(m),
             "k_spectrum": (reason.strip() if spec is None
                            else f"{spec[0]:g}..{spec[-1]:g}"),
             "bracket_residual": br,
-            "reality_residual": fock.verify_reality(rep),
+            "reality_residual": fock.verify_reality(rep, ladder),
             "note": "trivial representation" if m == 1 else "",
         })
     emb_rows = []
-    for ell in cfg.ells():
-        rep = weyl.verify_embedding(ell)
+    for ell, rep in weyl.embedding_pass(cfg.ells())[1].items():
         finite = [v["residual_min_grade"] for v in rep.values()
                   if v["residual_min_grade"] is not None]
         emb_rows.append({

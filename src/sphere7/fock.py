@@ -363,14 +363,20 @@ def _entries(rep):
             rep[GENERATOR_NAMES[0]].shape[0])
 
 
-def _ladder(rep):
-    """rep as at most _DIAGONALS diagonals, else ValueError: the stored
-    entries (dense input too) grouped by generator g and shift t = occ(i) -
+def level_tables(rep):
+    """rep's entries and ladder, the checks' arguments of those names."""
+    entries = _entries(rep)
+    return entries, _ladder(rep, entries)
+
+
+def _ladder(rep, entries=None):
+    """rep as at most _DIAGONALS diagonals, else ValueError: the entries
+    (given, or rep's, dense too) grouped by generator g and shift t = occ(i) -
     occ(j), in order of the codes g B + L(t) + B/2, L(t) = ((t1 + t2 + t3) b
     + t1) b + t2 linear, b = 8m, B = b^3, graded-lex for |t_k| < 2m.  Gives
     (m, the codes as bytes), the plans' key; the amplitudes of the diagonals,
     then of their adjoints, 0 on column d; the rows, d in empty columns."""
-    (g, i, j, v), d = _entries(rep)
+    (g, i, j, v), d = entries or _entries(rep)
     m = next(m for m in range(1, d + 2) if dim(m) >= d)
     b, (n1, n2, n3) = 8 * m, _occupations(m)
     span, lin = b ** 3, ((n1 + n2 + n3) * b + n1) * b + n2
@@ -423,9 +429,9 @@ def _plan(m, codes, check, mutate=None):
             k == span // 2 if check == "casimir" else k // span)
 
 
-def _sums(rep, check, mutate=None):
+def _sums(rep, check, mutate=None, ladder=None):
     """The check's groups and sums, a block of _COLUMNS columns at a time."""
-    key, amp, row = _ladder(rep)
+    key, amp, row = ladder or _ladder(rep)
     dx, dy, runs, e, c, lin, order, w, sums, group = _plan(*key, check, mutate)
     for c0 in range(0, row.shape[1], _COLUMNS):
         cs = slice(c0, min(c0 + _COLUMNS, row.shape[1]))
@@ -435,7 +441,7 @@ def _sums(rep, check, mutate=None):
         yield group, _fold(w * first[order], sums)
 
 
-def verify_brackets(rep, mutate=None):
+def verify_brackets(rep, mutate=None, ladder=None):
     """(max residual, worst pair) of [rho X, rho Y] = rho([X, Y]), the
     brackets those of u2h.bracket_table("spinor", mutate).
 
@@ -443,20 +449,20 @@ def verify_brackets(rep, mutate=None):
     residual, None when every residual is zero.
     """
     res = np.zeros(len(GENERATOR_PAIRS))
-    for pair, sums in _sums(rep, "brackets", mutate):
+    for pair, sums in _sums(rep, "brackets", mutate, ladder):
         np.maximum.at(res, pair, np.abs(sums).max(axis=1))
     k = int(np.argmax(res))
     return (float(res[k]), GENERATOR_PAIRS[k]) if res[k] > 0 else (0.0, None)
 
 
-def verify_reality(rep):
+def verify_reality(rep, ladder=None):
     """Max residual of (rho X)^dagger = rho(X^dagger)."""
     return max(float(np.abs(sums).max(initial=0.0))
-               for _, sums in _sums(rep, "reality"))
+               for _, sums in _sums(rep, "reality", ladder=ladder))
 
 
-def verify_traceless(rep):
-    (g, i, j, v), d = _entries(rep)
+def verify_traceless(rep, entries=None):
+    (g, i, j, v), d = entries or _entries(rep)
     on = i == j
     diag = np.zeros((len(GENERATOR_NAMES), d), dtype=complex)
     diag[g[on], i[on]] = v[on]
@@ -488,7 +494,7 @@ def expected_k_spectrum(m):
     return np.sort(np.array(vals, dtype=float))
 
 
-def commutant_dimension(rep):
+def commutant_dimension(rep, entries=None):
     """1, the dimension of {M : [M, rho X] = 0 for all X}, by an exact
     witness on the stored matrices that rho is irreducible:
 
@@ -518,7 +524,7 @@ def commutant_dimension(rep):
     if np.count_nonzero(diag == diag[0]) != 1:
         raise ValueError(f"the vacuum's rho(K+-) entry {diag[0]} is not "
                          "simple on the diagonal")
-    (g, i, j, v), d = _entries(rep)
+    (g, i, j, v), d = entries or _entries(rep)
     g, i, j = g[v != 0], i[v != 0], j[v != 0]
     for src, dst, lines in ((j, i, "columns"), (i, j, "rows")):
         # the entries alone in their column (row) of their generator
@@ -536,7 +542,7 @@ def commutant_dimension(rep):
     return 1
 
 
-def casimir_deviation(rep):
+def casimir_deviation(rep, ladder=None):
     """Distance of the quadratic Casimir from a scalar matrix.
 
     The Casimir is built from the exact inverse Killing form on the vector
@@ -545,7 +551,7 @@ def casimir_deviation(rep):
     on each position from the terms of every product.
     """
     diag, worst = [], 0.0
-    for on, c2 in _sums(rep, "casimir"):
+    for on, c2 in _sums(rep, "casimir", ladder=ladder):
         diag.append(c2[on].sum(axis=0))
         worst = max(worst, float(np.abs(c2[~on]).max(initial=0.0)))
     diag = np.concatenate(diag)

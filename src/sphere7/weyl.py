@@ -31,14 +31,16 @@ exponents packed into one int64 code, Gaussian numerators over one common
 denominator), every term pair of every requested pair is expanded by the
 ring's bracket rule, Wick contractions x y - y x here and the biderivation
 of the six fundamental brackets classically, and equal (pair, grade,
-monomial) rows are summed with one sort.  comm and verify_embedding are
-calls of it with one pair and with all 45.
+monomial) rows are summed with one sort.  comm calls it with one pair;
+embedding_pass builds the generators of all requested orders in one walk
+and calls it once with the 45 pairs of every order.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import comb, factorial, prod
+from operator import mul
 
 import numpy as np
 
@@ -197,8 +199,10 @@ CHUNK_ROWS = 1 << 18
 
 
 def _exponents(code, slots):
-    """Exponents of the given slots in packed codes, one column per slot."""
-    return code[:, None] >> _SHIFTS[list(slots)] & 255
+    """Exponents of the given slots in packed codes, one column per slot:
+    byte i of a little-endian code."""
+    byte = np.ascontiguousarray(code, "<i8").view(np.uint8).reshape(-1, 8)
+    return byte[:, list(slots)].astype(np.int64)
 
 
 def _runs(count, start):
@@ -290,6 +294,15 @@ def _summed(key, x, y, src, w, scale):
             np.add.reduceat((xr * yi + xi * yr)[src] * w, first))
 
 
+_KEY_PAIRS = 1 << 15  # bounds pairs x grades: keys hold both over 48 bits
+
+
+def _key_grades(grades):
+    """The lowest grade and the grade count of brackets of these grades."""
+    lo, hi = (int(f(grades, initial=0)) for f in (np.min, np.max))
+    return min(lo, 2 * lo), max(hi, 2 * hi) - min(lo, 2 * lo) + 1
+
+
 def _brackets(ring, elements, pairs, cap=None, targets=()):
     """The brackets [x, y] of pairs of Laurent elements over the ring,
     minus targets: the term pairs of all pairs are expanded together, at
@@ -297,9 +310,10 @@ def _brackets(ring, elements, pairs, cap=None, targets=()):
 
     pairs are (x, y) indices into elements; a target (pair, element, c)
     subtracts the element times the CRat c from that pair.  A grade pair
-    above cap is discarded and marks its pair dropped, as does a dropped
-    element or target.  Returns the nonzero sums (pair, grade, code, re,
-    im), sorted by pair, grade and code, over den; the dropped marks; den.
+    above cap, one or one per pair, is discarded and marks its pair dropped,
+    as does a dropped element or target.  Returns the nonzero sums (pair,
+    grade, code, re, im), sorted by pair, grade and code, over den; the
+    dropped marks; den.
     """
     # the term table: one row per term, Gaussian numerators over den
     terms = [(k, g, key, c) for k, lau in enumerate(elements)
@@ -320,12 +334,10 @@ def _brackets(ring, elements, pairs, cap=None, targets=()):
     dropped = np.array([lau.dropped for lau in elements], bool)
     flag = dropped[a] | dropped[b]
     np.logical_or.at(flag, tp, dropped[tk])
-    # a key holds its pair and grade above the 48 bits of its code
-    gmin, gmax = int(grade.min(initial=0)), int(grade.max(initial=0))
-    glo = min(gmin, 2 * gmin)
-    span = max(gmax, 2 * gmax) - glo + 1
-    if len(a) * span >= 1 << 15:
+    glo, span = _key_grades(grade)
+    if len(a) * span >= _KEY_PAIRS:
         raise ValueError("too many pairs and grades for one kernel call")
+    cap = None if cap is None else np.broadcast_to(cap, len(a))
     # the targets, negated rows of their elements over den^2 tden
     row, term = _runs(ends[tk + 1] - ends[tk], ends[tk])
     sums = [_summed((tp[row] * span + grade[term] - glo) << 48 | code[term],
@@ -341,8 +353,8 @@ def _brackets(ring, elements, pairs, cap=None, targets=()):
         right = ends[b][pair] + t % nb[pair]
         g = grade[left] + grade[right]
         if cap is not None:
-            flag[pair[g > cap]] = True
-            keep = g <= cap
+            keep = g <= cap[pair]
+            flag[pair[~keep]] = True
             pair, left, right, g = pair[keep], left[keep], right[keep], g[keep]
         for lo, hi in _chunks(ring._bracket_size(code[left], code[right])):
             lt, rt = left[lo:hi], right[lo:hi]
@@ -490,30 +502,10 @@ class PolyNM(Combination):
                           for (i, j), c in sorted(self.terms.items()))
 
 
-def _power_cache(base):
-    cache = {0: type(base).unit()}
-
-    def power(k):
-        if k not in cache:
-            cache[k] = power(k - 1) * base
-        return cache[k]
-
-    return power
-
-
 class Polymeromorphic(LaurentElement):
     """Laurent series in sqrt(hbar) whose coefficients are PolyNM polynomials."""
 
     __slots__ = ()
-
-    def expand(self, cap=None, ring=WeylElement):
-        """Substitute the number operators of the ring for (n, N)."""
-        power_n = _power_cache(ring.number_op())
-        power_N = _power_cache(ring.total_number_op())
-        return LaurentElement(
-            {g: sum(((power_n(i) * power_N(j)).scale(c)
-                     for (i, j), c in p.terms.items()), ring.zero())
-             for g, p in self.grades.items()}, cap=cap)
 
 
 def sqrt_coefficient(k):
@@ -573,6 +565,33 @@ GENERATOR_TERMS = {
     }.items()}
 
 
+def _generator_orders(caps, ring):
+    """{ell: the ten generators at truncation ell, capped at caps[ell]}, in
+    one walk ell = 0, 1, ...: S_ell is S_(ell-1) plus b_ell (N + n/2)^ell
+    h^(ell - 1/2), so only the terms that carry S take a new product."""
+    power_n, power_N = (list(accumulate([x] * max(caps), mul,
+                                        initial=ring.unit()))
+                        for x in (ring.number_op(), ring.total_number_op()))
+    grades, sided, out = {name: {} for name in GENERATOR_TERMS}, [], {}
+    for name, terms in GENERATOR_TERMS.items():
+        for c, grade, word, side in terms:
+            w = (prod(map(ring.gen, word[1:]), start=ring.gen(word[0]))
+                 if word else ring.unit()).scale(c)
+            if side:
+                sided.append((grades[name], grade, w, side == "left"))
+            else:
+                add_into(grades[name], [(grade, w)])
+    for k in range(max(caps) + 1):
+        s = sum(((power_n[i] * power_N[j]).scale(c) for (i, j), c
+                 in sqrt_coefficient_poly(k).terms.items()), ring.zero())
+        for to, grade, w, left in sided:
+            add_into(to, [(2 * k - 1 + grade, s * w if left else w * s)])
+        if k in caps:
+            out[k] = {name: LaurentElement(g, cap=caps[k])
+                      for name, g in grades.items()}
+    return out
+
+
 def embedded_generators(ell, cap=None, ring=WeylElement):
     """Images of the ten Lie algebra generators in the formal oscillator ring.
 
@@ -580,18 +599,42 @@ def embedded_generators(ell, cap=None, ring=WeylElement):
     bilinears and K+- are ell-independent.  On the Poisson ring the same
     recipe gives the phase-free member of the classical solution family.
     """
-    s = sqrt_partial_sum(ell).expand(cap, ring)
-    gens = {}
-    for name, terms in GENERATOR_TERMS.items():
-        parts = []
-        for c, grade, word, side in terms:
-            w = (prod(map(ring.gen, word[1:]), start=ring.gen(word[0]))
-                 if word else ring.unit())
-            lau = LaurentElement({grade: w.scale(c)}, cap=cap)
-            parts.append(s * lau if side == "left" else
-                         lau * s if side == "right" else lau)
-        gens[name] = sum(parts[1:], parts[0])
-    return gens
+    return _generator_orders({ell: cap}, ring)[ell]
+
+
+def embedding_pass(ells, gradecap=None, ring=WeylElement):
+    """The generators and the verify_embedding reports at the truncation
+    orders ells, two dicts keyed by ell: the generators built order by order,
+    the 45 pairs of all orders bracketed in one kernel call (more only where
+    they would not fit its keys)."""
+    caps = {ell: 2 * ell + 4 if gradecap is None else gradecap
+            for ell in sorted(ells)}
+    gens, orders = _generator_orders(caps, ring), list(caps)
+    index = {name: k for k, name in enumerate(GENERATOR_TERMS)}
+    rows, den = pair_brackets()
+    targets = [(p, index[SPINOR_GENERATORS[g]],
+                ring.BRACKET_NORM * gaussian(*rows[p, g].tolist(), den))
+               for p, g in zip(*np.nonzero(rows.any(axis=-1)))]
+    # the last order's grades hold those of every other order
+    n, span = len(GENERATOR_PAIRS), _key_grades(
+        [g for lau in gens[orders[-1]].values() for g in lau.grades])[1]
+    size, reports = max(1, (_KEY_PAIRS - 1) // (n * span)), {}
+    for group in (orders[k:k + size] for k in range(0, len(orders), size)):
+        at = [(len(index) * k, n * k) for k in range(len(group))]
+        (pair, grade, *_), dropped, _ = _brackets(
+            ring, [lau for ell in group for lau in gens[ell].values()],
+            [(e + index[x], e + index[y]) for e, _ in at
+             for x, y in GENERATOR_PAIRS],
+            np.repeat([caps[ell] for ell in group], n),
+            [(q + p, e + g, c) for e, q in at for p, g, c in targets])
+        hit, first = np.unique(pair, return_index=True)
+        lowest = dict(zip(hit.tolist(), grade[first].tolist()))
+        reports.update({ell: {f"{x}|{y}": {
+            "pair": [x, y], "residual_min_grade": lowest.get(q + p),
+            "exact": q + p not in lowest and not dropped[q + p],
+            "cap": caps[ell]} for p, (x, y) in enumerate(GENERATOR_PAIRS)}
+            for ell, (_, q) in zip(group, at)})
+    return gens, reports
 
 
 def verify_embedding(ell, gradecap=None, ring=WeylElement):
@@ -603,20 +646,4 @@ def verify_embedding(ell, gradecap=None, ring=WeylElement):
     Entries: {"pair", "residual_min_grade" (None if no residual below the
     cap), "exact" (residual identically zero, nothing discarded), "cap"}.
     """
-    if gradecap is None:
-        gradecap = 2 * ell + 4
-    gens = embedded_generators(ell, cap=gradecap, ring=ring)
-    index = {name: k for k, name in enumerate(gens)}
-    rows, den = pair_brackets()
-    targets = [(p, index[SPINOR_GENERATORS[g]],
-                ring.BRACKET_NORM * gaussian(*rows[p, g].tolist(), den))
-               for p, g in zip(*np.nonzero(rows.any(axis=-1)))]
-    (pair, grade, *_), dropped, _ = _brackets(
-        ring, list(gens.values()),
-        [(index[x], index[y]) for x, y in GENERATOR_PAIRS], gradecap, targets)
-    hit, first = np.unique(pair, return_index=True)
-    lowest = dict(zip(hit.tolist(), grade[first].tolist()))
-    return {f"{x}|{y}": {"pair": [x, y], "residual_min_grade": lowest.get(p),
-                         "exact": p not in lowest and not dropped[p],
-                         "cap": gradecap}
-            for p, (x, y) in enumerate(GENERATOR_PAIRS)}
+    return embedding_pass([ell], gradecap, ring)[1][ell]

@@ -4,7 +4,9 @@ matrices.
 The bracket kernel of sphere7.weyl is checked against the bracket bodies it
 replaced: the contraction-only normal ordering of the oscillator ring, the
 biderivation of the Poisson ring, the grade-by-grade Laurent bracket and the
-45-pair report built from them one pair and one term pair at a time.
+45-pair report built from them one pair and one term pair at a time.  The
+generators it brackets come from the direct recipe, S_ell expanded whole and
+then multiplied in, not from the order-by-order build of sphere7.weyl.
 
 The exact arrays of sphere7.u2h are checked against the Lie algebra as dicts
 {(g1, g2): {gen: CRat}} walked one key at a time: the vector brackets and
@@ -29,6 +31,7 @@ step.
 
 import json
 import math
+from math import prod
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -44,8 +47,8 @@ from sphere7.rational import CRat, Combination, I, add_into, gaussian
 from sphere7.tolerances import TAU_PATCH
 from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
                          basis_maps, bracket_table, float_image)
-from sphere7.weyl import (LaurentElement, WeylElement, _contractions,
-                          _min_cap, embedded_generators)
+from sphere7.weyl import (GENERATOR_TERMS, LaurentElement, WeylElement,
+                          _contractions, _min_cap, sqrt_partial_sum)
 
 
 def _contracted(out, x, y, sign):
@@ -118,11 +121,52 @@ def laurent_comm(x, y):
     return LaurentElement(out, cap=cap, dropped=dropped)
 
 
+def _power_cache(base):
+    cache = {0: type(base).unit()}
+
+    def power(k):
+        if k not in cache:
+            cache[k] = power(k - 1) * base
+        return cache[k]
+
+    return power
+
+
+def expand(lau, cap=None, ring=WeylElement):
+    """Substitute the number operators of the ring for (n, N) in a Laurent
+    element with PolyNM coefficients, such as weyl.sqrt_partial_sum(ell)."""
+    power_n = _power_cache(ring.number_op())
+    power_N = _power_cache(ring.total_number_op())
+    return LaurentElement(
+        {g: sum(((power_n(i) * power_N(j)).scale(c)
+                 for (i, j), c in p.terms.items()), ring.zero())
+         for g, p in lau.grades.items()}, cap=cap)
+
+
+def direct_generators(ell, cap=None, ring=WeylElement):
+    """weyl.embedded_generators by the direct recipe: S_ell expanded
+    whole, then multiplied into each term of GENERATOR_TERMS that carries
+    it, and the terms of a generator summed as Laurent elements."""
+    s = expand(sqrt_partial_sum(ell), cap, ring)
+    gens = {}
+    for name, terms in GENERATOR_TERMS.items():
+        parts = []
+        for c, grade, word, side in terms:
+            w = (prod(map(ring.gen, word[1:]), start=ring.gen(word[0]))
+                 if word else ring.unit())
+            lau = LaurentElement({grade: w.scale(c)}, cap=cap)
+            parts.append(s * lau if side == "left" else
+                         lau * s if side == "right" else lau)
+        gens[name] = sum(parts[1:], parts[0])
+    return gens
+
+
 def verify_oracle(ell, gradecap=None, ring=WeylElement):
-    """weyl.verify_embedding, one pair at a time with the dict brackets."""
+    """weyl.verify_embedding, one pair at a time with the dict brackets,
+    on the generators of the direct recipe."""
     if gradecap is None:
         gradecap = 2 * ell + 4
-    gens = embedded_generators(ell, cap=gradecap, ring=ring)
+    gens = direct_generators(ell, cap=gradecap, ring=ring)
     table = SPINOR_TABLE
     report = {}
     for x, y in GENERATOR_PAIRS:

@@ -1,7 +1,7 @@
 from oracles import SPINOR_TABLE
 from sphere7.classical import PoissonElement, verify_classical
 from sphere7.rational import CRat
-from sphere7.weyl import embedded_generators, verify_embedding
+from sphere7.weyl import embedded_generators, embedding_pass, verify_embedding
 
 I = CRat(0, 1)
 Z_BAR, Z_MM, Z_PM, Z, Z_PP, Z_MP = range(6)
@@ -58,3 +58,18 @@ def test_classical_pp_residual_grows():
         rep = verify_classical(ell)
         grades.append(rep["P++|P--"]["residual_min_grade"])
     assert grades == [0, 2, 4, 6]
+
+
+def test_one_pass_per_ring_gives_the_agreeing_tables():
+    # the classical mirror is a pass on the Poisson ring: its reports are
+    # verify_classical's, and its grade tables the quantum pass's, order by
+    # order, as the classical-quantum-agreement rows of verify compare them
+    gens, classical = embedding_pass(range(5), ring=PoissonElement)
+    quantum = embedding_pass(range(5))[1]
+    assert all(type(w) is PoissonElement for lau in gens[4].values()
+               for w in lau.grades.values())
+    for ell in range(5):
+        assert classical[ell] == verify_classical(ell)
+        assert ({k: v["residual_min_grade"] for k, v in classical[ell].items()}
+                == {k: v["residual_min_grade"]
+                    for k, v in quantum[ell].items()})

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere7 import cli, u2h, weyl
+from sphere7 import cli, fock, u2h, weyl
 from sphere7.cli import main
 from sphere7.fock import ELL_MAX, M_MAX, build_rho, load_representation
 
@@ -107,9 +107,14 @@ def test_verify_mutated_fails_and_names_pair(tmp_path):
 def test_verify_lists_failing_exact_pairs_in_pair_order(tmp_path,
                                                        monkeypatch):
     # the order must not follow the string hashes, which vary by process
-    real = weyl.verify_embedding
-    monkeypatch.setattr(weyl, "verify_embedding", lambda *a, **kw: {
-        k: dict(v, exact=False) for k, v in real(*a, **kw).items()})
+    real = weyl.embedding_pass
+
+    def inexact(*args, **kw):
+        gens, reports = real(*args, **kw)
+        return gens, {ell: {k: dict(v, exact=False) for k, v in rep.items()}
+                      for ell, rep in reports.items()}
+
+    monkeypatch.setattr(weyl, "embedding_pass", inexact)
     assert run(tmp_path, "verify", "--m", "1", "--ell", "0..0") == 1
     report = json.loads((tmp_path / "verify.json").read_text())
     row, = (c for c in report["checks"]
@@ -117,6 +122,41 @@ def test_verify_lists_failing_exact_pairs_in_pair_order(tmp_path,
     failing = ast.literal_eval(row["detail"].split("failing=")[1])
     order = [f"{x}|{y}" for x, y in u2h.GENERATOR_PAIRS]
     assert len(failing) > 1 and failing == sorted(failing, key=order.index)
+
+
+def _counted(monkeypatch, module, *names):
+    """Patch the module's functions to count their calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    return calls
+
+
+def test_verify_builds_and_brackets_each_ring_once(tmp_path, monkeypatch):
+    # one order-by-order build and one kernel call per ring, the commuting
+    # diagram reading the quantum generators
+    calls = _counted(monkeypatch, weyl, "_generator_orders", "_brackets",
+                     "embedded_generators", "verify_embedding")
+    assert run(tmp_path, "verify", "--m", "1..2", "--ell", "0..2") == 0
+    assert calls == {"_generator_orders": 2, "_brackets": 2,
+                     "embedded_generators": 0, "verify_embedding": 0}
+
+
+def test_level_checks_share_one_ladder(tmp_path, monkeypatch):
+    calls = _counted(monkeypatch, fock, "_ladder", "_entries")
+    rows = cli._rep_checks(4, cli.TAU_REP)
+    assert all(row["passed"] for row in rows)
+    assert calls == {"_ladder": 1, "_entries": 1}
+    assert run(tmp_path, "table", "--m", "1..3", "--ell", "0..0") == 0
+    assert calls == {"_ladder": 4, "_entries": 4}
 
 
 def test_verify_reports_a_failed_irreducibility_witness(tmp_path, capsys,

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import REALITY_SPINOR, RING_COMM, laurent_comm, verify_oracle
+from oracles import (REALITY_SPINOR, RING_COMM, direct_generators, expand,
+                     laurent_comm, verify_oracle)
 from sphere7 import weyl
 from sphere7.classical import PoissonElement
 from sphere7.rational import CRat
+from sphere7.fock import ELL_MAX
+from sphere7.u2h import GENERATOR_PAIRS
 from sphere7.weyl import (LaurentElement, PolyNM, WeylElement,
-                          embedded_generators, sqrt_coefficient,
-                          sqrt_partial_sum, verify_embedding)
+                          embedded_generators, embedding_pass,
+                          sqrt_coefficient, sqrt_partial_sum,
+                          verify_embedding)
 
 I = CRat(0, 1)
 G = WeylElement.gen
@@ -200,7 +204,7 @@ def test_number_operators_match_literals(ring):
 
 def _recipe_generators(ell, cap, ring):
     """The ten generators written out by hand, one expression each."""
-    s = sqrt_partial_sum(ell).expand(cap, ring)
+    s = expand(sqrt_partial_sum(ell), cap, ring)
     g = ring.gen
     i = CRat(0, 1)
     n, total = _number_op_literals(ring)
@@ -237,6 +241,93 @@ def test_generator_table_matches_the_hand_written_recipe(ring, ell, cap):
         assert (got[name].cap, got[name].dropped) == (lau.cap, lau.dropped)
 
 
+def _layout(gens):
+    """Everything of the generators, in the order of the dicts."""
+    return [(name, lau.cap, lau.dropped,
+             [(g, list(w.terms.items())) for g, w in lau.grades.items()])
+            for name, lau in gens.items()]
+
+
+# caps below 2 ell - 1 drop the top orders of S, so `dropped` must hold
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_order_by_order_generators_match_the_direct_recipe(ring):
+    # dict order too: matrix_of_laurent sums the grades and terms in it,
+    # and the commuting-diagram residuals keep its rounding
+    for cap in (None, 16, 7, 0):
+        caps = {ell: 2 * ell + 4 if cap is None else cap for ell in range(9)}
+        walk = weyl._generator_orders(caps, ring)
+        for ell in range(9):
+            want = _layout(direct_generators(ell, caps[ell], ring))
+            assert _layout(walk[ell]) == want, (cap, ell)
+            assert _layout(embedded_generators(ell, caps[ell], ring)) == want
+    assert any(lau.dropped for lau in walk[8].values())
+    assert _layout(embedded_generators(3, ring=ring)) == _layout(
+        direct_generators(3, ring=ring))
+
+
+@pytest.mark.parametrize("gradecap", [None, 16], ids=str)
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_one_pass_equals_the_one_order_calls(ring, gradecap):
+    gens, reports = embedding_pass(range(7), gradecap, ring)
+    assert list(reports) == list(gens) == list(range(7))
+    for ell in range(7):
+        assert reports[ell] == verify_embedding(ell, gradecap, ring), ell
+        cap = 2 * ell + 4 if gradecap is None else gradecap
+        assert _layout(gens[ell]) == _layout(
+            embedded_generators(ell, cap, ring))
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_a_wrong_order_moves_no_other_order_of_the_pass(monkeypatch, ring):
+    # b_2 off by 1/64 reaches orders 2 and up only: orders 0 and 1 of the
+    # same kernel call keep their reports
+    clean = embedding_pass(range(4), ring=ring)[1]
+    real = weyl.sqrt_coefficient
+    monkeypatch.setattr(weyl, "sqrt_coefficient", lambda k: real(k) + (
+        Fraction(1, 64) if k == 2 else 0))
+    wrong = embedding_pass(range(4), ring=ring)[1]
+    assert wrong[0] == clean[0] and wrong[1] == clean[1]
+    moved = {k: (clean[2][k]["residual_min_grade"],
+                 wrong[2][k]["residual_min_grade"])
+             for k in clean[2] if wrong[2][k] != clean[2][k]}
+    assert moved and set(moved.values()) == {(4, 2)}, moved
+    assert len(moved) == 9
+
+
+def _recorded_calls(monkeypatch, ells):
+    """The keys (pairs times grades) of each kernel call of a pass over the
+    ells, with the orders each call holds, and no bracket expanded."""
+    calls = []
+
+    def record(ring, elements, pairs, cap=None, targets=()):
+        grades = [g for lau in elements for g in lau.grades]
+        lo, hi = min(grades), max(grades)
+        span = max(hi, 2 * hi) - min(lo, 2 * lo) + 1
+        calls.append((len(pairs) * span, len(elements) // 10))
+        empty = np.zeros(0, np.int64)
+        return (empty,) * 5, np.zeros(len(pairs), bool), 1
+
+    monkeypatch.setattr(weyl, "_brackets", record)
+    embedding_pass(ells)
+    return calls
+
+
+def test_every_order_the_cli_takes_fits_one_kernel_call(monkeypatch):
+    # grades -2..2 ELL_MAX - 1 bracket to -4..4 ELL_MAX - 2: at ELL_MAX = 12,
+    # 585 pairs times 51 grades
+    calls = _recorded_calls(monkeypatch, range(ELL_MAX + 1))
+    orders, span = ELL_MAX + 1, 4 * ELL_MAX + 3
+    assert calls == [(len(GENERATOR_PAIRS) * orders * span, orders)]
+    assert calls[0][0] < weyl._KEY_PAIRS == 2 ** 15
+
+
+def test_orders_past_the_key_space_split_into_more_calls(monkeypatch):
+    calls = _recorded_calls(monkeypatch, range(ELL_MAX + 3))
+    assert len(calls) > 1
+    assert all(keys < 2 ** 15 for keys, _ in calls)
+    assert sum(orders for _, orders in calls) == ELL_MAX + 3
+
+
 def test_sqrt_coefficients():
     assert sqrt_coefficient(0) == 1
     assert sqrt_coefficient(1) == Fraction(-1, 2)
@@ -263,7 +354,7 @@ def test_square_relation_residual_grade():
     # S_ell^2 - (1/h - N - n/2) has minimal grade >= 2 ell
     n, N = WeylElement.number_op(), WeylElement.total_number_op()
     for ell in (0, 1, 2, 3):
-        s = sqrt_partial_sum(ell).expand()
+        s = expand(sqrt_partial_sum(ell))
         target = LaurentElement({
             -2: WeylElement.unit(),
             0: (N + n.scale(CRat(Fraction(1, 2)))).scale(-1)})
