@@ -6,16 +6,17 @@ the remaining ones climbs with the truncation.  The commutative Poisson
 mirror produces the identical residual table.
 """
 
-from sphere7 import sqrt_partial_sum, verify_classical, verify_embedding
+from sphere7 import verify_classical, verify_embedding
 from sphere7.weyl import embedded_generators, sqrt_coefficient
 
 print("== square-root series coefficients ==")
 print("b_k for k = 0..5:", [str(sqrt_coefficient(k)) for k in range(6)])
-s2 = sqrt_partial_sum(2)
-print(f"S_2 carries grades {sorted(s2.grades)} in the half-integer counting")
+gens = embedded_generators(2)
+# K++ = -2i S_2 a, so its grades are those of S_2
+print(f"S_2 carries grades {sorted(gens['K++'].grades)} in the half-integer "
+      "counting")
 
 print("\n== the ten generators at truncation 2 ==")
-gens = embedded_generators(2)
 for name in ("K+-", "K++", "P+-"):
     lau = gens[name]
     grades = sorted(lau.grades)

@@ -6,7 +6,7 @@ Layers, bottom up:
                  product table, the group sections
     coframe      sphere points, tangents, the pulled-back coframe, Reeb flow
     u2h          the ten-dimensional Lie algebra with exact structure constants
-    weyl         normal-ordered oscillator algebra, formal square roots,
+    weyl         normal-ordered oscillator algebra, formal Laurent series,
                  the ten formal generators and their bracket reports
     classical    the commutative Poisson ring; the weyl construction and its
                  bracket report run on it give the classical mirror
@@ -25,8 +25,8 @@ from .fock import (basis, build_rho, build_rho_partial, casimir_deviation,
                    partial_sum_distance, verify_brackets, verify_reality)
 from .quaternions import PatchError, section_n, section_s, transition_tau
 from .u2h import SPINOR_GENERATORS, VECTOR_GENERATORS, verify_jacobi
-from .weyl import (LaurentElement, Polymeromorphic, PolyNM, WeylElement,
-                   embedded_generators, sqrt_partial_sum, verify_embedding)
+from .weyl import (LaurentElement, WeylElement, embedded_generators,
+                   verify_embedding)
 from .classical import PoissonElement, verify_classical
 
 __version__ = "0.1.0"

@@ -12,9 +12,8 @@ operation does int arithmetic and normalizes once.  The real and imaginary
 parts are read as fractions.Fraction, also exported as Q.
 
 Combination, a finitely supported map from keys to nonzero CRat, is the one
-container of the exact layer: slot polynomials and the polynomials in the
-number operators are its subclasses, and add_into is the one zero-dropping
-accumulate step.
+container of the exact layer: the slot polynomials of both coefficient rings
+are its subclasses, and add_into is the one zero-dropping accumulate step.
 """
 
 from fractions import Fraction

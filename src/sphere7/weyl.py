@@ -1,4 +1,4 @@
-"""Normal-ordered oscillator algebra on six generators and formal square roots.
+"""Normal-ordered oscillator algebra on six generators and the formal embedding.
 
 Generators are indexed by slots
 
@@ -23,7 +23,9 @@ The coefficient ring is a parameter of the Laurent layer, the generator
 recipe GENERATOR_TERMS and the bracket report: WeylElement here, the
 commutative PoissonElement of the classical module for the classical mirror.
 The number operators n = 2 ad a and N = apm amp - app amm are products in
-the ring, so N has the ordering constant +1 here and none classically.
+the ring, so N has the ordering constant +1 here and none classically.  The
+square root S = sqrt(1/hbar - N - n/2) is built only inside the generator
+walk, _generator_orders, one order at a time from the powers of n and N.
 
 Products are dict walks.  Brackets go through one kernel, _brackets: each
 term of each Laurent element is a row of an integer table (element, grade,
@@ -44,8 +46,7 @@ from operator import mul
 
 import numpy as np
 
-from .rational import (Combination, add_into, crat, gaussian,
-                       monomial_product, numerators)
+from .rational import Combination, add_into, crat, gaussian, numerators
 from .u2h import GENERATOR_PAIRS, SPINOR_GENERATORS, pair_brackets
 
 SLOT_NAMES = ("ad", "amm", "apm", "a", "app", "amp")
@@ -482,31 +483,8 @@ def _min_cap(c1, c2):
 
 
 # ---------------------------------------------------------------------------
-# polymeromorphic elements: Laurent series with polynomial coefficients in n, N
+# the square root S and the ten formal generators at truncation ell
 # ---------------------------------------------------------------------------
-
-class PolyNM(Combination):
-    """Polynomial in the two commuting number operators, exponents (n, N)."""
-
-    __slots__ = ()
-    __mul__ = monomial_product
-
-    def dagger(self):
-        # n and N are self-adjoint, so the dagger only conjugates coefficients
-        return self._wrap({k: c.conj() for k, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*n^{i}*N^{j}"
-                          for (i, j), c in sorted(self.terms.items()))
-
-
-class Polymeromorphic(LaurentElement):
-    """Laurent series in sqrt(hbar) whose coefficients are PolyNM polynomials."""
-
-    __slots__ = ()
-
 
 def sqrt_coefficient(k):
     """Taylor coefficient b_k(x) = b_k * x^k of sqrt(1 - hx)/sqrt(h): the number."""
@@ -516,31 +494,6 @@ def sqrt_coefficient(k):
     sign = -1 if k % 2 else 1
     return Fraction(sign * num, (2 ** k) * factorial(k))
 
-
-def sqrt_coefficient_poly(k):
-    """b_k(N + n/2) as a polynomial in (n, N)."""
-    c = sqrt_coefficient(k)
-    half = Fraction(1, 2)
-    out = {}
-    for r in range(k + 1):
-        out[(r, k - r)] = crat(c * comb(k, r) * half ** r)
-    return PolyNM(out)
-
-
-def sqrt_partial_sum(ell):
-    """Partial sum S_ell = h^(-1/2) * sum_{k<=ell} b_k(N + n/2) h^k.
-
-    Its square equals 1/h - (N + n/2) up to terms of sqrt(h)-grade >= 2*ell.
-    """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return Polymeromorphic({2 * k - 1: sqrt_coefficient_poly(k)
-                            for k in range(ell + 1)})
-
-
-# ---------------------------------------------------------------------------
-# the ten formal generators at truncation ell
-# ---------------------------------------------------------------------------
 
 # The ten generators, keyed by their u2h spinor names, as sums of terms
 # (coefficient (re, im), sqrt(hbar) grade, slot word, side of S).  A word is
@@ -569,6 +522,10 @@ def _generator_orders(caps, ring):
     """{ell: the ten generators at truncation ell, capped at caps[ell]}, in
     one walk ell = 0, 1, ...: S_ell is S_(ell-1) plus b_ell (N + n/2)^ell
     h^(ell - 1/2), so only the terms that carry S take a new product."""
+    if not caps:
+        raise ValueError("no truncation order given")
+    if min(caps) < 0:
+        raise ValueError("ell must be >= 0")
     power_n, power_N = (list(accumulate([x] * max(caps), mul,
                                         initial=ring.unit()))
                         for x in (ring.number_op(), ring.total_number_op()))
@@ -582,8 +539,10 @@ def _generator_orders(caps, ring):
             else:
                 add_into(grades[name], [(grade, w)])
     for k in range(max(caps) + 1):
-        s = sum(((power_n[i] * power_N[j]).scale(c) for (i, j), c
-                 in sqrt_coefficient_poly(k).terms.items()), ring.zero())
+        # b_k (N + n/2)^k by the binomial theorem: n and N commute
+        b = sqrt_coefficient(k)
+        s = sum(((power_n[r] * power_N[k - r]).scale(b * comb(k, r) / 2 ** r)
+                 for r in range(k + 1)), ring.zero())
         for to, grade, w, left in sided:
             add_into(to, [(2 * k - 1 + grade, s * w if left else w * s)])
         if k in caps:

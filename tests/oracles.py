@@ -6,7 +6,8 @@ replaced: the contraction-only normal ordering of the oscillator ring, the
 biderivation of the Poisson ring, the grade-by-grade Laurent bracket and the
 45-pair report built from them one pair and one term pair at a time.  The
 generators it brackets come from the direct recipe, S_ell expanded whole and
-then multiplied in, not from the order-by-order build of sphere7.weyl.
+then multiplied in, not from the order-by-order build of sphere7.weyl; S_ell
+is written out here as a dict of binomial coefficients in (n, N).
 
 The exact arrays of sphere7.u2h are checked against the Lie algebra as dicts
 {(g1, g2): {gen: CRat}} walked one key at a time: the vector brackets and
@@ -31,7 +32,7 @@ step.
 
 import json
 import math
-from math import prod
+from math import comb, prod
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -48,7 +49,7 @@ from sphere7.tolerances import TAU_PATCH
 from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
                          basis_maps, bracket_table, float_image)
 from sphere7.weyl import (GENERATOR_TERMS, LaurentElement, WeylElement,
-                          _contractions, _min_cap, sqrt_partial_sum)
+                          _contractions, _min_cap)
 
 
 def _contracted(out, x, y, sign):
@@ -132,15 +133,28 @@ def _power_cache(base):
     return power
 
 
-def expand(lau, cap=None, ring=WeylElement):
-    """Substitute the number operators of the ring for (n, N) in a Laurent
-    element with PolyNM coefficients, such as weyl.sqrt_partial_sum(ell)."""
+def sqrt_partial_sum(ell):
+    """S_ell = h^(-1/2) sum_{k<=ell} b_k (N + n/2)^k h^k as {grade: {(i, j):
+    Fraction}}, the coefficient of n^i N^j h^(grade/2): b_k = -C(2k, k) /
+    ((2k - 1) 4^k) is the Taylor coefficient of sqrt(1 - x), and (N + n/2)^k
+    is expanded by the binomial theorem."""
+    out = {}
+    for k in range(ell + 1):
+        b = Fraction(-comb(2 * k, k), (2 * k - 1) * 4 ** k)
+        out[2 * k - 1] = {(r, k - r): b * comb(k, r) / 2 ** r
+                          for r in range(k + 1)}
+    return out
+
+
+def expand(series, cap=None, ring=WeylElement):
+    """Substitute the number operators of the ring for (n, N) in a series
+    {grade: {(i, j): c}}, such as sqrt_partial_sum(ell)."""
     power_n = _power_cache(ring.number_op())
     power_N = _power_cache(ring.total_number_op())
     return LaurentElement(
         {g: sum(((power_n(i) * power_N(j)).scale(c)
-                 for (i, j), c in p.terms.items()), ring.zero())
-         for g, p in lau.grades.items()}, cap=cap)
+                 for (i, j), c in p.items()), ring.zero())
+         for g, p in series.items()}, cap=cap)
 
 
 def direct_generators(ell, cap=None, ring=WeylElement):

@@ -221,8 +221,8 @@ def test_partial_action_boundary_sequence():
 
 
 def test_negative_truncation_order_is_refused():
-    # every partial sum reads sqrt_series_value, which refuses ell < 0 as
-    # weyl.sqrt_partial_sum does
+    # every partial sum reads sqrt_series_value, which refuses ell < 0 with
+    # the message of the exact layer's generator walk, weyl._generator_orders
     for call in (lambda: sqrt_series_value(-1, 0.5),
                  lambda: partial_sum_distance(3, -1),
                  lambda: build_rho_partial(3, -1)):

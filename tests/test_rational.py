@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import LieElement, frac_mat_inverse
 from sphere7.rational import CRat, Combination
 from sphere7.u2h import SPINOR_GENERATORS
-from sphere7.weyl import PolyNM, WeylElement
+from sphere7.weyl import WeylElement
 
 SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -118,7 +118,7 @@ def test_crat_coercion(p, k):
 
 
 # ---------------------------------------------------------------------------
-# Combination laws on the three element types
+# Combination laws on the two element types
 # ---------------------------------------------------------------------------
 
 small = st.integers(-3, 3)
@@ -131,9 +131,8 @@ def _elements(keys, build):
 
 
 weyl = _elements(st.tuples(*[st.integers(0, 2)] * 6), WeylElement)
-polys = _elements(st.tuples(st.integers(0, 3), st.integers(0, 3)), PolyNM)
 lie = _elements(st.sampled_from(SPINOR_GENERATORS), LieElement)
-KINDS = (weyl, polys, lie)
+KINDS = (weyl, lie)
 ELEMENTS = st.one_of(*KINDS)
 TRIPLES = st.one_of(*(st.tuples(kind, kind, kind) for kind in KINDS))
 

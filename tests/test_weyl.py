@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (REALITY_SPINOR, RING_COMM, direct_generators, expand,
-                     laurent_comm, verify_oracle)
+                     laurent_comm, sqrt_partial_sum, verify_oracle)
 from sphere7 import weyl
-from sphere7.classical import PoissonElement
+from sphere7.classical import PoissonElement, verify_classical
 from sphere7.rational import CRat
 from sphere7.fock import ELL_MAX
 from sphere7.u2h import GENERATOR_PAIRS
-from sphere7.weyl import (LaurentElement, PolyNM, WeylElement,
-                          embedded_generators, embedding_pass,
-                          sqrt_coefficient, sqrt_partial_sum,
-                          verify_embedding)
+from sphere7.weyl import (LaurentElement, WeylElement, embedded_generators,
+                          embedding_pass, sqrt_coefficient, verify_embedding)
 
 I = CRat(0, 1)
 G = WeylElement.gen
@@ -265,6 +264,38 @@ def test_order_by_order_generators_match_the_direct_recipe(ring):
         direct_generators(3, ring=ring))
 
 
+# sha256 of repr([_layout(walk[ell]) for ell in ells]) per ring and cap, the
+# walk's caps as in the test above; recorded while S was still built outside
+# the walk, so the walk and the oracle's S cannot drift together unnoticed
+LAYOUTS = json.loads(
+    Path(__file__).with_name("generator_layouts.json").read_text())
+
+
+@pytest.mark.parametrize("cap", [None, 16, 7, 0], ids=str)
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_generator_layouts_match_the_recorded_digests(ring, cap):
+    lo, hi = LAYOUTS["ells"]
+    assert (lo, hi) == (0, ELL_MAX)
+    caps = {ell: 2 * ell + 4 if cap is None else cap
+            for ell in range(lo, hi + 1)}
+    walk = weyl._generator_orders(caps, ring)
+    text = repr([_layout(walk[ell]) for ell in caps])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        LAYOUTS["sha256"][ring.__name__][str(cap)])
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
+def test_a_negative_or_empty_truncation_order_is_refused(ring):
+    for call in (lambda: embedded_generators(-1, ring=ring),
+                 lambda: verify_embedding(-1, ring=ring),
+                 lambda: embedding_pass([0, -1], ring=ring),
+                 lambda: verify_classical(-1)):
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            call()
+    with pytest.raises(ValueError, match="no truncation order given"):
+        embedding_pass([], ring=ring)
+
+
 @pytest.mark.parametrize("gradecap", [None, 16], ids=str)
 @pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.__name__)
 def test_one_pass_equals_the_one_order_calls(ring, gradecap):
@@ -335,18 +366,23 @@ def test_sqrt_coefficients():
 
 
 def test_sqrt_partial_sum_s0():
-    s0 = sqrt_partial_sum(0)
-    assert set(s0.grades) == {-1}
-    assert s0.grades[-1].terms == {(0, 0): CRat(1)}
-    with pytest.raises(ValueError):
-        sqrt_partial_sum(-1)
+    # the oracle's S: b_0 h^(-1/2), then b_1 (N + n/2) h^(1/2), ...
+    assert sqrt_partial_sum(0) == {-1: {(0, 0): 1}}
+    assert sqrt_partial_sum(2) == {
+        -1: {(0, 0): 1}, 1: {(0, 1): Fraction(-1, 2), (1, 0): Fraction(-1, 4)},
+        3: {(0, 2): Fraction(-1, 8), (1, 1): Fraction(-1, 8),
+            (2, 0): Fraction(-1, 32)}}
+    # its closed form for b_k agrees with the walk's product formula
+    top = sqrt_partial_sum(ELL_MAX)
+    assert [top[2 * k - 1][(0, k)] for k in range(ELL_MAX + 1)] == [
+        sqrt_coefficient(k) for k in range(ELL_MAX + 1)]
 
 
 def test_absent_grade_is_zero_of_the_coefficient_ring():
-    s1 = sqrt_partial_sum(1)
-    assert 4 not in s1.grades
-    zero = s1.coefficient(4)
-    assert type(zero) is PolyNM and zero.is_zero()
+    k = embedded_generators(1)["K++"]
+    assert 4 not in k.grades
+    zero = k.coefficient(4)
+    assert type(zero) is WeylElement and zero.is_zero()
     assert type(LaurentElement().coefficient(0)) is WeylElement
 
 
