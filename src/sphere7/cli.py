@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, coframe, connection, fock, u2h, weyl
-from .quaternions import PatchError
 from .tolerances import TAU_REP
 
 
@@ -421,11 +420,7 @@ def cmd_transport(cfg, path_file):
     except (OSError, KeyError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = connection.parallel_transport(path, m)
-    except PatchError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    result = connection.parallel_transport(path, m)
     payload = {"config": cfg.__dict__, "path": path.to_json(), "m": m,
                "result": result.to_json()}
     if dump_matrix:

@@ -15,12 +15,13 @@ ell the truncation.  A PathSpec is a curve gamma on [0, 1] with its step
 count.  The exact connection is A = rho(g^-1 dg) for the section g of a
 patch, so U'(t) = -A(gamma'(t)) U(t), U(0) = Id, is solved by
 rho(g(gamma(t)))^-1 rho(g(gamma(0))); parallel_transport(path, m) takes g
-from the frame the path starts in, and the steps resolve only the scan
-for patch switches.  That scan evaluates only the steps near a chart
-crossing, which every PathSpec has in closed form, so its work does not
-grow with the steps.  A TransportResult holds the one unitary U of a path,
-and every Born probability |<psi_f, U psi_i>|^2 (normalized) is read
-from it.
+from the frame the path starts in, and at the end from the other frame
+where the end lies off the start chart, so no end point is refused.  The
+steps resolve only the scan for patch switches.  That scan evaluates only
+the steps near a chart crossing, which every PathSpec has in closed form,
+so its work does not grow with the steps.  A TransportResult holds the
+one unitary U of a path, and every Born probability |<psi_f, U psi_i>|^2
+(normalized) is read from it.
 
 The ten level matrices are kept on the union of their nonzero patterns
 (flat indices plus one value row per generator), so a connection matrix is
@@ -37,7 +38,7 @@ from .coframe import (Chart, SpherePoint, TangentVector, _pullback, _rescaled,
                       preferred_patch, to_sphere, to_tangent, toric_rows)
 from .fock import (GENERATOR_NAMES, _entries, build_rho, build_rho_partial,
                    sym_power)
-from .quaternions import (PatchError, qcomplex, section_n, section_s,
+from .quaternions import (qcomplex, qnorm, section_n, section_s,
                           transition_tau)
 from .tolerances import TAU_PATCH
 
@@ -302,19 +303,21 @@ class PathSpec:
 
 
 class TransportResult:
-    """Transport unitary with its switch log and rounding diagnostic; it is
-    expressed in start_frame at both ends, which to_json writes as both."""
+    """Transport unitary with its switch log and rounding diagnostic; it
+    maps the start frame's fiber at the path's start to the end frame's
+    fiber at its end."""
 
     __slots__ = ("matrix", "unitarity_residual", "steps", "switches",
-                 "start_frame")
+                 "start_frame", "end_frame")
 
     def __init__(self, matrix, unitarity_residual, steps, switches,
-                 start_frame):
+                 start_frame, end_frame):
         self.matrix = matrix
         self.unitarity_residual = unitarity_residual
         self.steps = steps
         self.switches = switches
         self.start_frame = start_frame
+        self.end_frame = end_frame
 
     def probability(self, psi_i, psi_f):
         """The Born probability |<psi_f, U psi_i>|^2 / (|psi_f|^2 |psi_i|^2)
@@ -342,7 +345,7 @@ class TransportResult:
                 "steps": self.steps,
                 "switches": [[t, a, b] for (t, a, b) in self.switches],
                 "start_frame": self.start_frame,
-                "end_frame": self.start_frame}
+                "end_frame": self.end_frame}
 
 
 def _rho2(g):
@@ -372,9 +375,8 @@ def _step_runs(path):
 def _switch_log(path, frame):
     """The patch switches (t, old, new) of a path that starts in frame: a
     step switches where the current frame's coordinate is below
-    PATCH_SWITCH_LEVEL at one of its nodes t_k, t_k + h/2, t_k + h, and is
-    refused where the new frame's is below TAU_PATCH, as the coframe there
-    would be.  Only the current frame's _step_runs can switch."""
+    PATCH_SWITCH_LEVEL at one of its nodes t_k, t_k + h/2, t_k + h.  Only
+    the current frame's _step_runs can switch."""
     steps, north, switches, k = path.steps, "sn".index(frame), [], 0
     runs = _step_runs(path)
     while run := next(((max(lo, k), hi) for lo, hi in runs[north] if hi > k),
@@ -382,34 +384,33 @@ def _switch_log(path, frame):
         k, n = run[0], min(_BLOCK_STEPS, run[1] - run[0])
         nodes = np.arange(2 * k, 2 * (k + n) + 1) * (0.5 / steps)
         p8 = to_sphere(path.curve(nodes)[0])
-        r = np.linalg.norm(p8.reshape(-1, 2, 4), axis=2)  # |x|, |y| per node
+        # |x| or |y| per node, the current frame's coordinate
+        r = np.linalg.norm(p8[:, 4 * north:4 * north + 4], axis=1)
         low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
-        hit = np.flatnonzero(low[:, north] < PATCH_SWITCH_LEVEL)[:1]
+        hit = np.flatnonzero(low < PATCH_SWITCH_LEVEL)[:1]
         k += int(hit[0]) + 1 if hit.size else n
         for i in hit:
             north = 1 - north
             switches.append((float(nodes[2 * i]), "ns"[north], "sn"[north]))
-            if low[i, north] < TAU_PATCH:
-                raise PatchError(f"{steps} steps are too coarse for this path "
-                                 f"(patch violation: |{'xy'[north]}| ~ 0 on "
-                                 f"the {'sn'[north]} patch)")
     return switches
 
 
 def parallel_transport(path, m, *, start_frame=None):
     """Parallel transport of the exact flat connection along a path, in
-    closed form: at level 2 it is rho_2(s(q))^H rho_2(s(p)) from the path's
-    start p to its end q, s the section of the start frame, and one
-    fock.sym_power lifts it to level m.  p and q are read in one call of
-    path.curve at t = 0 and 1, points only; the curve is evaluated again
-    only at the nodes _switch_log scans.
+    closed form: at level 2 it is rho_2(s'(q))^H rho_2(s(p)) from the path's
+    start p to its end q, s the section of the start frame and s' that of
+    the end frame, and one fock.sym_power lifts it to level m.  p and q are
+    read in one call of path.curve at t = 0 and 1, points only; the curve
+    is evaluated again only at the nodes _switch_log scans.
 
-    The result is expressed in that frame: start_frame, None, "s" or "n",
-    pins it (None: the larger coordinate at p), and p and q must lie in its
-    chart.  The path's steps set only the resolution of _switch_log.
-    Transports compose, U(g2 after g1) = U(g2) U(g1), in matching frames.
-    The rounding drift max |u^H u - I| of the level-2 transport u is a
-    diagnostic; the lift's drift Gamma(u^H u) - I is fixed by it.
+    start_frame, None, "s" or "n", pins the start frame (None: the larger
+    coordinate at p), whose chart must hold p.  The end frame is the start
+    frame where its coordinate at q is at least TAU_PATCH, and the other
+    frame otherwise, so every path is transported.  The path's steps set
+    only the resolution of _switch_log.  Transports compose,
+    U(g2 after g1) = U(g2) U(g1), in matching frames.  The rounding drift
+    max |u^H u - I| of the level-2 transport u is a diagnostic; the lift's
+    drift Gamma(u^H u) - I is fixed by it.
     """
     if start_frame not in (None, "s", "n"):
         raise ValueError(f"start_frame must be None, 's' or 'n', got "
@@ -420,13 +421,12 @@ def parallel_transport(path, m, *, start_frame=None):
             for row in to_sphere(path.curve(np.array([0.0, 1.0]))[0]))
     frame = start_frame or preferred_patch(p)
     switches = _switch_log(path, frame)
-    section = section_s if frame == "s" else section_n
-    try:
-        end, start = (_rho2(section(x)) for x in (q, p))
-    except PatchError as exc:
-        msg = f"the path must start and end in the {frame} chart its "
-        raise PatchError(f"{msg}transport is expressed in ({exc})") from None
+    end_frame, section = frame, {"s": section_s, "n": section_n}
+    if qnorm(q.x if frame == "s" else q.y) < TAU_PATCH:
+        end_frame = "n" if frame == "s" else "s"
+    end, start = (_rho2(section[f](x))
+                  for f, x in ((end_frame, q), (frame, p)))
     u2 = end.conj().T @ start
     drift = float(np.max(np.abs(u2.conj().T @ u2 - np.eye(4))))
     return TransportResult(sym_power(u2, m), drift, path.steps, switches,
-                           frame)
+                           frame, end_frame)

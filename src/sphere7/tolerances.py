@@ -1,7 +1,8 @@
 """Package-wide numerical tolerances.
 
-TAU_PATCH  below this modulus a chart coordinate counts as zero, and a
-           section, the coframe and the transport's switch scan refuse it
+TAU_PATCH  below this modulus a chart coordinate counts as zero: a section
+           and the coframe refuse it, and a transport ends in the other
+           frame
 TAU_SPHERE acceptance for the sphere / tangency constraints
 TAU_REP    acceptance for representation-level matrix identities
 """

@@ -43,9 +43,8 @@ import scipy.linalg
 from sphere7.classical import PoissonElement
 from sphere7.connection import PATCH_SWITCH_LEVEL, connection_matrix
 from sphere7.fock import GENERATOR_NAMES, _rank, basis, build_rho, dim
-from sphere7.quaternions import PatchError, qnorm, transition_tau
+from sphere7.quaternions import qnorm, transition_tau
 from sphere7.rational import CRat, Combination, I, add_into, gaussian
-from sphere7.tolerances import TAU_PATCH
 from sphere7.u2h import (GENERATOR_PAIRS, SPINOR_GENERATORS, VECTOR_GENERATORS,
                          basis_maps, bracket_table, float_image)
 from sphere7.weyl import (GENERATOR_TERMS, LaurentElement, WeylElement,
@@ -549,35 +548,24 @@ def lifted_reference(path, m, frame="s", switches=()):
     return ref if m == 2 else tensor_lift(ref, m)
 
 
-# steps whose nodes reference_switch_log reads at once; a refusal aborts the
-# whole walk, so the log does not depend on it
+# steps whose nodes reference_switch_log reads at once
 _WALK_STEPS = 256
 
 
 def reference_switch_log(path, frame):
     """The patch switches (t, old, new) of a path that starts in frame, one
-    step at a time: each block of _WALK_STEPS steps reads the points and
-    tangents at its nodes, carries the frame through every step and refuses
-    the block before logging its switches."""
-    steps, north, switches = path.steps, frame == "n", []
+    step at a time: each block of _WALK_STEPS steps reads the points at its
+    nodes, and each step reads the current frame's coordinate at its three
+    nodes and switches where one of them is below PATCH_SWITCH_LEVEL."""
+    steps, north, switches = path.steps, "sn".index(frame), []
     for k0 in range(0, steps, _WALK_STEPS):
         n = min(_WALK_STEPS, steps - k0)
         nodes = np.arange(2 * k0, 2 * (k0 + n) + 1) * (0.5 / steps)
-        r = np.linalg.norm(path.arrays(nodes)[0].reshape(-1, 2, 4), axis=2)
-        low = np.minimum(np.minimum(r[:-1:2], r[1::2]), r[2::2])
-        frames, switched = [], []
-        for low_s, low_n in (low < PATCH_SWITCH_LEVEL).tolist():
-            flip = low_n if north else low_s
-            north ^= flip
-            frames.append(north)
-            switched.append(flip)
-        active = np.where(frames, low[:, 1], low[:, 0])
-        if np.min(active) < TAU_PATCH:
-            bad = frames[int(np.argmax(active < TAU_PATCH))]
-            raise PatchError(f"{steps} steps are too coarse for this path "
-                             f"(patch violation: |{'xy'[bad]}| ~ 0 on the "
-                             f"{'sn'[bad]} patch)")
-        for i in np.flatnonzero(switched):
-            old, frame = frame, "sn"[frames[i]]
-            switches.append((float(nodes[2 * i]), old, frame))
+        r = np.linalg.norm(path.arrays(nodes)[0].reshape(-1, 2, 4),
+                           axis=2).tolist()  # |x|, |y| per node
+        for i in range(n):
+            if min(v[north] for v in r[2 * i:2 * i + 3]) < PATCH_SWITCH_LEVEL:
+                north = 1 - north
+                switches.append((float(nodes[2 * i]), "ns"[north],
+                                 "sn"[north]))
     return switches

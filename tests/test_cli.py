@@ -344,15 +344,11 @@ def test_transport_malformed(tmp_path, capsys):
     ({"at": {"x": [1, 0, 0, 0], "y": [0, float("inf"), 0, 0]}},
      "at.y must be a list of 4 finite numbers"),
     ({"psi_i": {"re": 1}, "psi_f": [1]}, "psi_i must be a list"),
-    ({"type": "great_circle_loop", "at": {"x": [0.6, 0.8, 0, 0],
-                                          "y": [0, 0, 0, 0]},
-      "direction": [0, 0, 0, 0, 1, 0, 0, 0], "steps": 4},
-     "4 steps are too coarse"),
-    # the result is expressed in the start chart, which does not cover the
-    # end point: no step count helps
+    # antipodal ends join by no unique great circle
     ({"type": "great_circle", "from": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
-      "to": {"x": [0, 0, 0, 0], "y": [1, 0, 0, 0]}, "steps": 1000},
-     "must start and end in the s chart"),
+      "to": {"x": [-1, 0, 0, 0], "y": [0, 0, 0, 0]}},
+     "endpoints coincide or are antipodal"),
+    ({"type": "spiral"}, "unknown path type 'spiral'"),
     ({"m": M_MAX + 1}, f"level m = {M_MAX}"),
     # a chord through the origin: nan at a node for even steps, a jump
     # across the sphere for odd steps
@@ -399,6 +395,38 @@ def test_transport_coarse_loop_through_x_zero(tmp_path):
     report = json.loads((tmp_path / "transport.json").read_text())
     assert len(report["result"]["switches"]) == 4
     assert report["result"]["holonomy_distance"] < 1e-4
+
+
+def _transport_result(tmp_path, spec):
+    """Run `spec` through `transport`, expect exit 0, return its result."""
+    pfile = tmp_path / "path.json"
+    pfile.write_text(json.dumps(spec))
+    assert run(tmp_path, "transport", str(pfile)) == 0
+    return json.loads((tmp_path / "transport.json").read_text())["result"]
+
+
+def test_transport_runs_the_coarse_loop_it_once_refused(tmp_path):
+    # four steps put nodes of the loop on x = 0 and on y = 0: the closed
+    # form reads no frame at a node, so the loop runs
+    result = _transport_result(tmp_path, {
+        "type": "great_circle_loop",
+        "at": {"x": [0.6, 0.8, 0, 0], "y": [0, 0, 0, 0]},
+        "direction": [0, 0, 0, 0, 1, 0, 0, 0], "m": 2, "steps": 4})
+    assert [sw[0] for sw in result["switches"]] == [0.0, 0.25, 0.5, 0.75]
+    assert result["end_frame"] == "s"
+    assert result["holonomy_distance"] < 1e-12
+
+
+def test_transport_runs_the_off_chart_end_it_once_refused(tmp_path):
+    # the great circle ends off the chart it starts in: the end is expressed
+    # in the other frame
+    result = _transport_result(tmp_path, {
+        "type": "great_circle",
+        "from": {"x": [1, 0, 0, 0], "y": [0, 0, 0, 0]},
+        "to": {"x": [0, 0, 0, 0], "y": [1, 0, 0, 0]}, "m": 2, "steps": 1000})
+    assert result["switches"] == [[0.968, "s", "n"]]
+    assert (result["start_frame"], result["end_frame"]) == ("s", "n")
+    assert result["unitarity_residual"] < 1e-12
 
 
 def _env_with_src():

@@ -565,13 +565,6 @@ def _scan_paths(seed, steps):
     return paths
 
 
-def _log_or_refusal(scan, path, frame):
-    try:
-        return scan(path, frame)
-    except PatchError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("block", [256, 7])
 @pytest.mark.parametrize("frame", ["s", "n"])
 def test_switch_log_matches_the_per_step_loop(monkeypatch, block, frame):
@@ -582,11 +575,14 @@ def test_switch_log_matches_the_per_step_loop(monkeypatch, block, frame):
     logs = []
     for seed, steps in ((0, 4), (1, 10), (2, 12), (3, 100), (4, 400)):
         for path in _scan_paths(seed, steps):
-            log = _log_or_refusal(connection._switch_log, path, frame)
-            assert log == _log_or_refusal(reference_switch_log, path, frame)
+            log = connection._switch_log(path, frame)
+            assert log == reference_switch_log(path, frame)
             logs.append(log)
-    # at 4 steps the loop through x = 0 has a node on x = 0
-    assert "4 steps are too coarse for this path" in logs[7]
+    # at 4 steps the loop through x = 0 has a node on x = 0 and one on
+    # y = 0, and every step switches into a frame singular at a node
+    other = "ns"["sn".index(frame)]
+    assert logs[7] == [(0.0, frame, other), (0.25, other, frame),
+                       (0.5, frame, other), (0.75, other, frame)]
     # at 400 steps t = 1/4 is a node, so the least |x| is read exactly; the
     # n frame leaves y = 0 at once
     below, above = logs[-2:]
@@ -650,8 +646,8 @@ def _edge_mismatches(frame):
     for steps in _EDGE_STEPS:
         for swap in (False, True):
             for i, path in enumerate(_edge_paths(steps, swap)):
-                log = _log_or_refusal(connection._switch_log, path, frame)
-                if log != _log_or_refusal(reference_switch_log, path, frame):
+                log = connection._switch_log(path, frame)
+                if log != reference_switch_log(path, frame):
                     out.append((steps, swap, i))
     return out
 
@@ -745,6 +741,47 @@ def test_unknown_start_frame_is_refused():
         for frame in ("x", "", "S", 0):
             with pytest.raises(ValueError, match="None, 's' or 'n'"):
                 parallel_transport(path, 2, start_frame=frame)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("swap", [False, True])
+def test_an_end_off_the_start_chart_is_expressed_in_the_other_frame(swap, m):
+    # p lies in the s chart, q on x = 0 and mid in the overlap, or x and y
+    # exchanged: the transport p -> q is the leg p -> mid in the start
+    # frame, the gauge into the other frame at mid, and the leg mid -> q in
+    # the other frame
+    def point(*v):
+        return _unit(*(v[4:] + v[:4] if swap else v))
+
+    p = point(0.9, 0.1, 0, 0.2, 0.3, 0, 0.1, 0)
+    q = point(0, 0, 0, 0, 0.6, 0, 0.8, 0)
+    mid = point(0.5, 0.2, 0.1, 0, 0.4, 0.3, 0.1, 0.2)
+    start, end = ("n", "s") if swap else ("s", "n")
+    res = parallel_transport(PathSpec.great_circle(p, q, 100), m)
+    assert (res.start_frame, res.end_frame) == (start, end)
+    assert res.to_json()["end_frame"] == end and len(res.switches) == 1
+    first, second = (parallel_transport(PathSpec.great_circle(a, b, 100), m,
+                                        start_frame=frame)
+                     for a, b, frame in ((p, mid, start), (mid, q, end)))
+    assert (first.end_frame, second.end_frame) == (start, end)
+    gauge = gauge_matrix(m, mid)
+    into, back = (gauge, gauge.conj().T) if swap else (gauge.conj().T, gauge)
+    assert np.max(np.abs(second.matrix @ into @ first.matrix
+                         - res.matrix)) < 1e-14
+    # the gauge turned the other way misses
+    assert np.max(np.abs(second.matrix @ back @ first.matrix
+                         - res.matrix)) > 0.1
+
+
+def test_a_start_frame_whose_chart_misses_the_start_is_refused():
+    # the start frame's section is read at the start, so a pinned frame
+    # must hold it
+    mid = _unit(0.8, 0, 0.1, 0, 0.5, 0.3, 0, 0)
+    for frame, start in (("s", _unit(0, 0, 0, 0, 0.6, 0, 0.8, 0)),
+                         ("n", _unit(0.6, 0, 0.8, 0, 0, 0, 0, 0))):
+        with pytest.raises(PatchError, match=f"0 on the {frame} patch"):
+            parallel_transport(PathSpec.great_circle(start, mid, 100), 2,
+                               start_frame=frame)
 
 
 def test_transport_lifts_once(monkeypatch):
